@@ -53,16 +53,19 @@ std::vector<double> PoissonSchedule(uint64_t seed, double rate_per_s,
   return offsets;
 }
 
-ZipfSampler::ZipfSampler(size_t n, double exponent) : cdf_(n) {
+WeightedSampler::WeightedSampler(const std::vector<double>& weights)
+    : cdf_(weights.size()) {
   double total = 0.0;
-  for (size_t k = 0; k < n; ++k) {
-    total += 1.0 / std::pow(static_cast<double>(k + 1), exponent);
+  for (size_t k = 0; k < weights.size(); ++k) {
+    total += weights[k];
     cdf_[k] = total;
   }
   for (double& c : cdf_) c /= total;
 }
 
-size_t ZipfSampler::Draw(SplitMix64* rng) const {
+size_t WeightedSampler::Draw(SplitMix64* rng) const {
+  // u in (0, 1] lands on the first index whose cumulative share reaches
+  // it, so zero-weight indices are never drawn.
   const double u = rng->UniformOpenZero();
   const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
   return std::min(static_cast<size_t>(it - cdf_.begin()), cdf_.size() - 1);

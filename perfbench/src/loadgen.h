@@ -35,11 +35,12 @@ uint64_t StreamSeed(uint64_t workload_seed, const std::string& stream);
 std::vector<double> PoissonSchedule(uint64_t seed, double rate_per_s,
                                     double duration_s);
 
-/// \brief Zipf(s) over ranks 0..n-1: P(rank k) is proportional to
-/// 1 / (k + 1)^s. Draws by binary search over the precomputed CDF.
-class ZipfSampler {
+/// \brief Draws index i with probability weights[i] / sum(weights), by
+/// binary search over the cumulative weights. Weights are >= 0 and at
+/// least one is positive.
+class WeightedSampler {
  public:
-  ZipfSampler(size_t n, double exponent);
+  explicit WeightedSampler(const std::vector<double>& weights);
   size_t Draw(SplitMix64* rng) const;
 
  private:

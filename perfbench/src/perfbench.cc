@@ -4,13 +4,12 @@
 //             [--commit <sha>]
 //
 // Workloads (the reasons for each are recorded in BENCHMARK.json):
-//   cold_open      open-loop Poisson arrivals on POST /v1/score over
-//                  pipelined loopback connections; every address distinct,
-//                  so every request takes the cold path.
-//   hot_zipf_open  the same route with Zipf-drawn addresses and a cache
-//                  that holds them all, so most requests are cache hits.
-//   block_rescore  closed loop in process: append a block, refresh the
-//                  ledger height, rescore every account the block touched.
+//   cold_open  open-loop Poisson arrivals on POST /v1/score over pipelined
+//              loopback connections; every address distinct, so every
+//              request takes the cold path.
+//   hot_open   the same route with addresses drawn in proportion to their
+//              transaction count in the ledger, every drawn address scored
+//              before the load, so every request is a cache hit.
 //
 // --trace 0 measures the end-to-end metrics with the program at its
 // shipped defaults. --trace 1 runs the same load, then calls each layer's
@@ -20,6 +19,7 @@
 // MaterializeInstance -> Normalize -> PredictProba reference outside the
 // timed window. The last stdout line is one JSON object:
 //   {"correct": .., "attempted": .., "failed": .., "metrics": {..}}
+#include <malloc.h>
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -81,12 +81,10 @@ constexpr int kSetupReps = 5;
 /// enough for 10 beyond p95.
 constexpr size_t kLatencySlices = 9;
 constexpr size_t kSliceSamples = 200;
-/// A slice whose p99 generator send lag exceeds this was disturbed by the
-/// host (the generator itself was held up, and the server with it) and is
-/// left out of the latency medians, unless fewer than kMinCleanSlices
-/// slices are undisturbed.
-constexpr double kCleanLagUs = 500.0;
-constexpr size_t kMinCleanSlices = 2;
+/// A slice whose p99 generator send lag exceeds this counts as disturbed
+/// (the generator itself was held up); the count is printed, and every
+/// slice still enters the medians.
+constexpr double kDisturbedLagUs = 500.0;
 /// Open loops give up on responses this long after the last intended send.
 constexpr double kDrainTimeoutSeconds = 60.0;
 constexpr const char* kScorePath = "/v1/score";
@@ -96,55 +94,41 @@ constexpr const char* kScorePath = "/v1/score";
 /// Fixed parameters of one workload. Only --seed varies its inputs.
 struct Spec {
   const char* name = nullptr;
-  bool open_loop = false;  ///< HTTP open loop; else in-process rescoring.
-  bool zipf = false;       ///< Zipf-drawn addresses instead of distinct ones.
-  // Model and subgraph size; the model is trained on this config.
-  int top_k = 0;
-  int max_nodes = 0;
-  int time_slices = 0;
-  int hidden_dim = 0;
-  int gsg_epochs = 0;
-  int ldg_epochs = 0;
-  double rate_per_s = 0.0;     ///< Open loops: fixed offered rate.
-  double zipf_exponent = 0.0;  ///< Zipf workloads.
-  size_t cache_capacity = 0;   ///< 0 keeps the shipped default.
-  /// Zipf workloads: the most popular ranks scored before the load, so the
-  /// cache holds the popular accounts from the first timed request on.
-  size_t warm_ranks = 0;
-  int block_txs = 0;  ///< Block workloads: transactions per block.
+  /// Addresses drawn in proportion to their transaction count, each scored
+  /// once before the load so every request hits; else all distinct.
+  bool hot = false;
+  double rate_per_s = 0.0;    ///< Fixed offered rate.
+  size_t cache_capacity = 0;  ///< 0 keeps the shipped default.
   /// Fixed latency limit behind slo_ratio.
   double latency_limit_ms = 0.0;
-  /// Open loops: a run whose p99 generator send lag exceeds this is
-  /// invalid (the generator, not the server, set the pace).
-  double max_send_lag_p99_us = 0.0;
-  /// Addresses the traced run calls each layer on.
-  int probe_addresses = 0;
   /// Untimed lead-in of the load: worker arenas grow to their working size
-  /// and caches start filling before timing starts.
-  double warmup_s = 0.0;
+  /// before timing starts.
+  double warmup_s = 0.5;
 };
 
-/// Transactions per appended block.
+// Serving-size model (~41 nodes per subgraph), trained during set-up.
+constexpr int kTopK = 6;
+constexpr int kMaxNodes = 48;
+constexpr int kTimeSlices = 6;
+constexpr int kHiddenDim = 24;
+constexpr int kGsgEpochs = 5;
+constexpr int kLdgEpochs = 3;
+/// A run whose p99 generator send lag exceeds this is invalid (the
+/// generator, not the server, set the pace).
+constexpr double kMaxSendLagP99Us = 50000.0;
+/// Addresses the traced run calls each layer on.
+constexpr size_t kProbeAddresses = 300;
+/// The probe appends this many seeded blocks of kBlockTxs transactions.
+constexpr int kProbeBlocks = 20;
 constexpr int kBlockTxs = 48;
 
-// Serving-size model (~41 nodes per subgraph) for the HTTP workloads, the
-// paper-size one (~105 nodes) for block rescoring.
+// Offered rates are about a quarter of the HTTP capacity of each path,
+// measured on 4 hardware threads (see METRICS.md): ~350 req/s cold and
+// ~33.7k req/s on cache hits.
 constexpr Spec kSpecs[] = {
-    {.name = "cold_open", .open_loop = true, .top_k = 6, .max_nodes = 48,
-     .time_slices = 6, .hidden_dim = 24, .gsg_epochs = 5, .ldg_epochs = 3,
-     .rate_per_s = 90.0, .latency_limit_ms = 50.0,
-     .max_send_lag_p99_us = 50000.0, .probe_addresses = 300,
-     .warmup_s = 0.5},
-    {.name = "hot_zipf_open", .open_loop = true, .zipf = true, .top_k = 6,
-     .max_nodes = 48, .time_slices = 6, .hidden_dim = 24, .gsg_epochs = 5,
-     .ldg_epochs = 3, .rate_per_s = 1000.0, .zipf_exponent = 1.5,
-     .cache_capacity = 16384, .warm_ranks = 2000, .latency_limit_ms = 20.0,
-     .max_send_lag_p99_us = 50000.0, .probe_addresses = 300,
-     .warmup_s = 0.5},
-    {.name = "block_rescore", .top_k = 10, .max_nodes = 512,
-     .time_slices = 10, .hidden_dim = 32, .gsg_epochs = 3, .ldg_epochs = 2,
-     .block_txs = kBlockTxs, .latency_limit_ms = 2000.0,
-     .probe_addresses = 100, .warmup_s = 3.0},
+    {.name = "cold_open", .rate_per_s = 90.0, .latency_limit_ms = 50.0},
+    {.name = "hot_open", .hot = true, .rate_per_s = 8000.0,
+     .cache_capacity = 16384, .latency_limit_ms = 20.0},
 };
 
 const Spec* FindSpec(const std::string& name) {
@@ -199,15 +183,39 @@ double SecondsSince(Clock::time_point since) {
   return std::chrono::duration<double>(Clock::now() - since).count();
 }
 
-double MicrosBetween(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double, std::micro>(to - from).count();
-}
-
-double PeakRssMb() {
+/// User plus system CPU time of RUSAGE_SELF or RUSAGE_THREAD, seconds.
+double CpuSeconds(int who) {
   rusage usage;
   std::memset(&usage, 0, sizeof(usage));
-  ::getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KiB.
+  ::getrusage(who, &usage);
+  auto seconds = [](const timeval& t) { return t.tv_sec + t.tv_usec * 1e-6; };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+/// Lowers the process's resident-memory high-water mark to its current
+/// resident size, so PeakRssMb covers only what runs afterwards.
+Status ResetPeakRss() {
+  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
+  if (f == nullptr) return Status::Internal("cannot open /proc/self/clear_refs");
+  const bool written = std::fputs("5", f) >= 0;
+  if (std::fclose(f) != 0 || !written) {
+    return Status::Internal("cannot reset the RSS high-water mark");
+  }
+  return Status::OK();
+}
+
+/// Resident-memory high-water mark (VmHWM) since start or the last
+/// ResetPeakRss, in MB; 0 when /proc is unreadable.
+double PeakRssMb() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0.0;
+  char line[256];
+  double kib = 0.0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %lf kB", &kib) == 1) break;
+  }
+  std::fclose(f);
+  return kib / 1024.0;
 }
 
 bool SameBits(double a, double b) {
@@ -299,12 +307,10 @@ struct SetupTimes {
   double total_s = 0.0;  ///< Start of set-up to ready for the first request.
 };
 
-/// One deployed stack: ledger, trained checkpoint, serving model and (for
-/// open loops) the HTTP server with the generator's connections.
+/// One deployed stack: ledger, trained checkpoint, serving model and the
+/// HTTP server with the generator's connections.
 struct Deployment {
   std::unique_ptr<eth::LedgerSimulator> ledger;
-  /// Block workloads serve (and append to) a growable copy of `ledger`.
-  std::unique_ptr<eth::AppendableLedger> growable;
   eth::SubgraphDataset dataset;  ///< Standardized in place by training.
   dbg4eth::ml::SplitIndices split;
   std::string checkpoint;
@@ -314,10 +320,6 @@ struct Deployment {
   std::vector<std::unique_ptr<PipelinedConnection>> connections;
 
   SetupTimes times;
-
-  const eth::Ledger& served_ledger() const {
-    return growable ? static_cast<const eth::Ledger&>(*growable) : *ledger;
-  }
 
   ~Deployment() {
     connections.clear();
@@ -331,9 +333,9 @@ struct Deployment {
 
 serve::InferenceServiceConfig ServiceConfig(const Spec& spec) {
   serve::InferenceServiceConfig config;  // Shipped defaults, plus:
-  config.sampling.top_k = spec.top_k;
-  config.sampling.max_nodes = spec.max_nodes;
-  config.num_time_slices = spec.time_slices;
+  config.sampling.top_k = kTopK;
+  config.sampling.max_nodes = kMaxNodes;
+  config.num_time_slices = kTimeSlices;
   if (spec.cache_capacity > 0) config.cache.capacity = spec.cache_capacity;
   return config;
 }
@@ -354,19 +356,19 @@ Result<std::unique_ptr<Deployment>> SetUp(const Spec& spec) {
   eth::DatasetConfig ds_config;
   ds_config.target = eth::AccountClass::kExchange;
   ds_config.max_positives = 24;
-  ds_config.sampling.top_k = spec.top_k;
-  ds_config.sampling.max_nodes = spec.max_nodes;
-  ds_config.num_time_slices = spec.time_slices;
+  ds_config.sampling.top_k = kTopK;
+  ds_config.sampling.max_nodes = kMaxNodes;
+  ds_config.num_time_slices = kTimeSlices;
   DBG4ETH_ASSIGN_OR_RETURN(d->dataset,
                            eth::BuildDataset(*d->ledger, ds_config));
   d->times.dataset_s = SecondsSince(stage);
 
   stage = Clock::now();
   core::Dbg4EthConfig model_config;
-  model_config.gsg.hidden_dim = spec.hidden_dim;
-  model_config.gsg.epochs = spec.gsg_epochs;
-  model_config.ldg.hidden_dim = spec.hidden_dim;
-  model_config.ldg.epochs = spec.ldg_epochs;
+  model_config.gsg.hidden_dim = kHiddenDim;
+  model_config.gsg.epochs = kGsgEpochs;
+  model_config.ldg.hidden_dim = kHiddenDim;
+  model_config.ldg.epochs = kLdgEpochs;
   core::Dbg4Eth trainer(model_config);
   dbg4eth::Rng split_rng(model_config.seed);
   d->split = dbg4eth::ml::StratifiedSplit(
@@ -384,21 +386,16 @@ Result<std::unique_ptr<Deployment>> SetUp(const Spec& spec) {
                            core::Dbg4Eth::Load(&checkpoint));
   d->times.load_ms = SecondsSince(stage) * 1e3;
 
-  if (!spec.open_loop) {
-    d->growable = std::make_unique<eth::AppendableLedger>(*d->ledger);
-  }
   d->service = std::make_unique<serve::InferenceService>(
-      ServiceConfig(spec), std::move(model), &d->served_ledger());
-  if (spec.open_loop) {
-    d->server = std::make_unique<net::HttpServer>(net::HttpServerConfig());
-    d->app = std::make_unique<net::ScoringApp>(d->service.get(),
-                                               d->server.get());
-    DBG4ETH_RETURN_NOT_OK(d->server->Start());
-    for (int c = 0; c < NumThreads(); ++c) {
-      DBG4ETH_ASSIGN_OR_RETURN(std::unique_ptr<PipelinedConnection> conn,
-                               PipelinedConnection::Open(d->server->port()));
-      d->connections.push_back(std::move(conn));
-    }
+      ServiceConfig(spec), std::move(model), d->ledger.get());
+  d->server = std::make_unique<net::HttpServer>(net::HttpServerConfig());
+  d->app =
+      std::make_unique<net::ScoringApp>(d->service.get(), d->server.get());
+  DBG4ETH_RETURN_NOT_OK(d->server->Start());
+  for (int c = 0; c < NumThreads(); ++c) {
+    DBG4ETH_ASSIGN_OR_RETURN(std::unique_ptr<PipelinedConnection> conn,
+                             PipelinedConnection::Open(d->server->port()));
+    d->connections.push_back(std::move(conn));
   }
   d->times.total_s = SecondsSince(start);
   return d;
@@ -427,10 +424,8 @@ std::vector<eth::AccountId> ScoreableAddresses(const eth::Ledger& ledger,
   return out;
 }
 
-struct Block {
-  std::vector<eth::Transaction> txs;
-  std::vector<eth::AccountId> touched;  ///< Distinct endpoints, in order.
-};
+/// One appended block's transactions.
+using Block = std::vector<eth::Transaction>;
 
 /// Seeded blocks of new transactions between existing normal accounts
 /// (the labelled hubs would dominate every block's cost), 12 s apart after
@@ -449,7 +444,6 @@ std::vector<Block> MakeBlocks(const eth::Ledger& ledger,
   const double tip = ledger.transactions().back().timestamp;
   std::vector<Block> blocks(num_blocks);
   for (int b = 0; b < num_blocks; ++b) {
-    std::unordered_set<eth::AccountId> seen;
     for (int t = 0; t < txs_per_block; ++t) {
       eth::Transaction tx;
       tx.from = accounts[rng.Below(accounts.size())];
@@ -458,33 +452,33 @@ std::vector<Block> MakeBlocks(const eth::Ledger& ledger,
       } while (tx.to == tx.from);
       tx.value = 0.01 - std::log(rng.UniformOpenZero()) * 2.0;
       tx.timestamp = tip + 12.0 * (b + 1) + 1e-3 * t;
-      blocks[b].txs.push_back(tx);
-      for (eth::AccountId id : {tx.from, tx.to}) {
-        if (seen.insert(id).second) blocks[b].touched.push_back(id);
-      }
+      blocks[b].push_back(tx);
     }
   }
   return blocks;
 }
 
 /// Reference scores: MaterializeInstance -> Normalize -> PredictProba in
-/// process, on up to nproc threads. NaN marks an address that failed.
+/// process, on nproc threads of its own that exit before returning, so
+/// their thread-local inference arenas are freed. NaN marks an address
+/// that failed.
 std::vector<double> ReferenceScores(const eth::Ledger& ledger,
                                     const core::Dbg4Eth& model,
-                                    const Spec& spec,
-                                    const std::vector<eth::AccountId>& ids,
-                                    dbg4eth::ThreadPool* pool) {
+                                    const std::vector<eth::AccountId>& ids) {
   graph::SamplingConfig sampling;
-  sampling.top_k = spec.top_k;
-  sampling.max_nodes = spec.max_nodes;
+  sampling.top_k = kTopK;
+  sampling.max_nodes = kMaxNodes;
   std::vector<double> scores(ids.size(), std::nan(""));
-  dbg4eth::ParallelFor(pool, static_cast<int>(ids.size()), [&](int i) {
-    auto instance =
-        eth::MaterializeInstance(ledger, ids[i], sampling, spec.time_slices);
-    if (!instance.ok()) return;
-    model.Normalize(&instance.ValueOrDie());
-    scores[i] = model.PredictProba(instance.ValueOrDie());
-  });
+  std::thread([&] {
+    dbg4eth::ThreadPool pool(std::max(1, NumThreads() - 1));
+    dbg4eth::ParallelFor(&pool, static_cast<int>(ids.size()), [&](int i) {
+      auto instance =
+          eth::MaterializeInstance(ledger, ids[i], sampling, kTimeSlices);
+      if (!instance.ok()) return;
+      model.Normalize(&instance.ValueOrDie());
+      scores[i] = model.PredictProba(instance.ValueOrDie());
+    });
+  }).join();
   return scores;
 }
 
@@ -499,16 +493,21 @@ struct LoadResult {
   /// Per latency sample: when in the timed window (seconds) its request
   /// was due.
   std::vector<double> latency_at_s;
-  /// Per latency sample: how late the generator sent its request (open
-  /// loops; 0 on the closed loop).
+  /// Per latency sample: how late the generator sent its request.
   std::vector<double> send_lag_us;
   double window_s = 0.0;
   uint64_t correct = 0;
   uint64_t sent = 0;  ///< Requests the generator sent, warm-up included.
+  size_t distinct_addresses = 0;  ///< Distinct addresses among all sent.
   double send_lag_p99_us = 0.0;
-  /// Peak resident memory at the end of the timed window (the reference
-  /// pass that follows is not the program's).
+  /// Resident-memory high-water mark from the start of the load to the end
+  /// of the timed window (the reference pass that follows is not the
+  /// program's).
   double peak_rss_mb = 0.0;
+  /// Untimed preparation before the load: reference pass and cache fill.
+  double prepare_s = 0.0;
+  /// CPU time the program spent per request sent, warm-up included.
+  double cpu_us_per_request = 0.0;
   bool valid = true;
   std::string invalid_reason;
   // Program-side counters over the timed window.
@@ -517,28 +516,42 @@ struct LoadResult {
 };
 
 /// Verdict of one answered open-loop request against the reference.
-bool ResponseCorrect(const ParsedResponse& response, double reference,
-                     bool expect_cold) {
+bool ResponseCorrect(const ParsedResponse& response, double reference) {
   if (response.status != 200 || std::isnan(reference)) return false;
   auto parsed = dbg4eth::json::ParseJson(response.body);
   if (!parsed.ok()) return false;
   const dbg4eth::json::JsonValue& body = parsed.ValueOrDie();
   const auto* score = body.Find("score");
   const auto* stale = body.Find("stale");
-  const auto* cache_hit = body.Find("cache_hit");
   if (score == nullptr || !score->is_number()) return false;
   if (stale == nullptr || stale->bool_value) return false;
-  if (expect_cold && (cache_hit == nullptr || cache_hit->bool_value)) {
-    return false;
-  }
   return SameBits(score->number_value, reference);
+}
+
+/// Scores every address once through the service so the cache holds them.
+/// One request in flight per worker, as sparse misses arrive: a burst
+/// would form large packed batches whose buffers the workers' arenas keep,
+/// and resident memory would then depend on the batch mix.
+Status FillCache(serve::InferenceService* service,
+                 const std::vector<eth::AccountId>& ids) {
+  const size_t in_flight = static_cast<size_t>(NumThreads());
+  std::vector<std::future<serve::ScoreResult>> pending;
+  for (size_t k = 0; k < ids.size(); k += in_flight) {
+    pending.clear();
+    for (size_t j = k; j < std::min(ids.size(), k + in_flight); ++j) {
+      pending.push_back(service->ScoreAsync(ids[j]));
+    }
+    for (auto& future : pending) {
+      if (!future.get().ok()) return Status::Internal("cache fill failed");
+    }
+  }
+  return Status::OK();
 }
 
 Result<LoadResult> RunOpenLoopLoad(const Spec& spec, const Args& args,
                                    Deployment* d,
                                    const std::vector<eth::AccountId>& scoreable,
-                                   const core::Dbg4Eth& reference_model,
-                                   dbg4eth::ThreadPool* pool) {
+                                   const core::Dbg4Eth& reference_model) {
   // Inputs: arrival schedule and address draws, all from the seed.
   std::vector<double> offsets = PoissonSchedule(
       StreamSeed(args.seed, "warm-up arrivals"), spec.rate_per_s,
@@ -549,10 +562,17 @@ Result<LoadResult> RunOpenLoopLoad(const Spec& spec, const Args& args,
     offsets.push_back(spec.warmup_s + offset);
   }
   std::vector<eth::AccountId> draws(offsets.size());
-  if (spec.zipf) {
-    ZipfSampler zipf(scoreable.size(), spec.zipf_exponent);
+  if (spec.hot) {
+    // An account is looked up as often as it transacts: popularity comes
+    // from the ledger itself (exchanges and hubs first).
+    std::vector<double> weights;
+    for (eth::AccountId id : scoreable) {
+      weights.push_back(
+          static_cast<double>(d->ledger->TransactionsOf(id).size()));
+    }
+    const WeightedSampler sampler(weights);
     SplitMix64 rng(StreamSeed(args.seed, "draws"));
-    for (eth::AccountId& id : draws) id = scoreable[zipf.Draw(&rng)];
+    for (eth::AccountId& id : draws) id = scoreable[sampler.Draw(&rng)];
   } else {
     if (draws.size() > scoreable.size()) {
       return Status::FailedPrecondition(
@@ -566,26 +586,34 @@ Result<LoadResult> RunOpenLoopLoad(const Spec& spec, const Args& args,
     wires.push_back(PostRequest(
         kScorePath, "{\"address\": " + std::to_string(id) + "}"));
   }
-
-  if (spec.zipf) {
-    // Untimed: fill the cache with the popular accounts, one request in
-    // flight per worker, as sparse misses arrive in steady state (a burst
-    // would form large packed batches that reshape the workers' arenas).
-    const size_t warm = std::min(spec.warm_ranks, scoreable.size());
-    const size_t in_flight = static_cast<size_t>(NumThreads());
-    std::vector<std::future<serve::ScoreResult>> pending;
-    for (size_t k = 0; k < warm; k += in_flight) {
-      pending.clear();
-      for (size_t j = k; j < std::min(warm, k + in_flight); ++j) {
-        pending.push_back(d->service->ScoreAsync(scoreable[j]));
-      }
-      for (auto& future : pending) {
-        if (!future.get().ok()) return Status::Internal("cache warm-up failed");
-      }
-    }
+  std::vector<eth::AccountId> distinct;
+  std::unordered_map<eth::AccountId, size_t> slot;
+  for (eth::AccountId id : draws) {
+    if (slot.emplace(id, distinct.size()).second) distinct.push_back(id);
   }
 
+  // Before the load, untimed: the reference scores of every drawn address,
+  // while hot_open fills the cache with them (the fill mostly waits on
+  // the service's batching window, so the two share the CPUs well).
+  const Clock::time_point prepare = Clock::now();
+  Status filled = Status::OK();
+  std::thread filler;
+  if (spec.hot) {
+    filler = std::thread([&] { filled = FillCache(d->service.get(), distinct); });
+  }
+  const std::vector<double> reference =
+      ReferenceScores(*d->ledger, reference_model, distinct);
+  if (filler.joinable()) filler.join();
+  DBG4ETH_RETURN_NOT_OK(filled);
+  // peak_rss_mb covers the load only: hand what the set-ups and the
+  // reference pass freed back to the kernel, then restart the high-water
+  // mark from the memory still in use.
+  ::malloc_trim(0);
+  DBG4ETH_RETURN_NOT_OK(ResetPeakRss());
+
   LoadResult result;
+  result.prepare_s = SecondsSince(prepare);
+  result.distinct_addresses = distinct.size();
   std::vector<RequestOutcome> outcomes;
   const Clock::time_point start = Clock::now() + std::chrono::milliseconds(20);
   // The timed window opens when the warm-up part of the schedule is due;
@@ -598,22 +626,21 @@ Result<LoadResult> RunOpenLoopLoad(const Spec& spec, const Args& args,
     result.stats_before = d->service->StatsSnapshot();
     result.queue_wait_before = QueueWaitHistogram()->TakeSnapshot();
   });
+  // The program's CPU time over the load: the process's, less the
+  // generator's (this thread's).
+  const double process_cpu_s = CpuSeconds(RUSAGE_SELF);
+  const double generator_cpu_s = CpuSeconds(RUSAGE_THREAD);
   const Status run = RunOpenLoop(d->connections, offsets, wires, start,
                                  kDrainTimeoutSeconds, &outcomes);
+  result.cpu_us_per_request =
+      ((CpuSeconds(RUSAGE_SELF) - process_cpu_s) -
+       (CpuSeconds(RUSAGE_THREAD) - generator_cpu_s)) *
+      1e6 / static_cast<double>(offsets.size());
   snapshotter.join();
   result.stats_after = d->service->StatsSnapshot();
   result.queue_wait_after = QueueWaitHistogram()->TakeSnapshot();
   result.peak_rss_mb = PeakRssMb();
   DBG4ETH_RETURN_NOT_OK(run);
-
-  // Outside the timed window: reference scores for every address drawn.
-  std::vector<eth::AccountId> distinct;
-  std::unordered_map<eth::AccountId, size_t> slot;
-  for (eth::AccountId id : draws) {
-    if (slot.emplace(id, distinct.size()).second) distinct.push_back(id);
-  }
-  const std::vector<double> reference =
-      ReferenceScores(*d->ledger, reference_model, spec, distinct, pool);
 
   std::vector<double> lags;
   double last_done_s = 0.0;
@@ -622,10 +649,8 @@ Result<LoadResult> RunOpenLoopLoad(const Spec& spec, const Args& args,
   for (size_t i = 0; i < offsets.size(); ++i) {
     const RequestOutcome& outcome = outcomes[i];
     lags.push_back(outcome.send_lag_us);
-    const bool ok =
-        outcome.answered && ResponseCorrect(outcome.response,
-                                            reference[slot[draws[i]]],
-                                            /*expect_cold=*/!spec.zipf);
+    const bool ok = outcome.answered &&
+                    ResponseCorrect(outcome.response, reference[slot[draws[i]]]);
     if (offsets[i] < spec.warmup_s) {
       warmup_ok = warmup_ok && ok;
       continue;
@@ -652,117 +677,22 @@ Result<LoadResult> RunOpenLoopLoad(const Spec& spec, const Args& args,
   result.window_s = last_done_s;
   result.send_lag_p99_us = Quantile(&lags, 0.99);
 
-  if (result.send_lag_p99_us > spec.max_send_lag_p99_us) {
+  if (result.send_lag_p99_us > kMaxSendLagP99Us) {
     result.valid = false;
     result.invalid_reason = "generator ran late: p99 send lag " +
                             std::to_string(result.send_lag_p99_us) + " us";
   }
-  if (!spec.zipf &&
-      result.stats_after.cache_hits != result.stats_before.cache_hits) {
+  // Every timed request takes the path the workload is about: all cold on
+  // cold_open, all cache hits on hot_open.
+  const uint64_t hits =
+      result.stats_after.cache_hits - result.stats_before.cache_hits;
+  const uint64_t requests =
+      result.stats_after.requests - result.stats_before.requests;
+  if (hits != (spec.hot ? requests : 0)) {
     result.valid = false;
-    result.invalid_reason = "cold_open saw cache hits";
-  }
-  return result;
-}
-
-Result<LoadResult> RunBlockLoad(const Spec& spec, const Args& args,
-                                Deployment* d, const std::vector<Block>& blocks,
-                                const core::Dbg4Eth& reference_model,
-                                dbg4eth::ThreadPool* pool,
-                                size_t* steps_run) {
-  struct Scored {
-    eth::AccountId address;
-    serve::ScoreResult result;
-    double latency_us;
-    bool timed;
-    double at_s;  ///< Block's refresh time within the timed window.
-  };
-  std::vector<std::vector<Scored>> steps;
-  std::vector<uint64_t> heights;
-  LoadResult result;
-  const Clock::time_point start = Clock::now();
-  Clock::time_point window_open;
-  bool timing = false;
-  size_t step = 0;
-  for (;; ++step) {
-    const double elapsed = SecondsSince(start);
-    if (!timing && elapsed >= spec.warmup_s) {
-      timing = true;
-      window_open = Clock::now();
-      result.stats_before = d->service->StatsSnapshot();
-      result.queue_wait_before = QueueWaitHistogram()->TakeSnapshot();
-    }
-    if (timing && SecondsSince(window_open) >= args.seconds) break;
-    if (step >= blocks.size()) {
-      return Status::FailedPrecondition("ran out of pre-generated blocks");
-    }
-    const Block& block = blocks[step];
-    for (const eth::Transaction& tx : block.txs) {
-      DBG4ETH_RETURN_NOT_OK(d->growable->Append(tx));
-    }
-    const Clock::time_point refresh = Clock::now();
-    const double at_s = timing ? SecondsSince(window_open) : 0.0;
-    d->service->RefreshLedgerHeight();
-    heights.push_back(d->growable->transactions().size());
-    std::vector<double> submit_us;
-    std::vector<std::future<serve::ScoreResult>> futures;
-    for (eth::AccountId id : block.touched) {
-      submit_us.push_back(MicrosBetween(refresh, Clock::now()));
-      futures.push_back(d->service->ScoreAsync(id));
-    }
-    std::vector<Scored> scored;
-    for (size_t i = 0; i < futures.size(); ++i) {
-      serve::ScoreResult r = futures[i].get();
-      const double latency = submit_us[i] + r.latency_us;
-      scored.push_back({block.touched[i], std::move(r), latency, timing, at_s});
-    }
-    steps.push_back(std::move(scored));
-  }
-  result.window_s = SecondsSince(window_open);
-  result.peak_rss_mb = PeakRssMb();
-  result.stats_after = d->service->StatsSnapshot();
-  result.queue_wait_after = QueueWaitHistogram()->TakeSnapshot();
-  *steps_run = steps.size();
-
-  // Outside the timed window: replay the blocks on a fresh copy of the
-  // base ledger and score every touched account at each height.
-  eth::AppendableLedger replay(*d->ledger);
-  const double limit_us = spec.latency_limit_ms * 1e3;
-  bool warmup_ok = true;
-  for (size_t s = 0; s < steps.size(); ++s) {
-    for (const eth::Transaction& tx : blocks[s].txs) {
-      DBG4ETH_RETURN_NOT_OK(replay.Append(tx));
-    }
-    const std::vector<double> reference = ReferenceScores(
-        replay, reference_model, spec, blocks[s].touched, pool);
-    for (size_t i = 0; i < steps[s].size(); ++i) {
-      const Scored& sc = steps[s][i];
-      const bool ok = sc.result.ok() && !sc.result.stale &&
-                      sc.result.ledger_height == heights[s] &&
-                      !std::isnan(reference[i]) &&
-                      SameBits(sc.result.probability, reference[i]);
-      result.sent++;
-      if (!sc.timed) {
-        warmup_ok = warmup_ok && ok;
-        continue;
-      }
-      ++result.attempted;
-      result.latencies_us.push_back(sc.latency_us);
-      result.latency_at_s.push_back(sc.at_s);
-      result.send_lag_us.push_back(0.0);
-      if (!ok) {
-        ++result.failed;
-        continue;
-      }
-      ++result.correct;
-      if (sc.latency_us <= limit_us) ++result.within_limit;
-    }
-  }
-  if (!warmup_ok) ++result.failed;
-  if (result.stats_after.shed != result.stats_before.shed ||
-      result.stats_after.stale_served != result.stats_before.stale_served) {
-    result.valid = false;
-    result.invalid_reason = "block_rescore saw shed or stale results";
+    result.invalid_reason = std::string(spec.name) + " saw " +
+                            std::to_string(hits) + " cache hits in " +
+                            std::to_string(requests) + " requests";
   }
   return result;
 }
@@ -822,9 +752,9 @@ Result<MetricSet> RunLayerProbe(const Spec& spec, Deployment* d,
   LayerProbe probe;
   const eth::Ledger& ledger = *d->ledger;
   graph::SamplingConfig sampling;
-  sampling.top_k = spec.top_k;
-  sampling.max_nodes = spec.max_nodes;
-  const int slices = spec.time_slices;
+  sampling.top_k = kTopK;
+  sampling.max_nodes = kMaxNodes;
+  const int slices = kTimeSlices;
 
   // Encoders built with the served config, one training epoch each.
   core::GsgEncoder gsg(model.config().gsg);
@@ -984,7 +914,7 @@ Result<MetricSet> RunLayerProbe(const Spec& spec, Deployment* d,
   }
   // Ingest: the workload's blocks appended one transaction at a time.
   for (const Block& block : blocks) {
-    for (const eth::Transaction& tx : block.txs) {
+    for (const eth::Transaction& tx : block) {
       DBG4ETH_RETURN_NOT_OK(
           probe.Call("eth.append", [&] { return probe_ledger.Append(tx); }));
     }
@@ -1193,20 +1123,9 @@ int Main(int argc, char** argv) {
     return 1;
   }
   const core::Dbg4Eth& reference_model = *loaded.ValueOrDie();
-  dbg4eth::ThreadPool pool(std::max(1, NumThreads() - 1));
-  std::vector<Block> blocks;
-  if (!spec.open_loop) {
-    const int num_blocks =
-        static_cast<int>(std::ceil((spec.warmup_s + args.seconds) * 200.0));
-    blocks = MakeBlocks(*d->ledger, scoreable, args.seed, num_blocks,
-                        spec.block_txs);
-  }
 
-  size_t steps = 0;
   Result<LoadResult> loaded_result =
-      spec.open_loop
-          ? RunOpenLoopLoad(spec, args, d, scoreable, reference_model, &pool)
-          : RunBlockLoad(spec, args, d, blocks, reference_model, &pool, &steps);
+      RunOpenLoopLoad(spec, args, d, scoreable, reference_model);
   if (!loaded_result.ok()) {
     std::fprintf(stderr, "load failed: %s\n",
                  loaded_result.status().ToString().c_str());
@@ -1221,27 +1140,21 @@ int Main(int argc, char** argv) {
   std::vector<double> latencies = load.latencies_us;
   const size_t n = latencies.size();
   // Latency percentiles: median over the time slices of each slice's
-  // percentile, undisturbed slices only (see kCleanLagUs).
+  // percentile, so one disturbed slice does not set the figure.
   const std::vector<std::vector<size_t>> slices = TimeSlices(
       load.latency_at_s, std::clamp<size_t>(n / kSliceSamples, 1,
                                             kLatencySlices));
-  std::vector<const std::vector<size_t>*> clean;
-  size_t slice_n = n;
+  size_t slice_n = n, disturbed = 0;
   for (const std::vector<size_t>& slice : slices) {
     slice_n = std::min(slice_n, slice.size());
-    if (SliceQuantile(load.send_lag_us, slice, 0.99) <= kCleanLagUs) {
-      clean.push_back(&slice);
+    if (SliceQuantile(load.send_lag_us, slice, 0.99) > kDisturbedLagUs) {
+      ++disturbed;
     }
-  }
-  const size_t clean_slices = clean.size();
-  if (clean.size() < kMinCleanSlices) {
-    clean.clear();
-    for (const std::vector<size_t>& slice : slices) clean.push_back(&slice);
   }
   auto sliced = [&](double q) {
     std::vector<double> per_slice;
-    for (const std::vector<size_t>* slice : clean) {
-      per_slice.push_back(SliceQuantile(latencies, *slice, q));
+    for (const std::vector<size_t>& slice : slices) {
+      per_slice.push_back(SliceQuantile(latencies, slice, q));
     }
     return Median(per_slice);
   };
@@ -1256,13 +1169,14 @@ int Main(int argc, char** argv) {
   e2e.Add("setup_s", Median(setup_s), "s", setup_s.size());
   e2e.Add("peak_rss_mb", load.peak_rss_mb, "MB", 1);
   e2e.Add("latency_p50_ms", p50 * 1e-3, "ms", n);
-  // The tail metric is p95: on this class of machine p99 does not repeat
-  // within its bound from run to run (whole-window p99 is printed below).
-  e2e.Add("latency_p95_ms", p95 * 1e-3, "ms", n);
   e2e.Add("throughput_per_s",
           load.window_s > 0 ? load.correct / load.window_s : 0.0, "1/s",
           load.correct);
+  e2e.Add("cpu_us_per_request", load.cpu_us_per_request, "us", load.sent);
+  // Printed but not in the result: on a shared host no tail percentile
+  // repeats from run to run (see METRICS.md).
   MetricSet extra;
+  extra.Add("latency_p95_ms", p95 * 1e-3, "ms", n);
   extra.Add("slo_ratio",
             load.attempted ? static_cast<double>(load.within_limit) /
                                  load.attempted
@@ -1274,12 +1188,13 @@ int Main(int argc, char** argv) {
             "ratio", load.attempted);
   e2e.Print("e2e");
   extra.Print("e2e");
-  std::printf("info   window %.3f s; %zu block steps; %zu slices of >= %zu "
-              "samples, %zu undisturbed%s; p99 supported by the 10-beyond "
-              "rule: %s\n",
-              load.window_s, steps, slices.size(), slice_n, clean_slices,
-              clean_slices < kMinCleanSlices ? " (too few: all used)" : "",
-              SupportsQuantile(n, 0.99) ? "yes" : "no");
+  std::printf("info   window %.3f s; %zu slices of >= %zu samples, %zu "
+              "disturbed (generator p99 send lag > %.0f us); p99 supported "
+              "by the 10-beyond rule: %s; reference pass and cache fill "
+              "%.1f s\n",
+              load.window_s, slices.size(), slice_n, disturbed,
+              kDisturbedLagUs, SupportsQuantile(n, 0.99) ? "yes" : "no",
+              load.prepare_s);
   std::printf("info   whole window: latency p50 %.3f ms, p90 %.3f ms, p95 "
               "%.3f ms, p99 %.3f ms, max %.3f ms; send lag p99 %.1f us\n",
               Quantile(&latencies, 0.5) * 1e-3,
@@ -1287,33 +1202,29 @@ int Main(int argc, char** argv) {
               Quantile(&latencies, 0.95) * 1e-3,
               Quantile(&latencies, 0.99) * 1e-3,
               Quantile(&latencies, 1.0) * 1e-3, load.send_lag_p99_us);
-  if (spec.zipf) {
+  {
     const uint64_t hits =
         load.stats_after.cache_hits - load.stats_before.cache_hits;
     const uint64_t lookups =
         load.stats_after.requests - load.stats_before.requests;
-    std::printf("info   cache hit ratio %.4f (%llu hits of %llu requests)\n",
+    std::printf("info   cache hit ratio %.4f (%llu hits of %llu requests); "
+                "%zu distinct addresses in %llu sent\n",
                 lookups ? static_cast<double>(hits) / lookups : 0.0,
                 static_cast<unsigned long long>(hits),
-                static_cast<unsigned long long>(lookups));
+                static_cast<unsigned long long>(lookups),
+                load.distinct_addresses,
+                static_cast<unsigned long long>(load.sent));
   }
 
   std::string metrics_json = e2e.ToJson();
   if (args.trace) {
     std::vector<eth::AccountId> sample(
         scoreable.begin(),
-        scoreable.begin() + std::min<size_t>(scoreable.size(),
-                                             spec.probe_addresses));
-    // The probe appends the workload's own blocks, or seeded blocks of the
-    // block workload's size where the workload appends none.
-    constexpr int kProbeBlocks = 20;
-    std::vector<Block> probe_blocks =
-        blocks.empty() ? MakeBlocks(*d->ledger, scoreable, args.seed,
-                                    kProbeBlocks, kBlockTxs)
-                       : blocks;
-    probe_blocks.resize(std::min<size_t>(probe_blocks.size(), kProbeBlocks));
-    auto layers = RunLayerProbe(spec, d, sample, probe_blocks, reference_model,
-                                load, setups);
+        scoreable.begin() + std::min(scoreable.size(), kProbeAddresses));
+    const std::vector<Block> blocks =
+        MakeBlocks(*d->ledger, scoreable, args.seed, kProbeBlocks, kBlockTxs);
+    auto layers = RunLayerProbe(spec, d, sample, blocks, reference_model, load,
+                                setups);
     if (!layers.ok()) {
       std::fprintf(stderr, "layer probe failed: %s\n",
                    layers.status().ToString().c_str());

@@ -48,26 +48,28 @@ TEST(StreamSeedTest, StreamsAreIndependentAndStable) {
   EXPECT_NE(StreamSeed(1, "arrivals"), StreamSeed(2, "arrivals"));
 }
 
-TEST(ZipfSamplerTest, SameSeedSameDraws) {
-  const ZipfSampler zipf(1000, 1.1);
+TEST(WeightedSamplerTest, SameSeedSameDraws) {
+  std::vector<double> weights;
+  for (int i = 0; i < 1000; ++i) weights.push_back(1 + i % 17);
+  const WeightedSampler sampler(weights);
   SplitMix64 a(9), b(9);
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(zipf.Draw(&a), zipf.Draw(&b));
+  for (int i = 0; i < 1000; ++i) EXPECT_EQ(sampler.Draw(&a), sampler.Draw(&b));
 }
 
-TEST(ZipfSamplerTest, FrequenciesFollowThePowerLaw) {
-  const ZipfSampler zipf(1000, 1.0);
+TEST(WeightedSamplerTest, FrequenciesFollowTheWeights) {
+  const WeightedSampler sampler({4.0, 2.0, 0.0, 1.0, 1.0});
   SplitMix64 rng(3);
-  std::vector<int> counts(1000, 0);
+  std::vector<int> counts(5, 0);
   constexpr int kDraws = 200000;
   for (int i = 0; i < kDraws; ++i) {
-    const size_t rank = zipf.Draw(&rng);
-    ASSERT_LT(rank, 1000u);
-    ++counts[rank];
+    const size_t index = sampler.Draw(&rng);
+    ASSERT_LT(index, 5u);
+    ++counts[index];
   }
-  // With s = 1, rank 0 is drawn twice as often as rank 1, four times as
-  // often as rank 3.
-  EXPECT_NEAR(static_cast<double>(counts[0]) / counts[1], 2.0, 0.1);
-  EXPECT_NEAR(static_cast<double>(counts[0]) / counts[3], 4.0, 0.3);
+  EXPECT_EQ(counts[2], 0);  // Zero weight: never drawn.
+  EXPECT_NEAR(static_cast<double>(counts[0]) / counts[1], 2.0, 0.05);
+  EXPECT_NEAR(static_cast<double>(counts[0]) / counts[3], 4.0, 0.15);
+  EXPECT_NEAR(static_cast<double>(counts[3]) / counts[4], 1.0, 0.05);
 }
 
 TEST(PercentileRuleTest, NeedsTenSamplesBeyond) {
