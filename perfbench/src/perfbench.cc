@@ -101,10 +101,11 @@ struct Spec {
   size_t cache_capacity = 0;  ///< 0 keeps the shipped default.
   /// Fixed latency limit behind slo_ratio.
   double latency_limit_ms = 0.0;
-  /// Untimed lead-in of the load: worker arenas grow to their working size
-  /// before timing starts.
-  double warmup_s = 0.5;
 };
+
+/// Untimed lead-in of the load: worker arenas grow to their working size
+/// before timing starts.
+constexpr double kWarmupS = 0.5;
 
 // Serving-size model (~41 nodes per subgraph), trained during set-up.
 constexpr int kTopK = 6;
@@ -555,11 +556,11 @@ Result<LoadResult> RunOpenLoopLoad(const Spec& spec, const Args& args,
   // Inputs: arrival schedule and address draws, all from the seed.
   std::vector<double> offsets = PoissonSchedule(
       StreamSeed(args.seed, "warm-up arrivals"), spec.rate_per_s,
-      spec.warmup_s);
+      kWarmupS);
   for (double offset :
        PoissonSchedule(StreamSeed(args.seed, "arrivals"), spec.rate_per_s,
                        args.seconds)) {
-    offsets.push_back(spec.warmup_s + offset);
+    offsets.push_back(kWarmupS + offset);
   }
   std::vector<eth::AccountId> draws(offsets.size());
   if (spec.hot) {
@@ -620,7 +621,7 @@ Result<LoadResult> RunOpenLoopLoad(const Spec& spec, const Args& args,
   // a helper thread snapshots the program's counters at that instant.
   const Clock::time_point window_open =
       start + std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double>(spec.warmup_s));
+                  std::chrono::duration<double>(kWarmupS));
   std::thread snapshotter([&] {
     std::this_thread::sleep_until(window_open);
     result.stats_before = d->service->StatsSnapshot();
@@ -651,17 +652,17 @@ Result<LoadResult> RunOpenLoopLoad(const Spec& spec, const Args& args,
     lags.push_back(outcome.send_lag_us);
     const bool ok = outcome.answered &&
                     ResponseCorrect(outcome.response, reference[slot[draws[i]]]);
-    if (offsets[i] < spec.warmup_s) {
+    if (offsets[i] < kWarmupS) {
       warmup_ok = warmup_ok && ok;
       continue;
     }
     ++result.attempted;
     if (outcome.answered) {
       result.latencies_us.push_back(outcome.latency_us);
-      result.latency_at_s.push_back(offsets[i] - spec.warmup_s);
+      result.latency_at_s.push_back(offsets[i] - kWarmupS);
       result.send_lag_us.push_back(outcome.send_lag_us);
       last_done_s = std::max(
-          last_done_s, offsets[i] - spec.warmup_s + outcome.latency_us * 1e-6);
+          last_done_s, offsets[i] - kWarmupS + outcome.latency_us * 1e-6);
     }
     if (!ok) {
       ++result.failed;
