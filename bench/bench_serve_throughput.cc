@@ -28,8 +28,6 @@
 #include "eth/dataset.h"
 #include "eth/ledger.h"
 #include "serve/inference_service.h"
-#include "tensor/inference.h"
-#include "tensor/tensor.h"
 
 namespace dbg4eth {
 namespace {
@@ -192,92 +190,6 @@ int Run(const std::string& json_path) {
   std::printf("sequential baseline: %d scored in %.2fs -> %.1f req/s\n\n",
               sequential_ok, seq_seconds, seq_rps);
 
-  // --- 1b. grad-free fast path vs the autograd tape ---
-  // Same forward pass three ways: on the tape (every op records a node and
-  // allocates its activations), under a cold arena (tape-free, but every
-  // buffer is a fresh allocation), and in the arena's steady state (every
-  // node and buffer recycled from the previous pass). Instances are
-  // materialized up front so only the forward pass is timed.
-  std::printf("grad-free fast path vs autograd tape (forward pass only):\n");
-  std::vector<eth::GraphInstance> probe_instances;
-  for (eth::AccountId address : workload.addresses) {
-    auto instance = eth::MaterializeInstance(
-        ledger, address, workload.sampling, workload.num_time_slices);
-    if (!instance.ok()) continue;
-    model->Normalize(&instance.ValueOrDie());
-    probe_instances.push_back(std::move(instance).ValueOrDie());
-    if (probe_instances.size() >= 40) break;
-  }
-  const double num_probes = static_cast<double>(probe_instances.size());
-
-  constexpr int kProbePasses = 5;
-  const double num_scores = num_probes * kProbePasses;
-
-  ag::SetInferenceFastPathEnabled(false);
-  uint64_t tape_nodes = ag::internal::NodeAllocationCount();
-  benchutil::Timer tape_timer;
-  for (int pass = 0; pass < kProbePasses; ++pass) {
-    for (const auto& instance : probe_instances) {
-      (void)model->PredictProba(instance);
-    }
-  }
-  const double tape_seconds = tape_timer.Seconds();
-  tape_nodes = ag::internal::NodeAllocationCount() - tape_nodes;
-  ag::SetInferenceFastPathEnabled(true);
-
-  // Cold arena: tape-free, but the free lists start empty, so the pass
-  // stats count every activation buffer a solo cold score allocates.
-  uint64_t cold_arena_bytes = 0;
-  uint64_t cold_arena_buffers = 0;
-  if (!probe_instances.empty()) {
-    ag::InferenceArena fresh_arena;
-    ag::InferenceScope fresh_scope(&fresh_arena);
-    (void)model->PredictProba(probe_instances.front());
-    cold_arena_bytes = fresh_arena.pass_stats().fresh_bytes;
-    cold_arena_buffers = fresh_arena.pass_stats().fresh_buffers;
-  }
-
-  // Steady state: one warm-up pass shapes the thread-local arena, then the
-  // measured pass must allocate nothing (asserted by the fast-path tests;
-  // reported here as evidence).
-  for (const auto& instance : probe_instances) {
-    (void)model->PredictProba(instance);
-  }
-  uint64_t steady_nodes = ag::internal::NodeAllocationCount();
-  uint64_t steady_fresh_bytes = 0;
-  benchutil::Timer fast_timer;
-  for (int pass = 0; pass < kProbePasses; ++pass) {
-    for (const auto& instance : probe_instances) {
-      (void)model->PredictProba(instance);
-      steady_fresh_bytes += ag::InferenceArena::ThreadLocal()
-                                ->pass_stats()
-                                .fresh_bytes;
-    }
-  }
-  const double fast_seconds = fast_timer.Seconds();
-  steady_nodes = ag::internal::NodeAllocationCount() - steady_nodes;
-  const uint64_t arena_bytes =
-      ag::InferenceArena::ThreadLocal()->owned_bytes();
-  const double fastpath_speedup =
-      fast_seconds > 0 ? tape_seconds / fast_seconds : 0.0;
-
-  std::printf("  tape:            %.3fs for %.0f scores  (%.1f autograd "
-              "nodes/score)\n",
-              tape_seconds, num_scores,
-              num_scores > 0 ? tape_nodes / num_scores : 0.0);
-  std::printf("  cold arena:      %llu buffers, %.1f KiB allocated for one "
-              "solo score\n",
-              static_cast<unsigned long long>(cold_arena_buffers),
-              cold_arena_bytes / 1024.0);
-  std::printf("  steady fastpath: %.3fs for %.0f scores  (%llu fresh nodes, "
-              "%llu fresh buffer bytes, %.1f KiB arena)\n",
-              fast_seconds, num_scores,
-              static_cast<unsigned long long>(steady_nodes),
-              static_cast<unsigned long long>(steady_fresh_bytes),
-              arena_bytes / 1024.0);
-  std::printf("  fast path is %.2fx the tape on solo cold scores\n\n",
-              fastpath_speedup);
-
   // --- 2. cold serving throughput across worker counts ---
   std::printf("cold serving throughput (8 client threads, distinct "
               "addresses, empty cache):\n");
@@ -396,18 +308,6 @@ int Run(const std::string& json_path) {
        << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
        << ",\n"
        << "  \"sequential_req_per_s\": " << seq_rps << ",\n"
-       << "  \"fastpath_vs_tape\": {\"scores\": "
-       << static_cast<uint64_t>(num_scores)
-       << ", \"tape_seconds\": " << tape_seconds
-       << ", \"fastpath_seconds\": " << fast_seconds
-       << ", \"speedup\": " << fastpath_speedup
-       << ", \"tape_nodes_per_score\": "
-       << (num_scores > 0 ? tape_nodes / num_scores : 0.0)
-       << ", \"cold_arena_buffers\": " << cold_arena_buffers
-       << ", \"cold_arena_bytes\": " << cold_arena_bytes
-       << ", \"steady_fresh_nodes\": " << steady_nodes
-       << ", \"steady_fresh_bytes\": " << steady_fresh_bytes
-       << ", \"arena_bytes\": " << arena_bytes << "},\n"
        << "  \"cold\": [\n";
   for (size_t i = 0; i < cold_points.size(); ++i) {
     const ColdPoint& point = cold_points[i];

@@ -287,8 +287,7 @@ ml::GbdtConfig Dbg4Eth::AdjustedGbdt(int num_samples) const {
 double Dbg4Eth::PredictProba(const eth::GraphInstance& instance) const {
   DBG4ETH_CHECK(trained_);
   // Prediction never needs gradients, so the branch forwards run tape-free
-  // on the thread-local arena. No-op if a scope is already bound (batched
-  // path) or the fast path is globally disabled.
+  // on the thread-local arena (a no-op if a scope is already bound).
   ag::InferenceScope scope;
   const auto features = HeadFeatures(instance);
   obs::TraceSpan head_span("gbdt");
@@ -297,57 +296,13 @@ double Dbg4Eth::PredictProba(const eth::GraphInstance& instance) const {
 
 std::vector<double> Dbg4Eth::PredictProbaBatch(
     const std::vector<const eth::GraphInstance*>& instances) const {
-  DBG4ETH_CHECK(trained_);
-  if (instances.empty()) return {};
-  ag::InferenceScope scope;
-
-  // Branch scores through one packed forward each, then the same
-  // confidence + calibration transform the solo path applies per instance.
-  std::vector<std::vector<double>> feature_cols;
-  if (config_.use_gsg) {
-    obs::TraceSpan gsg_span("gsg_packed_forward");
-    std::vector<const graph::Graph*> graphs;
-    graphs.reserve(instances.size());
-    for (const eth::GraphInstance* inst : instances) {
-      DBG4ETH_CHECK(inst != nullptr);
-      graphs.push_back(&inst->gsg);
-    }
-    std::vector<double> scores = gsg_->PredictScoreBatch(graphs);
-    gsg_span.End();
-    for (double& s : scores) s = gsg_scaler_.ToConfidence(s);
-    if (config_.use_calibration) {
-      obs::TraceSpan calibrate_span("calibrate");
-      for (double& s : scores) s = gsg_calibrator_->Calibrate(s);
-    }
-    feature_cols.push_back(std::move(scores));
-  }
-  if (config_.use_ldg) {
-    obs::TraceSpan ldg_span("ldg_packed_forward");
-    std::vector<const std::vector<graph::Graph>*> slice_lists;
-    slice_lists.reserve(instances.size());
-    for (const eth::GraphInstance* inst : instances) {
-      DBG4ETH_CHECK(inst != nullptr);
-      slice_lists.push_back(&inst->ldg);
-    }
-    std::vector<double> scores = ldg_->PredictScoreBatch(slice_lists);
-    ldg_span.End();
-    for (double& s : scores) s = ldg_scaler_.ToConfidence(s);
-    if (config_.use_calibration) {
-      obs::TraceSpan calibrate_span("calibrate");
-      for (double& s : scores) s = ldg_calibrator_->Calibrate(s);
-    }
-    feature_cols.push_back(std::move(scores));
-  }
-
-  obs::TraceSpan head_span("gbdt");
-  std::vector<double> features(feature_cols.size());
+  // No outer InferenceScope: each PredictProba binds its own, so every
+  // instance gets a fresh arena pass sized for its subgraph alone.
   std::vector<double> probs;
   probs.reserve(instances.size());
-  for (size_t i = 0; i < instances.size(); ++i) {
-    for (size_t c = 0; c < feature_cols.size(); ++c) {
-      features[c] = feature_cols[c][i];
-    }
-    probs.push_back(head_->PredictProba(features.data()));
+  for (const eth::GraphInstance* instance : instances) {
+    DBG4ETH_CHECK(instance != nullptr);
+    probs.push_back(PredictProba(*instance));
   }
   return probs;
 }

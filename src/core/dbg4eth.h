@@ -134,12 +134,8 @@ class Dbg4Eth {
   /// elsewhere must go through Normalize first.
   double PredictProba(const eth::GraphInstance& instance) const;
 
-  /// Batched P(target class): each branch scores all instances through one
-  /// fused block-diagonal forward (GsgEncoder/LdgEncoder::PredictScoreBatch,
-  /// tape-free under an InferenceScope); calibration and the classifier
-  /// head then run per instance. Every probability is bit-identical to
-  /// PredictProba(*instances[i]). Requires Train and normalized instances,
-  /// same as PredictProba.
+  /// PredictProba(*instances[i]) for every instance, in order. Requires
+  /// Train and normalized instances, same as PredictProba.
   std::vector<double> PredictProbaBatch(
       const std::vector<const eth::GraphInstance*>& instances) const;
 

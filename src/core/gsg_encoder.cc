@@ -6,9 +6,7 @@
 #include "augment/contrastive.h"
 #include "common/logging.h"
 #include "core/parallel_trainer.h"
-#include "graph/pack.h"
 #include "obs/metrics.h"
-#include "tensor/inference.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
 
@@ -100,46 +98,6 @@ double GsgEncoder::PredictScore(const graph::Graph& g) const {
   const Matrix logits =
       Logits(EmbedGraph(g, /*training=*/false, /*rng=*/nullptr)).value();
   return logits.At(0, 1) - logits.At(0, 0);
-}
-
-std::vector<double> GsgEncoder::PredictScoreBatch(
-    const std::vector<const graph::Graph*>& graphs) const {
-  if (graphs.empty()) return {};
-  ag::InferenceScope scope;
-  std::vector<int> block_nodes;
-  block_nodes.reserve(graphs.size());
-  std::vector<std::shared_ptr<const SparseMatrix>> supports;
-  supports.reserve(graphs.size());
-  std::vector<Matrix> inputs;
-  inputs.reserve(graphs.size());
-  std::vector<const Matrix*> input_ptrs;
-  input_ptrs.reserve(graphs.size());
-  for (const graph::Graph* g : graphs) {
-    DBG4ETH_CHECK(g != nullptr);
-    block_nodes.push_back(g->num_nodes);
-    supports.push_back(g->AttentionMaskSparse());
-    inputs.push_back(BuildNodeInput(*g));
-    input_ptrs.push_back(&inputs.back());
-  }
-  const graph::PackedBlocks pack = graph::MakePackedBlocks(block_nodes);
-  const auto packed_support = graph::ConcatBlockDiagonal(pack, supports);
-
-  // One fused pass over the disjoint union: align + GAT stack are
-  // block-local, so each graph's rows match its solo forward bit for bit.
-  ag::Tensor h = ag::Tensor::Constant(graph::StackBlockRows(input_ptrs));
-  h = ag::LeakyRelu(align_->Forward(h));
-  for (const auto& gat : gat_layers_) {
-    h = ag::Elu(gat->ForwardPacked(h, packed_support));
-  }
-
-  std::vector<double> scores;
-  scores.reserve(graphs.size());
-  for (int b = 0; b < pack.num_blocks(); ++b) {
-    ag::Tensor block_h = ag::SliceRows(h, pack.begin(b), pack.end(b));
-    const Matrix logits = Logits(readout_->Forward(block_h)).value();
-    scores.push_back(logits.At(0, 1) - logits.At(0, 0));
-  }
-  return scores;
 }
 
 std::vector<ag::Tensor> GsgEncoder::Parameters() const {

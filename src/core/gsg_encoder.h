@@ -80,14 +80,6 @@ class GsgEncoder {
   /// Branch prediction score for a graph: logit(positive) - logit(negative).
   double PredictScore(const graph::Graph& g) const;
 
-  /// Batched scores via one fused block-diagonal forward: the graphs'
-  /// attention supports become one packed CSR operator, their node inputs
-  /// one stacked matrix, and a single GAT stack pass feeds per-graph
-  /// readouts on the row slices. Runs under an InferenceScope (tape-free,
-  /// arena-pooled); each score is bit-identical to PredictScore(*graphs[i]).
-  std::vector<double> PredictScoreBatch(
-      const std::vector<const graph::Graph*>& graphs) const;
-
   /// \brief Epoch-granular resumable training session.
   ///
   /// Holds the cross-epoch mutable training state that is not part of the

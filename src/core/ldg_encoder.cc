@@ -4,9 +4,7 @@
 
 #include "common/logging.h"
 #include "core/parallel_trainer.h"
-#include "graph/pack.h"
 #include "obs/metrics.h"
-#include "tensor/inference.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
 
@@ -93,81 +91,6 @@ double LdgEncoder::PredictScore(
     const std::vector<graph::Graph>& slices) const {
   const Matrix logits = Logits(EmbedSlices(slices)).value();
   return logits.At(0, 1) - logits.At(0, 0);
-}
-
-std::vector<double> LdgEncoder::PredictScoreBatch(
-    const std::vector<const std::vector<graph::Graph>*>& instances) const {
-  if (instances.empty()) return {};
-  ag::InferenceScope scope;
-  const int num_slices = config_.num_time_slices;
-  std::vector<int> block_nodes;
-  block_nodes.reserve(instances.size());
-  for (const std::vector<graph::Graph>* slices : instances) {
-    DBG4ETH_CHECK(slices != nullptr);
-    DBG4ETH_CHECK_EQ(static_cast<int>(slices->size()), num_slices);
-    DBG4ETH_CHECK(!(*slices)[0].node_features.empty());
-    const int n = (*slices)[0].num_nodes;
-    for (const graph::Graph& slice : *slices) {
-      DBG4ETH_CHECK_EQ(slice.num_nodes, n);
-    }
-    block_nodes.push_back(n);
-  }
-  const graph::PackedBlocks pack = graph::MakePackedBlocks(block_nodes);
-
-  // Per-instance, per-timestep slice operators: the same cached CSR
-  // adjacencies the solo forward uses, reused both block-shifted (packed
-  // GCN pass) and standalone (per-instance DiffPool).
-  std::vector<std::vector<std::shared_ptr<const SparseMatrix>>> slice_adjs(
-      num_slices);
-  for (int t = 0; t < num_slices; ++t) {
-    slice_adjs[t].reserve(instances.size());
-    for (const std::vector<graph::Graph>* slices : instances) {
-      slice_adjs[t].push_back((*slices)[t].WeightedAdjacencySparse());
-    }
-  }
-
-  // h_0: projected stacked node features (input projection is row-local).
-  std::vector<const Matrix*> features;
-  features.reserve(instances.size());
-  for (const std::vector<graph::Graph>* slices : instances) {
-    features.push_back(&(*slices)[0].node_features);
-  }
-  ag::Tensor h = ag::Tanh(input_proj_->Forward(
-      ag::Tensor::Constant(graph::StackBlockRows(features))));
-
-  std::vector<std::vector<ag::Tensor>> pooled_per_slice(instances.size());
-  for (auto& pooled : pooled_per_slice) pooled.reserve(num_slices);
-  for (int t = 0; t < num_slices; ++t) {
-    // Eq. 14 + Eq. 15-18 advance every instance's evolutionary state in
-    // one fused pass over the block-diagonal slice topology.
-    const auto packed_adj = graph::ConcatBlockDiagonal(pack, slice_adjs[t]);
-    ag::Tensor u_t = ag::Relu(topo_gcn_->Forward(packed_adj, h));
-    h = gru_->Forward(u_t, h);
-    // DiffPool couples all rows of a graph (cluster assignment), so the
-    // pyramid runs per instance on its row slice with its own adjacency.
-    for (size_t b = 0; b < instances.size(); ++b) {
-      ag::Tensor block_h = ag::SliceRows(h, pack.begin(static_cast<int>(b)),
-                                         pack.end(static_cast<int>(b)));
-      gnn::DiffPool::Output pooled =
-          pools_.front()->Forward(slice_adjs[t][b], block_h);
-      for (size_t level = 1; level < pools_.size(); ++level) {
-        pooled = pools_[level]->Forward(pooled.adjacency, pooled.features);
-      }
-      pooled_per_slice[b].push_back(pooled.features);  // 1 x hidden
-    }
-  }
-
-  // Eq. 22-23 per instance; the slice weights are shared, so the softmax
-  // runs once.
-  ag::Tensor alphas_t = ag::Transpose(ag::SoftmaxColVector(slice_weights_));
-  std::vector<double> scores;
-  scores.reserve(instances.size());
-  for (size_t b = 0; b < instances.size(); ++b) {
-    ag::Tensor stacked = ag::ConcatRowsList(pooled_per_slice[b]);
-    const Matrix logits = Logits(ag::MatMul(alphas_t, stacked)).value();
-    scores.push_back(logits.At(0, 1) - logits.At(0, 0));
-  }
-  return scores;
 }
 
 std::vector<ag::Tensor> LdgEncoder::Parameters() const {

@@ -68,15 +68,6 @@ class LdgEncoder {
   /// Branch prediction score: logit(positive) - logit(negative).
   double PredictScore(const std::vector<graph::Graph>& slices) const;
 
-  /// Batched scores via one fused block-diagonal forward: per time step
-  /// the instances' slice adjacencies become one packed CSR operator, so a
-  /// single GCN+GRU pass advances every instance's evolutionary state;
-  /// the cross-node DiffPool pyramid then runs per instance on its row
-  /// slice. Runs under an InferenceScope (tape-free, arena-pooled); each
-  /// score is bit-identical to PredictScore(*instances[i]).
-  std::vector<double> PredictScoreBatch(
-      const std::vector<const std::vector<graph::Graph>*>& instances) const;
-
   /// \brief Epoch-granular resumable training session; the LDG twin of
   /// GsgEncoder::TrainSession (cumulative shuffle order, Adam moments,
   /// worker pool). Stop at any epoch boundary, SaveState, resume

@@ -61,23 +61,6 @@ ag::Tensor GatConv::Forward(
   return out;
 }
 
-ag::Tensor GatConv::ForwardPacked(
-    const ag::Tensor& x,
-    const std::shared_ptr<const SparseMatrix>& support) const {
-  DBG4ETH_CHECK(support != nullptr);
-  ag::Tensor out;
-  for (int h = 0; h < num_heads_; ++h) {
-    ag::Tensor hw = ag::MatMul(x, weights_[h]);
-    ag::Tensor u = ag::MatMul(hw, attn_src_[h]);
-    ag::Tensor v = ag::MatMul(hw, attn_dst_[h]);
-    ag::Tensor alpha =
-        ag::MaskedAttentionAlpha(support, u, v, negative_slope_);
-    ag::Tensor head = ag::MaskedSpMatMul(support, alpha, hw);
-    out = h == 0 ? head : ag::ConcatCols(out, head);
-  }
-  return out;
-}
-
 std::vector<ag::Tensor> GatConv::Parameters() const {
   std::vector<ag::Tensor> params;
   for (int h = 0; h < num_heads_; ++h) {

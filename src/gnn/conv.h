@@ -58,15 +58,6 @@ class GatConv : public Module {
   ag::Tensor Forward(const ag::Tensor& x, const Matrix& mask,
                      const std::shared_ptr<const SparseMatrix>& support) const;
 
-  /// Support-only variant for block-diagonal packed batches: attention
-  /// coefficients come from the fused MaskedAttentionAlpha kernel, so no
-  /// dense N x N score matrix is built (N being the packed micro-batch's
-  /// total node count). Each block's output rows are bit-identical to the
-  /// other overloads run on that block alone.
-  ag::Tensor ForwardPacked(
-      const ag::Tensor& x,
-      const std::shared_ptr<const SparseMatrix>& support) const;
-
   std::vector<ag::Tensor> Parameters() const override;
 
   int num_heads() const { return num_heads_; }

@@ -10,7 +10,6 @@
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/inference.h"
 
 namespace dbg4eth {
 namespace serve {
@@ -36,37 +35,6 @@ obs::Histogram* QueueWaitHistogram() {
 obs::Gauge* QueueDepthGauge() {
   static obs::Gauge* gauge = obs::MetricsRegistry::Global()->GaugeAt(
       "serve_queue_depth", "Requests waiting in the admission queue");
-  return gauge;
-}
-
-obs::Counter* FastpathBatchesCounter() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global()->CounterAt(
-      "serve_fastpath_batches_total",
-      "Cold-request groups scored through one packed block-diagonal "
-      "forward");
-  return counter;
-}
-
-obs::Histogram* FastpathBatchSizeHistogram() {
-  static obs::Histogram* hist = obs::MetricsRegistry::Global()->HistogramAt(
-      "serve_fastpath_batch_size",
-      "Distinct cold requests per packed forward");
-  return hist;
-}
-
-obs::Histogram* FastpathForwardHistogram() {
-  static obs::Histogram* hist = obs::MetricsRegistry::Global()->HistogramAt(
-      "serve_fastpath_forward_us",
-      "Wall time of one packed block-diagonal forward, microseconds");
-  return hist;
-}
-
-/// Activation-buffer bytes owned by the reporting worker's thread-local
-/// inference arena (steady state: the high-water footprint of one batch).
-obs::Gauge* FastpathArenaGauge() {
-  static obs::Gauge* gauge = obs::MetricsRegistry::Global()->GaugeAt(
-      "serve_fastpath_arena_bytes",
-      "Buffer bytes pooled in the worker's inference arena");
   return gauge;
 }
 
@@ -322,9 +290,11 @@ void InferenceService::ProcessBatch(std::vector<ScoreRequest>* batch) {
     if (auto it = scored.find(packed); it != scored.end()) {
       result.probability = it->second;
       result.cache_hit = true;  // Shared with an in-batch duplicate.
-    } else if (auto cached = cache_.Get(key)) {
+    } else if (auto cached = cache_.Lookup(key)) {
       // A concurrent batch may have filled the cache since ScoreAsync
-      // missed; still counts as skipping the expensive path.
+      // missed; still counts as skipping the expensive path. ScoreAsync
+      // already booked this request's cache lookup, so this one books
+      // nothing.
       result.probability = *cached;
       result.cache_hit = true;
       scored.emplace(packed, *cached);
@@ -342,75 +312,21 @@ void InferenceService::ProcessBatch(std::vector<ScoreRequest>* batch) {
   }
   if (cold_order.empty()) return;
 
-  // Pass 2 — score the cold groups. A single group (or a disabled fast
-  // path) takes the sequential route: one score_cold span covering
-  // prepare + forward, exactly as before batching. The representative's
-  // trace context is active for the whole group score, so the span tree
-  // lands in the tracer stamped with that request's trace id.
-  if (cold_order.size() == 1 || !config_.batch_forward) {
-    for (uint64_t packed : cold_order) {
-      const std::vector<ScoreRequest*>& group = cold[packed];
-      obs::ScopedTraceContext trace_ctx(group.front()->trace_id);
-      int retries = 0;
-      Result<double> proba =
-          ScoreColdWithRetry(*ref.model, *group.front(), &retries);
-      if (!proba.ok()) {
-        ResolveColdFailure(group, proba.status());
-        continue;
-      }
-      FinishColdGroup(group, proba.ValueOrDie(), retries, ref.generation);
-    }
-    return;
-  }
-
-  // Fast path: prepare each group's instance (same per-request score_cold
-  // span, fail point, and retry budget as the sequential route), then
-  // score every prepared instance in one fused block-diagonal forward per
-  // branch. A group whose preparation fails drops out; the others still
-  // share the packed pass.
-  std::vector<uint64_t> ready;
-  std::vector<eth::GraphInstance> instances;
-  std::vector<int> retries;
-  ready.reserve(cold_order.size());
-  instances.reserve(cold_order.size());
-  retries.reserve(cold_order.size());
+  // Pass 2 — score each cold group solo: one score_cold span tree per
+  // group. The representative's trace context is active for the whole
+  // group score, so the tree lands in the tracer stamped with that
+  // request's trace id.
   for (uint64_t packed : cold_order) {
     const std::vector<ScoreRequest*>& group = cold[packed];
     obs::ScopedTraceContext trace_ctx(group.front()->trace_id);
-    obs::TraceSpan span("score_cold");
-    int group_retries = 0;
-    Result<eth::GraphInstance> instance =
-        PrepareColdWithRetry(*ref.model, *group.front(), &group_retries);
-    if (!instance.ok()) {
-      span.SetError();
-      span.End();
-      ResolveColdFailure(group, instance.status());
+    int retries = 0;
+    Result<double> proba =
+        ScoreColdWithRetry(*ref.model, *group.front(), &retries);
+    if (!proba.ok()) {
+      ResolveColdFailure(group, proba.status());
       continue;
     }
-    span.End();
-    ready.push_back(packed);
-    instances.push_back(std::move(instance).ValueOrDie());
-    retries.push_back(group_retries);
-  }
-  if (ready.empty()) return;
-
-  std::vector<const eth::GraphInstance*> instance_ptrs;
-  instance_ptrs.reserve(instances.size());
-  for (const eth::GraphInstance& instance : instances) {
-    instance_ptrs.push_back(&instance);
-  }
-  std::vector<double> probs;
-  {
-    obs::TraceSpan packed_span("packed_forward");
-    obs::ScopedTimer forward_timer(FastpathForwardHistogram());
-    probs = ref.model->PredictProbaBatch(instance_ptrs);
-  }
-  FastpathBatchesCounter()->Inc();
-  FastpathBatchSizeHistogram()->Record(static_cast<double>(ready.size()));
-  FastpathArenaGauge()->Set(static_cast<double>(
-      ag::InferenceArena::ThreadLocal()->owned_bytes()));
-  for (size_t i = 0; i < ready.size(); ++i) {
-    FinishColdGroup(cold[ready[i]], probs[i], retries[i], ref.generation);
+    FinishColdGroup(group, proba.ValueOrDie(), retries, ref.generation);
   }
 }
 
@@ -422,8 +338,7 @@ void InferenceService::FinishColdGroup(
   bool first = true;
   for (ScoreRequest* request : group) {
     // Duplicates may have expired while the group's representative was
-    // being scored — same check the sequential loop applied when it
-    // reached them.
+    // being scored.
     if (!first && request->expired(std::chrono::steady_clock::now())) {
       ScoreResult result;
       result.address = request->address;
@@ -544,58 +459,24 @@ Result<double> InferenceService::ScoreCold(const core::Dbg4Eth& model,
   // emitted inside PredictProba (gsg_forward, calibrate, ldg_forward,
   // gbdt). See DESIGN.md "Observability".
   obs::TraceSpan span("score_cold");
-  Result<eth::GraphInstance> instance = PrepareCold(model, address);
+  // The fail point returns its injected error from the lambda, so it fails
+  // the span like any materialization error.
+  Result<eth::GraphInstance> instance = [&]() -> Result<eth::GraphInstance> {
+    DBG4ETH_FAIL_POINT("serve.score_cold");
+    return eth::MaterializeInstance(*ledger_, address, config_.sampling,
+                                    config_.num_time_slices);
+  }();
   if (!instance.ok()) {
     // Failed roots are tail-retained by the tracer regardless of sampling,
     // so the trace explaining an error response is always findable.
     span.SetError();
     return instance.status();
   }
-  return model.PredictProba(instance.ValueOrDie());
-}
-
-Result<eth::GraphInstance> InferenceService::PrepareCold(
-    const core::Dbg4Eth& model, eth::AccountId address) const {
-  DBG4ETH_FAIL_POINT("serve.score_cold");
-  DBG4ETH_ASSIGN_OR_RETURN(
-      eth::GraphInstance instance,
-      eth::MaterializeInstance(*ledger_, address, config_.sampling,
-                               config_.num_time_slices));
   {
     obs::TraceSpan normalize_span("normalize");
-    model.Normalize(&instance);
+    model.Normalize(&instance.ValueOrDie());
   }
-  return instance;
-}
-
-Result<eth::GraphInstance> InferenceService::PrepareColdWithRetry(
-    const core::Dbg4Eth& model, const ScoreRequest& request, int* retries) {
-  // Same loop as ScoreColdWithRetry, retrying preparation (the fail point
-  // and materialization live there) instead of the full score.
-  *retries = 0;
-  for (;;) {
-    if (request.expired(std::chrono::steady_clock::now())) {
-      return Status::DeadlineExceeded("deadline expired before scoring");
-    }
-    Result<eth::GraphInstance> instance = PrepareCold(model, request.address);
-    if (instance.ok() || !instance.status().IsTransient() ||
-        *retries >= config_.max_cold_retries) {
-      return instance;
-    }
-    ++*retries;
-    stats_.RecordRetry();
-    int64_t backoff_us = config_.retry_backoff_us * *retries;
-    if (request.has_deadline) {
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              request.deadline - std::chrono::steady_clock::now())
-              .count();
-      backoff_us = std::min(backoff_us, std::max<int64_t>(0, remaining));
-    }
-    if (backoff_us > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-    }
-  }
+  return model.PredictProba(instance.ValueOrDie());
 }
 
 }  // namespace serve

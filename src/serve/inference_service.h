@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "core/dbg4eth.h"
 #include "eth/dataset.h"
 #include "eth/ledger_base.h"
@@ -17,7 +18,6 @@
 #include "serve/request_queue.h"
 #include "serve/result_cache.h"
 #include "serve/server_stats.h"
-#include "serve/thread_pool.h"
 #include "serve/types.h"
 
 namespace dbg4eth {
@@ -30,11 +30,6 @@ struct InferenceServiceConfig {
   /// see DESIGN.md "Inference fast path"). 0 = one per hardware thread.
   /// The resolved count is reported in ServerStats::Snapshot::workers.
   int num_workers = 4;
-  /// When a dispatched batch holds two or more distinct cold requests,
-  /// score them through one fused block-diagonal forward per branch
-  /// (bit-identical to scoring them one by one) instead of sequential
-  /// per-request passes. Disable to force the sequential cold path.
-  bool batch_forward = true;
   /// Pending-batch bound of the worker pool (backpressure toward the
   /// dispatcher, which in turn backpressures producers via the queue).
   size_t pool_queue_capacity = 256;
@@ -187,25 +182,14 @@ class InferenceService {
   Result<double> ScoreColdWithRetry(const core::Dbg4Eth& model,
                                     const ScoreRequest& request,
                                     int* retries);
-  /// Cold-path preparation only (fail point, materialize, normalize) —
-  /// the forward pass is deferred so several prepared instances can share
-  /// one packed forward.
-  Result<eth::GraphInstance> PrepareCold(const core::Dbg4Eth& model,
-                                         eth::AccountId address) const;
-  /// PrepareCold with the same transient-failure retry loop as
-  /// ScoreColdWithRetry.
-  Result<eth::GraphInstance> PrepareColdWithRetry(const core::Dbg4Eth& model,
-                                                  const ScoreRequest& request,
-                                                  int* retries);
   /// Resolves every request of one deduplicated cold group with the
   /// group's probability; `retries` belongs to the representative (first)
   /// request, duplicates count as in-batch cache hits.
   void FinishColdGroup(const std::vector<ScoreRequest*>& group,
                        double probability, int retries,
                        uint64_t model_generation);
-  /// Resolves every request of a cold group whose scoring failed, with
-  /// the per-status handling of the sequential path (deadline / stale
-  /// fallback / error).
+  /// Resolves every request of a cold group whose scoring failed: each
+  /// resolves as deadline-exceeded, stale (degraded mode) or an error.
   void ResolveColdFailure(const std::vector<ScoreRequest*>& group,
                           const Status& status);
   /// Resolves `request` from the newest stale cache entry below its

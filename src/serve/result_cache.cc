@@ -39,33 +39,31 @@ ResultCache::Shard& ResultCache::ShardFor(const Key& key) {
 }
 
 std::optional<double> ResultCache::Get(const Key& key) {
-  Shard& shard = ShardFor(key);
-  bool hit = false;
-  double probability = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      // Move to the front (most recently used) and read the value while
-      // still holding the lock; everything else happens outside it.
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      probability = it->second->probability;
-      hit = true;
-    }
-  }
+  const std::optional<double> probability = Lookup(key);
   // Counter updates run unlocked: the mirror lookup's magic-static guard
   // and the atomic increments otherwise serialize concurrent lookups on
   // the shard mutex and show up as hit-path p99 outliers.
   static obs::Counter* hit_mirror = CacheCounter("hit");
   static obs::Counter* miss_mirror = CacheCounter("miss");
-  if (hit) {
+  if (probability) {
     hits_.fetch_add(1);
     hit_mirror->Inc();
-    return probability;
+  } else {
+    misses_.fetch_add(1);
+    miss_mirror->Inc();
   }
-  misses_.fetch_add(1);
-  miss_mirror->Inc();
-  return std::nullopt;
+  return probability;
+}
+
+std::optional<double> ResultCache::Lookup(const Key& key) {
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.index.find(key);
+  if (it == shard.index.end()) return std::nullopt;
+  // Move to the front (most recently used) and read the value while still
+  // holding the lock.
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  return it->second->probability;
 }
 
 void ResultCache::Put(const Key& key, double probability) {

@@ -52,6 +52,11 @@ class ResultCache {
   /// nullopt on miss. Counts a hit or miss either way.
   std::optional<double> Get(const Key& key);
 
+  /// Get without counting a hit or miss: for a second look at a key whose
+  /// lookup was already counted (the worker's re-check of a request that
+  /// missed at admission).
+  std::optional<double> Lookup(const Key& key);
+
   /// Inserts or refreshes an entry, evicting its shard's LRU tail when the
   /// shard is at capacity.
   void Put(const Key& key, double probability);

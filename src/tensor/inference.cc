@@ -1,6 +1,5 @@
 #include "tensor/inference.h"
 
-#include <atomic>
 #include <cstring>
 #include <utility>
 
@@ -9,8 +8,6 @@
 namespace dbg4eth {
 namespace ag {
 namespace {
-
-std::atomic<bool> g_fast_path_enabled{true};
 
 thread_local InferenceArena* t_active_arena = nullptr;
 
@@ -97,7 +94,7 @@ InferenceArena* InferenceArena::ThreadLocal() {
 }
 
 InferenceScope::InferenceScope() {
-  if (!InferenceFastPathEnabled() || t_active_arena != nullptr) return;
+  if (t_active_arena != nullptr) return;
   bound_ = InferenceArena::ThreadLocal();
   t_active_arena = bound_;
   bound_->BeginPass();
@@ -105,7 +102,7 @@ InferenceScope::InferenceScope() {
 
 InferenceScope::InferenceScope(InferenceArena* arena) {
   DBG4ETH_CHECK(arena != nullptr);
-  if (!InferenceFastPathEnabled() || t_active_arena != nullptr) return;
+  if (t_active_arena != nullptr) return;
   bound_ = arena;
   t_active_arena = bound_;
   bound_->BeginPass();
@@ -115,14 +112,6 @@ InferenceScope::~InferenceScope() {
   if (bound_ != nullptr) {
     t_active_arena = nullptr;
   }
-}
-
-void SetInferenceFastPathEnabled(bool enabled) {
-  g_fast_path_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool InferenceFastPathEnabled() {
-  return g_fast_path_enabled.load(std::memory_order_relaxed);
 }
 
 namespace internal {

@@ -93,16 +93,14 @@ class InferenceArena {
 /// Tensor constructed) computes its value only — no autograd nodes, no
 /// parent edges, no backward closures — drawing storage from the bound
 /// arena. Values are bit-identical to the tape forward. Nested scopes are
-/// no-ops (the outermost scope owns the pass), so composed entry points
-/// (PredictProbaBatch -> PredictScoreBatch) share one arena pass.
+/// no-ops (the outermost scope owns the pass).
 ///
 /// Do NOT use around anything that needs gradients: Backward() on a
 /// tensor built under a scope sees a leaf and propagates nothing.
 class InferenceScope {
  public:
   /// Binds the calling thread's arena (InferenceArena::ThreadLocal),
-  /// unless the fast path is globally disabled or a scope is already
-  /// active on this thread.
+  /// unless a scope is already active on this thread.
   InferenceScope();
   /// Same, with an explicit arena (tests).
   explicit InferenceScope(InferenceArena* arena);
@@ -111,18 +109,12 @@ class InferenceScope {
   InferenceScope(const InferenceScope&) = delete;
   InferenceScope& operator=(const InferenceScope&) = delete;
 
-  /// True when this scope actually bound the arena (outermost + enabled).
+  /// True when this scope actually bound the arena (the outermost one).
   bool bound() const { return bound_ != nullptr; }
 
  private:
   InferenceArena* bound_ = nullptr;
 };
-
-/// Process-wide switch for the fast path (default on). With it off,
-/// InferenceScope construction is a no-op and every forward runs on the
-/// tape — the benchmark's baseline mode.
-void SetInferenceFastPathEnabled(bool enabled);
-bool InferenceFastPathEnabled();
 
 namespace internal {
 

@@ -185,81 +185,6 @@ Tensor MaskedSpMatMul(std::shared_ptr<const SparseMatrix> support,
       "masked_spmatmul");
 }
 
-Tensor MaskedAttentionAlpha(std::shared_ptr<const SparseMatrix> support,
-                            const Tensor& u, const Tensor& v,
-                            double negative_slope) {
-  DBG4ETH_CHECK(support != nullptr);
-  DBG4ETH_CHECK_EQ(u.cols(), 1);
-  DBG4ETH_CHECK_EQ(v.cols(), 1);
-  DBG4ETH_CHECK_EQ(support->rows(), u.rows());
-  DBG4ETH_CHECK_EQ(support->cols(), v.rows());
-  const std::vector<int>& offsets = support->row_offsets();
-  const std::vector<int>& col_indices = support->col_indices();
-  const Matrix& uv = u.value();
-  const Matrix& vv = v.value();
-  const double slope = negative_slope;
-  // LeakyRelu(u_i + v_j) recomputed per use: cheaper than storing the raw
-  // scores, and each evaluation yields the identical double, so the three
-  // passes below reproduce MaskedSoftmaxRows(LeakyRelu(PairwiseSum(u, v)))
-  // bit for bit (ascending CSR columns == ascending masked columns).
-  auto raw_score = [&uv, &vv, slope](int r, int c) {
-    const double x = uv.At(r, 0) + vv.At(c, 0);
-    return x > 0 ? x : slope * x;
-  };
-  Matrix out = OutZeros(support->rows(), support->cols());
-  for (int r = 0; r < support->rows(); ++r) {
-    const int begin = offsets[r];
-    const int end = offsets[r + 1];
-    if (begin == end) continue;  // all-zero row
-    double max_v = -1e300;
-    for (int e = begin; e < end; ++e) {
-      max_v = std::max(max_v, raw_score(r, col_indices[e]));
-    }
-    double denom = 0.0;
-    for (int e = begin; e < end; ++e) {
-      denom += std::exp(raw_score(r, col_indices[e]) - max_v);
-    }
-    double* orow = out.RowPtr(r);
-    for (int e = begin; e < end; ++e) {
-      orow[col_indices[e]] = std::exp(raw_score(r, col_indices[e]) - max_v) /
-                             denom;
-    }
-  }
-  if (TapeFree()) return ValueNode(std::move(out));
-  return MakeNode(
-      std::move(out), {u, v},
-      [support, slope](TensorNode* n) {
-        const bool need_u = ParentRequires(n, 0);
-        const bool need_v = ParentRequires(n, 1);
-        if (!need_u && !need_v) return;
-        const Matrix& g = n->grad;
-        const Matrix& alpha = n->value;
-        const Matrix& uv = ParentValue(n, 0);
-        const Matrix& vv = ParentValue(n, 1);
-        Matrix* gu = need_u ? &ParentGrad(n, 0) : nullptr;
-        Matrix* gv = need_v ? &ParentGrad(n, 1) : nullptr;
-        const std::vector<int>& offsets = support->row_offsets();
-        const std::vector<int>& col_indices = support->col_indices();
-        for (int r = 0; r < alpha.rows(); ++r) {
-          // Softmax Jacobian restricted to the support, then the LeakyRelu
-          // derivative routes d(raw score) into u_r and v_c.
-          double dot = 0.0;
-          for (int e = offsets[r]; e < offsets[r + 1]; ++e) {
-            dot += g.At(r, col_indices[e]) * alpha.At(r, col_indices[e]);
-          }
-          for (int e = offsets[r]; e < offsets[r + 1]; ++e) {
-            const int c = col_indices[e];
-            const double ds = alpha.At(r, c) * (g.At(r, c) - dot);
-            const double x = uv.At(r, 0) + vv.At(c, 0);
-            const double draw = ds * (x > 0 ? 1.0 : slope);
-            if (gu != nullptr) gu->At(r, 0) += draw;
-            if (gv != nullptr) gv->At(c, 0) += draw;
-          }
-        }
-      },
-      "masked_attention_alpha");
-}
-
 Tensor Add(const Tensor& a, const Tensor& b) {
   Matrix out = OutCopy(a.value());
   out.AddInPlace(b.value());

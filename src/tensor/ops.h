@@ -39,19 +39,6 @@ Tensor SpMMTransA(std::shared_ptr<const SparseMatrix> a, const Tensor& x);
 Tensor MaskedSpMatMul(std::shared_ptr<const SparseMatrix> support,
                       const Tensor& alpha, const Tensor& b);
 
-/// Fused GAT attention coefficients over a CSR support: for each row i,
-/// out(i, :) is the softmax over support entries (i, j) of
-/// LeakyRelu(u_i + v_j, negative_slope); off-support entries are zero.
-/// Bit-identical per entry to
-/// MaskedSoftmaxRows(LeakyRelu(PairwiseSum(u, v)), mask) when mask has the
-/// support's pattern, but does O(nnz) work instead of materializing the
-/// dense N x N score matrix — essential for the block-diagonal packed
-/// forward, where N is the whole micro-batch's node count. u (N x 1) and
-/// v (M x 1) receive gradients.
-Tensor MaskedAttentionAlpha(std::shared_ptr<const SparseMatrix> support,
-                            const Tensor& u, const Tensor& v,
-                            double negative_slope = 0.2);
-
 /// Element-wise a + b (same shape).
 Tensor Add(const Tensor& a, const Tensor& b);
 /// Element-wise a - b.

@@ -56,31 +56,6 @@ SparseMatrix SparseMatrix::FromTriplets(
   return out;
 }
 
-SparseMatrix SparseMatrix::FromCsr(int rows, int cols,
-                                   std::vector<int> row_offsets,
-                                   std::vector<int> col_indices,
-                                   std::vector<double> values) {
-  DBG4ETH_CHECK_EQ(row_offsets.size(), static_cast<size_t>(rows) + 1);
-  DBG4ETH_CHECK_EQ(row_offsets.front(), 0);
-  DBG4ETH_CHECK_EQ(row_offsets.back(), static_cast<int>(values.size()));
-  DBG4ETH_CHECK_EQ(col_indices.size(), values.size());
-  for (int r = 0; r < rows; ++r) {
-    DBG4ETH_CHECK(row_offsets[r] <= row_offsets[r + 1]);
-    for (int e = row_offsets[r]; e < row_offsets[r + 1]; ++e) {
-      DBG4ETH_CHECK(col_indices[e] >= 0 && col_indices[e] < cols);
-      DBG4ETH_CHECK(e == row_offsets[r] || col_indices[e - 1] < col_indices[e])
-          << "column indices must be ascending within a row";
-    }
-  }
-  SparseMatrix out;
-  out.rows_ = rows;
-  out.cols_ = cols;
-  out.row_offsets_ = std::move(row_offsets);
-  out.col_indices_ = std::move(col_indices);
-  out.values_ = std::move(values);
-  return out;
-}
-
 Matrix SparseMatrix::ToDense() const {
   Matrix out(rows_, cols_);
   for (int r = 0; r < rows_; ++r) {

@@ -33,15 +33,6 @@ class SparseMatrix {
       int rows, int cols,
       const std::vector<std::tuple<int, int, double>>& triplets);
 
-  /// Adopts ready-made CSR arrays (validated: monotone offsets of size
-  /// rows + 1, in-range ascending column indices per row). Used by the
-  /// block-diagonal packer, which concatenates per-graph CSR operators
-  /// without round-tripping through triplets.
-  static SparseMatrix FromCsr(int rows, int cols,
-                              std::vector<int> row_offsets,
-                              std::vector<int> col_indices,
-                              std::vector<double> values);
-
   Matrix ToDense() const;
 
   int rows() const { return rows_; }

@@ -1,6 +1,6 @@
 // Grad-free inference fast path: bit-exactness of the tape-free forward
-// (every GNN layer and both branch encoders), block-diagonal micro-batch
-// scoring, arena buffer reuse, and the zero-allocation steady state.
+// (every GNN layer and both branch encoders), arena buffer reuse, and the
+// zero-allocation steady state.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,8 +17,6 @@
 #include "gnn/linear.h"
 #include "gnn/transformer.h"
 #include "graph/graph.h"
-#include "graph/pack.h"
-#include "tensor/gradcheck.h"
 #include "tensor/inference.h"
 #include "tensor/ops.h"
 
@@ -37,9 +35,8 @@ void ExpectBitEqual(const Matrix& a, const Matrix& b) {
 }
 
 /// Runs `forward` on the tape and again under a fresh inference arena and
-/// asserts the values are bit-identical. Returns the tape value.
-Matrix ExpectTapeFreeMatchesTape(
-    const std::function<ag::Tensor()>& forward) {
+/// asserts the values are bit-identical.
+void ExpectTapeFreeMatchesTape(const std::function<ag::Tensor()>& forward) {
   const Matrix tape = forward().value();
   Matrix fast;
   {
@@ -49,7 +46,6 @@ Matrix ExpectTapeFreeMatchesTape(
     fast = forward().value();
   }
   ExpectBitEqual(fast, tape);
-  return tape;
 }
 
 graph::Graph MakeGraph(int num_nodes, int feature_dim, uint64_t seed) {
@@ -113,19 +109,9 @@ TEST(TapeFreeLayerTest, GatConvMaskedAndPacked) {
   graph::Graph g = MakeGraph(7, 3, 12);
   gnn::GatConv conv(3, 4, /*num_heads=*/2, &rng);
   const Matrix x = Matrix::Random(7, 3, &rng, -1.0, 1.0);
-  const Matrix tape = ExpectTapeFreeMatchesTape([&] {
+  ExpectTapeFreeMatchesTape([&] {
     return conv.Forward(ag::Tensor::Constant(x), g.AttentionMask(),
                         g.AttentionMaskSparse());
-  });
-  // The packed (fused-attention) forward must match the composed one bit
-  // for bit on the tape and under the arena.
-  const Matrix packed_tape =
-      conv.ForwardPacked(ag::Tensor::Constant(x), g.AttentionMaskSparse())
-          .value();
-  ExpectBitEqual(packed_tape, tape);
-  ExpectTapeFreeMatchesTape([&] {
-    return conv.ForwardPacked(ag::Tensor::Constant(x),
-                              g.AttentionMaskSparse());
   });
 }
 
@@ -197,88 +183,7 @@ TEST(TapeFreeLayerTest, GraphTransformer) {
 }
 
 // --------------------------------------------------------------------------
-// The fused attention op behind the packed GAT forward.
-// --------------------------------------------------------------------------
-
-TEST(MaskedAttentionAlphaTest, MatchesComposedSoftmaxBitForBit) {
-  Rng rng(10);
-  graph::Graph g = MakeGraph(7, 3, 16);
-  const Matrix u = Matrix::Random(7, 1, &rng, -1.0, 1.0);
-  const Matrix v = Matrix::Random(7, 1, &rng, -1.0, 1.0);
-  const Matrix composed =
-      ag::MaskedSoftmaxRows(
-          ag::LeakyRelu(ag::PairwiseSum(ag::Tensor::Constant(u),
-                                        ag::Tensor::Constant(v)),
-                        0.2),
-          g.AttentionMask())
-          .value();
-  const Matrix fused = ExpectTapeFreeMatchesTape([&] {
-    return ag::MaskedAttentionAlpha(g.AttentionMaskSparse(),
-                                    ag::Tensor::Constant(u),
-                                    ag::Tensor::Constant(v), 0.2);
-  });
-  ExpectBitEqual(fused, composed);
-}
-
-TEST(MaskedAttentionAlphaTest, GradCheck) {
-  Rng rng(11);
-  graph::Graph g = MakeGraph(6, 3, 17);
-  ag::Tensor u = ag::Tensor::Parameter(Matrix::Random(6, 1, &rng, -1.0, 1.0));
-  ag::Tensor v = ag::Tensor::Parameter(Matrix::Random(6, 1, &rng, -1.0, 1.0));
-  const Matrix weights = Matrix::Random(6, 6, &rng, -1.0, 1.0);
-  auto loss = [&] {
-    ag::Tensor alpha =
-        ag::MaskedAttentionAlpha(g.AttentionMaskSparse(), u, v, 0.2);
-    return ag::SumAll(ag::Mul(alpha, ag::Tensor::Constant(weights)));
-  };
-  auto res = ag::CheckGradients(loss, {u, v}, 1e-5, 1e-3);
-  EXPECT_TRUE(res.passed) << res.max_rel_error;
-}
-
-// --------------------------------------------------------------------------
-// Block-diagonal packing primitives.
-// --------------------------------------------------------------------------
-
-TEST(PackedBlocksTest, ConcatBlockDiagonalShiftsColumns) {
-  graph::Graph a = MakeGraph(3, 2, 21);
-  graph::Graph b = MakeGraph(5, 2, 22);
-  const graph::PackedBlocks pack = graph::MakePackedBlocks({3, 5});
-  EXPECT_EQ(pack.total_nodes, 8);
-  EXPECT_EQ(pack.begin(1), 3);
-  EXPECT_EQ(pack.end(1), 8);
-  const auto packed = graph::ConcatBlockDiagonal(
-      pack, {a.AttentionMaskSparse(), b.AttentionMaskSparse()});
-  const Matrix dense_a = a.AttentionMask();
-  const Matrix dense_b = b.AttentionMask();
-  const Matrix dense_packed = packed->ToDense();
-  ASSERT_EQ(dense_packed.rows(), 8);
-  ASSERT_EQ(dense_packed.cols(), 8);
-  for (int r = 0; r < 8; ++r) {
-    for (int c = 0; c < 8; ++c) {
-      double expected = 0.0;
-      if (r < 3 && c < 3) expected = dense_a.At(r, c);
-      if (r >= 3 && c >= 3) expected = dense_b.At(r - 3, c - 3);
-      EXPECT_DOUBLE_EQ(dense_packed.At(r, c), expected)
-          << "(" << r << "," << c << ")";
-    }
-  }
-}
-
-TEST(PackedBlocksTest, StackBlockRowsConcatenates) {
-  Rng rng(23);
-  const Matrix a = Matrix::Random(2, 3, &rng);
-  const Matrix b = Matrix::Random(4, 3, &rng);
-  const Matrix stacked = graph::StackBlockRows({&a, &b});
-  ASSERT_EQ(stacked.rows(), 6);
-  for (int c = 0; c < 3; ++c) {
-    EXPECT_DOUBLE_EQ(stacked.At(0, c), a.At(0, c));
-    EXPECT_DOUBLE_EQ(stacked.At(2, c), b.At(0, c));
-    EXPECT_DOUBLE_EQ(stacked.At(5, c), b.At(3, c));
-  }
-}
-
-// --------------------------------------------------------------------------
-// Encoder-level bit-exactness: solo tape vs tape-free vs batched.
+// Encoder-level bit-exactness: solo tape vs tape-free.
 // --------------------------------------------------------------------------
 
 core::GsgEncoderConfig SmallGsgConfig() {
@@ -313,27 +218,6 @@ TEST(GsgFastPathTest, TapeFreeSoloScoreIsBitIdentical) {
   EXPECT_DOUBLE_EQ(fast, tape);
 }
 
-TEST(GsgFastPathTest, BatchedScoresMatchSoloAtEverySize) {
-  core::GsgEncoder encoder(SmallGsgConfig());
-  // Heterogeneous subgraph sizes — the packed forward must keep each
-  // block's rows bit-identical regardless of its offset and neighbors.
-  std::vector<graph::Graph> graphs;
-  for (int i = 0; i < 5; ++i) graphs.push_back(MakeGraph(3 + 2 * i, 6, 50 + i));
-  std::vector<double> solo;
-  for (const graph::Graph& g : graphs) solo.push_back(encoder.PredictScore(g));
-
-  for (size_t batch : {size_t{1}, size_t{2}, graphs.size()}) {
-    std::vector<const graph::Graph*> ptrs;
-    for (size_t i = 0; i < batch; ++i) ptrs.push_back(&graphs[i]);
-    const std::vector<double> batched = encoder.PredictScoreBatch(ptrs);
-    ASSERT_EQ(batched.size(), batch);
-    for (size_t i = 0; i < batch; ++i) {
-      EXPECT_DOUBLE_EQ(batched[i], solo[i])
-          << "batch size " << batch << ", graph " << i;
-    }
-  }
-}
-
 TEST(LdgFastPathTest, TapeFreeSoloScoreIsBitIdentical) {
   core::LdgEncoder encoder(SmallLdgConfig());
   const auto slices = MakeSlices(5, 6, 3, 61);
@@ -346,51 +230,27 @@ TEST(LdgFastPathTest, TapeFreeSoloScoreIsBitIdentical) {
   EXPECT_DOUBLE_EQ(fast, tape);
 }
 
-TEST(LdgFastPathTest, BatchedScoresMatchSoloAtEverySize) {
-  core::LdgEncoder encoder(SmallLdgConfig());
-  std::vector<std::vector<graph::Graph>> instances;
-  for (int i = 0; i < 4; ++i) {
-    instances.push_back(MakeSlices(3 + 2 * i, 6, 3, 70 + 10 * i));
-  }
-  std::vector<double> solo;
-  for (const auto& slices : instances) {
-    solo.push_back(encoder.PredictScore(slices));
-  }
-
-  for (size_t batch : {size_t{1}, size_t{2}, instances.size()}) {
-    std::vector<const std::vector<graph::Graph>*> ptrs;
-    for (size_t i = 0; i < batch; ++i) ptrs.push_back(&instances[i]);
-    const std::vector<double> batched = encoder.PredictScoreBatch(ptrs);
-    ASSERT_EQ(batched.size(), batch);
-    for (size_t i = 0; i < batch; ++i) {
-      EXPECT_DOUBLE_EQ(batched[i], solo[i])
-          << "batch size " << batch << ", instance " << i;
-    }
-  }
-}
-
 // --------------------------------------------------------------------------
-// Arena mechanics: pooling, reuse, lifetime, the global switch.
+// Arena mechanics: pooling, reuse, lifetime.
 // --------------------------------------------------------------------------
 
 TEST(InferenceArenaTest, SteadyStatePassAllocatesNoNodesOrBuffers) {
   core::GsgEncoder encoder(SmallGsgConfig());
-  std::vector<graph::Graph> graphs;
-  for (int i = 0; i < 3; ++i) graphs.push_back(MakeGraph(4 + i, 6, 80 + i));
-  std::vector<const graph::Graph*> ptrs;
-  for (const graph::Graph& g : graphs) ptrs.push_back(&g);
-
-  // First pass warms the thread-local arena's node pool and buffer free
-  // list; the second identical pass must reuse everything.
-  const std::vector<double> first = encoder.PredictScoreBatch(ptrs);
+  const graph::Graph g = MakeGraph(6, 6, 80);
+  // One solo score per scope, as a serving worker runs them: the first
+  // pass warms the thread-local arena's node pool and buffer free list;
+  // the second identical pass must reuse everything.
+  auto score = [&] {
+    ag::InferenceScope scope;
+    EXPECT_TRUE(scope.bound());
+    return encoder.PredictScore(g);
+  };
+  const double first = score();
   const uint64_t nodes_before = ag::internal::NodeAllocationCount();
-  const std::vector<double> second = encoder.PredictScoreBatch(ptrs);
+  const double second = score();
   EXPECT_EQ(ag::internal::NodeAllocationCount(), nodes_before)
       << "steady-state fast-path pass allocated autograd nodes";
-  ASSERT_EQ(first.size(), second.size());
-  for (size_t i = 0; i < first.size(); ++i) {
-    EXPECT_DOUBLE_EQ(first[i], second[i]);
-  }
+  EXPECT_DOUBLE_EQ(first, second);
 
   const ag::InferenceArena* arena = ag::InferenceArena::ThreadLocal();
   const ag::InferenceArena::PassStats& stats = arena->pass_stats();
@@ -435,38 +295,6 @@ TEST(InferenceArenaTest, NestedScopesShareOnePass) {
   // The inner scope's destruction must not have unbound the arena.
   EXPECT_NE(ag::internal::ActiveInferenceArena(), nullptr);
   (void)pooled;
-}
-
-TEST(InferenceArenaTest, GlobalSwitchDisablesTheFastPath) {
-  ag::SetInferenceFastPathEnabled(false);
-  {
-    ag::InferenceScope scope;
-    EXPECT_FALSE(scope.bound());
-    EXPECT_EQ(ag::internal::ActiveInferenceArena(), nullptr);
-  }
-  ag::SetInferenceFastPathEnabled(true);
-  {
-    ag::InferenceScope scope;
-    EXPECT_TRUE(scope.bound());
-  }
-}
-
-TEST(InferenceArenaTest, BatchedScoreMatchesWithFastPathDisabled) {
-  // The block-diagonal batched forward must be bit-identical whether it
-  // runs tape-free (arena) or on the tape (fast path globally off).
-  core::GsgEncoder encoder(SmallGsgConfig());
-  std::vector<graph::Graph> graphs;
-  for (int i = 0; i < 3; ++i) graphs.push_back(MakeGraph(4 + i, 6, 90 + i));
-  std::vector<const graph::Graph*> ptrs;
-  for (const graph::Graph& g : graphs) ptrs.push_back(&g);
-  const std::vector<double> fast = encoder.PredictScoreBatch(ptrs);
-  ag::SetInferenceFastPathEnabled(false);
-  const std::vector<double> tape = encoder.PredictScoreBatch(ptrs);
-  ag::SetInferenceFastPathEnabled(true);
-  ASSERT_EQ(fast.size(), tape.size());
-  for (size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_DOUBLE_EQ(fast[i], tape[i]);
-  }
 }
 
 }  // namespace

@@ -1181,7 +1181,7 @@ TEST_F(NetScoringTest, BatchRequestStampsEveryResultWithTheTraceId) {
   const std::string want_id = "0123456789abcdef0123456789abcdef";
   HttpClient client = MakeClient();
   // Two addresses fan out concurrently inside the handler, so they can
-  // ride one packed batch_forward; both results carry the request's id.
+  // share one dispatched batch; both results carry the request's id.
   auto response = client.Post(
       "/v1/score_batch",
       "{\"addresses\": [" + std::to_string(exchanges[0]) + ", " +

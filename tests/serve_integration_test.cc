@@ -6,6 +6,7 @@
 #include <future>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -484,14 +485,17 @@ TEST_F(ServeIntegrationTest, OverloadServesStaleScoreFromPreviousHeight) {
 }
 
 // --------------------------------------------------------------------------
-// Grad-free fast path: packed micro-batch scoring, worker clamp
+// Micro-batched cold requests, cache accounting, worker clamp
 // --------------------------------------------------------------------------
 
-TEST_F(ServeIntegrationTest, BatchedColdScoresMatchPerRequestReference) {
+TEST_F(ServeIntegrationTest, BatchedColdRequestsEachGetASoloScoreAndSpanTree) {
+  obs::Tracer* tracer = obs::Tracer::Global();
+  tracer->SetSampleEveryN(1);
+  tracer->Clear();
+
   std::stringstream checkpoint(*checkpoint_);
   InferenceServiceConfig config = ServiceConfig(1);
-  // Hold the batch open long enough for several distinct cold requests to
-  // land in one dispatch, so they take the packed block-diagonal forward.
+  // Hold the batch open until all four requests land in one dispatch.
   config.queue.max_batch = 4;
   config.queue.max_wait_us = 50'000;
   auto created = InferenceService::Create(config, &checkpoint, ledger_);
@@ -501,62 +505,74 @@ TEST_F(ServeIntegrationTest, BatchedColdScoresMatchPerRequestReference) {
   const auto exchanges =
       ledger_->AccountsOfClass(eth::AccountClass::kExchange);
   ASSERT_GE(exchanges.size(), 3u);
-
-  obs::Counter* packed_batches = obs::MetricsRegistry::Global()->CounterAt(
-      "serve_fastpath_batches_total",
-      "Cold-request groups scored through one packed block-diagonal "
-      "forward");
-  const uint64_t packed_before = packed_batches->Value();
-
+  // Three distinct cold addresses, then a duplicate of the first.
+  const std::vector<eth::AccountId> addresses = {exchanges[0], exchanges[1],
+                                                 exchanges[2], exchanges[0]};
+  std::vector<std::string> trace_ids;
   std::vector<std::future<ScoreResult>> futures;
-  for (size_t i = 0; i < 3; ++i) {
-    futures.push_back(service.ScoreAsync(exchanges[i]));
+  for (eth::AccountId address : addresses) {
+    trace_ids.push_back(obs::GenerateTraceId());
+    futures.push_back(
+        service.ScoreAsync(address, /*deadline_us=*/0, trace_ids.back()));
   }
   std::vector<ScoreResult> results;
   for (auto& future : futures) results.push_back(future.get());
 
   for (size_t i = 0; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].ok()) << results[i].status.ToString();
-    EXPECT_FALSE(results[i].cache_hit);
-    auto inst = eth::MaterializeInstance(*ledger_, exchanges[i], Sampling(),
+    auto inst = eth::MaterializeInstance(*ledger_, addresses[i], Sampling(),
                                          kTimeSlices);
     ASSERT_TRUE(inst.ok());
     model_->Normalize(&inst.ValueOrDie());
-    // The packed forward must be bit-identical to the solo cold path.
-    EXPECT_DOUBLE_EQ(results[i].probability,
-                     model_->PredictProba(inst.ValueOrDie()))
-        << "address " << exchanges[i];
+    EXPECT_EQ(results[i].probability, model_->PredictProba(inst.ValueOrDie()))
+        << "address " << addresses[i];
   }
-  EXPECT_GT(packed_batches->Value(), packed_before)
-      << "the grouped cold requests never took the packed forward";
+  EXPECT_TRUE(results[3].cache_hit);  // Shares the first request's score.
+
+  // Every distinct request carries its own full pipeline tree, stamped
+  // with its own trace id.
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_FALSE(results[i].cache_hit);
+    const auto tree = tracer->FindTrace(trace_ids[i]);
+    ASSERT_TRUE(tree.has_value()) << "no span tree for request " << i;
+    EXPECT_EQ(tree->name, "score_cold");
+    for (const char* stage : {"gsg_forward", "ldg_forward", "gbdt"}) {
+      EXPECT_NE(obs::FindSpan(*tree, stage), nullptr)
+          << "request " << i << " has no " << stage << " span";
+    }
+  }
 }
 
-TEST_F(ServeIntegrationTest, SequentialPathWhenBatchForwardDisabled) {
+TEST_F(ServeIntegrationTest, EachColdScoreBooksOneCacheMiss) {
+  obs::Counter* miss_events = obs::MetricsRegistry::Global()->CounterAt(
+      "serve_cache_events_total",
+      "Result-cache lookups and evictions by outcome", {{"outcome", "miss"}});
+  const uint64_t miss_events_before = miss_events->Value();
+
   std::stringstream checkpoint(*checkpoint_);
-  InferenceServiceConfig config = ServiceConfig(1);
-  config.batch_forward = false;
-  config.queue.max_batch = 4;
-  config.queue.max_wait_us = 50'000;
-  auto created = InferenceService::Create(config, &checkpoint, ledger_);
+  auto created =
+      InferenceService::Create(ServiceConfig(2), &checkpoint, ledger_);
   ASSERT_TRUE(created.ok());
   auto& service = *created.ValueOrDie();
 
   const auto exchanges =
       ledger_->AccountsOfClass(eth::AccountClass::kExchange);
-  std::vector<std::future<ScoreResult>> futures;
-  for (size_t i = 0; i < 3; ++i) {
-    futures.push_back(service.ScoreAsync(exchanges[i]));
+  constexpr size_t kDistinct = 4;
+  ASSERT_GE(exchanges.size(), kDistinct);
+  std::vector<std::future<ScoreResult>> cold;
+  for (size_t i = 0; i < kDistinct; ++i) {
+    cold.push_back(service.ScoreAsync(exchanges[i]));
   }
-  for (size_t i = 0; i < futures.size(); ++i) {
-    const ScoreResult result = futures[i].get();
-    ASSERT_TRUE(result.ok()) << result.status.ToString();
-    auto inst = eth::MaterializeInstance(*ledger_, exchanges[i], Sampling(),
-                                         kTimeSlices);
-    ASSERT_TRUE(inst.ok());
-    model_->Normalize(&inst.ValueOrDie());
-    EXPECT_DOUBLE_EQ(result.probability,
-                     model_->PredictProba(inst.ValueOrDie()));
+  for (auto& future : cold) ASSERT_TRUE(future.get().ok());
+  for (size_t i = 0; i < kDistinct; ++i) {
+    ASSERT_TRUE(service.Score(exchanges[i]).cache_hit);
   }
+
+  // The worker's re-check of each cold request books nothing on top of
+  // the miss its admission already counted.
+  EXPECT_EQ(service.cache().misses(), kDistinct);
+  EXPECT_EQ(service.cache().hits(), kDistinct);
+  EXPECT_EQ(miss_events->Value() - miss_events_before, kDistinct);
 }
 
 TEST_F(ServeIntegrationTest, WorkerCountClampsToHardwareConcurrency) {

@@ -7,10 +7,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "serve/request_queue.h"
 #include "serve/result_cache.h"
 #include "serve/server_stats.h"
-#include "serve/thread_pool.h"
 
 namespace dbg4eth {
 namespace serve {
@@ -197,6 +197,9 @@ TEST(ResultCacheTest, PutGetRoundTrip) {
   auto got = cache.Get({1, 100});
   ASSERT_TRUE(got.has_value());
   EXPECT_DOUBLE_EQ(*got, 0.75);
+  // Lookup reads the same entries but books neither a hit nor a miss.
+  EXPECT_EQ(cache.Lookup({1, 100}), got);
+  EXPECT_FALSE(cache.Lookup({2, 100}).has_value());
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
 }

@@ -4,10 +4,12 @@
 # suite), an end-to-end HTTP smoke (demo server + curl + graceful SIGTERM),
 # the observability, serving and network suites under ThreadSanitizer
 # (including the model hot-swap hammer and the net chaos fault injection),
-# a failpoint-enabled kill -> resume -> hot-reload chaos smoke, and a
-# serving-latency regression guard against the committed BENCH_serve.json.
+# the serving and inference fast-path suites under AddressSanitizer +
+# UBSan, a failpoint-enabled kill -> resume -> hot-reload chaos smoke, and
+# a serving-latency regression guard against the committed
+# BENCH_serve.json.
 #
-#   tools/check.sh            # tier-1 + tsan obs/serve
+#   tools/check.sh            # tier-1 + tsan obs/serve + asan serve
 #   tools/check.sh --fast     # tier-1 only
 #   tools/check.sh --bench    # tier-1 + bench-regression guard
 #
@@ -136,9 +138,11 @@ PY
 fi
 
 if [[ "${fast}" == "1" || "${bench}" == "1" ]]; then
-  echo "=== skipping tsan pass (fast/bench mode) ==="
+  echo "=== skipping sanitizer passes (fast/bench mode) ==="
   exit 0
 fi
+
+serve_suites="Serve|ServerStats|ThreadPool|RequestQueue|ResultCache|InferenceArena|TapeFree|FastPath|ModelRegistry"
 
 echo "=== tsan: configure + build (build-tsan/) ==="
 cmake --preset tsan >/dev/null
@@ -148,7 +152,7 @@ echo "=== tsan: obs suite (ctest -L obs) ==="
 (cd build-tsan && ctest -L obs --no-tests=error --output-on-failure -j"$(nproc)")
 
 echo "=== tsan: serve + chaos + inference fast-path suites ==="
-(cd build-tsan && ctest -R "Serve|ServerStats|ThreadPool|RequestQueue|ResultCache|InferenceArena|TapeFree|FastPath|MaskedAttentionAlpha|PackedBlocks|ModelRegistry" \
+(cd build-tsan && ctest -R "${serve_suites}" \
     --no-tests=error --output-on-failure -j"$(nproc)")
 
 # The network suite carries the event loops' cross-thread handoffs
@@ -164,5 +168,17 @@ echo "=== tsan: net suite + net chaos (ctest -L net / -R NetChaos) ==="
 echo "=== failpoints: kill during snapshot/epoch -> resume -> hot-reload smoke ==="
 (cd build-tsan && ctest -R "ResumeReloadChaos" \
     --no-tests=error --output-on-failure -j"$(nproc)")
+
+# The serve and fast-path suites again under AddressSanitizer + UBSan: the
+# inference arena recycles activation buffers across passes, and requests
+# cross threads on their way through the queue, pool and cache.
+# halt_on_error turns a UBSan report into a test failure, not a log line.
+echo "=== asan+ubsan: configure + build (build-asan/) ==="
+cmake --preset asan >/dev/null
+cmake --build --preset asan -j
+
+echo "=== asan+ubsan: serve + chaos + inference fast-path suites ==="
+(cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest -R "${serve_suites}" --no-tests=error --output-on-failure -j"$(nproc)")
 
 echo "=== all checks passed ==="
