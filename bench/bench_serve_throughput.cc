@@ -243,10 +243,15 @@ int Run(const std::string& json_path) {
     std::printf("  cache-hit p50 is %.1fx lower than cold p50\n",
                 cold_p50 / stats.hit.p50_us);
   }
-  std::printf("  cache: hits=%llu misses=%llu evictions=%llu\n",
-              static_cast<unsigned long long>(service.cache().hits()),
-              static_cast<unsigned long long>(service.cache().misses()),
-              static_cast<unsigned long long>(service.cache().evictions()));
+  std::printf("  cache events:");
+  for (const auto& family : service.metrics().TakeSnapshot()) {
+    if (family.name != "serve_cache_events_total") continue;
+    for (const auto& inst : family.instruments) {
+      std::printf(" %s %llu", inst.labels.c_str(),
+                  static_cast<unsigned long long>(inst.counter_value));
+    }
+  }
+  std::printf("\n");
   service.Shutdown();
 
   // --- 4. degraded mode: stale serving under overload ---

@@ -7,9 +7,9 @@
 // This demo trains a small exchange identifier, saves it, stands up an
 // InferenceService on the checkpoint, hammers it from several client
 // threads (with repeats, so the cache gets exercised), and prints the
-// ServerStats operational report followed by the process-wide metrics in
-// Prometheus text exposition format (the same dump a scrape endpoint
-// would serve).
+// ServerStats operational report followed by the process-wide and the
+// service's own metrics in Prometheus text exposition format (the same
+// dump a scrape endpoint would serve).
 //
 // Run: ./build/examples/example_serving_demo
 #include <cstdio>
@@ -120,10 +120,12 @@ int main() {
               serve::ServerStats::Format(service.StatsSnapshot()).c_str());
   service.Shutdown();
 
-  // Everything the process recorded — serving counters and latency
-  // histograms, training phase timings from the offline phase above,
-  // cache events — in Prometheus text exposition format.
+  // Everything recorded — the service's request, latency and cache-event
+  // families, the global queue-wait histogram, training phase timings
+  // from the offline phase above — in Prometheus text exposition format.
   std::printf("\n--- metrics (text exposition) ---\n%s",
-              obs::TextExposition().c_str());
+              obs::TextExposition({obs::MetricsRegistry::Global(),
+                                   &service.metrics()})
+                  .c_str());
   return 0;
 }

@@ -62,6 +62,13 @@ void WriteScoreResult(const serve::ScoreResult& result,
   writer->EndObject();
 }
 
+/// What the metric routes render: the process-wide registry plus the
+/// service's own, which holds its `serve_*` request, latency, batch and
+/// cache-event families.
+obs::RegistryList Registries(const serve::InferenceService& service) {
+  return {obs::MetricsRegistry::Global(), &service.metrics()};
+}
+
 }  // namespace
 
 ScoringApp::ScoringApp(serve::InferenceService* service, HttpServer* server,
@@ -228,8 +235,8 @@ HttpResponse ScoringApp::HandleMetrics(const HttpRequest& request) {
                   std::string::npos
           ? obs::ExpositionFormat::kOpenMetrics
           : obs::ExpositionFormat::kPrometheusText;
-  HttpResponse response =
-      HttpResponse::Text(200, obs::TextExposition(nullptr, format));
+  HttpResponse response = HttpResponse::Text(
+      200, obs::TextExposition(Registries(*service_), format));
   response.SetHeader("Content-Type", obs::ExpositionContentType(format));
   return response;
 }
@@ -322,7 +329,7 @@ HttpResponse ScoringApp::HandleDebugProfile(const HttpRequest& request) {
 }
 
 HttpResponse ScoringApp::HandleDebugVars(const HttpRequest&) {
-  std::string body = obs::JsonSnapshot();
+  std::string body = obs::JsonSnapshot(Registries(*service_));
   body += "\n";
   return HttpResponse::Json(200, std::move(body));
 }
@@ -347,7 +354,7 @@ HttpResponse ScoringApp::HandleStatusz(const HttpRequest&) {
   writer.UInt(server_->requests_served());
   writer.EndObject();
   writer.Key("obs");
-  writer.Raw(obs::JsonSnapshot());
+  writer.Raw(obs::JsonSnapshot(Registries(*service_)));
   writer.EndObject();
   body += "\n";
   return HttpResponse::Json(200, std::move(body));

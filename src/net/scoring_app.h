@@ -34,7 +34,8 @@ struct ScoringAppConfig {
 /// Routes registered on the server:
 ///   POST /v1/score        {"address": N} -> one ScoreResult as JSON
 ///   POST /v1/score_batch  {"addresses": [N, ...]} -> {"results": [...]}
-///   GET  /metrics         text exposition of the obs registry; classic
+///   GET  /metrics         text exposition of the global obs registry
+///                         and InferenceService::metrics(); classic
 ///                         Prometheus 0.0.4 by default, OpenMetrics
 ///                         (with histogram exemplars + `# EOF`) when the
 ///                         scraper sends

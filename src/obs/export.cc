@@ -3,6 +3,8 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <utility>
 
 #include "common/json_util.h"
@@ -38,6 +40,34 @@ std::string BucketLabels(const std::string& labels, double bound) {
   std::string out = labels;
   out.insert(out.size() - 1, ",le=\"" + le + "\"");
   return out;
+}
+
+/// The families of every registry in `registries`, merged by name (see
+/// RegistryList).
+std::vector<MetricsRegistry::FamilySnapshot> MergedFamilies(
+    const RegistryList& registries) {
+  std::map<std::string, MetricsRegistry::FamilySnapshot> by_name;
+  for (const MetricsRegistry* registry : registries) {
+    for (MetricsRegistry::FamilySnapshot& family : registry->TakeSnapshot()) {
+      auto [it, inserted] = by_name.try_emplace(family.name);
+      MetricsRegistry::FamilySnapshot& merged = it->second;
+      if (inserted) {
+        merged = std::move(family);
+        continue;
+      }
+      DBG4ETH_CHECK(merged.kind == family.kind)
+          << "metric family " << family.name
+          << " has another kind in another registry";
+      merged.instruments.insert(
+          merged.instruments.end(),
+          std::make_move_iterator(family.instruments.begin()),
+          std::make_move_iterator(family.instruments.end()));
+    }
+  }
+  std::vector<MetricsRegistry::FamilySnapshot> families;
+  families.reserve(by_name.size());
+  for (auto& entry : by_name) families.push_back(std::move(entry.second));
+  return families;
 }
 
 /// OpenMetrics exemplar suffix: ` # {trace_id="..."} value timestamp`.
@@ -86,12 +116,11 @@ void AppendSpanJson(const SpanNode& node, json::JsonWriter* writer) {
   writer->EndObject();
 }
 
-std::string TextExposition(const MetricsRegistry* registry,
+std::string TextExposition(const RegistryList& registries,
                            ExpositionFormat format) {
-  if (registry == nullptr) registry = MetricsRegistry::Global();
   const bool openmetrics = format == ExpositionFormat::kOpenMetrics;
   std::string out;
-  for (const auto& family : registry->TakeSnapshot()) {
+  for (const auto& family : MergedFamilies(registries)) {
     // OpenMetrics names the counter *family* without the `_total` suffix
     // (the sample line keeps it: `<family>_total`); the classic format
     // uses the full name in both places.
@@ -153,16 +182,15 @@ std::string TextExposition(const MetricsRegistry* registry,
   return out;
 }
 
-std::string JsonSnapshot(const MetricsRegistry* registry,
+std::string JsonSnapshot(const RegistryList& registries,
                          const Tracer* tracer) {
-  if (registry == nullptr) registry = MetricsRegistry::Global();
   if (tracer == nullptr) tracer = Tracer::Global();
   std::string out;
   json::JsonWriter writer(&out);
   writer.BeginObject();
   writer.Key("metrics");
   writer.BeginArray();
-  for (const auto& family : registry->TakeSnapshot()) {
+  for (const auto& family : MergedFamilies(registries)) {
     writer.BeginObject();
     writer.Key("name");
     writer.String(family.name);
@@ -239,11 +267,11 @@ std::string JsonSnapshot(const MetricsRegistry* registry,
   return out;
 }
 
-Status DumpJson(const std::string& path, const MetricsRegistry* registry,
+Status DumpJson(const std::string& path, const RegistryList& registries,
                 const Tracer* tracer) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return Status::Internal("cannot open " + path + " for writing");
-  out << JsonSnapshot(registry, tracer);
+  out << JsonSnapshot(registries, tracer);
   out.flush();
   if (!out.good()) return Status::Internal("write to " + path + " failed");
   return Status::OK();

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/status.h"
 #include "obs/metrics.h"
@@ -32,7 +33,13 @@ enum class ExpositionFormat {
 /// The Content-Type header value matching `format`.
 const char* ExpositionContentType(ExpositionFormat format);
 
-/// \brief Prometheus-style text exposition of a registry (null = Global).
+/// Registries an exporter renders as one: their families merge in name
+/// order, and a family name present in several registries renders once,
+/// with each registry's instruments in list order (its kind must agree;
+/// help comes from the first). Entries must be non-null.
+using RegistryList = std::vector<const MetricsRegistry*>;
+
+/// \brief Prometheus-style text exposition of `registries`.
 ///
 /// Families render as `# HELP` / `# TYPE` headers followed by one sample
 /// line per instrument. Histograms expose cumulative `_bucket{le="..."}`
@@ -46,7 +53,7 @@ const char* ExpositionContentType(ExpositionFormat format);
 /// lines (OpenMetrics defines the sample as `<family>_total`), and the
 /// output ends with the mandatory `# EOF` line.
 std::string TextExposition(
-    const MetricsRegistry* registry = nullptr,
+    const RegistryList& registries = {MetricsRegistry::Global()},
     ExpositionFormat format = ExpositionFormat::kPrometheusText);
 
 /// Renders one span tree as a JSON object ({"name","start_us",
@@ -54,16 +61,17 @@ std::string TextExposition(
 /// writer. Used by JsonSnapshot and the HTTP `/debug/traces` route.
 void AppendSpanJson(const SpanNode& node, json::JsonWriter* writer);
 
-/// \brief JSON snapshot of a registry plus the tracer's retained span
-/// trees (nulls = globals). Shape:
+/// \brief JSON snapshot of `registries` plus the tracer's retained span
+/// trees (null tracer = Global). Shape:
 ///   { "metrics": [ {"name","kind","help","instruments":[...]} ],
 ///     "spans":   [ {"name","start_us","duration_us","children":[...]} ] }
-std::string JsonSnapshot(const MetricsRegistry* registry = nullptr,
-                         const Tracer* tracer = nullptr);
+std::string JsonSnapshot(
+    const RegistryList& registries = {MetricsRegistry::Global()},
+    const Tracer* tracer = nullptr);
 
 /// Writes JsonSnapshot to `path` (truncating).
 Status DumpJson(const std::string& path,
-                const MetricsRegistry* registry = nullptr,
+                const RegistryList& registries = {MetricsRegistry::Global()},
                 const Tracer* tracer = nullptr);
 
 /// One-line operational digest of a registry: every counter/gauge value

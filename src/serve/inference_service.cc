@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -71,7 +72,6 @@ InferenceService::InferenceService(const InferenceServiceConfig& config,
       pool_(workers_, config.pool_queue_capacity) {
   DBG4ETH_CHECK(model_ != nullptr);
   DBG4ETH_CHECK(ledger_ != nullptr);
-  stats_.SetWorkers(workers_);
   ledger_height_.store(ledger_->transactions().size());
   dispatcher_ = std::thread([this] { DispatchLoop(); });
 }
@@ -117,33 +117,9 @@ void InferenceService::RefreshLedgerHeight() {
   }
 }
 
-std::future<ScoreResult> InferenceService::ScoreAsync(
-    eth::AccountId address) {
-  return ScoreAsync(address, config_.default_deadline_us, std::string());
-}
-
-std::future<ScoreResult> InferenceService::ScoreAsync(eth::AccountId address,
-                                                      int64_t deadline_us) {
-  return ScoreAsync(address, deadline_us, std::string());
-}
-
 std::future<ScoreResult> InferenceService::ScoreAsync(eth::AccountId address,
                                                       int64_t deadline_us,
                                                       std::string trace_id) {
-  if (shutdown_.load()) {
-    // A shut-down service rejects uniformly — even addresses that would
-    // hit the cache — so clients observe one consistent terminal state.
-    ScoreResult result;
-    result.address = address;
-    result.ledger_height = ledger_height_.load();
-    result.trace_id = std::move(trace_id);
-    result.status = Status::FailedPrecondition("service is shut down");
-    stats_.RecordError();
-    auto promise = std::make_shared<std::promise<ScoreResult>>();
-    std::future<ScoreResult> rejected = promise->get_future();
-    promise->set_value(std::move(result));
-    return rejected;
-  }
   ScoreRequest request;
   request.address = address;
   request.ledger_height = ledger_height_.load();
@@ -157,10 +133,19 @@ std::future<ScoreResult> InferenceService::ScoreAsync(eth::AccountId address,
   request.promise = std::make_shared<std::promise<ScoreResult>>();
   std::future<ScoreResult> future = request.promise->get_future();
 
+  if (shutdown_.load()) {
+    // A shut-down service rejects uniformly — even addresses that would
+    // hit the cache — so clients observe one consistent terminal state.
+    ResolveError(request, Status::FailedPrecondition("service is shut down"));
+    return future;
+  }
+
   // Fast path: a cached score resolves without touching the queue, the
   // pool, the sampler, or the model.
-  if (auto cached =
-          cache_.Get({address, request.ledger_height})) {
+  const std::optional<double> cached =
+      cache_.Get({address, request.ledger_height});
+  stats_.RecordCacheAccess(cached.has_value());
+  if (cached) {
     ScoreResult result;
     result.address = address;
     result.ledger_height = request.ledger_height;
@@ -175,45 +160,28 @@ std::future<ScoreResult> InferenceService::ScoreAsync(eth::AccountId address,
     return future;
   }
 
-  if (config_.shed_when_saturated) {
-    // Admission control: never block the producer. TryPush copies the
-    // request, so on kFull the original is still resolvable here.
-    switch (queue_.TryPush(request)) {
-      case RequestQueue::PushResult::kAccepted:
-        return future;
-      case RequestQueue::PushResult::kClosed:
-        ResolveError(request, Status::FailedPrecondition(
-                                  "service is shut down"));
-        return future;
-      case RequestQueue::PushResult::kFull:
-        // Overloaded: a stale answer beats an outright rejection when
-        // degraded mode has one.
-        if (TryServeStale(request)) return future;
-        stats_.RecordShed();
-        ScoreResult result;
-        result.address = address;
-        result.ledger_height = request.ledger_height;
-        result.trace_id = request.trace_id;
-        result.status = Status::ResourceExhausted(
-            "request queue is saturated; load shed");
-        result.latency_us = ElapsedUs(request.enqueue_time);
-        request.promise->set_value(std::move(result));
-        return future;
-    }
-  }
-
-  if (!queue_.Push(std::move(request))) {
-    // Rejected: the service is shutting down. The moved-in request (and
-    // its promise) died inside Push, so resolve via a fresh promise.
-    ScoreResult result;
-    result.address = address;
-    result.ledger_height = ledger_height_.load();
-    result.status = Status::FailedPrecondition("service is shut down");
-    stats_.RecordError();
-    auto promise = std::make_shared<std::promise<ScoreResult>>();
-    std::future<ScoreResult> rejected = promise->get_future();
-    promise->set_value(std::move(result));
-    return rejected;
+  // Admission control: never block the producer. TryPush copies the
+  // request, so on kFull the original is still resolvable here.
+  switch (queue_.TryPush(request)) {
+    case RequestQueue::PushResult::kAccepted:
+      break;
+    case RequestQueue::PushResult::kClosed:
+      ResolveError(request, Status::FailedPrecondition("service is shut down"));
+      break;
+    case RequestQueue::PushResult::kFull:
+      // Overloaded: a stale answer beats an outright rejection when
+      // degraded mode has one.
+      if (TryServeStale(request)) break;
+      stats_.RecordShed();
+      ScoreResult result;
+      result.address = address;
+      result.ledger_height = request.ledger_height;
+      result.trace_id = request.trace_id;
+      result.status = Status::ResourceExhausted(
+          "request queue is saturated; load shed");
+      result.latency_us = ElapsedUs(request.enqueue_time);
+      request.promise->set_value(std::move(result));
+      break;
   }
   return future;
 }
@@ -290,7 +258,7 @@ void InferenceService::ProcessBatch(std::vector<ScoreRequest>* batch) {
     if (auto it = scored.find(packed); it != scored.end()) {
       result.probability = it->second;
       result.cache_hit = true;  // Shared with an in-batch duplicate.
-    } else if (auto cached = cache_.Lookup(key)) {
+    } else if (auto cached = cache_.Get(key)) {
       // A concurrent batch may have filled the cache since ScoreAsync
       // missed; still counts as skipping the expensive path. ScoreAsync
       // already booked this request's cache lookup, so this one books
@@ -334,7 +302,9 @@ void InferenceService::FinishColdGroup(
     const std::vector<ScoreRequest*>& group, double probability, int retries,
     uint64_t model_generation) {
   const ScoreRequest* rep = group.front();
-  cache_.Put({rep->address, rep->ledger_height}, probability);
+  if (cache_.Put({rep->address, rep->ledger_height}, probability)) {
+    stats_.RecordCacheEviction();
+  }
   bool first = true;
   for (ScoreRequest* request : group) {
     // Duplicates may have expired while the group's representative was

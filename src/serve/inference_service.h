@@ -42,13 +42,6 @@ struct InferenceServiceConfig {
 
   // --- resilience knobs (see DESIGN.md "Failure model") ---
 
-  /// Default per-request deadline; 0 = no deadline. An expired request
-  /// resolves kDeadlineExceeded without a forward pass. Per-request
-  /// override: ScoreAsync(address, deadline_us).
-  int64_t default_deadline_us = 0;
-  /// Admission control: when true, a full request queue sheds new
-  /// requests with kResourceExhausted instead of blocking the producer.
-  bool shed_when_saturated = true;
   /// Cold-path attempts beyond the first for transient failures
   /// (kUnavailable / kResourceExhausted); 0 disables retry.
   int max_cold_retries = 2;
@@ -74,7 +67,8 @@ struct InferenceServiceConfig {
 /// batch, re-check the cache, materialize the account-centred subgraph
 /// (eth::MaterializeInstance), normalize it with the model's train-split
 /// statistics, run the double-graph forward pass, fill the cache and
-/// resolve the promises. Every outcome is recorded in ServerStats.
+/// resolve the promises. Every outcome is booked once, in the service's
+/// own metrics registry (ServerStats; see `metrics()`).
 ///
 /// Thread safety: the service holds the model as a
 /// `shared_ptr<const Dbg4Eth>` behind a mutex; each worker batch takes one
@@ -104,26 +98,22 @@ class InferenceService {
   InferenceService(const InferenceService&) = delete;
   InferenceService& operator=(const InferenceService&) = delete;
 
-  /// Submits one address for scoring with the config's default deadline.
-  /// The future resolves with a ScoreResult whose status reflects
-  /// per-request failures (unknown address, degenerate subgraph, deadline
-  /// expiry, shed load) — the future itself never throws, and every
-  /// accepted request resolves even when Shutdown races submission.
-  std::future<ScoreResult> ScoreAsync(eth::AccountId address);
-
-  /// Same, with an explicit deadline (microseconds from now; 0 = none)
-  /// overriding `config.default_deadline_us`.
-  std::future<ScoreResult> ScoreAsync(eth::AccountId address,
-                                      int64_t deadline_us);
-
-  /// Same, carrying a request trace id (W3C trace-context format) through
+  /// Submits one address for scoring. The future resolves with a
+  /// ScoreResult whose status reflects per-request failures (unknown
+  /// address, degenerate subgraph, deadline expiry, shed load) — the
+  /// future itself never throws, and every request resolves even when
+  /// Shutdown races submission.
+  ///
+  /// `deadline_us` is the request's budget in microseconds from now (0 =
+  /// none); an expired request resolves kDeadlineExceeded without a
+  /// forward pass. `trace_id` (W3C trace-context format) rides through
   /// the queue into the worker's trace context: the cold path's span tree
   /// is stamped with it, latency exemplars reference it, and it comes
   /// back on `ScoreResult::trace_id` for every outcome. An empty id means
   /// "untraced" (no context, no exemplars).
   std::future<ScoreResult> ScoreAsync(eth::AccountId address,
-                                      int64_t deadline_us,
-                                      std::string trace_id);
+                                      int64_t deadline_us = 0,
+                                      std::string trace_id = {});
 
   /// Blocking convenience wrapper around ScoreAsync.
   ScoreResult Score(eth::AccountId address);
@@ -155,9 +145,15 @@ class InferenceService {
   void Shutdown();
 
   ServerStats::Snapshot StatsSnapshot() const {
-    return stats_.TakeSnapshot();
+    ServerStats::Snapshot snapshot = stats_.TakeSnapshot();
+    snapshot.workers = workers_;
+    return snapshot;
   }
-  const ResultCache& cache() const { return cache_; }
+  /// The registry holding this service's `serve_*` request, latency,
+  /// batch and cache-event families. The admission queue's wait and
+  /// depth families live in obs::MetricsRegistry::Global(); a full
+  /// scrape renders both.
+  const obs::MetricsRegistry& metrics() const { return stats_.registry(); }
   const InferenceServiceConfig& config() const { return config_; }
   /// Worker threads actually running (config.num_workers clamped to the
   /// hardware concurrency).

@@ -16,18 +16,6 @@ RequestQueue::RequestQueue(const RequestQueueConfig& config)
   DBG4ETH_CHECK_GE(config.capacity, 1u);
 }
 
-bool RequestQueue::Push(ScoreRequest request) {
-  std::unique_lock<std::mutex> lock(mu_);
-  not_full_.wait(lock, [this] {
-    return closed_ || queue_.size() < config_.capacity;
-  });
-  if (closed_) return false;
-  queue_.push_back(std::move(request));
-  lock.unlock();
-  not_empty_.notify_one();
-  return true;
-}
-
 RequestQueue::PushResult RequestQueue::TryPush(ScoreRequest request) {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -60,8 +48,6 @@ bool RequestQueue::PopBatch(std::vector<ScoreRequest>* out) {
     out->push_back(std::move(queue_.front()));
     queue_.pop_front();
   }
-  lock.unlock();
-  not_full_.notify_all();
   return true;
 }
 
@@ -71,7 +57,6 @@ void RequestQueue::Close() {
     closed_ = true;
   }
   not_empty_.notify_all();
-  not_full_.notify_all();
 }
 
 bool RequestQueue::closed() const {

@@ -19,13 +19,14 @@ struct RequestQueueConfig {
   /// ...or once this long has passed since the batch started forming,
   /// whichever comes first.
   int64_t max_wait_us = 2000;
-  /// Bound on queued (not yet popped) requests; Push blocks beyond it.
+  /// Bound on queued (not yet popped) requests; TryPush reports kFull
+  /// beyond it.
   size_t capacity = 4096;
 };
 
 /// \brief Bounded MPMC request queue with micro-batching on the pop side.
 ///
-/// Producers `Push` single requests; the dispatcher `PopBatch`es up to
+/// Producers `TryPush` single requests; the dispatcher `PopBatch`es up to
 /// `max_batch` of them, waiting at most `max_wait_us` from the moment the
 /// first request of the forming batch is visible — so a full batch
 /// dispatches immediately and a lone request dispatches after the wait
@@ -37,19 +38,16 @@ class RequestQueue {
   RequestQueue(const RequestQueue&) = delete;
   RequestQueue& operator=(const RequestQueue&) = delete;
 
-  /// Enqueues one request, blocking while the queue is at capacity.
-  /// Returns false (request not enqueued) once the queue is closed.
-  bool Push(ScoreRequest request);
-
-  /// Outcome of a non-blocking TryPush.
+  /// Outcome of TryPush.
   enum class PushResult {
     kAccepted,  ///< Enqueued.
     kFull,      ///< Queue at capacity — admission control should shed.
     kClosed,    ///< Queue closed — service shutting down.
   };
 
-  /// Non-blocking Push for admission control: never waits on capacity.
-  /// On kFull / kClosed the request (and its promise) is destroyed.
+  /// Enqueues one request without ever waiting on capacity, so admission
+  /// control can shed. On kFull / kClosed the request (and its promise)
+  /// is destroyed.
   PushResult TryPush(ScoreRequest request);
 
   /// Blocks until a batch is ready (first-request age >= max_wait_us or
@@ -58,7 +56,7 @@ class RequestQueue {
   /// fully drained.
   bool PopBatch(std::vector<ScoreRequest>* out);
 
-  /// Rejects further Pushes and wakes every waiter. Requests already
+  /// Rejects further pushes and wakes every waiter. Requests already
   /// queued remain poppable until drained.
   void Close();
 
@@ -70,7 +68,6 @@ class RequestQueue {
   const RequestQueueConfig config_;
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::deque<ScoreRequest> queue_;
   bool closed_ = false;
 };

@@ -4,23 +4,9 @@
 #include <memory>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
 
 namespace dbg4eth {
 namespace serve {
-
-namespace {
-
-/// Process-wide result-cache mirrors, aggregated across every cache
-/// instance (each cache keeps exact per-instance counters too).
-obs::Counter* CacheCounter(const char* outcome) {
-  return obs::MetricsRegistry::Global()->CounterAt(
-      "serve_cache_events_total",
-      "Result-cache lookups and evictions by outcome",
-      {{"outcome", outcome}});
-}
-
-}  // namespace
 
 ResultCache::ResultCache(const ResultCacheConfig& config) {
   DBG4ETH_CHECK_GE(config.capacity, 1u);
@@ -39,23 +25,6 @@ ResultCache::Shard& ResultCache::ShardFor(const Key& key) {
 }
 
 std::optional<double> ResultCache::Get(const Key& key) {
-  const std::optional<double> probability = Lookup(key);
-  // Counter updates run unlocked: the mirror lookup's magic-static guard
-  // and the atomic increments otherwise serialize concurrent lookups on
-  // the shard mutex and show up as hit-path p99 outliers.
-  static obs::Counter* hit_mirror = CacheCounter("hit");
-  static obs::Counter* miss_mirror = CacheCounter("miss");
-  if (probability) {
-    hits_.fetch_add(1);
-    hit_mirror->Inc();
-  } else {
-    misses_.fetch_add(1);
-    miss_mirror->Inc();
-  }
-  return probability;
-}
-
-std::optional<double> ResultCache::Lookup(const Key& key) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
@@ -66,25 +35,24 @@ std::optional<double> ResultCache::Lookup(const Key& key) {
   return it->second->probability;
 }
 
-void ResultCache::Put(const Key& key, double probability) {
+bool ResultCache::Put(const Key& key, double probability) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     it->second->probability = probability;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
+    return false;
   }
-  if (shard.lru.size() >= shard_capacity_) {
+  const bool evict = shard.lru.size() >= shard_capacity_;
+  if (evict) {
     const Entry& victim = shard.lru.back();
     shard.index.erase(victim.key);
     shard.lru.pop_back();
-    evictions_.fetch_add(1);
-    static obs::Counter* eviction_mirror = CacheCounter("eviction");
-    eviction_mirror->Inc();
   }
   shard.lru.push_front(Entry{key, probability});
   shard.index.emplace(key, shard.lru.begin());
+  return evict;
 }
 
 std::optional<ResultCache::StaleEntry> ResultCache::GetNewestBelow(

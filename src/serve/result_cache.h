@@ -1,7 +1,6 @@
 #ifndef DBG4ETH_SERVE_RESULT_CACHE_H_
 #define DBG4ETH_SERVE_RESULT_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -33,6 +32,9 @@ struct ResultCacheConfig {
 /// computed, so stale entries are never returned. `InvalidateOlderThan`
 /// additionally drops entries from superseded heights eagerly to free
 /// capacity.
+///
+/// The cache counts nothing: its owner books hits, misses and evictions
+/// (InferenceService, through ServerStats).
 class ResultCache {
  public:
   struct Key {
@@ -49,17 +51,12 @@ class ResultCache {
   ResultCache& operator=(const ResultCache&) = delete;
 
   /// Returns the cached probability and refreshes the entry's recency, or
-  /// nullopt on miss. Counts a hit or miss either way.
+  /// nullopt on miss.
   std::optional<double> Get(const Key& key);
 
-  /// Get without counting a hit or miss: for a second look at a key whose
-  /// lookup was already counted (the worker's re-check of a request that
-  /// missed at admission).
-  std::optional<double> Lookup(const Key& key);
-
   /// Inserts or refreshes an entry, evicting its shard's LRU tail when the
-  /// shard is at capacity.
-  void Put(const Key& key, double probability);
+  /// shard is at capacity. Returns true when it evicted an entry.
+  bool Put(const Key& key, double probability);
 
   /// A cached score with this key's height and probability.
   struct StaleEntry {
@@ -71,8 +68,7 @@ class ResultCache {
   /// below `height`, or nullopt. Scans every shard (entries for one
   /// address at different heights hash to different shards), so this is
   /// O(cache size) — it runs only when the cold path is failing or
-  /// overloaded, never on the hit path. Recency is not refreshed and
-  /// hit/miss counters are untouched.
+  /// overloaded, never on the hit path. Recency is not refreshed.
   std::optional<StaleEntry> GetNewestBelow(eth::AccountId address,
                                            uint64_t height);
 
@@ -84,10 +80,6 @@ class ResultCache {
   size_t size() const;
   size_t capacity() const { return capacity_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  uint64_t hits() const { return hits_.load(); }
-  uint64_t misses() const { return misses_.load(); }
-  /// Entries evicted by capacity pressure (not invalidation / Clear).
-  uint64_t evictions() const { return evictions_.load(); }
 
  private:
   struct KeyHash {
@@ -119,9 +111,6 @@ class ResultCache {
   size_t capacity_ = 0;
   size_t shard_capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
 };
 
 }  // namespace serve

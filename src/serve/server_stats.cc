@@ -32,135 +32,103 @@ ServerStats::LatencySummary Summarize(const obs::Histogram& histogram) {
 
 }  // namespace
 
-ServerStats::ServerStats(obs::MetricsRegistry* registry) {
-  obs::MetricsRegistry* reg =
-      registry != nullptr ? registry : obs::MetricsRegistry::Global();
+ServerStats::ServerStats() {
   const char* kRequestsHelp =
       "Resolved scoring requests by path (cold forward pass, cache hit, "
       "degraded stale serve)";
-  mirror_requests_cold_ =
-      reg->CounterAt("serve_requests_total", kRequestsHelp,
-                     {{"path", "cold"}});
-  mirror_requests_hit_ = reg->CounterAt("serve_requests_total", kRequestsHelp,
-                                        {{"path", "hit"}});
-  mirror_requests_stale_ = reg->CounterAt("serve_requests_total",
-                                          kRequestsHelp, {{"path", "stale"}});
-  mirror_errors_ = reg->CounterAt(
+  requests_cold_ = registry_.CounterAt("serve_requests_total", kRequestsHelp,
+                                       {{"path", "cold"}});
+  requests_hit_ = registry_.CounterAt("serve_requests_total", kRequestsHelp,
+                                      {{"path", "hit"}});
+  requests_stale_ = registry_.CounterAt("serve_requests_total", kRequestsHelp,
+                                        {{"path", "stale"}});
+  errors_ = registry_.CounterAt(
       "serve_errors_total", "Requests resolved with a non-retryable error");
-  mirror_deadline_exceeded_ = reg->CounterAt(
+  deadline_exceeded_ = registry_.CounterAt(
       "serve_deadline_exceeded_total",
       "Requests resolved kDeadlineExceeded without a forward pass");
-  mirror_shed_ = reg->CounterAt(
+  shed_ = registry_.CounterAt(
       "serve_shed_total",
       "Requests shed with kResourceExhausted at admission control");
-  mirror_retries_ = reg->CounterAt(
+  retries_ = registry_.CounterAt(
       "serve_retries_total", "Cold-path retry attempts beyond the first");
-  mirror_batches_ = reg->CounterAt("serve_batches_total",
-                                   "Micro-batches dispatched to the pool");
+  batches_ = registry_.CounterAt("serve_batches_total",
+                                 "Micro-batches dispatched to the pool");
+  const char* kCacheHelp = "Result-cache lookups and evictions by outcome";
+  cache_lookup_hit_ = registry_.CounterAt("serve_cache_events_total",
+                                          kCacheHelp, {{"outcome", "hit"}});
+  cache_lookup_miss_ = registry_.CounterAt("serve_cache_events_total",
+                                           kCacheHelp, {{"outcome", "miss"}});
+  cache_eviction_ = registry_.CounterAt(
+      "serve_cache_events_total", kCacheHelp, {{"outcome", "eviction"}});
   const char* kLatencyHelp =
       "End-to-end request latency in microseconds by path";
-  mirror_latency_cold_ = reg->HistogramAt("serve_latency_us", kLatencyHelp,
-                                          {{"path", "cold"}});
-  mirror_latency_hit_ = reg->HistogramAt("serve_latency_us", kLatencyHelp,
-                                         {{"path", "hit"}});
-  mirror_latency_stale_ = reg->HistogramAt("serve_latency_us", kLatencyHelp,
-                                           {{"path", "stale"}});
-  mirror_batch_size_ =
-      reg->HistogramAt("serve_batch_size", "Requests per dispatched batch",
-                       {}, BatchSizeBuckets());
+  latency_cold_ = registry_.HistogramAt("serve_latency_us", kLatencyHelp,
+                                        {{"path", "cold"}});
+  latency_hit_ = registry_.HistogramAt("serve_latency_us", kLatencyHelp,
+                                       {{"path", "hit"}});
+  latency_stale_ = registry_.HistogramAt("serve_latency_us", kLatencyHelp,
+                                         {{"path", "stale"}});
+  batch_size_ =
+      registry_.HistogramAt("serve_batch_size", "Requests per dispatched batch",
+                            {}, BatchSizeBuckets());
 }
 
 void ServerStats::RecordRequest(double latency_us, bool cache_hit,
                                 const std::string& trace_id) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
   if (cache_hit) {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    hit_latency_.Record(latency_us);
-    mirror_requests_hit_->Inc();
-    mirror_latency_hit_->Record(latency_us, trace_id);
+    requests_hit_->Inc();
+    latency_hit_->Record(latency_us, trace_id);
   } else {
-    cold_latency_.Record(latency_us);
-    mirror_requests_cold_->Inc();
-    mirror_latency_cold_->Record(latency_us, trace_id);
+    requests_cold_->Inc();
+    latency_cold_->Record(latency_us, trace_id);
   }
 }
 
-void ServerStats::RecordError() {
-  errors_.fetch_add(1, std::memory_order_relaxed);
-  mirror_errors_->Inc();
-}
+void ServerStats::RecordError() { errors_->Inc(); }
 
-void ServerStats::RecordDeadlineExceeded() {
-  deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-  mirror_deadline_exceeded_->Inc();
-}
+void ServerStats::RecordDeadlineExceeded() { deadline_exceeded_->Inc(); }
 
-void ServerStats::RecordShed() {
-  shed_.fetch_add(1, std::memory_order_relaxed);
-  mirror_shed_->Inc();
-}
+void ServerStats::RecordShed() { shed_->Inc(); }
 
-void ServerStats::RecordRetry() {
-  retried_.fetch_add(1, std::memory_order_relaxed);
-  mirror_retries_->Inc();
-}
+void ServerStats::RecordRetry() { retries_->Inc(); }
 
 void ServerStats::RecordStaleServed(double latency_us,
                                     const std::string& trace_id) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  stale_served_.fetch_add(1, std::memory_order_relaxed);
-  stale_latency_.Record(latency_us);
-  mirror_requests_stale_->Inc();
-  mirror_latency_stale_->Record(latency_us, trace_id);
-}
-
-void ServerStats::SetWorkers(int workers) {
-  workers_.store(workers, std::memory_order_relaxed);
+  requests_stale_->Inc();
+  latency_stale_->Record(latency_us, trace_id);
 }
 
 void ServerStats::RecordBatch(size_t batch_size) {
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batched_requests_.fetch_add(batch_size, std::memory_order_relaxed);
-  mirror_batches_->Inc();
-  mirror_batch_size_->Record(static_cast<double>(batch_size));
+  batches_->Inc();
+  batch_size_->Record(static_cast<double>(batch_size));
 }
 
-ServerStats::Snapshot ServerStats::TakeSnapshot() const {
-  // All counters are independent relaxed atomics: one explicit-ordering
-  // pass up front reads them as close together in time as possible, and
-  // the derived ratios below are computed from these loads only (never
-  // from a second, later read that could disagree).
-  const uint64_t requests = requests_.load(std::memory_order_relaxed);
-  const uint64_t cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  const uint64_t errors = errors_.load(std::memory_order_relaxed);
-  const uint64_t deadline =
-      deadline_exceeded_.load(std::memory_order_relaxed);
-  const uint64_t shed = shed_.load(std::memory_order_relaxed);
-  const uint64_t retried = retried_.load(std::memory_order_relaxed);
-  const uint64_t stale_served = stale_served_.load(std::memory_order_relaxed);
-  const uint64_t batches = batches_.load(std::memory_order_relaxed);
-  const uint64_t batched = batched_requests_.load(std::memory_order_relaxed);
+void ServerStats::RecordCacheAccess(bool hit) {
+  (hit ? cache_lookup_hit_ : cache_lookup_miss_)->Inc();
+}
 
+void ServerStats::RecordCacheEviction() { cache_eviction_->Inc(); }
+
+ServerStats::Snapshot ServerStats::TakeSnapshot() const {
   Snapshot snapshot;
-  snapshot.requests = requests;
-  snapshot.cache_hits = cache_hits;
-  snapshot.errors = errors;
-  snapshot.deadline_exceeded = deadline;
-  snapshot.shed = shed;
-  snapshot.retried = retried;
-  snapshot.stale_served = stale_served;
-  snapshot.batches = batches;
-  snapshot.avg_batch_size =
-      batches == 0 ? 0.0
-                   : static_cast<double>(batched) / static_cast<double>(batches);
+  snapshot.cache_hits = requests_hit_->Value();
+  snapshot.stale_served = requests_stale_->Value();
+  snapshot.requests =
+      requests_cold_->Value() + snapshot.cache_hits + snapshot.stale_served;
+  snapshot.errors = errors_->Value();
+  snapshot.deadline_exceeded = deadline_exceeded_->Value();
+  snapshot.shed = shed_->Value();
+  snapshot.retried = retries_->Value();
+  snapshot.batches = batches_->Value();
+  snapshot.avg_batch_size = batch_size_->TakeSnapshot().Mean();
   snapshot.cache_hit_rate =
-      requests == 0
-          ? 0.0
-          : static_cast<double>(cache_hits) / static_cast<double>(requests);
-  snapshot.workers = workers_.load(std::memory_order_relaxed);
-  snapshot.cold = Summarize(cold_latency_);
-  snapshot.hit = Summarize(hit_latency_);
-  snapshot.stale = Summarize(stale_latency_);
+      snapshot.requests == 0 ? 0.0
+                             : static_cast<double>(snapshot.cache_hits) /
+                                   static_cast<double>(snapshot.requests);
+  snapshot.cold = Summarize(*latency_cold_);
+  snapshot.hit = Summarize(*latency_hit_);
+  snapshot.stale = Summarize(*latency_stale_);
   return snapshot;
 }
 

@@ -1,7 +1,6 @@
 #ifndef DBG4ETH_SERVE_SERVER_STATS_H_
 #define DBG4ETH_SERVE_SERVER_STATS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -10,16 +9,16 @@
 namespace dbg4eth {
 namespace serve {
 
-/// \brief Operational counters and latency distributions of the serving
-/// layer. All mutators are thread-safe; Snapshot gives a consistent-enough
+/// \brief Operational counters and latency distributions of one service.
+/// All mutators are thread-safe; Snapshot gives a consistent-enough
 /// point-in-time view for reporting.
 ///
-/// Latency distributions are obs::Histogram instances (the shared
-/// exponential-bucket implementation — quantile logic lives in src/obs,
-/// not here). Each ServerStats keeps its *own* histograms so per-service
-/// snapshots stay isolated, and additionally mirrors every event into the
-/// process-wide obs::MetricsRegistry (`serve_*` families), so exporters
-/// see serving traffic aggregated across services without extra plumbing.
+/// Every event is booked exactly once, into an instrument of the `serve_*`
+/// families in this object's own obs::MetricsRegistry; TakeSnapshot (and
+/// so Format and ToJson) reads those instruments back. A registry per
+/// service keeps each service's numbers exact however many services a
+/// process runs; exporters render it next to the global registry (see
+/// InferenceService::metrics).
 class ServerStats {
  public:
   struct LatencySummary {
@@ -58,18 +57,15 @@ class ServerStats {
     LatencySummary stale;  ///< Degraded mode: stale entry at an old height.
   };
 
-  /// `registry` receives the process-wide mirror instruments; null uses
-  /// the global registry (tests may pass their own to observe mirrors in
-  /// isolation).
-  explicit ServerStats(obs::MetricsRegistry* registry = nullptr);
+  ServerStats();
 
   ServerStats(const ServerStats&) = delete;
   ServerStats& operator=(const ServerStats&) = delete;
 
   /// Records one finished request: its end-to-end latency goes into the
   /// cold or cache-hit histogram. A non-empty `trace_id` attaches an
-  /// exemplar to the mirror `serve_latency_us` bucket the latency landed
-  /// in, linking the exposition back to the retained trace.
+  /// exemplar to the `serve_latency_us` bucket the latency landed in,
+  /// linking the exposition back to the retained trace.
   void RecordRequest(double latency_us, bool cache_hit,
                      const std::string& trace_id = std::string());
   void RecordError();
@@ -84,10 +80,17 @@ class ServerStats {
   /// resolved request; its latency goes into the stale histogram).
   void RecordStaleServed(double latency_us,
                          const std::string& trace_id = std::string());
-  /// Records the resolved worker-thread count (set once at service start).
-  void SetWorkers(int workers);
+  /// Records one result-cache lookup at admission, hit or miss.
+  void RecordCacheAccess(bool hit);
+  /// Records one cache entry evicted by capacity pressure.
+  void RecordCacheEviction();
 
+  /// Reads the snapshot from the registry's instruments. `workers` stays
+  /// 0: the owning service fills it in.
   Snapshot TakeSnapshot() const;
+
+  /// The registry every event is booked in.
+  const obs::MetricsRegistry& registry() const { return registry_; }
 
   /// Multi-line human-readable rendering of a snapshot.
   static std::string Format(const Snapshot& snapshot);
@@ -97,33 +100,23 @@ class ServerStats {
   static std::string ToJson(const Snapshot& snapshot);
 
  private:
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> errors_{0};
-  std::atomic<uint64_t> deadline_exceeded_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> retried_{0};
-  std::atomic<uint64_t> stale_served_{0};
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> batched_requests_{0};
-  std::atomic<int> workers_{0};
-  obs::Histogram cold_latency_;
-  obs::Histogram hit_latency_;
-  obs::Histogram stale_latency_;
-
-  // Process-wide mirrors (owned by the registry; pointers are stable).
-  obs::Counter* mirror_requests_cold_;
-  obs::Counter* mirror_requests_hit_;
-  obs::Counter* mirror_requests_stale_;
-  obs::Counter* mirror_errors_;
-  obs::Counter* mirror_deadline_exceeded_;
-  obs::Counter* mirror_shed_;
-  obs::Counter* mirror_retries_;
-  obs::Counter* mirror_batches_;
-  obs::Histogram* mirror_latency_cold_;
-  obs::Histogram* mirror_latency_hit_;
-  obs::Histogram* mirror_latency_stale_;
-  obs::Histogram* mirror_batch_size_;
+  obs::MetricsRegistry registry_;
+  // Instruments of registry_, resolved once at construction.
+  obs::Counter* requests_cold_;
+  obs::Counter* requests_hit_;
+  obs::Counter* requests_stale_;
+  obs::Counter* errors_;
+  obs::Counter* deadline_exceeded_;
+  obs::Counter* shed_;
+  obs::Counter* retries_;
+  obs::Counter* batches_;
+  obs::Counter* cache_lookup_hit_;
+  obs::Counter* cache_lookup_miss_;
+  obs::Counter* cache_eviction_;
+  obs::Histogram* latency_cold_;
+  obs::Histogram* latency_hit_;
+  obs::Histogram* latency_stale_;
+  obs::Histogram* batch_size_;
 };
 
 }  // namespace serve

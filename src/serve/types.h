@@ -37,8 +37,8 @@ struct ScoreResult {
   /// End-to-end latency (submit -> resolved), microseconds.
   double latency_us = 0.0;
   /// Correlation id of the request that produced this result (W3C trace
-  /// id: 32 lowercase hex chars). Empty only when the caller used the
-  /// trace-less ScoreAsync overload. Stamped on retained span trees and
+  /// id: 32 lowercase hex chars). Empty only when the caller passed no
+  /// trace id to ScoreAsync. Stamped on retained span trees and
   /// histogram exemplars, and echoed as `x-trace-id` on the wire.
   std::string trace_id;
   /// Non-OK when the address cannot be scored: unknown account or

@@ -760,6 +760,10 @@ TEST_F(NetScoringTest, MetricsEndpointExposesNetFamilies) {
   // itself mid-flight when the exposition is rendered) sees them.
   auto warmup = client.Get("/healthz");
   ASSERT_TRUE(warmup.ok());
+  const auto exchanges =
+      ledger_->AccountsOfClass(eth::AccountClass::kExchange);
+  ASSERT_FALSE(exchanges.empty());
+  ASSERT_EQ(ScoreOverHttp(exchanges.front()).status, 200);
   auto response = client.Get("/metrics");
   ASSERT_TRUE(response.ok());
   ASSERT_EQ(response.ValueOrDie().status, 200);
@@ -774,6 +778,21 @@ TEST_F(NetScoringTest, MetricsEndpointExposesNetFamilies) {
   EXPECT_NE(metrics.body.find("net_requests_total"), std::string::npos);
   EXPECT_NE(metrics.body.find("net_request_us"), std::string::npos);
   EXPECT_NE(metrics.body.find("# TYPE"), std::string::npos);
+  // The scrape merges the global registry with the service's own; each
+  // serving family is booked in one of them and so declared exactly once.
+  for (const char* family :
+       {"serve_requests_total", "serve_errors_total",
+        "serve_deadline_exceeded_total", "serve_shed_total",
+        "serve_retries_total", "serve_batches_total", "serve_latency_us",
+        "serve_batch_size", "serve_cache_events_total"}) {
+    const std::string type_line = std::string("\n# TYPE ") + family + " ";
+    size_t declared = 0;
+    for (size_t pos = metrics.body.find(type_line); pos != std::string::npos;
+         pos = metrics.body.find(type_line, pos + 1)) {
+      ++declared;
+    }
+    EXPECT_EQ(declared, 1u) << family;
+  }
 }
 
 TEST_F(NetScoringTest, HealthzAndStatusz) {

@@ -381,7 +381,93 @@ TEST(TextExpositionTest, MatchesGoldenOutput) {
       "# HELP queue_depth Depth\n"
       "# TYPE queue_depth gauge\n"
       "queue_depth 2.5\n";
-  EXPECT_EQ(TextExposition(&registry), expected);
+  EXPECT_EQ(TextExposition({&registry}), expected);
+}
+
+TEST(TextExpositionTest, TwoRegistriesRenderAsOneGolden) {
+  MetricsRegistry global;
+  FillSampleRegistry(&global);
+  // A second registry whose families sort before, between and after the
+  // first one's, plus one family name both registries hold.
+  MetricsRegistry service;
+  service.GaugeAt("build_info", "Build")->Set(1.0);
+  service.CounterAt("events_total", "Test events", {{"kind", "c"}})->Inc(7);
+  service.CounterAt("jobs_total", "Jobs")->Inc(2);
+  service.GaugeAt("zone", "Zone")->Set(4.0);
+  const RegistryList both = {&global, &service};
+
+  const std::string expected =
+      "# HELP build_info Build\n"
+      "# TYPE build_info gauge\n"
+      "build_info 1\n"
+      "# HELP events_total Test events\n"
+      "# TYPE events_total counter\n"
+      "events_total{kind=\"a\"} 3\n"
+      "events_total{kind=\"b\"} 1\n"
+      "events_total{kind=\"c\"} 7\n"
+      "# HELP jobs_total Jobs\n"
+      "# TYPE jobs_total counter\n"
+      "jobs_total 2\n"
+      "# HELP lat_us Latency\n"
+      "# TYPE lat_us histogram\n"
+      "lat_us_bucket{le=\"1\"} 1\n"
+      "lat_us_bucket{le=\"4\"} 2\n"
+      "lat_us_bucket{le=\"+Inf\"} 3\n"
+      "lat_us_sum 103.5\n"
+      "lat_us_count 3\n"
+      "# HELP queue_depth Depth\n"
+      "# TYPE queue_depth gauge\n"
+      "queue_depth 2.5\n"
+      "# HELP zone Zone\n"
+      "# TYPE zone gauge\n"
+      "zone 4\n";
+  EXPECT_EQ(TextExposition(both), expected);
+
+  const std::string expected_openmetrics =
+      "# HELP build_info Build\n"
+      "# TYPE build_info gauge\n"
+      "build_info 1\n"
+      "# HELP events Test events\n"
+      "# TYPE events counter\n"
+      "events_total{kind=\"a\"} 3\n"
+      "events_total{kind=\"b\"} 1\n"
+      "events_total{kind=\"c\"} 7\n"
+      "# HELP jobs Jobs\n"
+      "# TYPE jobs counter\n"
+      "jobs_total 2\n"
+      "# HELP lat_us Latency\n"
+      "# TYPE lat_us histogram\n"
+      "lat_us_bucket{le=\"1\"} 1\n"
+      "lat_us_bucket{le=\"4\"} 2\n"
+      "lat_us_bucket{le=\"+Inf\"} 3\n"
+      "lat_us_sum 103.5\n"
+      "lat_us_count 3\n"
+      "# HELP queue_depth Depth\n"
+      "# TYPE queue_depth gauge\n"
+      "queue_depth 2.5\n"
+      "# HELP zone Zone\n"
+      "# TYPE zone gauge\n"
+      "zone 4\n"
+      "# EOF\n";
+  EXPECT_EQ(TextExposition(both, ExpositionFormat::kOpenMetrics),
+            expected_openmetrics);
+
+  // The JSON snapshot lists the same merged families in the same order.
+  Tracer tracer;
+  const std::string json = JsonSnapshot(both, &tracer);
+  size_t previous = 0;
+  for (const char* name : {"build_info", "events_total", "jobs_total",
+                           "lat_us", "queue_depth", "zone"}) {
+    const std::string key = std::string("\"name\": \"") + name + "\"";
+    const size_t pos = json.find(key);
+    ASSERT_NE(pos, std::string::npos) << name << " missing in " << json;
+    EXPECT_GT(pos, previous) << name << " out of order in " << json;
+    EXPECT_EQ(json.find(key, pos + 1), std::string::npos)
+        << name << " listed twice in " << json;
+    previous = pos;
+  }
+  EXPECT_NE(json.find("\"labels\": \"{kind=\\\"c\\\"}\""), std::string::npos)
+      << json;
 }
 
 TEST(JsonSnapshotTest, ContainsMetricsAndSpans) {
@@ -392,7 +478,7 @@ TEST(JsonSnapshotTest, ContainsMetricsAndSpans) {
     TraceSpan root("score_cold", &tracer);
     TraceSpan child("materialize");
   }
-  const std::string json = JsonSnapshot(&registry, &tracer);
+  const std::string json = JsonSnapshot({&registry}, &tracer);
   EXPECT_NE(json.find("\"name\": \"events_total\""), std::string::npos);
   EXPECT_NE(json.find("\"kind\": \"histogram\""), std::string::npos);
   EXPECT_NE(json.find("\"count\": 3"), std::string::npos);
@@ -405,14 +491,14 @@ TEST(JsonSnapshotTest, DumpJsonWritesFile) {
   FillSampleRegistry(&registry);
   Tracer tracer;
   const std::string path = testing::TempDir() + "/obs_dump_test.json";
-  ASSERT_TRUE(DumpJson(path, &registry, &tracer).ok());
+  ASSERT_TRUE(DumpJson(path, {&registry}, &tracer).ok());
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
   buffer << in.rdbuf();
   const std::string contents = buffer.str();
   EXPECT_EQ(contents.front(), '{');
-  EXPECT_EQ(contents, JsonSnapshot(&registry, &tracer));
+  EXPECT_EQ(contents, JsonSnapshot({&registry}, &tracer));
   std::remove(path.c_str());
 }
 
@@ -532,7 +618,7 @@ TEST(TextExpositionTest, EscapedLabelGolden) {
       "# HELP hostile_total Hostile labels\n"
       "# TYPE hostile_total counter\n"
       "hostile_total{src=\"quo\\\"te\\\\slash\\nnewline\"} 1\n";
-  EXPECT_EQ(TextExposition(&registry), expected);
+  EXPECT_EQ(TextExposition({&registry}), expected);
 }
 
 TEST(TextExpositionTest, RendersExemplarSuffixOnlyInOpenMetrics) {
@@ -544,7 +630,7 @@ TEST(TextExpositionTest, RendersExemplarSuffixOnlyInOpenMetrics) {
 
   // The classic 0.0.4 dialect must stay exemplar-free: its parser treats
   // a '#' after the sample value as a parse error, failing the scrape.
-  const std::string classic = TextExposition(&registry);
+  const std::string classic = TextExposition({&registry});
   EXPECT_EQ(classic.find(" # {"), std::string::npos) << classic;
   EXPECT_EQ(classic.find("# EOF"), std::string::npos) << classic;
   EXPECT_NE(classic.find("lat_us_bucket{le=\"4\"} 2\n"), std::string::npos)
@@ -553,7 +639,7 @@ TEST(TextExpositionTest, RendersExemplarSuffixOnlyInOpenMetrics) {
   // OpenMetrics exemplar: `bucket-line # {labels} value timestamp`
   // (bucket counts are cumulative, so le="4" covers both records).
   const std::string text =
-      TextExposition(&registry, ExpositionFormat::kOpenMetrics);
+      TextExposition({&registry}, ExpositionFormat::kOpenMetrics);
   const size_t pos = text.find(
       "lat_us_bucket{le=\"4\"} 2 "
       "# {trace_id=\"4bf92f3577b34da6a3ce929d0e0e4736\"} 3");
@@ -585,7 +671,7 @@ TEST(TextExpositionTest, OpenMetricsGolden) {
       "# TYPE queue_depth gauge\n"
       "queue_depth 2.5\n"
       "# EOF\n";
-  EXPECT_EQ(TextExposition(&registry, ExpositionFormat::kOpenMetrics),
+  EXPECT_EQ(TextExposition({&registry}, ExpositionFormat::kOpenMetrics),
             expected);
 }
 
@@ -605,7 +691,7 @@ TEST(JsonSnapshotTest, HistogramExemplarsAppearInJson) {
   hist->Record(3.0, "deadbeef");
   hist->Record(1e9, "overflowid");
   Tracer tracer;
-  const std::string json = JsonSnapshot(&registry, &tracer);
+  const std::string json = JsonSnapshot({&registry}, &tracer);
   EXPECT_NE(json.find("\"exemplars\""), std::string::npos);
   EXPECT_NE(json.find("\"trace_id\": \"deadbeef\""), std::string::npos);
   // The overflow bucket's bound serializes as the string "+Inf", never as

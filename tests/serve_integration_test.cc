@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -544,11 +545,6 @@ TEST_F(ServeIntegrationTest, BatchedColdRequestsEachGetASoloScoreAndSpanTree) {
 }
 
 TEST_F(ServeIntegrationTest, EachColdScoreBooksOneCacheMiss) {
-  obs::Counter* miss_events = obs::MetricsRegistry::Global()->CounterAt(
-      "serve_cache_events_total",
-      "Result-cache lookups and evictions by outcome", {{"outcome", "miss"}});
-  const uint64_t miss_events_before = miss_events->Value();
-
   std::stringstream checkpoint(*checkpoint_);
   auto created =
       InferenceService::Create(ServiceConfig(2), &checkpoint, ledger_);
@@ -568,11 +564,22 @@ TEST_F(ServeIntegrationTest, EachColdScoreBooksOneCacheMiss) {
     ASSERT_TRUE(service.Score(exchanges[i]).cache_hit);
   }
 
-  // The worker's re-check of each cold request books nothing on top of
-  // the miss its admission already counted.
-  EXPECT_EQ(service.cache().misses(), kDistinct);
-  EXPECT_EQ(service.cache().hits(), kDistinct);
-  EXPECT_EQ(miss_events->Value() - miss_events_before, kDistinct);
+  // Each request's lookup is booked once, at admission, in the service's
+  // own registry: the worker's re-check of each cold request books
+  // nothing, and the global registry holds no serving-event family.
+  std::map<std::string, uint64_t> cache_events;
+  for (const auto& family : service.metrics().TakeSnapshot()) {
+    if (family.name != "serve_cache_events_total") continue;
+    for (const auto& inst : family.instruments) {
+      cache_events[inst.labels] = inst.counter_value;
+    }
+  }
+  EXPECT_EQ(cache_events["{outcome=\"miss\"}"], kDistinct);
+  EXPECT_EQ(cache_events["{outcome=\"hit\"}"], kDistinct);
+  for (const auto& family : obs::MetricsRegistry::Global()->TakeSnapshot()) {
+    EXPECT_NE(family.name, "serve_requests_total");
+    EXPECT_NE(family.name, "serve_cache_events_total");
+  }
 }
 
 TEST_F(ServeIntegrationTest, WorkerCountClampsToHardwareConcurrency) {

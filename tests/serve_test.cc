@@ -2,8 +2,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <future>
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -108,7 +111,10 @@ TEST(RequestQueueTest, FullBatchDispatchesWithoutWaitingForTimeout) {
   config.max_batch = 4;
   config.max_wait_us = 5'000'000;  // 5s: a timeout dispatch would be obvious.
   RequestQueue queue(config);
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(queue.Push(MakeRequest(i)));
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(queue.TryPush(MakeRequest(i)),
+              RequestQueue::PushResult::kAccepted);
+  }
 
   const auto start = steady_clock::now();
   std::vector<ScoreRequest> batch;
@@ -124,7 +130,7 @@ TEST(RequestQueueTest, PartialBatchDispatchesAfterTimeout) {
   config.max_batch = 16;
   config.max_wait_us = 30'000;  // 30ms.
   RequestQueue queue(config);
-  ASSERT_TRUE(queue.Push(MakeRequest(7)));
+  ASSERT_EQ(queue.TryPush(MakeRequest(7)), RequestQueue::PushResult::kAccepted);
 
   const auto start = steady_clock::now();
   std::vector<ScoreRequest> batch;
@@ -144,7 +150,10 @@ TEST(RequestQueueTest, OversizedBacklogIsSplitIntoMaxBatchChunks) {
   config.max_batch = 3;
   config.max_wait_us = 0;
   RequestQueue queue(config);
-  for (int i = 0; i < 8; ++i) ASSERT_TRUE(queue.Push(MakeRequest(i)));
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_EQ(queue.TryPush(MakeRequest(i)),
+              RequestQueue::PushResult::kAccepted);
+  }
 
   std::vector<ScoreRequest> batch;
   ASSERT_TRUE(queue.PopBatch(&batch));
@@ -161,11 +170,12 @@ TEST(RequestQueueTest, CloseDrainsThenSignalsExhaustion) {
   config.max_batch = 8;
   config.max_wait_us = 0;
   RequestQueue queue(config);
-  ASSERT_TRUE(queue.Push(MakeRequest(1)));
-  ASSERT_TRUE(queue.Push(MakeRequest(2)));
+  ASSERT_EQ(queue.TryPush(MakeRequest(1)), RequestQueue::PushResult::kAccepted);
+  ASSERT_EQ(queue.TryPush(MakeRequest(2)), RequestQueue::PushResult::kAccepted);
   queue.Close();
 
-  EXPECT_FALSE(queue.Push(MakeRequest(3)));  // Rejected after Close.
+  EXPECT_EQ(queue.TryPush(MakeRequest(3)),  // Rejected after Close.
+            RequestQueue::PushResult::kClosed);
   std::vector<ScoreRequest> batch;
   ASSERT_TRUE(queue.PopBatch(&batch));  // Queued requests stay poppable.
   EXPECT_EQ(batch.size(), 2u);
@@ -197,11 +207,6 @@ TEST(ResultCacheTest, PutGetRoundTrip) {
   auto got = cache.Get({1, 100});
   ASSERT_TRUE(got.has_value());
   EXPECT_DOUBLE_EQ(*got, 0.75);
-  // Lookup reads the same entries but books neither a hit nor a miss.
-  EXPECT_EQ(cache.Lookup({1, 100}), got);
-  EXPECT_FALSE(cache.Lookup({2, 100}).has_value());
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST(ResultCacheTest, LedgerHeightIsPartOfTheKey) {
@@ -227,12 +232,12 @@ TEST(ResultCacheTest, InvalidateOlderThanDropsStaleHeights) {
 TEST(ResultCacheTest, EvictsLeastRecentlyUsedWithinShard) {
   // One shard so the LRU order is globally observable.
   ResultCache cache(ResultCacheConfig{3, 1});
-  cache.Put({1, 1}, 0.1);
-  cache.Put({2, 1}, 0.2);
-  cache.Put({3, 1}, 0.3);
+  EXPECT_FALSE(cache.Put({1, 1}, 0.1));
+  EXPECT_FALSE(cache.Put({2, 1}, 0.2));
+  EXPECT_FALSE(cache.Put({3, 1}, 0.3));
   ASSERT_TRUE(cache.Get({1, 1}).has_value());  // Refresh 1; LRU is now 2.
-  cache.Put({4, 1}, 0.4);                      // Evicts 2.
-  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_TRUE(cache.Put({4, 1}, 0.4));         // Evicts 2.
+  EXPECT_FALSE(cache.Put({4, 1}, 0.5));        // Refreshes in place.
   EXPECT_FALSE(cache.Get({2, 1}).has_value());
   EXPECT_TRUE(cache.Get({1, 1}).has_value());
   EXPECT_TRUE(cache.Get({3, 1}).has_value());
@@ -262,8 +267,24 @@ TEST(ResultCacheTest, ConcurrentMixedAccessIsSafe) {
 }
 
 // --------------------------------------------------------------------------
-// ServerStats (latency distributions ride on obs::Histogram)
+// ServerStats (a view over its own obs::MetricsRegistry)
 // --------------------------------------------------------------------------
+
+/// Every instrument of `registry` as "name{labels}" -> its count: a
+/// counter's value or a histogram's number of samples.
+std::map<std::string, uint64_t> InstrumentCounts(
+    const obs::MetricsRegistry& registry) {
+  std::map<std::string, uint64_t> counts;
+  for (const auto& family : registry.TakeSnapshot()) {
+    for (const auto& inst : family.instruments) {
+      counts[family.name + inst.labels] =
+          family.kind == obs::MetricsRegistry::Kind::kHistogram
+              ? inst.histogram.count
+              : inst.counter_value;
+    }
+  }
+  return counts;
+}
 
 TEST(ServerStatsTest, CountersAndSnapshot) {
   ServerStats stats;
@@ -289,6 +310,42 @@ TEST(ServerStatsTest, CountersAndSnapshot) {
   const std::string text = ServerStats::Format(snapshot);
   EXPECT_NE(text.find("requests=3"), std::string::npos);
   EXPECT_NE(text.find("cold latency"), std::string::npos);
+
+  // The remaining event kinds; then every event is found booked exactly
+  // once, in the stats' own registry, and nowhere else in it.
+  stats.RecordStaleServed(50.0);
+  stats.RecordDeadlineExceeded();
+  stats.RecordShed();
+  stats.RecordRetry();
+  stats.RecordCacheAccess(/*hit=*/true);
+  stats.RecordCacheAccess(/*hit=*/false);
+  stats.RecordCacheAccess(/*hit=*/false);
+  stats.RecordCacheEviction();
+  const std::map<std::string, uint64_t> expected = {
+      {"serve_batch_size", 2},
+      {"serve_batches_total", 2},
+      {"serve_cache_events_total{outcome=\"eviction\"}", 1},
+      {"serve_cache_events_total{outcome=\"hit\"}", 1},
+      {"serve_cache_events_total{outcome=\"miss\"}", 2},
+      {"serve_deadline_exceeded_total", 1},
+      {"serve_errors_total", 1},
+      {"serve_latency_us{path=\"cold\"}", 2},
+      {"serve_latency_us{path=\"hit\"}", 1},
+      {"serve_latency_us{path=\"stale\"}", 1},
+      {"serve_requests_total{path=\"cold\"}", 2},
+      {"serve_requests_total{path=\"hit\"}", 1},
+      {"serve_requests_total{path=\"stale\"}", 1},
+      {"serve_retries_total", 1},
+      {"serve_shed_total", 1},
+  };
+  EXPECT_EQ(InstrumentCounts(stats.registry()), expected);
+  const ServerStats::Snapshot after = stats.TakeSnapshot();
+  EXPECT_EQ(after.requests, 4u);
+  EXPECT_EQ(after.stale_served, 1u);
+  EXPECT_EQ(after.stale.count, 1u);
+  EXPECT_EQ(after.deadline_exceeded, 1u);
+  EXPECT_EQ(after.shed, 1u);
+  EXPECT_EQ(after.retried, 1u);
 }
 
 TEST(ServerStatsTest, ConcurrentRecordingIsSafe) {

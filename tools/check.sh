@@ -4,12 +4,12 @@
 # suite), an end-to-end HTTP smoke (demo server + curl + graceful SIGTERM),
 # the observability, serving and network suites under ThreadSanitizer
 # (including the model hot-swap hammer and the net chaos fault injection),
-# the serving and inference fast-path suites under AddressSanitizer +
-# UBSan, a failpoint-enabled kill -> resume -> hot-reload chaos smoke, and
-# a serving-latency regression guard against the committed
-# BENCH_serve.json.
+# the serving, inference fast-path, observability and network suites under
+# AddressSanitizer + UBSan, a failpoint-enabled kill -> resume ->
+# hot-reload chaos smoke, and a serving-latency regression guard against
+# the committed BENCH_serve.json.
 #
-#   tools/check.sh            # tier-1 + tsan obs/serve + asan serve
+#   tools/check.sh            # tier-1 + tsan and asan obs/serve/net
 #   tools/check.sh --fast     # tier-1 only
 #   tools/check.sh --bench    # tier-1 + bench-regression guard
 #
@@ -169,9 +169,10 @@ echo "=== failpoints: kill during snapshot/epoch -> resume -> hot-reload smoke =
 (cd build-tsan && ctest -R "ResumeReloadChaos" \
     --no-tests=error --output-on-failure -j"$(nproc)")
 
-# The serve and fast-path suites again under AddressSanitizer + UBSan: the
-# inference arena recycles activation buffers across passes, and requests
-# cross threads on their way through the queue, pool and cache.
+# The serve, fast-path, obs and net suites again under AddressSanitizer +
+# UBSan: the inference arena recycles activation buffers across passes,
+# requests cross threads on their way through the queue, pool and cache,
+# and the exporters and HTTP routes render merged registry snapshots.
 # halt_on_error turns a UBSan report into a test failure, not a log line.
 echo "=== asan+ubsan: configure + build (build-asan/) ==="
 cmake --preset asan >/dev/null
@@ -180,5 +181,11 @@ cmake --build --preset asan -j
 echo "=== asan+ubsan: serve + chaos + inference fast-path suites ==="
 (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest -R "${serve_suites}" --no-tests=error --output-on-failure -j"$(nproc)")
+
+echo "=== asan+ubsan: obs + net suites (ctest -L obs / -L net) ==="
+(cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest -L obs --no-tests=error --output-on-failure -j"$(nproc)")
+(cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest -L net --no-tests=error --output-on-failure -j"$(nproc)")
 
 echo "=== all checks passed ==="
