@@ -197,8 +197,6 @@ int Run(const std::string& json_path) {
     std::stringstream checkpoint(workload.checkpoint);
     serve::InferenceServiceConfig serve_config;
     serve_config.num_workers = 4;
-    serve_config.queue.max_batch = 8;
-    serve_config.queue.max_wait_us = 500;
     serve_config.cache.capacity = 8192;
     serve_config.sampling = workload.sampling;
     serve_config.num_time_slices = workload.num_time_slices;

@@ -2,7 +2,7 @@
 //
 // Three measurements:
 //   1. Sequential baseline: one thread, direct materialize + normalize +
-//      PredictProba per address (no pool, no queue, no cache).
+//      PredictProba per address (no workers, no queue, no cache).
 //   2. Cold serving throughput across 1/2/4/8 workers: every request is a
 //      distinct (address, height) key, so the cache never hits and each
 //      request pays the full subgraph + forward-pass cost. Aggregate
@@ -49,8 +49,6 @@ serve::InferenceServiceConfig MakeServeConfig(const Workload& workload,
                                               int workers) {
   serve::InferenceServiceConfig config;
   config.num_workers = workers;
-  config.queue.max_batch = 8;
-  config.queue.max_wait_us = 500;
   config.cache.capacity = 8192;
   config.sampling = workload.sampling;
   config.num_time_slices = workload.num_time_slices;
@@ -105,7 +103,7 @@ void AppendLatencyJson(std::ofstream* json, const char* key,
 int Run(const std::string& json_path) {
   benchutil::Timer total;
   benchutil::PrintHeader(
-      "Serving-layer throughput: sequential vs pooled + batched + cached",
+      "Serving-layer throughput: sequential vs multi-worker + cached",
       "operational extension (Sec. VI deployment discussion)");
   const double scale = ScaleFromEnv();
 
@@ -214,7 +212,7 @@ int Run(const std::string& json_path) {
     if (workers == 1) one_worker_rps = rps;
     if (workers == 8) cold_p50_at_8 = stats.cold.p50_us;
     std::printf("  workers=%d: %.2fs -> %7.1f req/s  (%.2fx vs 1 worker, "
-                "%.2fx vs sequential)  avg_batch=%.2f\n",
+                "%.2fx vs sequential)  requests/pass=%.2f\n",
                 workers, seconds, rps,
                 one_worker_rps > 0 ? rps / one_worker_rps : 1.0,
                 rps / seq_rps, stats.avg_batch_size);
@@ -265,11 +263,8 @@ int Run(const std::string& json_path) {
               "saturated queue):\n");
   eth::AppendableLedger growable(ledger);
   serve::InferenceServiceConfig degraded_config = MakeServeConfig(workload, 8);
+  // The flood backs up in the admission queue while every worker is busy.
   degraded_config.queue.capacity = 64;
-  // A tight pool bound makes the dispatcher block on Submit while a batch
-  // is scoring, so the flood reliably backs up into the admission queue
-  // instead of racing the dispatcher's drain rate.
-  degraded_config.pool_queue_capacity = 1;
   auto degraded_stream = std::stringstream(workload.checkpoint);
   auto degraded_created = serve::InferenceService::Create(
       degraded_config, &degraded_stream, &growable);

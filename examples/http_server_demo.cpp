@@ -147,8 +147,6 @@ int main(int argc, char** argv) {
   }
   serve::InferenceServiceConfig serve_config;
   serve_config.num_workers = 4;
-  serve_config.queue.max_batch = 8;
-  serve_config.queue.max_wait_us = 1000;
   serve_config.cache.capacity = 1024;
   serve_config.sampling = Sampling();
   serve_config.num_time_slices = kTimeSlices;

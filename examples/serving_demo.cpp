@@ -1,8 +1,9 @@
 // Scenario: an exchange compliance desk runs the de-anonymization model as
 // an online service. The model is trained and checkpointed offline; the
 // serving layer loads the checkpoint and scores addresses concurrently as
-// requests arrive, micro-batching them across a worker pool and caching
-// results keyed by (address, ledger height).
+// requests arrive, spreading them over its worker threads (duplicates in
+// flight share one forward pass) and caching results keyed by (address,
+// ledger height).
 //
 // This demo trains a small exchange identifier, saves it, stands up an
 // InferenceService on the checkpoint, hammers it from several client
@@ -64,8 +65,6 @@ int main() {
   // --- online: serving layer over the checkpoint ---
   serve::InferenceServiceConfig serve_config;
   serve_config.num_workers = 4;
-  serve_config.queue.max_batch = 8;
-  serve_config.queue.max_wait_us = 1000;
   serve_config.cache.capacity = 1024;
   serve_config.sampling = ds_config.sampling;
   serve_config.num_time_slices = ds_config.num_time_slices;

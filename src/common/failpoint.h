@@ -34,6 +34,8 @@ namespace failpoint {
 ///   eth.from_csv      CsvLedger::FromCsv, before parsing begins
 ///   eth.materialize   eth::MaterializeInstance, before sampling
 ///   serve.score_cold  InferenceService cold path, before materialization
+///   serve.worker      InferenceService worker, at each pick-up
+///                     (sleep-only site: injected errors are ignored)
 ///   train.epoch_end   Dbg4Eth training loop, after each epoch's snapshot
 ///                     decision (simulates a crash at an epoch boundary)
 ///   reload.validate   ModelRegistry, before the validation gate scores

@@ -14,10 +14,12 @@ namespace dbg4eth {
 
 /// \brief Fixed-size worker pool over a bounded MPMC task queue.
 ///
-/// The shared compute substrate of the library: the serving layer drains
-/// request batches through it, the trainers fan instances of a batch out
-/// over it (see ParallelFor in common/parallel_for.h), and dataset
-/// assembly materializes subgraph instances on it.
+/// The shared compute substrate of the library: the trainers fan instances
+/// of a batch out over it (see ParallelFor in common/parallel_for.h),
+/// dataset assembly materializes subgraph instances on it, and the HTTP
+/// server runs route handlers on one. Scoring requests do not pass
+/// through it: serve::InferenceService runs its own workers, which pop
+/// the admission queue directly.
 ///
 /// `Submit` blocks while the queue is at capacity (backpressure toward the
 /// producer), `TrySubmit` fails fast instead. Tasks that throw are caught

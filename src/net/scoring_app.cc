@@ -191,9 +191,9 @@ HttpResponse ScoringApp::HandleScoreBatch(const HttpRequest& request) {
     ids.push_back(static_cast<eth::AccountId>(id.ValueOrDie()));
   }
 
-  // Fan the whole batch out first so the service can micro-batch it, then
-  // gather in order. Every item shares the batch request's trace id: one
-  // HTTP request, one correlation id.
+  // Fan the whole batch out first so the service's workers score it in
+  // parallel, then gather in order. Every item shares the batch request's
+  // trace id: one HTTP request, one correlation id.
   const std::string* trace_header = request.FindHeader("x-trace-id");
   const std::string trace_id =
       trace_header != nullptr ? *trace_header : std::string();

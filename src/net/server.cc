@@ -12,6 +12,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <exception>
+#include <string>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -554,7 +556,15 @@ void HttpServer::DispatchRequest(Loop* loop, Conn* conn) {
                                            shared_request] {
     Completion completion;
     completion.conn_id = conn_id;
-    completion.response = handler(*shared_request);
+    // A throwing handler still completes: its 500 goes back through the
+    // event loop like any response, so the connection is released and
+    // the request is counted, traced and logged.
+    try {
+      completion.response = handler(*shared_request);
+    } catch (const std::exception& e) {
+      completion.response =
+          HttpResponse::Error(500, std::string("handler threw: ") + e.what());
+    }
     {
       std::lock_guard<std::mutex> lock(loop->inbox_mu);
       loop->pending_completions.push_back(std::move(completion));

@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <optional>
+#include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -24,7 +26,7 @@ double ElapsedUs(std::chrono::steady_clock::time_point since) {
 }
 
 /// Time a request spends between ScoreAsync admission and a worker
-/// picking it out of its batch (queueing + dispatch + pool hand-off).
+/// picking it up.
 obs::Histogram* QueueWaitHistogram() {
   static obs::Histogram* hist = obs::MetricsRegistry::Global()->HistogramAt(
       "serve_queue_wait_us",
@@ -32,7 +34,7 @@ obs::Histogram* QueueWaitHistogram() {
   return hist;
 }
 
-/// Requests still queued after the dispatcher popped the current batch.
+/// Requests still queued after a worker's latest pick-up.
 obs::Gauge* QueueDepthGauge() {
   static obs::Gauge* gauge = obs::MetricsRegistry::Global()->GaugeAt(
       "serve_queue_depth", "Requests waiting in the admission queue");
@@ -68,12 +70,14 @@ InferenceService::InferenceService(const InferenceServiceConfig& config,
       ledger_(ledger),
       cache_(config.cache),
       queue_(config.queue),
-      workers_(ClampWorkers(config.num_workers)),
-      pool_(workers_, config.pool_queue_capacity) {
+      workers_(ClampWorkers(config.num_workers)) {
   DBG4ETH_CHECK(model_ != nullptr);
   DBG4ETH_CHECK(ledger_ != nullptr);
   ledger_height_.store(ledger_->transactions().size());
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
+  threads_.reserve(workers_);
+  for (int i = 0; i < workers_; ++i) {
+    threads_.emplace_back([this] { WorkerLoop(); });
+  }
 }
 
 InferenceService::~InferenceService() { Shutdown(); }
@@ -86,23 +90,24 @@ InferenceService::ModelRef InferenceService::SnapshotModel() const {
 void InferenceService::SwapModel(std::shared_ptr<const core::Dbg4Eth> model,
                                  uint64_t generation) {
   DBG4ETH_CHECK(model != nullptr);
-  {
-    std::lock_guard<std::mutex> lock(model_mu_);
-    model_ = std::move(model);
-    model_generation_.store(generation);
-  }
+  std::lock_guard<std::mutex> lock(model_mu_);
+  model_ = std::move(model);
+  model_generation_.store(generation);
   // Cached scores are keyed only by (address, height); every entry was
   // produced by the replaced model. Dropping them also empties the stale
   // corpus, so degraded-mode answers never cross a model boundary.
+  // Clearing under model_mu_ pairs with FillCache: a pass still running
+  // on the replaced model cannot put its score back after this.
   cache_.Clear();
 }
 
 void InferenceService::Shutdown() {
   std::lock_guard<std::mutex> lock(shutdown_mu_);
   if (shutdown_.exchange(true)) return;
+  // Workers keep popping until the closed queue is drained, so every
+  // accepted request resolves before its worker exits.
   queue_.Close();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  pool_.Shutdown();
+  for (std::thread& thread : threads_) thread.join();
 }
 
 void InferenceService::RefreshLedgerHeight() {
@@ -141,22 +146,12 @@ std::future<ScoreResult> InferenceService::ScoreAsync(eth::AccountId address,
   }
 
   // Fast path: a cached score resolves without touching the queue, the
-  // pool, the sampler, or the model.
+  // workers, the sampler, or the model.
   const std::optional<double> cached =
       cache_.Get({address, request.ledger_height});
   stats_.RecordCacheAccess(cached.has_value());
   if (cached) {
-    ScoreResult result;
-    result.address = address;
-    result.ledger_height = request.ledger_height;
-    result.probability = *cached;
-    result.cache_hit = true;
-    result.model_generation = model_generation_.load();
-    result.latency_us = ElapsedUs(request.enqueue_time);
-    result.trace_id = request.trace_id;
-    stats_.RecordRequest(result.latency_us, /*cache_hit=*/true,
-                         request.trace_id);
-    request.promise->set_value(std::move(result));
+    ResolveHit(request, *cached, model_generation_.load());
     return future;
   }
 
@@ -190,171 +185,138 @@ ScoreResult InferenceService::Score(eth::AccountId address) {
   return ScoreAsync(address).get();
 }
 
-void InferenceService::DispatchLoop() {
-  std::vector<ScoreRequest> batch;
-  while (queue_.PopBatch(&batch)) {
-    stats_.RecordBatch(batch.size());
-    QueueDepthGauge()->Set(static_cast<double>(queue_.size()));
-    auto shared =
-        std::make_shared<std::vector<ScoreRequest>>(std::move(batch));
-    // Submit blocks when all workers are busy and the pool queue is full —
-    // that backpressure propagates to producers through the request queue.
-    if (!pool_.Submit([this, shared] { ProcessBatch(shared.get()); })) {
-      // Pool already shut down (service teardown); fail the batch.
-      for (const ScoreRequest& request : *shared) {
-        ResolveError(request,
-                     Status::FailedPrecondition("service is shut down"));
-      }
-    }
-    batch.clear();
+void InferenceService::WorkerLoop() {
+  // No catch here: ScoreCold turns an exception from the model or the
+  // ledger into a failed pass, and what else could throw is the service's
+  // own bookkeeping running out of memory, which ends the process.
+  ScoreRequest request;
+  while (queue_.Pop(&request)) {
+    // Sleep-only injection point: simulates a slow worker so chaos tests
+    // can race deadlines and shutdown against busy workers.
+    DBG4ETH_FAIL_POINT_APPLY("serve.worker");
+    ProcessRequest(std::move(request));
   }
 }
 
-void InferenceService::ProcessBatch(std::vector<ScoreRequest>* batch) {
-  // One model snapshot for the whole batch (RCU read side): a hot-swap
-  // landing mid-batch does not mix models within the batch, and the
-  // snapshot's shared_ptr keeps the old model alive until this batch is
-  // done with it.
+void InferenceService::ProcessRequest(ScoreRequest request) {
+  QueueWaitHistogram()->Record(ElapsedUs(request.enqueue_time));
+  QueueDepthGauge()->Set(static_cast<double>(queue_.size()));
+
+  // Pick-up deadline check: a request that expired while queued is
+  // resolved without paying for the forward pass.
+  if (request.expired(std::chrono::steady_clock::now())) {
+    ResolveError(request,
+                 Status::DeadlineExceeded("deadline expired while queued"));
+    return;
+  }
+
+  // One model snapshot per pick-up (RCU read side): a hot-swap landing
+  // mid-pass does not change the model under it, and the snapshot's
+  // shared_ptr keeps the old model alive until the pass is done. Its
+  // generation is part of the in-flight key, so a request never shares a
+  // pass running on another model.
   const ModelRef ref = SnapshotModel();
-  // Pass 1 — classify without materializing anything. Requests that can
-  // resolve immediately (expired while queued, cache filled by a
-  // concurrent batch) do so here; the rest are deduplicated into cold
-  // groups keyed by (address, height), one forward pass per group no
-  // matter how many requesters share it.
-  std::unordered_map<uint64_t, double> scored;  // packed key -> probability
-  std::vector<uint64_t> cold_order;
-  std::unordered_map<uint64_t, std::vector<ScoreRequest*>> cold;
-  for (ScoreRequest& request : *batch) {
-    QueueWaitHistogram()->Record(ElapsedUs(request.enqueue_time));
-    const ResultCache::Key key{request.address, request.ledger_height};
-    const uint64_t packed =
-        (static_cast<uint64_t>(static_cast<uint32_t>(request.address))
-         << 32) ^
-        (request.ledger_height & 0xffffffffULL);
+  const auto key = std::make_tuple(request.address, request.ledger_height,
+                                   ref.generation);
+  std::optional<double> cached;
+  {
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    // A concurrent pass may have filled the cache since ScoreAsync missed.
+    // ScoreAsync already booked this request's lookup, so this re-check
+    // books nothing.
+    cached = cache_.Get({request.address, request.ledger_height});
+    if (!cached) {
+      auto [pass, inserted] = inflight_.try_emplace(key);
+      if (!inserted) {
+        // Another worker is scoring this key: share its pass.
+        pass->second.push_back(std::move(request));
+        return;
+      }
+    }
+  }
+  if (cached) {
+    ResolveHit(request, *cached, ref.generation);
+    return;
+  }
 
-    // Dispatch-time deadline check: a request that expired while queued
-    // is resolved without paying for the forward pass.
-    if (request.expired(std::chrono::steady_clock::now())) {
-      ScoreResult result;
-      result.address = request.address;
-      result.ledger_height = request.ledger_height;
-      result.trace_id = request.trace_id;
-      result.status =
-          Status::DeadlineExceeded("deadline expired while queued");
-      result.latency_us = ElapsedUs(request.enqueue_time);
-      stats_.RecordDeadlineExceeded();
-      request.promise->set_value(std::move(result));
+  // This request is the pass's representative: its trace context is
+  // active for the whole score, so the score_cold tree lands in the tracer
+  // stamped with its trace id.
+  int retries = 0;
+  Result<double> proba = [&] {
+    obs::ScopedTraceContext trace_ctx(request.trace_id);
+    return ScoreColdWithRetry(*ref.model, request, &retries);
+  }();
+  if (proba.ok()) FillCache(request, proba.ValueOrDie(), *ref.model);
+
+  std::vector<ScoreRequest> group;
+  group.push_back(std::move(request));
+  {
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    auto pass = inflight_.find(key);
+    for (ScoreRequest& duplicate : pass->second) {
+      group.push_back(std::move(duplicate));
+    }
+    inflight_.erase(pass);
+  }
+  stats_.RecordBatch(group.size());
+  if (!proba.ok()) {
+    ResolveColdFailure(group, proba.status());
+    return;
+  }
+  FinishColdGroup(group, proba.ValueOrDie(), retries, ref.generation);
+}
+
+void InferenceService::FillCache(const ScoreRequest& request,
+                                 double probability,
+                                 const core::Dbg4Eth& model) {
+  bool evicted = false;
+  {
+    std::lock_guard<std::mutex> lock(model_mu_);
+    // Cached hits are stamped with the serving generation, so a score of a
+    // model swapped out while the pass ran must not be cached.
+    if (model_.get() != &model) return;
+    evicted = cache_.Put({request.address, request.ledger_height},
+                         probability);
+  }
+  if (evicted) stats_.RecordCacheEviction();
+}
+
+void InferenceService::FinishColdGroup(const std::vector<ScoreRequest>& group,
+                                       double probability, int retries,
+                                       uint64_t model_generation) {
+  bool first = true;
+  for (const ScoreRequest& request : group) {
+    // Duplicates may have expired while the group's representative was
+    // being scored.
+    if (!first && request.expired(std::chrono::steady_clock::now())) {
+      ResolveError(request,
+                   Status::DeadlineExceeded("deadline expired while queued"));
       continue;
     }
-
-    if (auto group = cold.find(packed); group != cold.end()) {
-      group->second.push_back(&request);
-      continue;
-    }
-
     ScoreResult result;
     result.address = request.address;
     result.ledger_height = request.ledger_height;
-    if (auto it = scored.find(packed); it != scored.end()) {
-      result.probability = it->second;
-      result.cache_hit = true;  // Shared with an in-batch duplicate.
-    } else if (auto cached = cache_.Get(key)) {
-      // A concurrent batch may have filled the cache since ScoreAsync
-      // missed; still counts as skipping the expensive path. ScoreAsync
-      // already booked this request's cache lookup, so this one books
-      // nothing.
-      result.probability = *cached;
-      result.cache_hit = true;
-      scored.emplace(packed, *cached);
-    } else {
-      cold_order.push_back(packed);
-      cold.emplace(packed, std::vector<ScoreRequest*>{&request});
-      continue;
-    }
-    result.model_generation = ref.generation;
+    result.probability = probability;
+    result.cache_hit = !first;  // Duplicates share the group's one pass.
+    result.retries = first ? retries : 0;
+    result.model_generation = model_generation;
     result.latency_us = ElapsedUs(request.enqueue_time);
     result.trace_id = request.trace_id;
     stats_.RecordRequest(result.latency_us, result.cache_hit,
                          request.trace_id);
     request.promise->set_value(std::move(result));
-  }
-  if (cold_order.empty()) return;
-
-  // Pass 2 — score each cold group solo: one score_cold span tree per
-  // group. The representative's trace context is active for the whole
-  // group score, so the tree lands in the tracer stamped with that
-  // request's trace id.
-  for (uint64_t packed : cold_order) {
-    const std::vector<ScoreRequest*>& group = cold[packed];
-    obs::ScopedTraceContext trace_ctx(group.front()->trace_id);
-    int retries = 0;
-    Result<double> proba =
-        ScoreColdWithRetry(*ref.model, *group.front(), &retries);
-    if (!proba.ok()) {
-      ResolveColdFailure(group, proba.status());
-      continue;
-    }
-    FinishColdGroup(group, proba.ValueOrDie(), retries, ref.generation);
-  }
-}
-
-void InferenceService::FinishColdGroup(
-    const std::vector<ScoreRequest*>& group, double probability, int retries,
-    uint64_t model_generation) {
-  const ScoreRequest* rep = group.front();
-  if (cache_.Put({rep->address, rep->ledger_height}, probability)) {
-    stats_.RecordCacheEviction();
-  }
-  bool first = true;
-  for (ScoreRequest* request : group) {
-    // Duplicates may have expired while the group's representative was
-    // being scored.
-    if (!first && request->expired(std::chrono::steady_clock::now())) {
-      ScoreResult result;
-      result.address = request->address;
-      result.ledger_height = request->ledger_height;
-      result.trace_id = request->trace_id;
-      result.status =
-          Status::DeadlineExceeded("deadline expired while queued");
-      result.latency_us = ElapsedUs(request->enqueue_time);
-      stats_.RecordDeadlineExceeded();
-      request->promise->set_value(std::move(result));
-      continue;
-    }
-    ScoreResult result;
-    result.address = request->address;
-    result.ledger_height = request->ledger_height;
-    result.probability = probability;
-    result.cache_hit = !first;  // Duplicates share the group's one pass.
-    result.retries = first ? retries : 0;
-    result.model_generation = model_generation;
-    result.latency_us = ElapsedUs(request->enqueue_time);
-    result.trace_id = request->trace_id;
-    stats_.RecordRequest(result.latency_us, result.cache_hit,
-                         request->trace_id);
-    request->promise->set_value(std::move(result));
     first = false;
   }
 }
 
 void InferenceService::ResolveColdFailure(
-    const std::vector<ScoreRequest*>& group, const Status& status) {
-  for (ScoreRequest* request : group) {
-    if (status.code() == StatusCode::kDeadlineExceeded) {
-      ScoreResult result;
-      result.address = request->address;
-      result.ledger_height = request->ledger_height;
-      result.trace_id = request->trace_id;
-      result.status = status;
-      result.latency_us = ElapsedUs(request->enqueue_time);
-      stats_.RecordDeadlineExceeded();
-      request->promise->set_value(std::move(result));
-      continue;
-    }
+    const std::vector<ScoreRequest>& group, const Status& status) {
+  for (const ScoreRequest& request : group) {
     // Degraded mode: the cold path is down (transiently) and the retry
     // budget is spent — a stale score beats no score.
-    if (status.IsTransient() && TryServeStale(*request)) continue;
-    ResolveError(*request, status);
+    if (status.IsTransient() && TryServeStale(request)) continue;
+    ResolveError(request, status);
   }
 }
 
@@ -416,9 +378,29 @@ void InferenceService::ResolveError(const ScoreRequest& request,
   result.address = request.address;
   result.ledger_height = request.ledger_height;
   result.trace_id = request.trace_id;
-  result.status = std::move(status);
   result.latency_us = ElapsedUs(request.enqueue_time);
-  stats_.RecordError();
+  if (status.code() == StatusCode::kDeadlineExceeded) {
+    stats_.RecordDeadlineExceeded();
+  } else {
+    stats_.RecordError();
+  }
+  result.status = std::move(status);
+  request.promise->set_value(std::move(result));
+}
+
+void InferenceService::ResolveHit(const ScoreRequest& request,
+                                  double probability,
+                                  uint64_t model_generation) {
+  ScoreResult result;
+  result.address = request.address;
+  result.ledger_height = request.ledger_height;
+  result.probability = probability;
+  result.cache_hit = true;
+  result.model_generation = model_generation;
+  result.latency_us = ElapsedUs(request.enqueue_time);
+  result.trace_id = request.trace_id;
+  stats_.RecordRequest(result.latency_us, /*cache_hit=*/true,
+                       request.trace_id);
   request.promise->set_value(std::move(result));
 }
 
@@ -429,24 +411,32 @@ Result<double> InferenceService::ScoreCold(const core::Dbg4Eth& model,
   // emitted inside PredictProba (gsg_forward, calibrate, ldg_forward,
   // gbdt). See DESIGN.md "Observability".
   obs::TraceSpan span("score_cold");
-  // The fail point returns its injected error from the lambda, so it fails
-  // the span like any materialization error.
-  Result<eth::GraphInstance> instance = [&]() -> Result<eth::GraphInstance> {
-    DBG4ETH_FAIL_POINT("serve.score_cold");
-    return eth::MaterializeInstance(*ledger_, address, config_.sampling,
-                                    config_.num_time_slices);
-  }();
-  if (!instance.ok()) {
-    // Failed roots are tail-retained by the tracer regardless of sampling,
-    // so the trace explaining an error response is always findable.
+  try {
+    // The fail point returns its injected error from the lambda, so it
+    // fails the span like any materialization error.
+    Result<eth::GraphInstance> instance =
+        [&]() -> Result<eth::GraphInstance> {
+      DBG4ETH_FAIL_POINT("serve.score_cold");
+      return eth::MaterializeInstance(*ledger_, address, config_.sampling,
+                                      config_.num_time_slices);
+    }();
+    if (!instance.ok()) {
+      // Failed roots are tail-retained by the tracer regardless of
+      // sampling, so the trace explaining an error response is always
+      // findable.
+      span.SetError();
+      return instance.status();
+    }
+    {
+      obs::TraceSpan normalize_span("normalize");
+      model.Normalize(&instance.ValueOrDie());
+    }
+    return model.PredictProba(instance.ValueOrDie());
+  } catch (const std::exception& e) {
+    // A throwing pass fails its requests, not the worker thread.
     span.SetError();
-    return instance.status();
+    return Status::Internal(std::string("cold score threw: ") + e.what());
   }
-  {
-    obs::TraceSpan normalize_span("normalize");
-    model.Normalize(&instance.ValueOrDie());
-  }
-  return model.PredictProba(instance.ValueOrDie());
 }
 
 }  // namespace serve

@@ -4,13 +4,14 @@
 #include <atomic>
 #include <future>
 #include <istream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "core/dbg4eth.h"
 #include "eth/dataset.h"
 #include "eth/ledger_base.h"
@@ -30,9 +31,6 @@ struct InferenceServiceConfig {
   /// see DESIGN.md "Inference fast path"). 0 = one per hardware thread.
   /// The resolved count is reported in ServerStats::Snapshot::workers.
   int num_workers = 4;
-  /// Pending-batch bound of the worker pool (backpressure toward the
-  /// dispatcher, which in turn backpressures producers via the queue).
-  size_t pool_queue_capacity = 256;
   RequestQueueConfig queue;
   ResultCacheConfig cache;
   /// Subgraph materialization parameters; must match how the model's
@@ -61,29 +59,33 @@ struct InferenceServiceConfig {
 /// Request path: `ScoreAsync(address)` first consults the sharded result
 /// cache keyed by (address, ledger height) — a hit resolves immediately,
 /// skipping both subgraph materialization and the forward pass. Misses are
-/// enqueued into the micro-batching RequestQueue; a dispatcher thread pops
-/// batches (full batch or max_wait_us, whichever first) and hands each
-/// batch to the worker pool. Workers dedupe identical addresses inside the
-/// batch, re-check the cache, materialize the account-centred subgraph
-/// (eth::MaterializeInstance), normalize it with the model's train-split
-/// statistics, run the double-graph forward pass, fill the cache and
-/// resolve the promises. Every outcome is booked once, in the service's
-/// own metrics registry (ServerStats; see `metrics()`).
+/// pushed onto the bounded RequestQueue, where `num_workers` threads each
+/// block in `Pop` and take one request per pick-up: a cold request crosses
+/// one thread hand-off and never waits for a batching window. The worker
+/// re-checks the cache, then looks the request up in the in-flight table
+/// keyed by (address, height, model generation): a request whose key
+/// another worker is already scoring attaches to that pass and shares its
+/// result. Otherwise the worker scores it — materializes the
+/// account-centred subgraph (eth::MaterializeInstance), normalizes it with
+/// the model's train-split statistics, runs the double-graph forward pass
+/// — fills the cache and resolves the request and everything attached to
+/// it. Every outcome is booked once, in the service's own metrics registry
+/// (ServerStats; see `metrics()`).
 ///
 /// Thread safety: the service holds the model as a
-/// `shared_ptr<const Dbg4Eth>` behind a mutex; each worker batch takes one
+/// `shared_ptr<const Dbg4Eth>` behind a mutex; each pick-up takes one
 /// snapshot of that pointer and scores through it — Dbg4Eth::PredictProba /
 /// Normalize are const and race-free, so any number of workers score
 /// concurrently. `SwapModel` (wired to ModelRegistry's swap callback)
-/// RCU-swaps the pointer: batches already dispatched finish on the model
-/// they snapshotted, new batches see the new model, and the old model is
-/// freed when its last in-flight batch drops its reference. The ledger
-/// must outlive the service and be immutable while it runs (bump via
+/// RCU-swaps the pointer: passes already running finish on the model they
+/// snapshotted, later pick-ups see the new model, and the old model is
+/// freed when its last running pass drops its reference. The ledger must
+/// outlive the service and be immutable while it runs (bump via
 /// RefreshLedgerHeight after appending transactions).
 class InferenceService {
  public:
   /// Restores the model from a checkpoint stream (Dbg4Eth::Save format)
-  /// and starts the dispatcher and worker threads.
+  /// and starts the worker threads.
   static Result<std::unique_ptr<InferenceService>> Create(
       const InferenceServiceConfig& config, std::istream* checkpoint,
       const eth::Ledger* ledger);
@@ -120,12 +122,13 @@ class InferenceService {
 
   /// \brief Zero-downtime model hot-swap (RCU style).
   ///
-  /// Installs `model` as the serving model for every batch dispatched
-  /// after the swap; batches already in flight keep the snapshot they
-  /// took and finish on the old model, which is freed when the last such
-  /// batch completes. The result cache is cleared — its entries are keyed
-  /// only by (address, height) and belong to the replaced model. Safe to
-  /// call concurrently with scoring; typically wired to
+  /// Installs `model` as the serving model for every request picked up
+  /// after the swap; passes already running keep the snapshot they took
+  /// and finish on the old model, which is freed when the last such pass
+  /// completes. The result cache is cleared — its entries are keyed only
+  /// by (address, height) and belong to the replaced model — and a pass
+  /// finishing on the old model does not cache its score. Safe to call
+  /// concurrently with scoring; typically wired to
   /// ModelRegistry::SetSwapCallback.
   void SwapModel(std::shared_ptr<const core::Dbg4Eth> model,
                  uint64_t generation);
@@ -140,8 +143,9 @@ class InferenceService {
 
   uint64_t ledger_height() const { return ledger_height_.load(); }
 
-  /// Stops accepting requests, drains in-flight work, joins all threads.
-  /// Pending requests still resolve (scored or error). Idempotent.
+  /// Stops accepting requests, lets the workers drain the queue, joins
+  /// them. Every accepted request still resolves (scored or error).
+  /// Idempotent.
   void Shutdown();
 
   ServerStats::Snapshot StatsSnapshot() const {
@@ -150,7 +154,7 @@ class InferenceService {
     return snapshot;
   }
   /// The registry holding this service's `serve_*` request, latency,
-  /// batch and cache-event families. The admission queue's wait and
+  /// forward-pass and cache-event families. The admission queue's wait and
   /// depth families live in obs::MetricsRegistry::Global(); a full
   /// scrape renders both.
   const obs::MetricsRegistry& metrics() const { return stats_.registry(); }
@@ -160,17 +164,22 @@ class InferenceService {
   int num_workers() const { return workers_; }
 
  private:
-  /// One batch's immutable view of the serving model: the pointer pins
-  /// the model alive for the batch's whole lifetime (RCU read side).
+  /// One pick-up's immutable view of the serving model: the pointer pins
+  /// the model alive until the pick-up is done (RCU read side).
   struct ModelRef {
     std::shared_ptr<const core::Dbg4Eth> model;
     uint64_t generation = 0;
   };
   ModelRef SnapshotModel() const;
 
-  void DispatchLoop();
-  void ProcessBatch(std::vector<ScoreRequest>* batch);
+  /// Worker thread body: pops one request at a time until the queue is
+  /// closed and drained.
+  void WorkerLoop();
+  /// Resolves one picked-up request: expiry, cache re-check, in-flight
+  /// sharing, and otherwise one cold pass for it and its duplicates.
+  void ProcessRequest(ScoreRequest request);
   /// Cold path: materialize + normalize + forward pass through `model`.
+  /// An exception thrown inside the pass fails it with kInternal.
   Result<double> ScoreCold(const core::Dbg4Eth& model,
                            eth::AccountId address) const;
   /// Cold path with the transient-failure retry loop around it; fills
@@ -178,26 +187,36 @@ class InferenceService {
   Result<double> ScoreColdWithRetry(const core::Dbg4Eth& model,
                                     const ScoreRequest& request,
                                     int* retries);
-  /// Resolves every request of one deduplicated cold group with the
-  /// group's probability; `retries` belongs to the representative (first)
-  /// request, duplicates count as in-batch cache hits.
-  void FinishColdGroup(const std::vector<ScoreRequest*>& group,
+  /// Caches a pass's score, unless `model` was swapped out while the pass
+  /// ran: then its score belongs to no cached model and is dropped.
+  void FillCache(const ScoreRequest& request, double probability,
+                 const core::Dbg4Eth& model);
+  /// Resolves every request of one cold group with the group's
+  /// probability; `retries` belongs to the representative (first)
+  /// request, the duplicates attached to its pass count as cache hits.
+  void FinishColdGroup(const std::vector<ScoreRequest>& group,
                        double probability, int retries,
                        uint64_t model_generation);
   /// Resolves every request of a cold group whose scoring failed: each
-  /// resolves as deadline-exceeded, stale (degraded mode) or an error.
-  void ResolveColdFailure(const std::vector<ScoreRequest*>& group,
+  /// resolves stale (degraded mode, transient failures) or with `status`.
+  void ResolveColdFailure(const std::vector<ScoreRequest>& group,
                           const Status& status);
+  /// Resolves `request` as a cache hit with `probability`.
+  void ResolveHit(const ScoreRequest& request, double probability,
+                  uint64_t model_generation);
   /// Resolves `request` from the newest stale cache entry below its
   /// height, if degraded mode allows; true when it was resolved.
   bool TryServeStale(const ScoreRequest& request);
-  /// Resolves `request` with an error status and records it.
+  /// Resolves `request` with a failure status and records it: as a
+  /// deadline expiry for kDeadlineExceeded, as an error otherwise.
   void ResolveError(const ScoreRequest& request, Status status);
 
   InferenceServiceConfig config_;
   /// Serving model (RCU write side): guarded by model_mu_; readers take a
-  /// shared_ptr copy per batch via SnapshotModel, writers re-point it in
-  /// SwapModel. Never null after construction.
+  /// shared_ptr copy per pick-up via SnapshotModel, writers re-point it in
+  /// SwapModel. Cache fills and SwapModel's clear also run under model_mu_,
+  /// so no score of a replaced model is cached after the swap. Never null
+  /// after construction.
   mutable std::mutex model_mu_;
   std::shared_ptr<const core::Dbg4Eth> model_;
   std::atomic<uint64_t> model_generation_{0};
@@ -206,13 +225,21 @@ class InferenceService {
   ResultCache cache_;
   ServerStats stats_;
   RequestQueue queue_;
-  /// Resolved worker count; declared before pool_ so the clamp happens
-  /// before the pool spawns its threads.
-  int workers_;
-  ThreadPool pool_;
-  std::thread dispatcher_;
+  /// Cold passes being scored, keyed by (address, height, model
+  /// generation), each with the duplicate requests that attached to it
+  /// while it ran. A pass fills the cache before leaving the table, and
+  /// pick-ups check both under inflight_mu_, so a duplicate either
+  /// attaches or hits.
+  std::mutex inflight_mu_;
+  std::map<std::tuple<eth::AccountId, uint64_t, uint64_t>,
+           std::vector<ScoreRequest>>
+      inflight_;
   std::mutex shutdown_mu_;  ///< Serializes Shutdown callers.
   std::atomic<bool> shutdown_{false};
+  /// Resolved worker count (config.num_workers clamped).
+  int workers_;
+  /// Declared last: the workers use every member above.
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace serve

@@ -45,8 +45,8 @@ struct ModelRegistryConfig {
 /// model reject the reload (the live model keeps serving — rollback is
 /// automatic because the swap simply never happens). An accepted
 /// candidate is RCU-swapped in as a `shared_ptr<const Dbg4Eth>`: readers
-/// take a snapshot per batch, so in-flight scores finish on the model
-/// they started with and the old model is freed when its last batch
+/// take a snapshot per pick-up, so in-flight scores finish on the model
+/// they started with and the old model is freed when its last pass
 /// completes. A rejected or corrupt generation is remembered and not
 /// re-tried until an even newer generation appears.
 ///

@@ -1,7 +1,5 @@
 #include "serve/request_queue.h"
 
-#include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/logging.h"
@@ -11,8 +9,6 @@ namespace serve {
 
 RequestQueue::RequestQueue(const RequestQueueConfig& config)
     : config_(config) {
-  DBG4ETH_CHECK_GE(config.max_batch, 1);
-  DBG4ETH_CHECK_GE(config.max_wait_us, 0);
   DBG4ETH_CHECK_GE(config.capacity, 1u);
 }
 
@@ -27,27 +23,12 @@ RequestQueue::PushResult RequestQueue::TryPush(ScoreRequest request) {
   return PushResult::kAccepted;
 }
 
-bool RequestQueue::PopBatch(std::vector<ScoreRequest>* out) {
-  out->clear();
+bool RequestQueue::Pop(ScoreRequest* out) {
   std::unique_lock<std::mutex> lock(mu_);
   not_empty_.wait(lock, [this] { return closed_ || !queue_.empty(); });
   if (queue_.empty()) return false;  // Closed and drained.
-
-  // The batch starts forming now; gather more requests until it is full,
-  // the wait bound expires, or the queue closes (then ship what we have).
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(config_.max_wait_us);
-  not_empty_.wait_until(lock, deadline, [this] {
-    return closed_ || static_cast<int>(queue_.size()) >= config_.max_batch;
-  });
-
-  const size_t take =
-      std::min(queue_.size(), static_cast<size_t>(config_.max_batch));
-  out->reserve(take);
-  for (size_t i = 0; i < take; ++i) {
-    out->push_back(std::move(queue_.front()));
-    queue_.pop_front();
-  }
+  *out = std::move(queue_.front());
+  queue_.pop_front();
   return true;
 }
 

@@ -2,35 +2,27 @@
 #define DBG4ETH_SERVE_REQUEST_QUEUE_H_
 
 #include <condition_variable>
-#include <cstdint>
+#include <cstddef>
 #include <deque>
 #include <mutex>
-#include <vector>
 
 #include "serve/types.h"
 
 namespace dbg4eth {
 namespace serve {
 
-/// \brief Micro-batching parameters.
+/// \brief Admission queue sizing.
 struct RequestQueueConfig {
-  /// Dispatch as soon as this many requests have accumulated...
-  int max_batch = 16;
-  /// ...or once this long has passed since the batch started forming,
-  /// whichever comes first.
-  int64_t max_wait_us = 2000;
   /// Bound on queued (not yet popped) requests; TryPush reports kFull
   /// beyond it.
   size_t capacity = 4096;
 };
 
-/// \brief Bounded MPMC request queue with micro-batching on the pop side.
+/// \brief Bounded MPMC FIFO of score requests.
 ///
-/// Producers `TryPush` single requests; the dispatcher `PopBatch`es up to
-/// `max_batch` of them, waiting at most `max_wait_us` from the moment the
-/// first request of the forming batch is visible — so a full batch
-/// dispatches immediately and a lone request dispatches after the wait
-/// bound, trading a little latency for amortized dispatch.
+/// Producers `TryPush` single requests; each serving worker blocks in
+/// `Pop` and takes one request per pick-up, so a request waits only
+/// while every worker is busy — never for a batching window.
 class RequestQueue {
  public:
   explicit RequestQueue(const RequestQueueConfig& config);
@@ -50,11 +42,10 @@ class RequestQueue {
   /// is destroyed.
   PushResult TryPush(ScoreRequest request);
 
-  /// Blocks until a batch is ready (first-request age >= max_wait_us or
-  /// max_batch requests available), fills `out` with 1..max_batch requests
+  /// Blocks until a request is queued, moves the oldest one into `out`
   /// and returns true. Returns false only when the queue is closed and
   /// fully drained.
-  bool PopBatch(std::vector<ScoreRequest>* out);
+  bool Pop(ScoreRequest* out);
 
   /// Rejects further pushes and wakes every waiter. Requests already
   /// queued remain poppable until drained.

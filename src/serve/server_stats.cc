@@ -9,7 +9,7 @@ namespace serve {
 
 namespace {
 
-/// Batch-size buckets: exact up to ~max_batch scales (growth 2, min 1).
+/// Requests-per-pass buckets (growth 2, min 1): 1 is its own bucket.
 obs::HistogramConfig BatchSizeBuckets() {
   obs::HistogramConfig config;
   config.min_value = 1.0;
@@ -53,7 +53,7 @@ ServerStats::ServerStats() {
   retries_ = registry_.CounterAt(
       "serve_retries_total", "Cold-path retry attempts beyond the first");
   batches_ = registry_.CounterAt("serve_batches_total",
-                                 "Micro-batches dispatched to the pool");
+                                 "Cold forward passes run by the workers");
   const char* kCacheHelp = "Result-cache lookups and evictions by outcome";
   cache_lookup_hit_ = registry_.CounterAt("serve_cache_events_total",
                                           kCacheHelp, {{"outcome", "hit"}});
@@ -69,9 +69,11 @@ ServerStats::ServerStats() {
                                        {{"path", "hit"}});
   latency_stale_ = registry_.HistogramAt("serve_latency_us", kLatencyHelp,
                                          {{"path", "stale"}});
-  batch_size_ =
-      registry_.HistogramAt("serve_batch_size", "Requests per dispatched batch",
-                            {}, BatchSizeBuckets());
+  batch_size_ = registry_.HistogramAt(
+      "serve_batch_size",
+      "Requests resolved per cold forward pass (the request it ran for plus "
+      "the duplicates that shared it)",
+      {}, BatchSizeBuckets());
 }
 
 void ServerStats::RecordRequest(double latency_us, bool cache_hit,

@@ -46,7 +46,10 @@ class ServerStats {
     uint64_t retried = 0;
     /// Requests answered from a stale cache entry in degraded mode.
     uint64_t stale_served = 0;
+    /// Cold forward passes run (the `serve_batches_total` family).
     uint64_t batches = 0;
+    /// Requests resolved per cold forward pass: 1 plus the duplicates that
+    /// attached to the pass while it ran.
     double avg_batch_size = 0.0;
     double cache_hit_rate = 0.0;
     /// Worker threads actually running, after the service clamped the
@@ -69,6 +72,7 @@ class ServerStats {
   void RecordRequest(double latency_us, bool cache_hit,
                      const std::string& trace_id = std::string());
   void RecordError();
+  /// Records one cold forward pass and the requests it resolved.
   void RecordBatch(size_t batch_size);
   /// Records one request resolved kDeadlineExceeded (not an error).
   void RecordDeadlineExceeded();

@@ -30,9 +30,9 @@ struct ScoreResult {
   int retries = 0;
   /// Checkpoint generation of the model that produced the score (0 until
   /// the first hot-swap installs a generation — the construction-time
-  /// model has no checkpoint lineage). In-flight batches finish on the
-  /// model they started with, so after a swap a short tail of results may
-  /// still carry the previous generation.
+  /// model has no checkpoint lineage). Running passes finish on the model
+  /// they started with, so after a swap a short tail of results may still
+  /// carry the previous generation.
   uint64_t model_generation = 0;
   /// End-to-end latency (submit -> resolved), microseconds.
   double latency_us = 0.0;
@@ -83,17 +83,17 @@ inline int SuggestedHttpStatus(const Status& status) {
 }
 
 /// \brief One in-flight scoring request as it moves through the
-/// RequestQueue into a worker batch.
+/// RequestQueue to a worker.
 struct ScoreRequest {
   eth::AccountId address = -1;
   uint64_t ledger_height = 0;
   std::chrono::steady_clock::time_point enqueue_time;
   /// Absolute deadline; only meaningful when `has_deadline` is set. An
   /// expired request resolves kDeadlineExceeded without a forward pass
-  /// (checked at dispatch and again before each scoring attempt).
+  /// (checked at pick-up and again before each scoring attempt).
   std::chrono::steady_clock::time_point deadline;
   bool has_deadline = false;
-  /// Correlation id carried from admission through batching into the
+  /// Correlation id carried from admission through the queue into the
   /// worker's trace context (see obs::ScopedTraceContext).
   std::string trace_id;
   std::shared_ptr<std::promise<ScoreResult>> promise;

@@ -48,6 +48,9 @@ class InferenceArena {
   InferenceArena& operator=(const InferenceArena&) = delete;
 
   /// Pooled value-only node holding `value`. No parents, no backward.
+  /// `value` must own a buffer from this arena (Zeros, Uninit, CopyOf):
+  /// BeginPass moves it into the free list, so a buffer allocated
+  /// elsewhere would grow the pool by one buffer per pass.
   std::shared_ptr<internal::TensorNode> MakeValueNode(Matrix value);
 
   /// Zero-filled rows x cols buffer (for accumulate-style kernels and

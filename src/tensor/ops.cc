@@ -24,7 +24,9 @@ Tensor MakeNode(Matrix value, std::vector<Tensor> parents,
   if (InferenceArena* arena = internal::ActiveInferenceArena()) {
     // Safety net for ops without an explicit fast-path exit (losses,
     // future additions): under an InferenceScope no tape is ever built.
-    return Tensor::FromNode(arena->MakeValueNode(std::move(value)));
+    // The value was computed outside the pool, so it is copied into a pool
+    // buffer rather than adopted (see Tensor's constructor).
+    return Tensor::FromNode(arena->MakeValueNode(arena->CopyOf(value)));
   }
   auto node = std::make_shared<TensorNode>();
   node->value = std::move(value);

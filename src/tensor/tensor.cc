@@ -75,9 +75,12 @@ void GradientBuffer::ReduceInto() {
 Tensor::Tensor(Matrix value, bool requires_grad) {
   if (!requires_grad) {
     // Constants built under an active InferenceScope draw a pooled
-    // value-only node instead of hitting the allocator.
+    // value-only node instead of hitting the allocator. The value is
+    // copied into a pool buffer: the next pass recycles the node's buffer
+    // into the free list, and adopting this caller-allocated one instead
+    // would grow the pool by one buffer every pass.
     if (InferenceArena* arena = internal::ActiveInferenceArena()) {
-      node_ = arena->MakeValueNode(std::move(value));
+      node_ = arena->MakeValueNode(arena->CopyOf(value));
       return;
     }
   }

@@ -3,6 +3,8 @@
 // zero-allocation steady state.
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <cmath>
 #include <functional>
 #include <vector>
@@ -280,6 +282,24 @@ TEST(InferenceArenaTest, HeldTensorsSurviveTheNextPass) {
   }
   EXPECT_DOUBLE_EQ(held.value().At(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(held.value().At(0, 1), 2.0);
+}
+
+TEST(InferenceArenaTest, ConstantsDoNotGrowTheHeapAcrossPasses) {
+  // Each pass builds a constant under its scope, as the encoders do with
+  // their input features. Its storage must come back to the pool, not be
+  // added to it on top of the buffers the pool already owns.
+  auto pass = [] {
+    ag::InferenceScope scope;
+    ag::Tensor input = ag::Tensor::Constant(Matrix(64, 64));
+    EXPECT_EQ(input.value().rows(), 64);
+  };
+  for (int i = 0; i < 4; ++i) pass();  // Warm the pool.
+  const size_t before = mallinfo2().uordblks;
+  for (int i = 0; i < 500; ++i) pass();
+  const double grown_bytes = static_cast<double>(mallinfo2().uordblks) -
+                             static_cast<double>(before);
+  // One 32 KB buffer per pass would add ~16 MB.
+  EXPECT_LT(grown_bytes, 1.0e6);
 }
 
 TEST(InferenceArenaTest, NestedScopesShareOnePass) {

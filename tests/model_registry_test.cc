@@ -2,7 +2,7 @@
 // checkpoint generations off the request path, reject poisoned candidates
 // at the validation gate (automatic rollback = keep serving), skip corrupt
 // generations, and RCU-swap into the InferenceService without ever mixing
-// models inside one batch.
+// models inside one forward pass or caching a replaced model's score.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +22,7 @@
 #include "core/dbg4eth.h"
 #include "eth/dataset.h"
 #include "eth/ledger.h"
+#include "gated_ledger.h"
 #include "ml/split.h"
 #include "serve/inference_service.h"
 #include "serve/model_registry.h"
@@ -382,8 +383,8 @@ TEST_F(ModelRegistryTest, RepublishingTheSameModelSwapsCleanly) {
 
 // --------------------------------------------------------------------------
 // Hot-swap under load (the TSan target): a background watcher swapping
-// models while clients score through the InferenceService. In-flight
-// batches must finish on the model they started with; every accepted
+// models while clients score through the InferenceService. Running passes
+// must finish on the model they started with; every accepted
 // request must resolve with a finite score or a principled error.
 // --------------------------------------------------------------------------
 
@@ -400,8 +401,6 @@ TEST_F(ModelRegistryTest, HotSwapHammerUnderConcurrentScoring) {
 
   InferenceServiceConfig service_config;
   service_config.num_workers = 2;
-  service_config.queue.max_batch = 4;
-  service_config.queue.max_wait_us = 200;
   service_config.cache.capacity = 128;
   service_config.cache.num_shards = 4;
   service_config.sampling = Sampling();
@@ -473,8 +472,6 @@ TEST_F(ModelRegistryTest, HotSwapHammerUnderConcurrentScoring) {
 TEST_F(ModelRegistryTest, SwapModelClearsCacheAndStampsGeneration) {
   InferenceServiceConfig service_config;
   service_config.num_workers = 1;
-  service_config.queue.max_batch = 2;
-  service_config.queue.max_wait_us = 200;
   service_config.cache.capacity = 64;
   service_config.cache.num_shards = 2;
   service_config.sampling = Sampling();
@@ -518,6 +515,55 @@ TEST_F(ModelRegistryTest, SwapModelClearsCacheAndStampsGeneration) {
   EXPECT_TRUE(after_warm.cache_hit);
   EXPECT_EQ(after_warm.model_generation, 7u);
   EXPECT_DOUBLE_EQ(after_warm.probability, after.probability);
+}
+
+// A pass that snapshotted the old model and finishes after the swap must
+// not cache its score: a later hit would serve it stamped with the new
+// model's generation.
+TEST_F(ModelRegistryTest, PassFinishingAfterSwapDoesNotCacheTheOldScore) {
+  const eth::AccountId address = diverging_address_;
+  GatedLedger gated(*ledger_, /*gate_id=*/address);
+  InferenceServiceConfig service_config;
+  service_config.num_workers = 1;
+  service_config.cache.capacity = 64;
+  service_config.cache.num_shards = 2;
+  service_config.sampling = Sampling();
+  service_config.num_time_slices = kTimeSlices;
+
+  std::stringstream stream_a(*checkpoint_a_);
+  auto model_a = core::Dbg4Eth::Load(&stream_a);
+  ASSERT_TRUE(model_a.ok());
+  const auto score_a = ScoreWith(*model_a.ValueOrDie(), address);
+  ASSERT_TRUE(score_a.ok());
+  InferenceService service(service_config, std::move(model_a).ValueOrDie(),
+                           &gated);
+
+  // Score on model A and hold the pass at the gate.
+  std::future<ScoreResult> held = service.ScoreAsync(address);
+  ASSERT_TRUE(gated.WaitUntilEntered());
+
+  // Swap to model B while A's pass is still running, then let it finish.
+  std::stringstream stream_b(*checkpoint_b_);
+  auto model_b = core::Dbg4Eth::Load(&stream_b);
+  ASSERT_TRUE(model_b.ok());
+  const auto score_b = ScoreWith(*model_b.ValueOrDie(), address);
+  ASSERT_TRUE(score_b.ok());
+  service.SwapModel(
+      std::shared_ptr<const core::Dbg4Eth>(
+          std::move(model_b).ValueOrDie().release()),
+      /*generation=*/7);
+  gated.Open();
+  const ScoreResult on_a = held.get();
+  ASSERT_TRUE(on_a.ok()) << on_a.status.ToString();
+  EXPECT_EQ(on_a.probability, score_a.ValueOrDie());
+  EXPECT_EQ(on_a.model_generation, 0u);
+
+  // The next score misses and runs on B.
+  const ScoreResult on_b = service.Score(address);
+  ASSERT_TRUE(on_b.ok()) << on_b.status.ToString();
+  EXPECT_FALSE(on_b.cache_hit);
+  EXPECT_EQ(on_b.probability, score_b.ValueOrDie());
+  EXPECT_EQ(on_b.model_generation, 7u);
 }
 
 }  // namespace

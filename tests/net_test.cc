@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "net/http.h"
 #include "net/scoring_app.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/inference_service.h"
 #include "serve/types.h"
@@ -557,8 +559,6 @@ class NetScoringTest : public ::testing::Test {
 
     serve::InferenceServiceConfig sc;
     sc.num_workers = 2;
-    sc.queue.max_batch = 4;
-    sc.queue.max_wait_us = 500;
     sc.cache.capacity = 256;
     sc.cache.num_shards = 4;
     sc.sampling = Sampling();
@@ -1116,6 +1116,39 @@ TEST(HttpServerTraceTest, ClientSentXTraceIdCannotShadowTheCanonicalId) {
   server->Shutdown();
 }
 
+TEST(HttpServerTest, ThrowingHandlerGets500AndKeepsTheConnection) {
+  auto server = std::make_unique<HttpServer>(HttpServerConfig());
+  server->Route("GET", "/throw", [](const HttpRequest&) -> HttpResponse {
+    throw std::runtime_error("handler bug");
+  });
+  server->Route("GET", "/healthz", [](const HttpRequest&) {
+    return HttpResponse::Text(200, "ok\n");
+  });
+  ASSERT_TRUE(server->Start().ok());
+  // A short timeout: a throw that never completes would otherwise hang
+  // the request for the client's default 30 s.
+  HttpClientConfig config;
+  config.io_timeout_us = 1'000'000;
+  HttpClient client("127.0.0.1", server->port(), config);
+  obs::Counter* answered_500 = obs::MetricsRegistry::Global()->CounterAt(
+      "net_requests_total", "HTTP requests by route and status",
+      {{"route", "/throw"}, {"code", "500"}});
+  const uint64_t answered_before = answered_500->Value();
+
+  auto thrown = client.Get("/throw");
+  ASSERT_TRUE(thrown.ok()) << thrown.status().ToString();
+  EXPECT_EQ(thrown.ValueOrDie().status, 500);
+  EXPECT_TRUE(IsHex32(HeaderValue(thrown.ValueOrDie(), "x-trace-id")));
+  EXPECT_EQ(answered_500->Value(), answered_before + 1);
+
+  // The same keep-alive connection goes on serving.
+  auto healthy = client.Get("/healthz");
+  ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
+  EXPECT_EQ(healthy.ValueOrDie().status, 200);
+  EXPECT_EQ(client.connects(), 1u);
+  server->Shutdown();
+}
+
 // ==========================================================================
 // End-to-end correlation: trace id -> span tree -> exemplar -> debug routes.
 // ==========================================================================
@@ -1199,8 +1232,8 @@ TEST_F(NetScoringTest, BatchRequestStampsEveryResultWithTheTraceId) {
   ASSERT_GE(exchanges.size(), 2u);
   const std::string want_id = "0123456789abcdef0123456789abcdef";
   HttpClient client = MakeClient();
-  // Two addresses fan out concurrently inside the handler, so they can
-  // share one dispatched batch; both results carry the request's id.
+  // Two addresses fan out concurrently inside the handler, so two workers
+  // can score them at once; both results carry the request's id.
   auto response = client.Post(
       "/v1/score_batch",
       "{\"addresses\": [" + std::to_string(exchanges[0]) + ", " +

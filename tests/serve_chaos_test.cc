@@ -108,8 +108,6 @@ class ServeChaosTest : public ::testing::Test {
   static InferenceServiceConfig ServiceConfig(int workers) {
     InferenceServiceConfig config;
     config.num_workers = workers;
-    config.queue.max_batch = 4;
-    config.queue.max_wait_us = 500;
     config.cache.capacity = 256;
     config.cache.num_shards = 4;
     config.sampling = Sampling();
@@ -265,10 +263,10 @@ TEST_F(ServeChaosTest, IngestFailpointsInject) {
   EXPECT_EQ(inst.status().code(), StatusCode::kUnavailable);
 }
 
-TEST_F(ServeChaosTest, SlowPoolTasksDoNotLoseRequests) {
+TEST_F(ServeChaosTest, SlowWorkersDoNotLoseRequests) {
   SKIP_WITHOUT_FAILPOINTS();
   ASSERT_TRUE(
-      failpoint::Enable("pool.task", failpoint::SleepFor(1'000)).ok());
+      failpoint::Enable("serve.worker", failpoint::SleepFor(1'000)).ok());
   auto service = MakeService(ServiceConfig(/*workers=*/2), ledger_);
   const auto exchanges =
       ledger_->AccountsOfClass(eth::AccountClass::kExchange);
@@ -281,7 +279,7 @@ TEST_F(ServeChaosTest, SlowPoolTasksDoNotLoseRequests) {
   for (auto& future : futures) {
     EXPECT_TRUE(future.get().ok());  // Slow, not lost.
   }
-  EXPECT_GT(failpoint::FireCount("pool.task"), 0u);
+  EXPECT_GT(failpoint::FireCount("serve.worker"), 0u);
 }
 
 // The TSan centerpiece: concurrent clients with mixed deadlines, a cold
@@ -292,7 +290,6 @@ TEST_F(ServeChaosTest, ConcurrentChaosWithRacingShutdownReconciles) {
   SKIP_WITHOUT_FAILPOINTS();
   InferenceServiceConfig config = ServiceConfig(/*workers=*/4);
   config.queue.capacity = 32;
-  config.queue.max_wait_us = 300;
   config.max_cold_retries = 1;
   auto service = MakeService(config, ledger_);
 
@@ -301,7 +298,7 @@ TEST_F(ServeChaosTest, ConcurrentChaosWithRacingShutdownReconciles) {
                   failpoint::WithProbability(0.25, /*seed=*/0xc4a05))
                   .ok());
   ASSERT_TRUE(
-      failpoint::Enable("pool.task", failpoint::SleepFor(200)).ok());
+      failpoint::Enable("serve.worker", failpoint::SleepFor(200)).ok());
 
   const auto exchanges =
       ledger_->AccountsOfClass(eth::AccountClass::kExchange);
@@ -344,6 +341,7 @@ TEST_F(ServeChaosTest, ConcurrentChaosWithRacingShutdownReconciles) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   service->Shutdown();
   for (auto& client : clients) client.join();
+  EXPECT_GT(failpoint::FireCount("serve.worker"), 0u);
 
   constexpr uint64_t kTotal =
       static_cast<uint64_t>(kClients) * kRequestsPerClient;

@@ -18,6 +18,7 @@
 #include "eth/appendable_ledger.h"
 #include "eth/dataset.h"
 #include "eth/ledger.h"
+#include "gated_ledger.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/inference_service.h"
@@ -102,8 +103,6 @@ class ServeIntegrationTest : public ::testing::Test {
   static InferenceServiceConfig ServiceConfig(int workers) {
     InferenceServiceConfig config;
     config.num_workers = workers;
-    config.queue.max_batch = 4;
-    config.queue.max_wait_us = 500;
     config.cache.capacity = 256;
     config.cache.num_shards = 4;
     config.sampling = Sampling();
@@ -387,72 +386,83 @@ TEST_F(ServeIntegrationTest, RefreshLedgerHeightInvalidatesCachedScores) {
 // --------------------------------------------------------------------------
 
 TEST_F(ServeIntegrationTest, ExpiredDeadlineResolvesWithoutForwardPass) {
+  const auto exchanges =
+      ledger_->AccountsOfClass(eth::AccountClass::kExchange);
+  ASSERT_GE(exchanges.size(), 2u);
+  // The only worker is held inside exchanges[1]'s pass while the deadline
+  // of the request queued behind it runs out.
+  GatedLedger gated(*ledger_, /*gate_id=*/exchanges[1]);
   std::stringstream checkpoint(*checkpoint_);
-  InferenceServiceConfig config = ServiceConfig(1);
-  // The batch never fills, so dispatch happens after max_wait_us — far
-  // beyond the request's deadline.
-  config.queue.max_batch = 64;
-  config.queue.max_wait_us = 100'000;
-  auto created = InferenceService::Create(config, &checkpoint, ledger_);
+  auto created =
+      InferenceService::Create(ServiceConfig(1), &checkpoint, &gated);
   ASSERT_TRUE(created.ok());
   auto& service = *created.ValueOrDie();
 
-  const auto exchanges =
-      ledger_->AccountsOfClass(eth::AccountClass::kExchange);
-  const ScoreResult result =
-      service.ScoreAsync(exchanges.front(), /*deadline_us=*/2'000).get();
+  std::future<ScoreResult> held = service.ScoreAsync(exchanges[1]);
+  ASSERT_TRUE(gated.WaitUntilEntered());
+  std::future<ScoreResult> expiring =
+      service.ScoreAsync(exchanges[0], /*deadline_us=*/2'000);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  gated.Open();
+  const ScoreResult result = expiring.get();
   EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_TRUE(held.get().ok());
 
   const ServerStats::Snapshot stats = service.StatsSnapshot();
   EXPECT_EQ(stats.deadline_exceeded, 1u);
-  EXPECT_EQ(stats.cold.count, 0u);  // No forward pass was paid for.
-  EXPECT_EQ(stats.requests, 0u);    // Expiry is not a served request...
+  EXPECT_EQ(stats.cold.count, 1u);  // Only the held request was scored.
+  EXPECT_EQ(stats.requests, 1u);    // Expiry is not a served request...
   EXPECT_EQ(stats.errors, 0u);      // ...and not an error either.
 }
 
 TEST_F(ServeIntegrationTest, SaturatedQueueShedsWithResourceExhausted) {
+  const auto exchanges =
+      ledger_->AccountsOfClass(eth::AccountClass::kExchange);
+  ASSERT_GE(exchanges.size(), 4u);
+  GatedLedger gated(*ledger_, /*gate_id=*/exchanges[0]);
   std::stringstream checkpoint(*checkpoint_);
   InferenceServiceConfig config = ServiceConfig(1);
   config.queue.capacity = 2;
-  config.queue.max_batch = 64;
-  config.queue.max_wait_us = 200'000;  // Accepted requests sit queued.
-  config.serve_stale = false;          // Shed outright, no fallback.
-  auto created = InferenceService::Create(config, &checkpoint, ledger_);
+  config.serve_stale = false;  // Shed outright, no fallback.
+  auto created = InferenceService::Create(config, &checkpoint, &gated);
   ASSERT_TRUE(created.ok());
   auto& service = *created.ValueOrDie();
 
-  const auto exchanges =
-      ledger_->AccountsOfClass(eth::AccountClass::kExchange);
-  ASSERT_GE(exchanges.size(), 3u);
-  std::future<ScoreResult> accepted0 = service.ScoreAsync(exchanges[0]);
-  std::future<ScoreResult> accepted1 = service.ScoreAsync(exchanges[1]);
-  // Capacity 2 is exhausted while the batch forms: admission control must
-  // answer immediately instead of blocking this thread for 200 ms.
-  const ScoreResult shed = service.ScoreAsync(exchanges[2]).get();
+  // The only worker is held inside exchanges[0]'s pass, so the next two
+  // requests stay queued.
+  std::future<ScoreResult> held = service.ScoreAsync(exchanges[0]);
+  ASSERT_TRUE(gated.WaitUntilEntered());
+  std::future<ScoreResult> queued1 = service.ScoreAsync(exchanges[1]);
+  std::future<ScoreResult> queued2 = service.ScoreAsync(exchanges[2]);
+  // Capacity 2 is exhausted: admission control must answer immediately
+  // instead of blocking this thread until the worker frees up.
+  const ScoreResult shed = service.ScoreAsync(exchanges[3]).get();
   EXPECT_EQ(shed.status.code(), StatusCode::kResourceExhausted);
 
-  EXPECT_TRUE(accepted0.get().ok());
-  EXPECT_TRUE(accepted1.get().ok());
+  gated.Open();
+  EXPECT_TRUE(held.get().ok());
+  EXPECT_TRUE(queued1.get().ok());
+  EXPECT_TRUE(queued2.get().ok());
   const ServerStats::Snapshot stats = service.StatsSnapshot();
   EXPECT_EQ(stats.shed, 1u);
-  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.requests, 3u);
   EXPECT_EQ(stats.errors, 0u);
 }
 
 TEST_F(ServeIntegrationTest, OverloadServesStaleScoreFromPreviousHeight) {
   eth::AppendableLedger growable(*ledger_);
+  const auto exchanges =
+      growable.AccountsOfClass(eth::AccountClass::kExchange);
+  ASSERT_GE(exchanges.size(), 3u);
+  const eth::AccountId address = exchanges[0];
+  GatedLedger gated(growable, /*gate_id=*/exchanges[1]);
+  gated.Open();  // The warm-up runs ungated.
   std::stringstream checkpoint(*checkpoint_);
   InferenceServiceConfig config = ServiceConfig(1);
   config.queue.capacity = 1;
-  config.queue.max_batch = 64;
-  config.queue.max_wait_us = 200'000;
-  auto created = InferenceService::Create(config, &checkpoint, &growable);
+  auto created = InferenceService::Create(config, &checkpoint, &gated);
   ASSERT_TRUE(created.ok());
   auto& service = *created.ValueOrDie();
-
-  const auto exchanges =
-      growable.AccountsOfClass(eth::AccountClass::kExchange);
-  const eth::AccountId address = exchanges[0];
 
   // Warm the cache at the current height.
   const ScoreResult cold = service.Score(address);
@@ -467,55 +477,75 @@ TEST_F(ServeIntegrationTest, OverloadServesStaleScoreFromPreviousHeight) {
   service.RefreshLedgerHeight();
   ASSERT_EQ(service.ledger_height(), old_height + 1);
 
-  // Saturate the queue (capacity 1) with another request, then ask for
-  // the grown-height score: it misses the cache, cannot be admitted, and
-  // degrades to the stale entry instead of shedding.
-  std::future<ScoreResult> blocker = service.ScoreAsync(exchanges[1]);
+  // Hold the only worker inside exchanges[1]'s pass and fill the queue
+  // (capacity 1) with another request, then ask for the grown-height
+  // score: it misses the cache, cannot be admitted, and degrades to the
+  // stale entry instead of shedding.
+  gated.Close();
+  std::future<ScoreResult> held = service.ScoreAsync(exchanges[1]);
+  ASSERT_TRUE(gated.WaitUntilEntered());
+  std::future<ScoreResult> blocker = service.ScoreAsync(exchanges[2]);
   const ScoreResult stale = service.ScoreAsync(address).get();
   ASSERT_TRUE(stale.ok()) << stale.status.ToString();
   EXPECT_TRUE(stale.stale);
   EXPECT_EQ(stale.ledger_height, old_height);
   EXPECT_DOUBLE_EQ(stale.probability, cold.probability);
+  gated.Open();
+  EXPECT_TRUE(held.get().ok());
   EXPECT_TRUE(blocker.get().ok());
 
   const ServerStats::Snapshot stats = service.StatsSnapshot();
   EXPECT_EQ(stats.stale_served, 1u);
   EXPECT_EQ(stats.stale.count, 1u);
   EXPECT_EQ(stats.shed, 0u);
-  EXPECT_EQ(stats.requests, 3u);  // Two cold scores + one stale serve.
+  EXPECT_EQ(stats.requests, 4u);  // Three cold scores + one stale serve.
 }
 
 // --------------------------------------------------------------------------
-// Micro-batched cold requests, cache accounting, worker clamp
+// In-flight sharing, failing passes, cache accounting, worker clamp
 // --------------------------------------------------------------------------
 
-TEST_F(ServeIntegrationTest, BatchedColdRequestsEachGetASoloScoreAndSpanTree) {
+TEST_F(ServeIntegrationTest, OverlappingDuplicatesShareOneForwardPass) {
   obs::Tracer* tracer = obs::Tracer::Global();
   tracer->SetSampleEveryN(1);
   tracer->Clear();
 
-  std::stringstream checkpoint(*checkpoint_);
-  InferenceServiceConfig config = ServiceConfig(1);
-  // Hold the batch open until all four requests land in one dispatch.
-  config.queue.max_batch = 4;
-  config.queue.max_wait_us = 50'000;
-  auto created = InferenceService::Create(config, &checkpoint, ledger_);
-  ASSERT_TRUE(created.ok());
-  auto& service = *created.ValueOrDie();
-
   const auto exchanges =
       ledger_->AccountsOfClass(eth::AccountClass::kExchange);
-  ASSERT_GE(exchanges.size(), 3u);
-  // Three distinct cold addresses, then a duplicate of the first.
-  const std::vector<eth::AccountId> addresses = {exchanges[0], exchanges[1],
-                                                 exchanges[2], exchanges[0]};
+  ASSERT_GE(exchanges.size(), 4u);
+  // One worker is held inside exchanges[0]'s pass; its duplicate and
+  // three distinct requests reach the other worker meanwhile.
+  GatedLedger gated(*ledger_, /*gate_id=*/exchanges[0]);
+  std::stringstream checkpoint(*checkpoint_);
+  auto created =
+      InferenceService::Create(ServiceConfig(2), &checkpoint, &gated);
+  ASSERT_TRUE(created.ok());
+  auto& service = *created.ValueOrDie();
+  if (service.num_workers() < 2) {
+    GTEST_SKIP() << "needs two hardware threads for two workers";
+  }
+
+  const std::vector<eth::AccountId> addresses = {
+      exchanges[0], exchanges[0], exchanges[1], exchanges[2], exchanges[3]};
   std::vector<std::string> trace_ids;
   std::vector<std::future<ScoreResult>> futures;
   for (eth::AccountId address : addresses) {
+    if (futures.size() == 1) {
+      ASSERT_TRUE(gated.WaitUntilEntered());
+    }
     trace_ids.push_back(obs::GenerateTraceId());
     futures.push_back(
         service.ScoreAsync(address, /*deadline_us=*/0, trace_ids.back()));
   }
+  // The free worker takes the rest in order: it attaches the duplicate to
+  // the held pass, then scores each distinct request while that pass is
+  // still open.
+  for (size_t i = 2; i < futures.size(); ++i) futures[i].wait();
+  EXPECT_EQ(futures[0].wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  EXPECT_EQ(futures[1].wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  gated.Open();
   std::vector<ScoreResult> results;
   for (auto& future : futures) results.push_back(future.get());
 
@@ -528,11 +558,24 @@ TEST_F(ServeIntegrationTest, BatchedColdRequestsEachGetASoloScoreAndSpanTree) {
     EXPECT_EQ(results[i].probability, model_->PredictProba(inst.ValueOrDie()))
         << "address " << addresses[i];
   }
-  EXPECT_TRUE(results[3].cache_hit);  // Shares the first request's score.
+  EXPECT_FALSE(results[0].cache_hit);
+  EXPECT_TRUE(results[1].cache_hit);  // Shared the held request's pass.
+
+  // The gated key was scored once: one score_cold tree, the held
+  // request's.
+  int gated_trees = 0;
+  for (const obs::SpanNode& root : tracer->Snapshot()) {
+    if (root.name == "score_cold" &&
+        (root.trace_id == trace_ids[0] || root.trace_id == trace_ids[1])) {
+      ++gated_trees;
+    }
+  }
+  EXPECT_EQ(gated_trees, 1);
+  EXPECT_TRUE(tracer->FindTrace(trace_ids[0]).has_value());
 
   // Every distinct request carries its own full pipeline tree, stamped
   // with its own trace id.
-  for (size_t i = 0; i < 3; ++i) {
+  for (size_t i = 2; i < results.size(); ++i) {
     EXPECT_FALSE(results[i].cache_hit);
     const auto tree = tracer->FindTrace(trace_ids[i]);
     ASSERT_TRUE(tree.has_value()) << "no span tree for request " << i;
@@ -542,6 +585,57 @@ TEST_F(ServeIntegrationTest, BatchedColdRequestsEachGetASoloScoreAndSpanTree) {
           << "request " << i << " has no " << stage << " span";
     }
   }
+
+  // Four passes for five requests: the held one resolved two.
+  const ServerStats::Snapshot stats = service.StatsSnapshot();
+  EXPECT_EQ(stats.batches, 4u);
+  EXPECT_DOUBLE_EQ(stats.avg_batch_size, 5.0 / 4.0);
+}
+
+TEST_F(ServeIntegrationTest, WorkerSurvivesAThrowingScore) {
+  const auto exchanges =
+      ledger_->AccountsOfClass(eth::AccountClass::kExchange);
+  const eth::AccountId healthy = exchanges[0];
+  auto inst =
+      eth::MaterializeInstance(*ledger_, healthy, Sampling(), kTimeSlices);
+  ASSERT_TRUE(inst.ok());
+  // The poisoned account lies outside the healthy address's subgraph, so
+  // scoring the healthy address never reads it.
+  const std::vector<eth::AccountId>& nodes = inst.ValueOrDie().subgraph.nodes;
+  eth::AccountId poison = -1;
+  for (const eth::Account& account : ledger_->accounts()) {
+    if (std::find(nodes.begin(), nodes.end(), account.id) == nodes.end()) {
+      poison = account.id;
+      break;
+    }
+  }
+  ASSERT_GE(poison, 0);
+  model_->Normalize(&inst.ValueOrDie());
+  const double healthy_expected = model_->PredictProba(inst.ValueOrDie());
+
+  GatedLedger poisoned(*ledger_, /*gate_id=*/-1, /*poison_id=*/poison);
+  std::stringstream checkpoint(*checkpoint_);
+  auto created =
+      InferenceService::Create(ServiceConfig(1), &checkpoint, &poisoned);
+  ASSERT_TRUE(created.ok());
+  auto& service = *created.ValueOrDie();
+
+  const ScoreResult thrown = service.Score(poison);
+  EXPECT_EQ(thrown.status.code(), StatusCode::kInternal);
+  EXPECT_EQ(service.StatsSnapshot().errors, 1u);
+
+  // The only worker is still serving.
+  const ScoreResult next = service.Score(healthy);
+  ASSERT_TRUE(next.ok()) << next.status.ToString();
+  EXPECT_FALSE(next.cache_hit);
+  EXPECT_EQ(next.probability, healthy_expected);
+
+  // The failed pass left the in-flight table: the same key runs (and
+  // fails) again instead of waiting on a dead pass.
+  EXPECT_EQ(service.Score(poison).status.code(), StatusCode::kInternal);
+  const ServerStats::Snapshot stats = service.StatsSnapshot();
+  EXPECT_EQ(stats.errors, 2u);
+  EXPECT_EQ(stats.requests, 1u);
 }
 
 TEST_F(ServeIntegrationTest, EachColdScoreBooksOneCacheMiss) {

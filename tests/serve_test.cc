@@ -106,90 +106,76 @@ ScoreRequest MakeRequest(eth::AccountId address) {
   return request;
 }
 
-TEST(RequestQueueTest, FullBatchDispatchesWithoutWaitingForTimeout) {
-  RequestQueueConfig config;
-  config.max_batch = 4;
-  config.max_wait_us = 5'000'000;  // 5s: a timeout dispatch would be obvious.
-  RequestQueue queue(config);
-  for (int i = 0; i < 4; ++i) {
+TEST(RequestQueueTest, PopReturnsOneRequestAtATimeInFifoOrder) {
+  RequestQueue queue(RequestQueueConfig{});
+  for (int i = 0; i < 3; ++i) {
     ASSERT_EQ(queue.TryPush(MakeRequest(i)),
               RequestQueue::PushResult::kAccepted);
   }
 
-  const auto start = steady_clock::now();
-  std::vector<ScoreRequest> batch;
-  ASSERT_TRUE(queue.PopBatch(&batch));
-  const double elapsed_s =
-      std::chrono::duration<double>(steady_clock::now() - start).count();
-  EXPECT_EQ(batch.size(), 4u);
-  EXPECT_LT(elapsed_s, 1.0);
+  ScoreRequest request;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(queue.Pop(&request));
+    EXPECT_EQ(request.address, i);
+    EXPECT_EQ(queue.size(), static_cast<size_t>(2 - i));
+  }
 }
 
-TEST(RequestQueueTest, PartialBatchDispatchesAfterTimeout) {
-  RequestQueueConfig config;
-  config.max_batch = 16;
-  config.max_wait_us = 30'000;  // 30ms.
-  RequestQueue queue(config);
+TEST(RequestQueueTest, PopWakesAsSoonAsARequestIsPushed) {
+  RequestQueue queue(RequestQueueConfig{});
+  std::promise<ScoreRequest> popped;
+  std::thread popper([&queue, &popped] {
+    ScoreRequest request;
+    ASSERT_TRUE(queue.Pop(&request));
+    popped.set_value(std::move(request));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   ASSERT_EQ(queue.TryPush(MakeRequest(7)), RequestQueue::PushResult::kAccepted);
-
-  const auto start = steady_clock::now();
-  std::vector<ScoreRequest> batch;
-  ASSERT_TRUE(queue.PopBatch(&batch));
-  const double elapsed_us =
-      std::chrono::duration<double, std::micro>(steady_clock::now() - start)
-          .count();
-  EXPECT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].address, 7);
-  // Dispatched at (roughly) the wait bound, not immediately and not never.
-  EXPECT_GE(elapsed_us, 25'000.0);
-  EXPECT_LT(elapsed_us, 5'000'000.0);
+  // The popper takes the lone request without waiting for company.
+  std::future<ScoreRequest> future = popped.get_future();
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  EXPECT_EQ(future.get().address, 7);
+  popper.join();
 }
 
-TEST(RequestQueueTest, OversizedBacklogIsSplitIntoMaxBatchChunks) {
+TEST(RequestQueueTest, TryPushReportsFullAtCapacity) {
   RequestQueueConfig config;
-  config.max_batch = 3;
-  config.max_wait_us = 0;
+  config.capacity = 2;
   RequestQueue queue(config);
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_EQ(queue.TryPush(MakeRequest(i)),
-              RequestQueue::PushResult::kAccepted);
-  }
+  ASSERT_EQ(queue.TryPush(MakeRequest(1)), RequestQueue::PushResult::kAccepted);
+  ASSERT_EQ(queue.TryPush(MakeRequest(2)), RequestQueue::PushResult::kAccepted);
+  EXPECT_EQ(queue.TryPush(MakeRequest(3)), RequestQueue::PushResult::kFull);
+  EXPECT_EQ(queue.size(), 2u);
 
-  std::vector<ScoreRequest> batch;
-  ASSERT_TRUE(queue.PopBatch(&batch));
-  EXPECT_EQ(batch.size(), 3u);
-  ASSERT_TRUE(queue.PopBatch(&batch));
-  EXPECT_EQ(batch.size(), 3u);
-  ASSERT_TRUE(queue.PopBatch(&batch));
-  EXPECT_EQ(batch.size(), 2u);
-  EXPECT_EQ(queue.size(), 0u);
+  // A pop frees one slot.
+  ScoreRequest request;
+  ASSERT_TRUE(queue.Pop(&request));
+  EXPECT_EQ(queue.TryPush(MakeRequest(4)), RequestQueue::PushResult::kAccepted);
+  EXPECT_EQ(queue.TryPush(MakeRequest(5)), RequestQueue::PushResult::kFull);
 }
 
 TEST(RequestQueueTest, CloseDrainsThenSignalsExhaustion) {
-  RequestQueueConfig config;
-  config.max_batch = 8;
-  config.max_wait_us = 0;
-  RequestQueue queue(config);
+  RequestQueue queue(RequestQueueConfig{});
   ASSERT_EQ(queue.TryPush(MakeRequest(1)), RequestQueue::PushResult::kAccepted);
   ASSERT_EQ(queue.TryPush(MakeRequest(2)), RequestQueue::PushResult::kAccepted);
   queue.Close();
 
   EXPECT_EQ(queue.TryPush(MakeRequest(3)),  // Rejected after Close.
             RequestQueue::PushResult::kClosed);
-  std::vector<ScoreRequest> batch;
-  ASSERT_TRUE(queue.PopBatch(&batch));  // Queued requests stay poppable.
-  EXPECT_EQ(batch.size(), 2u);
-  EXPECT_FALSE(queue.PopBatch(&batch));  // Drained + closed -> false.
+  ScoreRequest request;
+  ASSERT_TRUE(queue.Pop(&request));  // Queued requests stay poppable.
+  EXPECT_EQ(request.address, 1);
+  ASSERT_TRUE(queue.Pop(&request));
+  EXPECT_EQ(request.address, 2);
+  EXPECT_FALSE(queue.Pop(&request));  // Drained + closed -> false.
 }
 
 TEST(RequestQueueTest, CloseWakesBlockedPopper) {
-  RequestQueueConfig config;
-  config.max_batch = 4;
-  config.max_wait_us = 10'000'000;
-  RequestQueue queue(config);
+  RequestQueue queue(RequestQueueConfig{});
   std::thread popper([&queue] {
-    std::vector<ScoreRequest> batch;
-    EXPECT_FALSE(queue.PopBatch(&batch));  // Woken by Close, nothing queued.
+    ScoreRequest request;
+    EXPECT_FALSE(queue.Pop(&request));  // Woken by Close, nothing queued.
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   queue.Close();

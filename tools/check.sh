@@ -171,7 +171,7 @@ echo "=== failpoints: kill during snapshot/epoch -> resume -> hot-reload smoke =
 
 # The serve, fast-path, obs and net suites again under AddressSanitizer +
 # UBSan: the inference arena recycles activation buffers across passes,
-# requests cross threads on their way through the queue, pool and cache,
+# requests cross threads through the queue, the in-flight table and cache,
 # and the exporters and HTTP routes render merged registry snapshots.
 # halt_on_error turns a UBSan report into a test failure, not a log line.
 echo "=== asan+ubsan: configure + build (build-asan/) ==="
