@@ -264,7 +264,7 @@ int Run(const std::string& json_path) {
   eth::AppendableLedger growable(ledger);
   serve::InferenceServiceConfig degraded_config = MakeServeConfig(workload, 8);
   // The flood backs up in the admission queue while every worker is busy.
-  degraded_config.queue.capacity = 64;
+  degraded_config.queue_capacity = 64;
   auto degraded_stream = std::stringstream(workload.checkpoint);
   auto degraded_created = serve::InferenceService::Create(
       degraded_config, &degraded_stream, &growable);

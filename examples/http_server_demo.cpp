@@ -140,9 +140,9 @@ int main(int argc, char** argv) {
   }
 
   // --- service over the newest valid checkpoint ---
-  auto payload = store.ValueOrDie()->LoadLatestValid();
-  if (!payload.ok()) {
-    std::fprintf(stderr, "load: %s\n", payload.status().ToString().c_str());
+  auto latest = store.ValueOrDie()->LoadLatestValid();
+  if (!latest.ok()) {
+    std::fprintf(stderr, "load: %s\n", latest.status().ToString().c_str());
     return 1;
   }
   serve::InferenceServiceConfig serve_config;
@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
   serve_config.cache.capacity = 1024;
   serve_config.sampling = Sampling();
   serve_config.num_time_slices = kTimeSlices;
-  std::stringstream payload_stream(payload.ValueOrDie());
+  std::stringstream payload_stream(latest.ValueOrDie().payload);
   auto created = serve::InferenceService::Create(serve_config,
                                                  &payload_stream, &ledger);
   if (!created.ok()) {

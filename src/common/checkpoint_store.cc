@@ -211,14 +211,6 @@ uint64_t CheckpointStore::LatestGeneration() const {
   return latest;
 }
 
-std::vector<std::string> CheckpointStore::ListCheckpoints() const {
-  std::vector<Generation> found = ListGenerations();
-  std::vector<std::string> paths;
-  paths.reserve(found.size());
-  for (Generation& gen : found) paths.push_back(std::move(gen.path));
-  return paths;
-}
-
 Result<std::string> CheckpointStore::Save(
     const std::function<Status(std::ostream*)>& writer) {
   static obs::Histogram* write_hist =
@@ -267,22 +259,16 @@ Result<std::string> CheckpointStore::Save(
   next_sequence_ = seq + 1;
 
   // Prune generations beyond the retention window (newest first).
-  const std::vector<std::string> all = ListCheckpoints();
+  const std::vector<Generation> all = ListGenerations();
   for (size_t i = static_cast<size_t>(config_.retain); i < all.size(); ++i) {
-    fs::remove(all[i], ec);
+    fs::remove(all[i].path, ec);
   }
   saves_total->Inc();
   return final_path.string();
 }
 
-Result<std::string> CheckpointStore::LoadLatestValid() const {
-  DBG4ETH_ASSIGN_OR_RETURN(LoadedCheckpoint loaded,
-                           LoadLatestValidGeneration());
-  return std::move(loaded.payload);
-}
-
-Result<CheckpointStore::LoadedCheckpoint>
-CheckpointStore::LoadLatestValidGeneration() const {
+Result<CheckpointStore::LoadedCheckpoint> CheckpointStore::LoadLatestValid()
+    const {
   static obs::Histogram* walk_hist =
       obs::MetricsRegistry::Global()->HistogramAt(
           "ckpt_recovery_walk_us",

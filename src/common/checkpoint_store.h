@@ -88,10 +88,6 @@ class CheckpointStore {
   Result<std::string> Save(
       const std::function<Status(std::ostream*)>& writer);
 
-  /// Payload of the newest checkpoint whose frame validates. Corrupt
-  /// files are skipped with a logged reason; NotFound when none is valid.
-  Result<std::string> LoadLatestValid() const;
-
   /// \brief One on-disk checkpoint generation (no payload read).
   struct Generation {
     uint64_t sequence = 0;
@@ -114,13 +110,12 @@ class CheckpointStore {
   /// empty. Same cost as ListGenerations (one directory scan, no reads).
   uint64_t LatestGeneration() const;
 
-  /// LoadLatestValid plus the generation metadata of the checkpoint that
-  /// validated — the reload watcher needs the sequence to tell "newest is
+  /// The newest checkpoint whose frame validates, with the generation it
+  /// came from: the reload watcher needs the sequence to tell "newest is
   /// corrupt, fell back to one I already serve" from a genuine upgrade.
-  Result<LoadedCheckpoint> LoadLatestValidGeneration() const;
-
-  /// Absolute paths of the on-disk checkpoints, newest first.
-  std::vector<std::string> ListCheckpoints() const;
+  /// Corrupt files are skipped with a logged reason; NotFound when none is
+  /// valid.
+  Result<LoadedCheckpoint> LoadLatestValid() const;
 
   /// Sequence number the next Save will commit as.
   uint64_t next_sequence() const { return next_sequence_; }

@@ -34,13 +34,12 @@ namespace failpoint {
 ///   eth.from_csv      CsvLedger::FromCsv, before parsing begins
 ///   eth.materialize   eth::MaterializeInstance, before sampling
 ///   serve.score_cold  InferenceService cold path, before materialization
-///   serve.worker      InferenceService worker, at each pick-up
-///                     (sleep-only site: injected errors are ignored)
 ///   train.epoch_end   Dbg4Eth training loop, after each epoch's snapshot
 ///                     decision (simulates a crash at an epoch boundary)
 ///   reload.validate   ModelRegistry, before the validation gate scores
 ///                     the probe set (simulates a poisoned/failed reload)
-///   pool.task         ThreadPool worker, before running a task
+///   pool.task         ThreadPool worker, before running a task: every
+///                     cold scoring request, HTTP handler and trainer task
 ///                     (sleep-only site: injected errors are ignored)
 ///   net.accept        HttpServer acceptor, after accept4 succeeds (the
 ///                     new socket is dropped, simulating accept storms)

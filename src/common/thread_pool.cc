@@ -1,9 +1,11 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <exception>
 #include <utility>
 
 #include "common/failpoint.h"
+#include "common/logging.h"
 
 namespace dbg4eth {
 
@@ -19,18 +21,6 @@ ThreadPool::ThreadPool(int num_threads, size_t queue_capacity)
 
 ThreadPool::~ThreadPool() { Shutdown(); }
 
-bool ThreadPool::Submit(std::function<void()> task) {
-  std::unique_lock<std::mutex> lock(mu_);
-  not_full_.wait(lock, [this] {
-    return shutdown_ || queue_.size() < queue_capacity_;
-  });
-  if (shutdown_) return false;
-  queue_.push_back(std::move(task));
-  lock.unlock();
-  not_empty_.notify_one();
-  return true;
-}
-
 bool ThreadPool::TrySubmit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -39,6 +29,11 @@ bool ThreadPool::TrySubmit(std::function<void()> task) {
   }
   not_empty_.notify_one();
   return true;
+}
+
+size_t ThreadPool::pending() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return queue_.size();
 }
 
 void ThreadPool::Shutdown() {
@@ -50,7 +45,6 @@ void ThreadPool::Shutdown() {
     shutdown_ = true;
   }
   not_empty_.notify_all();
-  not_full_.notify_all();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
@@ -67,16 +61,18 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    not_full_.notify_one();
     // Sleep-only injection point: simulates a hung/slow worker so chaos
     // tests can race shutdown and deadlines against stuck tasks.
     DBG4ETH_FAIL_POINT_APPLY("pool.task");
+    // A throwing task must not take its worker down; its failure is
+    // logged, since nothing else would report it.
     try {
       task();
+    } catch (const std::exception& e) {
+      DBG4ETH_LOG(Error) << "thread pool task threw: " << e.what();
     } catch (...) {
-      exceptions_caught_.fetch_add(1);
+      DBG4ETH_LOG(Error) << "thread pool task threw a non-std exception";
     }
-    tasks_executed_.fetch_add(1);
   }
 }
 

@@ -1,9 +1,8 @@
 #ifndef DBG4ETH_COMMON_THREAD_POOL_H_
 #define DBG4ETH_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -14,19 +13,18 @@ namespace dbg4eth {
 
 /// \brief Fixed-size worker pool over a bounded MPMC task queue.
 ///
-/// The shared compute substrate of the library: the trainers fan instances
-/// of a batch out over it (see ParallelFor in common/parallel_for.h),
-/// dataset assembly materializes subgraph instances on it, and the HTTP
-/// server runs route handlers on one. Scoring requests do not pass
-/// through it: serve::InferenceService runs its own workers, which pop
-/// the admission queue directly.
+/// The one worker pool of the library: serve::InferenceService runs each
+/// cold scoring request as a task on its own pool, the HTTP server runs
+/// route handlers on one, the trainers fan instances of a batch out over
+/// one (see ParallelFor in common/parallel_for.h), and dataset assembly
+/// materializes subgraph instances on one.
 ///
-/// `Submit` blocks while the queue is at capacity (backpressure toward the
-/// producer), `TrySubmit` fails fast instead. Tasks that throw are caught
-/// in the worker loop — an exception never kills a worker thread; it is
-/// counted in `exceptions_caught()` and the worker moves on. `Shutdown`
-/// drains every task already accepted, then joins the workers; it is
-/// idempotent and also runs from the destructor.
+/// `TrySubmit` never blocks: it fails fast when the queue is at capacity
+/// or the pool is shut down, so the producer decides what a refusal means.
+/// Tasks run in submission order as workers free up. A task that throws is
+/// caught and logged in the worker loop — an exception never kills a
+/// worker thread. `Shutdown` runs every task already accepted, then joins
+/// the workers; it is idempotent and also runs from the destructor.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (minimum 1) over a queue holding at most
@@ -37,22 +35,16 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task, blocking while the queue is full. Returns false (and
-  /// drops the task) once Shutdown has begun.
-  bool Submit(std::function<void()> task);
-
-  /// Non-blocking Submit: false when the queue is full or shut down.
+  /// Enqueues a task; false (and the task is dropped) when the queue is
+  /// full or Shutdown has begun.
   bool TrySubmit(std::function<void()> task);
 
   /// Stops accepting tasks, runs everything already queued, joins workers.
   void Shutdown();
 
   int num_threads() const { return num_threads_; }
-  size_t queue_capacity() const { return queue_capacity_; }
-  /// Tasks that finished (normally or by throwing).
-  uint64_t tasks_executed() const { return tasks_executed_.load(); }
-  /// Tasks whose body threw; the exception was swallowed by the worker.
-  uint64_t exceptions_caught() const { return exceptions_caught_.load(); }
+  /// Tasks accepted but not yet picked up by a worker.
+  size_t pending() const;
 
  private:
   void WorkerLoop();
@@ -60,14 +52,11 @@ class ThreadPool {
   const size_t queue_capacity_;
   int num_threads_ = 0;
   std::mutex shutdown_mu_;  ///< Serializes Shutdown callers.
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::deque<std::function<void()>> queue_;
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
-  std::atomic<uint64_t> tasks_executed_{0};
-  std::atomic<uint64_t> exceptions_caught_{0};
 };
 
 /// Resolves a thread-count knob: values >= 1 pass through, 0 (or negative)

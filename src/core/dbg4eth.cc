@@ -516,9 +516,9 @@ Result<TrainProgress> Dbg4Eth::ResumeTrain(eth::SubgraphDataset* dataset,
   if (options.store == nullptr) {
     return Status::InvalidArgument("ResumeTrain requires a checkpoint store");
   }
-  DBG4ETH_ASSIGN_OR_RETURN(std::string payload,
+  DBG4ETH_ASSIGN_OR_RETURN(CheckpointStore::LoadedCheckpoint latest,
                            options.store->LoadLatestValid());
-  std::istringstream body(payload);
+  std::istringstream body(latest.payload);
   BinaryReader reader(&body);
   DBG4ETH_RETURN_NOT_OK(reader.ExpectTag("dbg4eth_train_state"));
   uint32_t version = 0;

@@ -1,6 +1,7 @@
 #include "net/scoring_app.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <future>
 #include <limits>
@@ -116,7 +117,20 @@ bool ScoringApp::ParseDeadline(const HttpRequest& request,
                  *header + "'");
     return false;
   }
-  *deadline_us = std::min<int64_t>(parsed, config_.max_deadline_us);
+  if (parsed == 0) return true;  // Zero asks for no deadline.
+  // The budget counts from arrival: time spent waiting for a handler
+  // thread is already gone.
+  const int64_t waited_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - request.received_at)
+          .count();
+  *deadline_us =
+      std::min<int64_t>(parsed, config_.max_deadline_us) - waited_us;
+  if (*deadline_us <= 0) {
+    *error = HttpResponse::Error(
+        504, "deadline expired while waiting for a handler thread");
+    return false;
+  }
   return true;
 }
 

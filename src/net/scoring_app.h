@@ -65,8 +65,10 @@ struct ScoringAppConfig {
 ///
 /// Deadline propagation: an `x-deadline-us` request header (microsecond
 /// budget from arrival, clamped to `max_deadline_us`) rides into
-/// InferenceService::ScoreAsync, so an expired request resolves
-/// kDeadlineExceeded without a forward pass and maps to 504 on the wire.
+/// InferenceService::ScoreAsync minus the time the request waited for a
+/// handler thread, so an expired request resolves kDeadlineExceeded
+/// without a forward pass and maps to 504 on the wire; a budget already
+/// spent on that wait answers 504 without calling the service.
 /// All ScoreResult error statuses map through serve::SuggestedHttpStatus
 /// (504 deadline / 429 shed / 503 unavailable / 404 unknown address).
 ///
@@ -92,8 +94,10 @@ class ScoringApp {
   HttpResponse HandleDebugProfile(const HttpRequest& request);
   HttpResponse HandleDebugVars(const HttpRequest& request);
 
-  /// Parses the `x-deadline-us` header; 0 when absent. Negative or
-  /// non-numeric values are reported via `error`.
+  /// Parses the `x-deadline-us` header into the budget left since the
+  /// request arrived; 0 (no deadline) when absent or zero. Negative or
+  /// non-numeric values (400) and a budget already spent (504) are
+  /// reported via `error`.
   bool ParseDeadline(const HttpRequest& request, int64_t* deadline_us,
                      HttpResponse* error) const;
 

@@ -497,6 +497,7 @@ void HttpServer::AdvanceParse(Loop* loop, Conn* conn) {
 void HttpServer::DispatchRequest(Loop* loop, Conn* conn) {
   conn->request_start = std::chrono::steady_clock::now();
   HttpRequest request = conn->parser.TakeRequest();
+  request.received_at = conn->request_start;
   conn->request_keep_alive = request.keep_alive();
   conn->route_label = "unmatched";
   conn->method = request.method;

@@ -1,8 +1,6 @@
 #include "obs/export.h"
 
-#include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iterator>
 #include <map>
 #include <utility>
@@ -265,83 +263,6 @@ std::string JsonSnapshot(const RegistryList& registries,
   writer.EndObject();
   out += "\n";
   return out;
-}
-
-Status DumpJson(const std::string& path, const RegistryList& registries,
-                const Tracer* tracer) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::Internal("cannot open " + path + " for writing");
-  out << JsonSnapshot(registries, tracer);
-  out.flush();
-  if (!out.good()) return Status::Internal("write to " + path + " failed");
-  return Status::OK();
-}
-
-std::string SummaryLine(const MetricsRegistry* registry) {
-  if (registry == nullptr) registry = MetricsRegistry::Global();
-  std::string out = "obs:";
-  for (const auto& family : registry->TakeSnapshot()) {
-    for (const auto& inst : family.instruments) {
-      out += " " + family.name + inst.labels;
-      switch (family.kind) {
-        case MetricsRegistry::Kind::kCounter:
-          out += StrFormat("=%llu", static_cast<unsigned long long>(
-                                        inst.counter_value));
-          break;
-        case MetricsRegistry::Kind::kGauge:
-          out += "=" + Num(inst.gauge_value);
-          break;
-        case MetricsRegistry::Kind::kHistogram:
-          out += StrFormat(
-              "[n=%llu p50=%s p95=%s]",
-              static_cast<unsigned long long>(inst.histogram.count),
-              Num(inst.histogram.Percentile(0.50)).c_str(),
-              Num(inst.histogram.Percentile(0.95)).c_str());
-          break;
-      }
-    }
-  }
-  return out;
-}
-
-StatsLogger::StatsLogger(const StatsLoggerConfig& config) : config_(config) {
-  if (config_.registry == nullptr) config_.registry = MetricsRegistry::Global();
-  if (!config_.formatter) {
-    config_.formatter = [](const MetricsRegistry* r) {
-      return SummaryLine(r);
-    };
-  }
-  thread_ = std::thread([this] { Loop(); });
-}
-
-StatsLogger::~StatsLogger() { Stop(); }
-
-void StatsLogger::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  EmitOnce();  // Final line: short-lived runs still get one summary.
-}
-
-void StatsLogger::Loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    if (cv_.wait_for(lock, std::chrono::milliseconds(config_.interval_ms),
-                     [this] { return stop_; })) {
-      return;
-    }
-    lock.unlock();
-    EmitOnce();
-    lock.lock();
-  }
-}
-
-void StatsLogger::EmitOnce() {
-  DBG4ETH_LOG(Info) << config_.formatter(config_.registry);
 }
 
 }  // namespace obs

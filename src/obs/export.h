@@ -1,15 +1,9 @@
 #ifndef DBG4ETH_OBS_EXPORT_H_
 #define DBG4ETH_OBS_EXPORT_H_
 
-#include <condition_variable>
-#include <cstdint>
-#include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/status.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -68,48 +62,6 @@ void AppendSpanJson(const SpanNode& node, json::JsonWriter* writer);
 std::string JsonSnapshot(
     const RegistryList& registries = {MetricsRegistry::Global()},
     const Tracer* tracer = nullptr);
-
-/// Writes JsonSnapshot to `path` (truncating).
-Status DumpJson(const std::string& path,
-                const RegistryList& registries = {MetricsRegistry::Global()},
-                const Tracer* tracer = nullptr);
-
-/// One-line operational digest of a registry: every counter/gauge value
-/// and p50/p95 of every histogram. Default formatter of StatsLogger.
-std::string SummaryLine(const MetricsRegistry* registry = nullptr);
-
-struct StatsLoggerConfig {
-  int64_t interval_ms = 2000;
-  /// Registry summarized each interval; null = Global.
-  MetricsRegistry* registry = nullptr;
-  /// Line producer; null = SummaryLine(registry).
-  std::function<std::string(const MetricsRegistry*)> formatter;
-};
-
-/// \brief Background thread emitting one summary line per interval
-/// through the logging layer (Info level). Starts on construction; Stop
-/// (or destruction) emits one final line so short runs still log.
-class StatsLogger {
- public:
-  explicit StatsLogger(const StatsLoggerConfig& config = {});
-  ~StatsLogger();
-
-  StatsLogger(const StatsLogger&) = delete;
-  StatsLogger& operator=(const StatsLogger&) = delete;
-
-  /// Stops the thread after a final emission. Idempotent.
-  void Stop();
-
- private:
-  void Loop();
-  void EmitOnce();
-
-  StatsLoggerConfig config_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
 
 }  // namespace obs
 }  // namespace dbg4eth

@@ -10,7 +10,6 @@
 
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -34,7 +33,7 @@ obs::Histogram* QueueWaitHistogram() {
   return hist;
 }
 
-/// Requests still queued after a worker's latest pick-up.
+/// Admitted requests still waiting for a worker after the latest pick-up.
 obs::Gauge* QueueDepthGauge() {
   static obs::Gauge* gauge = obs::MetricsRegistry::Global()->GaugeAt(
       "serve_queue_depth", "Requests waiting in the admission queue");
@@ -69,15 +68,10 @@ InferenceService::InferenceService(const InferenceServiceConfig& config,
       model_(std::move(model)),
       ledger_(ledger),
       cache_(config.cache),
-      queue_(config.queue),
-      workers_(ClampWorkers(config.num_workers)) {
+      pool_(ClampWorkers(config.num_workers), config.queue_capacity) {
   DBG4ETH_CHECK(model_ != nullptr);
   DBG4ETH_CHECK(ledger_ != nullptr);
   ledger_height_.store(ledger_->transactions().size());
-  threads_.reserve(workers_);
-  for (int i = 0; i < workers_; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
-  }
 }
 
 InferenceService::~InferenceService() { Shutdown(); }
@@ -102,12 +96,10 @@ void InferenceService::SwapModel(std::shared_ptr<const core::Dbg4Eth> model,
 }
 
 void InferenceService::Shutdown() {
-  std::lock_guard<std::mutex> lock(shutdown_mu_);
-  if (shutdown_.exchange(true)) return;
-  // Workers keep popping until the closed queue is drained, so every
-  // accepted request resolves before its worker exits.
-  queue_.Close();
-  for (std::thread& thread : threads_) thread.join();
+  shutdown_ = true;
+  // The pool runs every task it accepted before joining its workers, so
+  // every admitted request resolves; later submissions are refused.
+  pool_.Shutdown();
 }
 
 void InferenceService::RefreshLedgerHeight() {
@@ -145,39 +137,38 @@ std::future<ScoreResult> InferenceService::ScoreAsync(eth::AccountId address,
     return future;
   }
 
-  // Fast path: a cached score resolves without touching the queue, the
-  // workers, the sampler, or the model.
-  const std::optional<double> cached =
+  // Fast path: a cached score resolves without touching the pool, the
+  // sampler, or the model.
+  const std::optional<ResultCache::Value> cached =
       cache_.Get({address, request.ledger_height});
   stats_.RecordCacheAccess(cached.has_value());
   if (cached) {
-    ResolveHit(request, *cached, model_generation_.load());
+    ResolveHit(request, *cached);
     return future;
   }
 
-  // Admission control: never block the producer. TryPush copies the
-  // request, so on kFull the original is still resolvable here.
-  switch (queue_.TryPush(request)) {
-    case RequestQueue::PushResult::kAccepted:
-      break;
-    case RequestQueue::PushResult::kClosed:
-      ResolveError(request, Status::FailedPrecondition("service is shut down"));
-      break;
-    case RequestQueue::PushResult::kFull:
-      // Overloaded: a stale answer beats an outright rejection when
-      // degraded mode has one.
-      if (TryServeStale(request)) break;
-      stats_.RecordShed();
-      ScoreResult result;
-      result.address = address;
-      result.ledger_height = request.ledger_height;
-      result.trace_id = request.trace_id;
-      result.status = Status::ResourceExhausted(
-          "request queue is saturated; load shed");
-      result.latency_us = ElapsedUs(request.enqueue_time);
-      request.promise->set_value(std::move(result));
-      break;
+  // Admission control: never block the producer. The task holds a copy of
+  // the request, so on refusal the original is still resolvable here.
+  if (pool_.TrySubmit(
+          [this, request]() mutable { ProcessRequest(std::move(request)); })) {
+    return future;
   }
+  if (shutdown_.load()) {
+    ResolveError(request, Status::FailedPrecondition("service is shut down"));
+    return future;
+  }
+  // Overloaded: a stale answer beats an outright rejection when degraded
+  // mode has one.
+  if (TryServeStale(request)) return future;
+  stats_.RecordShed();
+  ScoreResult result;
+  result.address = address;
+  result.ledger_height = request.ledger_height;
+  result.trace_id = request.trace_id;
+  result.status =
+      Status::ResourceExhausted("request queue is saturated; load shed");
+  result.latency_us = ElapsedUs(request.enqueue_time);
+  request.promise->set_value(std::move(result));
   return future;
 }
 
@@ -185,22 +176,9 @@ ScoreResult InferenceService::Score(eth::AccountId address) {
   return ScoreAsync(address).get();
 }
 
-void InferenceService::WorkerLoop() {
-  // No catch here: ScoreCold turns an exception from the model or the
-  // ledger into a failed pass, and what else could throw is the service's
-  // own bookkeeping running out of memory, which ends the process.
-  ScoreRequest request;
-  while (queue_.Pop(&request)) {
-    // Sleep-only injection point: simulates a slow worker so chaos tests
-    // can race deadlines and shutdown against busy workers.
-    DBG4ETH_FAIL_POINT_APPLY("serve.worker");
-    ProcessRequest(std::move(request));
-  }
-}
-
 void InferenceService::ProcessRequest(ScoreRequest request) {
   QueueWaitHistogram()->Record(ElapsedUs(request.enqueue_time));
-  QueueDepthGauge()->Set(static_cast<double>(queue_.size()));
+  QueueDepthGauge()->Set(static_cast<double>(pool_.pending()));
 
   // Pick-up deadline check: a request that expired while queued is
   // resolved without paying for the forward pass.
@@ -218,7 +196,7 @@ void InferenceService::ProcessRequest(ScoreRequest request) {
   const ModelRef ref = SnapshotModel();
   const auto key = std::make_tuple(request.address, request.ledger_height,
                                    ref.generation);
-  std::optional<double> cached;
+  std::optional<ResultCache::Value> cached;
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
     // A concurrent pass may have filled the cache since ScoreAsync missed.
@@ -235,7 +213,7 @@ void InferenceService::ProcessRequest(ScoreRequest request) {
     }
   }
   if (cached) {
-    ResolveHit(request, *cached, ref.generation);
+    ResolveHit(request, *cached);
     return;
   }
 
@@ -247,7 +225,7 @@ void InferenceService::ProcessRequest(ScoreRequest request) {
     obs::ScopedTraceContext trace_ctx(request.trace_id);
     return ScoreColdWithRetry(*ref.model, request, &retries);
   }();
-  if (proba.ok()) FillCache(request, proba.ValueOrDie(), *ref.model);
+  if (proba.ok()) FillCache(request, proba.ValueOrDie(), ref.generation);
 
   std::vector<ScoreRequest> group;
   group.push_back(std::move(request));
@@ -268,16 +246,15 @@ void InferenceService::ProcessRequest(ScoreRequest request) {
 }
 
 void InferenceService::FillCache(const ScoreRequest& request,
-                                 double probability,
-                                 const core::Dbg4Eth& model) {
+                                 double probability, uint64_t generation) {
   bool evicted = false;
   {
     std::lock_guard<std::mutex> lock(model_mu_);
-    // Cached hits are stamped with the serving generation, so a score of a
-    // model swapped out while the pass ran must not be cached.
-    if (model_.get() != &model) return;
+    // SwapModel has already cleared the replaced model's scores; putting
+    // this one back would serve it past the swap.
+    if (model_generation_.load() != generation) return;
     evicted = cache_.Put({request.address, request.ledger_height},
-                         probability);
+                         {probability, generation});
   }
   if (evicted) stats_.RecordCacheEviction();
 }
@@ -359,12 +336,10 @@ bool InferenceService::TryServeStale(const ScoreRequest& request) {
   if (!stale) return false;
   ScoreResult result;
   result.address = request.address;
-  result.ledger_height = stale->height;  // Height the score is valid at.
-  result.probability = stale->probability;
+  result.ledger_height = stale->key.height;  // Height the score is valid at.
+  result.probability = stale->value.probability;
   result.stale = true;
-  // SwapModel clears the cache, so the stale corpus never outlives the
-  // model that produced it — the current generation is the right label.
-  result.model_generation = model_generation_.load();
+  result.model_generation = stale->value.generation;
   result.latency_us = ElapsedUs(request.enqueue_time);
   result.trace_id = request.trace_id;
   stats_.RecordStaleServed(result.latency_us, request.trace_id);
@@ -389,14 +364,13 @@ void InferenceService::ResolveError(const ScoreRequest& request,
 }
 
 void InferenceService::ResolveHit(const ScoreRequest& request,
-                                  double probability,
-                                  uint64_t model_generation) {
+                                  const ResultCache::Value& cached) {
   ScoreResult result;
   result.address = request.address;
   result.ledger_height = request.ledger_height;
-  result.probability = probability;
+  result.probability = cached.probability;
   result.cache_hit = true;
-  result.model_generation = model_generation;
+  result.model_generation = cached.generation;
   result.latency_us = ElapsedUs(request.enqueue_time);
   result.trace_id = request.trace_id;
   stats_.RecordRequest(result.latency_us, /*cache_hit=*/true,
@@ -433,7 +407,8 @@ Result<double> InferenceService::ScoreCold(const core::Dbg4Eth& model,
     }
     return model.PredictProba(instance.ValueOrDie());
   } catch (const std::exception& e) {
-    // A throwing pass fails its requests, not the worker thread.
+    // A throwing pass fails its requests instead of leaving their promises
+    // unresolved.
     span.SetError();
     return Status::Internal(std::string("cold score threw: ") + e.what());
   }

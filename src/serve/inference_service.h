@@ -7,16 +7,15 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "core/dbg4eth.h"
 #include "eth/dataset.h"
 #include "eth/ledger_base.h"
 #include "graph/sampling.h"
-#include "serve/request_queue.h"
 #include "serve/result_cache.h"
 #include "serve/server_stats.h"
 #include "serve/types.h"
@@ -31,7 +30,9 @@ struct InferenceServiceConfig {
   /// see DESIGN.md "Inference fast path"). 0 = one per hardware thread.
   /// The resolved count is reported in ServerStats::Snapshot::workers.
   int num_workers = 4;
-  RequestQueueConfig queue;
+  /// Bound on admitted cold requests that no worker has picked up yet;
+  /// a miss beyond it is shed (or served stale) at admission.
+  size_t queue_capacity = 4096;
   ResultCacheConfig cache;
   /// Subgraph materialization parameters; must match how the model's
   /// training data was sampled for the scores to be meaningful.
@@ -58,19 +59,19 @@ struct InferenceServiceConfig {
 ///
 /// Request path: `ScoreAsync(address)` first consults the sharded result
 /// cache keyed by (address, ledger height) — a hit resolves immediately,
-/// skipping both subgraph materialization and the forward pass. Misses are
-/// pushed onto the bounded RequestQueue, where `num_workers` threads each
-/// block in `Pop` and take one request per pick-up: a cold request crosses
-/// one thread hand-off and never waits for a batching window. The worker
-/// re-checks the cache, then looks the request up in the in-flight table
-/// keyed by (address, height, model generation): a request whose key
-/// another worker is already scoring attaches to that pass and shares its
-/// result. Otherwise the worker scores it — materializes the
-/// account-centred subgraph (eth::MaterializeInstance), normalizes it with
-/// the model's train-split statistics, runs the double-graph forward pass
-/// — fills the cache and resolves the request and everything attached to
-/// it. Every outcome is booked once, in the service's own metrics registry
-/// (ServerStats; see `metrics()`).
+/// skipping both subgraph materialization and the forward pass. Each miss
+/// is submitted as one task to the service's bounded ThreadPool of
+/// `num_workers` threads: a cold request crosses one thread hand-off and
+/// never waits for a batching window. The worker re-checks the cache, then
+/// looks the request up in the in-flight table keyed by (address, height,
+/// model generation): a request whose key another worker is already
+/// scoring attaches to that pass and shares its result. Otherwise the
+/// worker scores it — materializes the account-centred subgraph
+/// (eth::MaterializeInstance), normalizes it with the model's train-split
+/// statistics, runs the double-graph forward pass — fills the cache and
+/// resolves the request and everything attached to it. Every outcome is
+/// booked once, in the service's own metrics registry (ServerStats; see
+/// `metrics()`).
 ///
 /// Thread safety: the service holds the model as a
 /// `shared_ptr<const Dbg4Eth>` behind a mutex; each pick-up takes one
@@ -85,7 +86,7 @@ struct InferenceServiceConfig {
 class InferenceService {
  public:
   /// Restores the model from a checkpoint stream (Dbg4Eth::Save format)
-  /// and starts the worker threads.
+  /// and starts the worker pool.
   static Result<std::unique_ptr<InferenceService>> Create(
       const InferenceServiceConfig& config, std::istream* checkpoint,
       const eth::Ledger* ledger);
@@ -108,8 +109,8 @@ class InferenceService {
   ///
   /// `deadline_us` is the request's budget in microseconds from now (0 =
   /// none); an expired request resolves kDeadlineExceeded without a
-  /// forward pass. `trace_id` (W3C trace-context format) rides through
-  /// the queue into the worker's trace context: the cold path's span tree
+  /// forward pass. `trace_id` (W3C trace-context format) rides with the
+  /// request into the worker's trace context: the cold path's span tree
   /// is stamped with it, latency exemplars reference it, and it comes
   /// back on `ScoreResult::trace_id` for every outcome. An empty id means
   /// "untraced" (no context, no exemplars).
@@ -143,14 +144,14 @@ class InferenceService {
 
   uint64_t ledger_height() const { return ledger_height_.load(); }
 
-  /// Stops accepting requests, lets the workers drain the queue, joins
-  /// them. Every accepted request still resolves (scored or error).
-  /// Idempotent.
+  /// Stops accepting requests, lets the workers run every accepted
+  /// request, joins them. Every accepted request still resolves (scored
+  /// or error). Idempotent.
   void Shutdown();
 
   ServerStats::Snapshot StatsSnapshot() const {
     ServerStats::Snapshot snapshot = stats_.TakeSnapshot();
-    snapshot.workers = workers_;
+    snapshot.workers = num_workers();
     return snapshot;
   }
   /// The registry holding this service's `serve_*` request, latency,
@@ -161,7 +162,7 @@ class InferenceService {
   const InferenceServiceConfig& config() const { return config_; }
   /// Worker threads actually running (config.num_workers clamped to the
   /// hardware concurrency).
-  int num_workers() const { return workers_; }
+  int num_workers() const { return pool_.num_threads(); }
 
  private:
   /// One pick-up's immutable view of the serving model: the pointer pins
@@ -172,10 +173,7 @@ class InferenceService {
   };
   ModelRef SnapshotModel() const;
 
-  /// Worker thread body: pops one request at a time until the queue is
-  /// closed and drained.
-  void WorkerLoop();
-  /// Resolves one picked-up request: expiry, cache re-check, in-flight
+  /// Pool task of one admitted miss: expiry, cache re-check, in-flight
   /// sharing, and otherwise one cold pass for it and its duplicates.
   void ProcessRequest(ScoreRequest request);
   /// Cold path: materialize + normalize + forward pass through `model`.
@@ -187,10 +185,11 @@ class InferenceService {
   Result<double> ScoreColdWithRetry(const core::Dbg4Eth& model,
                                     const ScoreRequest& request,
                                     int* retries);
-  /// Caches a pass's score, unless `model` was swapped out while the pass
-  /// ran: then its score belongs to no cached model and is dropped.
+  /// Caches a pass's score, unless the model of `generation` was swapped
+  /// out while the pass ran: the cache holds only the serving model's
+  /// scores, so SwapModel's clear retires every older one.
   void FillCache(const ScoreRequest& request, double probability,
-                 const core::Dbg4Eth& model);
+                 uint64_t generation);
   /// Resolves every request of one cold group with the group's
   /// probability; `retries` belongs to the representative (first)
   /// request, the duplicates attached to its pass count as cache hits.
@@ -201,9 +200,10 @@ class InferenceService {
   /// resolves stale (degraded mode, transient failures) or with `status`.
   void ResolveColdFailure(const std::vector<ScoreRequest>& group,
                           const Status& status);
-  /// Resolves `request` as a cache hit with `probability`.
-  void ResolveHit(const ScoreRequest& request, double probability,
-                  uint64_t model_generation);
+  /// Resolves `request` as a cache hit with the cached score and the
+  /// generation that produced it.
+  void ResolveHit(const ScoreRequest& request,
+                  const ResultCache::Value& cached);
   /// Resolves `request` from the newest stale cache entry below its
   /// height, if degraded mode allows; true when it was resolved.
   bool TryServeStale(const ScoreRequest& request);
@@ -224,7 +224,6 @@ class InferenceService {
   std::atomic<uint64_t> ledger_height_{0};
   ResultCache cache_;
   ServerStats stats_;
-  RequestQueue queue_;
   /// Cold passes being scored, keyed by (address, height, model
   /// generation), each with the duplicate requests that attached to it
   /// while it ran. A pass fills the cache before leaving the table, and
@@ -234,12 +233,10 @@ class InferenceService {
   std::map<std::tuple<eth::AccountId, uint64_t, uint64_t>,
            std::vector<ScoreRequest>>
       inflight_;
-  std::mutex shutdown_mu_;  ///< Serializes Shutdown callers.
   std::atomic<bool> shutdown_{false};
-  /// Resolved worker count (config.num_workers clamped).
-  int workers_;
-  /// Declared last: the workers use every member above.
-  std::vector<std::thread> threads_;
+  /// Runs ProcessRequest for every admitted miss, config.num_workers
+  /// threads (clamped). Declared last: its tasks use every member above.
+  ThreadPool pool_;
 };
 
 }  // namespace serve

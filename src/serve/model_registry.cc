@@ -142,8 +142,7 @@ Result<bool> ModelRegistry::Poll() {
 
 Result<bool> ModelRegistry::TryReload(uint64_t latest_on_disk) {
   obs::ScopedTimer reload_timer(ReloadWallHistogram());
-  Result<CheckpointStore::LoadedCheckpoint> loaded =
-      store_->LoadLatestValidGeneration();
+  Result<CheckpointStore::LoadedCheckpoint> loaded = store_->LoadLatestValid();
   if (!loaded.ok()) {
     // Every generation on disk is unreadable or fails its CRC.
     ReloadCorruptCounter()->Inc();

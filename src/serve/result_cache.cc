@@ -24,7 +24,7 @@ ResultCache::Shard& ResultCache::ShardFor(const Key& key) {
   return *shards_[KeyHash()(key) % shards_.size()];
 }
 
-std::optional<double> ResultCache::Get(const Key& key) {
+std::optional<ResultCache::Value> ResultCache::Get(const Key& key) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
@@ -32,15 +32,15 @@ std::optional<double> ResultCache::Get(const Key& key) {
   // Move to the front (most recently used) and read the value while still
   // holding the lock.
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->probability;
+  return it->second->value;
 }
 
-bool ResultCache::Put(const Key& key, double probability) {
+bool ResultCache::Put(const Key& key, const Value& value) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
-    it->second->probability = probability;
+    it->second->value = value;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return false;
   }
@@ -50,23 +50,21 @@ bool ResultCache::Put(const Key& key, double probability) {
     shard.index.erase(victim.key);
     shard.lru.pop_back();
   }
-  shard.lru.push_front(Entry{key, probability});
+  shard.lru.push_front(Entry{key, value});
   shard.index.emplace(key, shard.lru.begin());
   return evict;
 }
 
-std::optional<ResultCache::StaleEntry> ResultCache::GetNewestBelow(
+std::optional<ResultCache::Entry> ResultCache::GetNewestBelow(
     eth::AccountId address, uint64_t height) {
-  std::optional<StaleEntry> best;
+  std::optional<Entry> best;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     for (const Entry& entry : shard->lru) {
       if (entry.key.address != address || entry.key.height >= height) {
         continue;
       }
-      if (!best || entry.key.height > best->height) {
-        best = StaleEntry{entry.key.height, entry.probability};
-      }
+      if (!best || entry.key.height > best->key.height) best = entry;
     }
   }
   return best;

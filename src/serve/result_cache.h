@@ -25,7 +25,8 @@ struct ResultCacheConfig {
 };
 
 /// \brief Sharded LRU cache of scored probabilities keyed by
-/// (address, ledger height).
+/// (address, ledger height); each entry also records the model generation
+/// that produced its score.
 ///
 /// The ledger height is part of the key: as soon as the service observes a
 /// taller ledger, lookups for the new height miss and fresh scores are
@@ -50,27 +51,32 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Returns the cached probability and refreshes the entry's recency, or
+  /// A cached score and the generation of the model that produced it.
+  struct Value {
+    double probability = 0.0;
+    uint64_t generation = 0;
+  };
+
+  struct Entry {
+    Key key;
+    Value value;
+  };
+
+  /// Returns the cached value and refreshes the entry's recency, or
   /// nullopt on miss.
-  std::optional<double> Get(const Key& key);
+  std::optional<Value> Get(const Key& key);
 
   /// Inserts or refreshes an entry, evicting its shard's LRU tail when the
   /// shard is at capacity. Returns true when it evicted an entry.
-  bool Put(const Key& key, double probability);
-
-  /// A cached score with this key's height and probability.
-  struct StaleEntry {
-    uint64_t height = 0;
-    double probability = 0.0;
-  };
+  bool Put(const Key& key, const Value& value);
 
   /// Degraded-mode lookup: the newest cached entry for `address` strictly
   /// below `height`, or nullopt. Scans every shard (entries for one
   /// address at different heights hash to different shards), so this is
   /// O(cache size) — it runs only when the cold path is failing or
   /// overloaded, never on the hit path. Recency is not refreshed.
-  std::optional<StaleEntry> GetNewestBelow(eth::AccountId address,
-                                           uint64_t height);
+  std::optional<Entry> GetNewestBelow(eth::AccountId address,
+                                      uint64_t height);
 
   /// Drops every entry whose height is strictly below `height`.
   void InvalidateOlderThan(uint64_t height);
@@ -93,11 +99,6 @@ class ResultCache {
       x ^= x >> 27;
       return static_cast<size_t>(x);
     }
-  };
-
-  struct Entry {
-    Key key;
-    double probability = 0.0;
   };
 
   struct Shard {

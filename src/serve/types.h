@@ -82,8 +82,8 @@ inline int SuggestedHttpStatus(const Status& status) {
   }
 }
 
-/// \brief One in-flight scoring request as it moves through the
-/// RequestQueue to a worker.
+/// \brief One in-flight scoring request as it moves from ScoreAsync to a
+/// pool worker.
 struct ScoreRequest {
   eth::AccountId address = -1;
   uint64_t ledger_height = 0;

@@ -162,7 +162,7 @@ TEST_F(CheckpointStoreTest, SaveThenLoadLatestValidReturnsTheNewest) {
 
   auto latest = store.LoadLatestValid();
   ASSERT_TRUE(latest.ok());
-  EXPECT_EQ(latest.ValueOrDie(), "third");
+  EXPECT_EQ(latest.ValueOrDie().payload, "third");
   // Atomic commit: no temp files linger.
   for (const auto& entry : fs::directory_iterator(dir_)) {
     EXPECT_EQ(entry.path().extension(), ".bin") << entry.path();
@@ -180,26 +180,26 @@ TEST_F(CheckpointStoreTest, LoadLatestValidWalksPastCorruptGenerations) {
                      })
                     .ok());
   }
-  const auto checkpoints = store.ListCheckpoints();  // Newest first.
+  const auto checkpoints = store.ListGenerations();  // Newest first.
   ASSERT_EQ(checkpoints.size(), 2u);
 
   // Truncate the newest to half its size: recovery costs one generation,
   // not the model.
   {
-    std::ifstream in(checkpoints[0], std::ios::binary);
+    std::ifstream in(checkpoints[0].path, std::ios::binary);
     std::stringstream buf;
     buf << in.rdbuf();
     const std::string bytes = buf.str();
-    std::ofstream out(checkpoints[0], std::ios::binary | std::ios::trunc);
+    std::ofstream out(checkpoints[0].path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   }
   auto latest = store.LoadLatestValid();
   ASSERT_TRUE(latest.ok()) << latest.status().ToString();
-  EXPECT_EQ(latest.ValueOrDie(), "old");
+  EXPECT_EQ(latest.ValueOrDie().payload, "old");
 
   // Flip a payload bit in the survivor as well: nothing valid remains.
   {
-    std::fstream f(checkpoints[1],
+    std::fstream f(checkpoints[1].path,
                    std::ios::binary | std::ios::in | std::ios::out);
     f.seekp(17);  // Inside the payload region (16-byte header).
     char c;
@@ -242,7 +242,7 @@ TEST_F(CheckpointStoreTest, ListGenerationsReportsSequencesNewestFirst) {
   EXPECT_EQ(store.LatestGeneration(), 3u);
 }
 
-TEST_F(CheckpointStoreTest, LoadLatestValidGenerationSkipsCorruptNewest) {
+TEST_F(CheckpointStoreTest, LoadLatestValidReportsTheSequenceItFellBackTo) {
   auto opened = CheckpointStore::Open(Config());
   ASSERT_TRUE(opened.ok());
   auto& store = *opened.ValueOrDie();
@@ -255,7 +255,7 @@ TEST_F(CheckpointStoreTest, LoadLatestValidGenerationSkipsCorruptNewest) {
   }
 
   // Intact store: the loaded payload carries its generation metadata.
-  auto loaded = store.LoadLatestValidGeneration();
+  auto loaded = store.LoadLatestValid();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.ValueOrDie().sequence, 2u);
   EXPECT_EQ(loaded.ValueOrDie().payload, "new");
@@ -275,7 +275,7 @@ TEST_F(CheckpointStoreTest, LoadLatestValidGenerationSkipsCorruptNewest) {
     f.seekp(17);
     f.put(static_cast<char>(c ^ 0x40));
   }
-  loaded = store.LoadLatestValidGeneration();
+  loaded = store.LoadLatestValid();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.ValueOrDie().sequence, 1u);
   EXPECT_EQ(loaded.ValueOrDie().payload, "old");
@@ -295,10 +295,10 @@ TEST_F(CheckpointStoreTest, RetentionPrunesBeyondTheWindow) {
                      })
                     .ok());
   }
-  EXPECT_EQ(store.ListCheckpoints().size(), 2u);
+  EXPECT_EQ(store.ListGenerations().size(), 2u);
   auto latest = store.LoadLatestValid();
   ASSERT_TRUE(latest.ok());
-  EXPECT_EQ(latest.ValueOrDie(), "gen4");
+  EXPECT_EQ(latest.ValueOrDie().payload, "gen4");
 }
 
 TEST_F(CheckpointStoreTest, ReopeningResumesTheSequence) {
@@ -326,7 +326,7 @@ TEST_F(CheckpointStoreTest, WriterErrorsAbortTheSaveCleanly) {
     return Status::FailedPrecondition("model not trained");
   });
   EXPECT_EQ(saved.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(store.ListCheckpoints().empty());
+  EXPECT_TRUE(store.ListGenerations().empty());
   EXPECT_EQ(store.next_sequence(), 1u);  // Nothing committed.
 }
 

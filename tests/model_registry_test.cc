@@ -566,6 +566,70 @@ TEST_F(ModelRegistryTest, PassFinishingAfterSwapDoesNotCacheTheOldScore) {
   EXPECT_EQ(on_b.model_generation, 7u);
 }
 
+// Cache hits racing model swaps: a hit may read an entry the swap has not
+// cleared yet, and must then report the generation that scored it, not the
+// one just installed.
+TEST_F(ModelRegistryTest, HitsRacingSwapsReportTheGenerationOfTheirScore) {
+  std::stringstream stream_a(*checkpoint_a_);
+  auto loaded_a = core::Dbg4Eth::Load(&stream_a);
+  ASSERT_TRUE(loaded_a.ok());
+  const std::shared_ptr<const core::Dbg4Eth> model_a =
+      std::move(loaded_a).ValueOrDie();
+  std::stringstream stream_b(*checkpoint_b_);
+  auto loaded_b = core::Dbg4Eth::Load(&stream_b);
+  ASSERT_TRUE(loaded_b.ok());
+  const std::shared_ptr<const core::Dbg4Eth> model_b =
+      std::move(loaded_b).ValueOrDie();
+  const eth::AccountId address = diverging_address_;
+  const auto score_a = ScoreWith(*model_a, address);
+  const auto score_b = ScoreWith(*model_b, address);
+  ASSERT_TRUE(score_a.ok());
+  ASSERT_TRUE(score_b.ok());
+  ASSERT_NE(score_a.ValueOrDie(), score_b.ValueOrDie());
+
+  InferenceServiceConfig service_config;
+  service_config.num_workers = 2;
+  service_config.cache.capacity = 64;
+  service_config.cache.num_shards = 2;
+  service_config.sampling = Sampling();
+  service_config.num_time_slices = kTimeSlices;
+  // Generation 0, the construction-time model, is A as well.
+  std::stringstream initial(*checkpoint_a_);
+  auto loaded = core::Dbg4Eth::Load(&initial);
+  ASSERT_TRUE(loaded.ok());
+  InferenceService service(service_config, std::move(loaded).ValueOrDie(),
+                           ledger_);
+
+  // Odd generations serve B, even ones A.
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> results{0};
+  std::atomic<uint64_t> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 3; ++c) {
+    clients.emplace_back([&] {
+      while (!stop.load()) {
+        const ScoreResult result = service.Score(address);
+        if (!result.ok()) continue;
+        results.fetch_add(1);
+        const double expected = result.model_generation % 2 == 1
+                                    ? score_b.ValueOrDie()
+                                    : score_a.ValueOrDie();
+        if (result.probability != expected) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (uint64_t generation = 1; generation <= 300; ++generation) {
+    std::this_thread::sleep_for(std::chrono::microseconds(1'500));
+    service.SwapModel(generation % 2 == 1 ? model_b : model_a, generation);
+  }
+  stop.store(true);
+  for (auto& client : clients) client.join();
+  service.Shutdown();
+
+  EXPECT_GT(results.load(), 0u);
+  EXPECT_EQ(mismatches.load(), 0u) << "of " << results.load() << " results";
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace dbg4eth

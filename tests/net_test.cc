@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <future>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -713,6 +714,43 @@ TEST_F(NetScoringTest, ExpiredDeadlineMapsTo504) {
   const HttpResponse response =
       ScoreOverHttp(mining.front(), {{"x-deadline-us", "1"}});
   EXPECT_EQ(response.status, 504) << response.body;
+}
+
+TEST_F(NetScoringTest, DeadlineBudgetCountsFromArrival) {
+  const auto exchanges =
+      ledger_->AccountsOfClass(eth::AccountClass::kExchange);
+  ASSERT_FALSE(exchanges.empty());
+  const eth::AccountId address = exchanges.front();
+  ASSERT_TRUE(service_->Score(address).ok());  // A cache hit from here on.
+
+  // One handler thread, held by /hold for 60 ms.
+  HttpServerConfig config;
+  config.num_handler_threads = 1;
+  HttpServer server(config);
+  ScoringApp app(service_, &server);
+  std::promise<void> entered;
+  server.Route("GET", "/hold", [&entered](const HttpRequest&) {
+    entered.set_value();
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    return HttpResponse::Text(200, "held\n");
+  });
+  ASSERT_TRUE(server.Start().ok());
+  std::thread holder([&server] {
+    HttpClient client("127.0.0.1", server.port(), FastClient());
+    EXPECT_TRUE(client.Get("/hold").ok());
+  });
+  entered.get_future().wait();
+
+  // The 20 ms budget runs out while the request waits for the handler
+  // thread, so even a cache hit is too late.
+  HttpClient client("127.0.0.1", server.port(), FastClient());
+  auto response = client.Post(
+      "/v1/score", "{\"address\": " + std::to_string(address) + "}",
+      {{"x-deadline-us", "20000"}});
+  holder.join();
+  server.Shutdown();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.ValueOrDie().status, 504) << response.ValueOrDie().body;
 }
 
 TEST_F(NetScoringTest, BadRequestsMapTo400) {

@@ -1,10 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -486,31 +482,6 @@ TEST(JsonSnapshotTest, ContainsMetricsAndSpans) {
   EXPECT_NE(json.find("\"name\": \"materialize\""), std::string::npos);
 }
 
-TEST(JsonSnapshotTest, DumpJsonWritesFile) {
-  MetricsRegistry registry;
-  FillSampleRegistry(&registry);
-  Tracer tracer;
-  const std::string path = testing::TempDir() + "/obs_dump_test.json";
-  ASSERT_TRUE(DumpJson(path, {&registry}, &tracer).ok());
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string contents = buffer.str();
-  EXPECT_EQ(contents.front(), '{');
-  EXPECT_EQ(contents, JsonSnapshot({&registry}, &tracer));
-  std::remove(path.c_str());
-}
-
-TEST(SummaryLineTest, ListsEveryInstrument) {
-  MetricsRegistry registry;
-  FillSampleRegistry(&registry);
-  const std::string line = SummaryLine(&registry);
-  EXPECT_NE(line.find("events_total{kind=\"a\"}=3"), std::string::npos);
-  EXPECT_NE(line.find("queue_depth=2.5"), std::string::npos);
-  EXPECT_NE(line.find("lat_us[n=3"), std::string::npos);
-}
-
 // --------------------------------------------------------------------------
 // Histogram exemplars
 // --------------------------------------------------------------------------
@@ -930,24 +901,6 @@ TEST(ProfilerTest, CollectFoldedOnEmptyCaptureIsEmpty) {
   Profiler profiler;
   EXPECT_EQ(profiler.samples_captured(), 0u);
   EXPECT_TRUE(profiler.CollectFolded().empty());
-}
-
-TEST(StatsLoggerTest, EmitsAtLeastOnceBeforeStop) {
-  MetricsRegistry registry;
-  std::atomic<int> emissions{0};
-  StatsLoggerConfig config;
-  config.interval_ms = 5;
-  config.registry = &registry;
-  config.formatter = [&emissions](const MetricsRegistry*) {
-    emissions.fetch_add(1);
-    return std::string("test summary");
-  };
-  {
-    StatsLogger logger(config);
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  }
-  // Stop always emits one final line, so short runs still log.
-  EXPECT_GE(emissions.load(), 1);
 }
 
 }  // namespace

@@ -266,7 +266,7 @@ TEST_F(ServeChaosTest, IngestFailpointsInject) {
 TEST_F(ServeChaosTest, SlowWorkersDoNotLoseRequests) {
   SKIP_WITHOUT_FAILPOINTS();
   ASSERT_TRUE(
-      failpoint::Enable("serve.worker", failpoint::SleepFor(1'000)).ok());
+      failpoint::Enable("pool.task", failpoint::SleepFor(1'000)).ok());
   auto service = MakeService(ServiceConfig(/*workers=*/2), ledger_);
   const auto exchanges =
       ledger_->AccountsOfClass(eth::AccountClass::kExchange);
@@ -279,7 +279,7 @@ TEST_F(ServeChaosTest, SlowWorkersDoNotLoseRequests) {
   for (auto& future : futures) {
     EXPECT_TRUE(future.get().ok());  // Slow, not lost.
   }
-  EXPECT_GT(failpoint::FireCount("serve.worker"), 0u);
+  EXPECT_GT(failpoint::FireCount("pool.task"), 0u);
 }
 
 // The TSan centerpiece: concurrent clients with mixed deadlines, a cold
@@ -289,7 +289,7 @@ TEST_F(ServeChaosTest, SlowWorkersDoNotLoseRequests) {
 TEST_F(ServeChaosTest, ConcurrentChaosWithRacingShutdownReconciles) {
   SKIP_WITHOUT_FAILPOINTS();
   InferenceServiceConfig config = ServiceConfig(/*workers=*/4);
-  config.queue.capacity = 32;
+  config.queue_capacity = 32;
   config.max_cold_retries = 1;
   auto service = MakeService(config, ledger_);
 
@@ -298,7 +298,7 @@ TEST_F(ServeChaosTest, ConcurrentChaosWithRacingShutdownReconciles) {
                   failpoint::WithProbability(0.25, /*seed=*/0xc4a05))
                   .ok());
   ASSERT_TRUE(
-      failpoint::Enable("serve.worker", failpoint::SleepFor(200)).ok());
+      failpoint::Enable("pool.task", failpoint::SleepFor(200)).ok());
 
   const auto exchanges =
       ledger_->AccountsOfClass(eth::AccountClass::kExchange);
@@ -341,7 +341,7 @@ TEST_F(ServeChaosTest, ConcurrentChaosWithRacingShutdownReconciles) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   service->Shutdown();
   for (auto& client : clients) client.join();
-  EXPECT_GT(failpoint::FireCount("serve.worker"), 0u);
+  EXPECT_GT(failpoint::FireCount("pool.task"), 0u);
 
   constexpr uint64_t kTotal =
       static_cast<uint64_t>(kClients) * kRequestsPerClient;

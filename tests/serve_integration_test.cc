@@ -375,7 +375,7 @@ TEST_F(ServeIntegrationTest, RefreshLedgerHeightInvalidatesCachedScores) {
   // drives the cache contract directly through the service's key space.)
   const uint64_t old_height = service.ledger_height();
   ResultCache cache(ResultCacheConfig{16, 2});
-  cache.Put({address, old_height}, 0.42);
+  cache.Put({address, old_height}, {0.42, 0});
   EXPECT_TRUE(cache.Get({address, old_height}).has_value());
   cache.InvalidateOlderThan(old_height + 1);
   EXPECT_FALSE(cache.Get({address, old_height}).has_value());
@@ -422,7 +422,7 @@ TEST_F(ServeIntegrationTest, SaturatedQueueShedsWithResourceExhausted) {
   GatedLedger gated(*ledger_, /*gate_id=*/exchanges[0]);
   std::stringstream checkpoint(*checkpoint_);
   InferenceServiceConfig config = ServiceConfig(1);
-  config.queue.capacity = 2;
+  config.queue_capacity = 2;
   config.serve_stale = false;  // Shed outright, no fallback.
   auto created = InferenceService::Create(config, &checkpoint, &gated);
   ASSERT_TRUE(created.ok());
@@ -459,7 +459,7 @@ TEST_F(ServeIntegrationTest, OverloadServesStaleScoreFromPreviousHeight) {
   gated.Open();  // The warm-up runs ungated.
   std::stringstream checkpoint(*checkpoint_);
   InferenceServiceConfig config = ServiceConfig(1);
-  config.queue.capacity = 1;
+  config.queue_capacity = 1;
   auto created = InferenceService::Create(config, &checkpoint, &gated);
   ASSERT_TRUE(created.ok());
   auto& service = *created.ValueOrDie();
@@ -674,6 +674,51 @@ TEST_F(ServeIntegrationTest, EachColdScoreBooksOneCacheMiss) {
     EXPECT_NE(family.name, "serve_requests_total");
     EXPECT_NE(family.name, "serve_cache_events_total");
   }
+}
+
+/// The global registry's instrument of family `name` (families holding one
+/// unlabelled instrument); zero-valued when the family is not registered
+/// yet.
+obs::MetricsRegistry::InstrumentSnapshot GlobalInstrument(
+    const std::string& name) {
+  for (const auto& family : obs::MetricsRegistry::Global()->TakeSnapshot()) {
+    if (family.name == name && !family.instruments.empty()) {
+      return family.instruments.front();
+    }
+  }
+  return {};
+}
+
+// The admission queue's families live in the global registry: the wait of
+// every picked-up request, and the depth left behind at each pick-up.
+TEST_F(ServeIntegrationTest, QueueWaitAndDepthTrackRequestsWaitingForAWorker) {
+  const auto exchanges =
+      ledger_->AccountsOfClass(eth::AccountClass::kExchange);
+  ASSERT_GE(exchanges.size(), 2u);
+  GatedLedger gated(*ledger_, /*gate_id=*/exchanges[0]);
+  std::stringstream checkpoint(*checkpoint_);
+  auto created =
+      InferenceService::Create(ServiceConfig(1), &checkpoint, &gated);
+  ASSERT_TRUE(created.ok());
+  auto& service = *created.ValueOrDie();
+  const obs::Histogram::Snapshot before =
+      GlobalInstrument("serve_queue_wait_us").histogram;
+
+  // The only worker is held inside exchanges[0]'s pass while the next
+  // request waits for it for at least 20 ms.
+  std::future<ScoreResult> held = service.ScoreAsync(exchanges[0]);
+  ASSERT_TRUE(gated.WaitUntilEntered());
+  std::future<ScoreResult> queued = service.ScoreAsync(exchanges[1]);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  gated.Open();
+  EXPECT_TRUE(held.get().ok());
+  EXPECT_TRUE(queued.get().ok());
+
+  const obs::Histogram::Snapshot after =
+      GlobalInstrument("serve_queue_wait_us").histogram;
+  EXPECT_EQ(after.count - before.count, 2u);
+  EXPECT_GE(after.sum - before.sum, 20'000.0);
+  EXPECT_EQ(GlobalInstrument("serve_queue_depth").gauge_value, 0.0);
 }
 
 TEST_F(ServeIntegrationTest, WorkerCountClampsToHardwareConcurrency) {

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "serve/request_queue.h"
 #include "serve/result_cache.h"
 #include "serve/server_stats.h"
 
@@ -19,28 +18,81 @@ namespace dbg4eth {
 namespace serve {
 namespace {
 
-using std::chrono::steady_clock;
-
 // --------------------------------------------------------------------------
 // ThreadPool
 // --------------------------------------------------------------------------
 
 TEST(ThreadPoolTest, ExecutesAllSubmittedTasks) {
-  ThreadPool pool(4, 64);
+  ThreadPool pool(4, 128);
   std::atomic<int> counter{0};
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(pool.Submit([&counter] { counter.fetch_add(1); }));
+    ASSERT_TRUE(pool.TrySubmit([&counter] { counter.fetch_add(1); }));
   }
   pool.Shutdown();
   EXPECT_EQ(counter.load(), 100);
-  EXPECT_EQ(pool.tasks_executed(), 100u);
+  EXPECT_EQ(pool.pending(), 0u);
+}
+
+TEST(ThreadPoolTest, OneWorkerRunsTasksInSubmissionOrder) {
+  ThreadPool pool(1, 16);
+  std::vector<int> order;  // Written by the one worker only.
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(pool.TrySubmit([&order, i] { order.push_back(i); }));
+  }
+  pool.Shutdown();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(ThreadPoolTest, IdleWorkerRunsALoneTaskWithoutShutdown) {
+  std::promise<void> ran;
+  ThreadPool pool(1, 4);
+  // Let the worker go idle on the empty queue first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_TRUE(pool.TrySubmit([&ran] { ran.set_value(); }));
+  // The submit alone wakes the worker: nothing else arrives, and the pool
+  // is not shut down until the task has run.
+  EXPECT_EQ(ran.get_future().wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+}
+
+TEST(ThreadPoolTest, TrySubmitReportsFullAtCapacity) {
+  ThreadPool pool(1, 2);
+  // Task `i` announces that the worker picked it up, then holds the
+  // worker until released.
+  std::promise<void> entered[2];
+  std::promise<void> release[2];
+  std::shared_future<void> gate[2] = {release[0].get_future().share(),
+                                      release[1].get_future().share()};
+  auto holding = [&](int i) {
+    return [&entered, gate, i] {
+      entered[i].set_value();
+      gate[i].wait();
+    };
+  };
+  ASSERT_TRUE(pool.TrySubmit(holding(0)));
+  entered[0].get_future().wait();  // The worker holds task 0.
+  ASSERT_TRUE(pool.TrySubmit(holding(1)));
+  ASSERT_TRUE(pool.TrySubmit([] {}));
+  EXPECT_EQ(pool.pending(), 2u);
+  EXPECT_FALSE(pool.TrySubmit([] {}));  // Queue at capacity.
+  EXPECT_EQ(pool.pending(), 2u);
+
+  // A pick-up frees exactly one slot.
+  release[0].set_value();
+  entered[1].get_future().wait();  // The worker holds task 1.
+  EXPECT_EQ(pool.pending(), 1u);
+  EXPECT_TRUE(pool.TrySubmit([] {}));
+  EXPECT_FALSE(pool.TrySubmit([] {}));
+  release[1].set_value();
+  pool.Shutdown();
+  EXPECT_EQ(pool.pending(), 0u);
 }
 
 TEST(ThreadPoolTest, ShutdownDrainsQueuedTasksAndRejectsNewOnes) {
   ThreadPool pool(1, 64);
   std::atomic<int> counter{0};
   for (int i = 0; i < 32; ++i) {
-    ASSERT_TRUE(pool.Submit([&counter] {
+    ASSERT_TRUE(pool.TrySubmit([&counter] {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       counter.fetch_add(1);
     }));
@@ -49,137 +101,33 @@ TEST(ThreadPoolTest, ShutdownDrainsQueuedTasksAndRejectsNewOnes) {
   // Every accepted task ran before Shutdown returned.
   EXPECT_EQ(counter.load(), 32);
   // Post-shutdown submissions are rejected, not silently dropped-but-true.
-  EXPECT_FALSE(pool.Submit([&counter] { counter.fetch_add(1); }));
   EXPECT_FALSE(pool.TrySubmit([&counter] { counter.fetch_add(1); }));
   EXPECT_EQ(counter.load(), 32);
 }
 
 TEST(ThreadPoolTest, ShutdownIsIdempotent) {
   ThreadPool pool(2, 8);
+  // Both workers are idle on the empty queue: Shutdown must wake them.
   pool.Shutdown();
   pool.Shutdown();  // Second call must not crash or double-join.
-  EXPECT_FALSE(pool.Submit([] {}));
+  EXPECT_FALSE(pool.TrySubmit([] {}));
 }
 
 TEST(ThreadPoolTest, SurvivesThrowingTasks) {
-  ThreadPool pool(2, 16);
+  ThreadPool pool(2, 32);
+  std::atomic<int> thrown{0};
   std::atomic<int> ok_tasks{0};
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(
-        pool.Submit([] { throw std::runtime_error("task exploded"); }));
-    ASSERT_TRUE(pool.Submit([&ok_tasks] { ok_tasks.fetch_add(1); }));
+    ASSERT_TRUE(pool.TrySubmit([&thrown] {
+      thrown.fetch_add(1);
+      throw std::runtime_error("task exploded");
+    }));
+    ASSERT_TRUE(pool.TrySubmit([&ok_tasks] { ok_tasks.fetch_add(1); }));
   }
   pool.Shutdown();
-  // Workers swallowed the exceptions and kept executing later tasks.
+  // Workers caught the exceptions and kept executing later tasks.
+  EXPECT_EQ(thrown.load(), 10);
   EXPECT_EQ(ok_tasks.load(), 10);
-  EXPECT_EQ(pool.exceptions_caught(), 10u);
-  EXPECT_EQ(pool.tasks_executed(), 20u);
-}
-
-TEST(ThreadPoolTest, TrySubmitFailsWhenQueueFull) {
-  ThreadPool pool(1, 1);
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  // Occupy the single worker, then fill the single queue slot.
-  ASSERT_TRUE(pool.Submit([gate] { gate.wait(); }));
-  ASSERT_TRUE(pool.Submit([gate] { gate.wait(); }));
-  bool accepted = pool.TrySubmit([] {});
-  // The worker may have already dequeued the second task; at most one
-  // TrySubmit beyond capacity can be accepted, never two.
-  if (accepted) {
-    EXPECT_FALSE(pool.TrySubmit([] {}));
-  }
-  release.set_value();
-  pool.Shutdown();
-}
-
-// --------------------------------------------------------------------------
-// RequestQueue
-// --------------------------------------------------------------------------
-
-ScoreRequest MakeRequest(eth::AccountId address) {
-  ScoreRequest request;
-  request.address = address;
-  request.ledger_height = 1;
-  request.enqueue_time = steady_clock::now();
-  request.promise = std::make_shared<std::promise<ScoreResult>>();
-  return request;
-}
-
-TEST(RequestQueueTest, PopReturnsOneRequestAtATimeInFifoOrder) {
-  RequestQueue queue(RequestQueueConfig{});
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_EQ(queue.TryPush(MakeRequest(i)),
-              RequestQueue::PushResult::kAccepted);
-  }
-
-  ScoreRequest request;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(queue.Pop(&request));
-    EXPECT_EQ(request.address, i);
-    EXPECT_EQ(queue.size(), static_cast<size_t>(2 - i));
-  }
-}
-
-TEST(RequestQueueTest, PopWakesAsSoonAsARequestIsPushed) {
-  RequestQueue queue(RequestQueueConfig{});
-  std::promise<ScoreRequest> popped;
-  std::thread popper([&queue, &popped] {
-    ScoreRequest request;
-    ASSERT_TRUE(queue.Pop(&request));
-    popped.set_value(std::move(request));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ASSERT_EQ(queue.TryPush(MakeRequest(7)), RequestQueue::PushResult::kAccepted);
-  // The popper takes the lone request without waiting for company.
-  std::future<ScoreRequest> future = popped.get_future();
-  ASSERT_EQ(future.wait_for(std::chrono::seconds(5)),
-            std::future_status::ready);
-  EXPECT_EQ(future.get().address, 7);
-  popper.join();
-}
-
-TEST(RequestQueueTest, TryPushReportsFullAtCapacity) {
-  RequestQueueConfig config;
-  config.capacity = 2;
-  RequestQueue queue(config);
-  ASSERT_EQ(queue.TryPush(MakeRequest(1)), RequestQueue::PushResult::kAccepted);
-  ASSERT_EQ(queue.TryPush(MakeRequest(2)), RequestQueue::PushResult::kAccepted);
-  EXPECT_EQ(queue.TryPush(MakeRequest(3)), RequestQueue::PushResult::kFull);
-  EXPECT_EQ(queue.size(), 2u);
-
-  // A pop frees one slot.
-  ScoreRequest request;
-  ASSERT_TRUE(queue.Pop(&request));
-  EXPECT_EQ(queue.TryPush(MakeRequest(4)), RequestQueue::PushResult::kAccepted);
-  EXPECT_EQ(queue.TryPush(MakeRequest(5)), RequestQueue::PushResult::kFull);
-}
-
-TEST(RequestQueueTest, CloseDrainsThenSignalsExhaustion) {
-  RequestQueue queue(RequestQueueConfig{});
-  ASSERT_EQ(queue.TryPush(MakeRequest(1)), RequestQueue::PushResult::kAccepted);
-  ASSERT_EQ(queue.TryPush(MakeRequest(2)), RequestQueue::PushResult::kAccepted);
-  queue.Close();
-
-  EXPECT_EQ(queue.TryPush(MakeRequest(3)),  // Rejected after Close.
-            RequestQueue::PushResult::kClosed);
-  ScoreRequest request;
-  ASSERT_TRUE(queue.Pop(&request));  // Queued requests stay poppable.
-  EXPECT_EQ(request.address, 1);
-  ASSERT_TRUE(queue.Pop(&request));
-  EXPECT_EQ(request.address, 2);
-  EXPECT_FALSE(queue.Pop(&request));  // Drained + closed -> false.
-}
-
-TEST(RequestQueueTest, CloseWakesBlockedPopper) {
-  RequestQueue queue(RequestQueueConfig{});
-  std::thread popper([&queue] {
-    ScoreRequest request;
-    EXPECT_FALSE(queue.Pop(&request));  // Woken by Close, nothing queued.
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  queue.Close();
-  popper.join();
 }
 
 // --------------------------------------------------------------------------
@@ -189,15 +137,40 @@ TEST(RequestQueueTest, CloseWakesBlockedPopper) {
 TEST(ResultCacheTest, PutGetRoundTrip) {
   ResultCache cache(ResultCacheConfig{16, 2});
   EXPECT_FALSE(cache.Get({1, 100}).has_value());
-  cache.Put({1, 100}, 0.75);
+  cache.Put({1, 100}, {0.75, 0});
   auto got = cache.Get({1, 100});
   ASSERT_TRUE(got.has_value());
-  EXPECT_DOUBLE_EQ(*got, 0.75);
+  EXPECT_DOUBLE_EQ(got->probability, 0.75);
+}
+
+TEST(ResultCacheTest, EntriesKeepTheGenerationThatScoredThem) {
+  ResultCache cache(ResultCacheConfig{16, 2});
+  cache.Put({1, 100}, {0.25, 3});
+  cache.Put({1, 101}, {0.5, 4});
+  auto got = cache.Get({1, 101});
+  ASSERT_TRUE(got.has_value());
+  EXPECT_DOUBLE_EQ(got->probability, 0.5);
+  EXPECT_EQ(got->generation, 4u);
+
+  // A refresh replaces the generation with the score.
+  cache.Put({1, 101}, {0.625, 5});
+  got = cache.Get({1, 101});
+  ASSERT_TRUE(got.has_value());
+  EXPECT_DOUBLE_EQ(got->probability, 0.625);
+  EXPECT_EQ(got->generation, 5u);
+
+  // The stale lookup returns the older entry with its own generation.
+  auto stale = cache.GetNewestBelow(1, 101);
+  ASSERT_TRUE(stale.has_value());
+  EXPECT_EQ(stale->key.height, 100u);
+  EXPECT_DOUBLE_EQ(stale->value.probability, 0.25);
+  EXPECT_EQ(stale->value.generation, 3u);
+  EXPECT_FALSE(cache.GetNewestBelow(1, 100).has_value());
 }
 
 TEST(ResultCacheTest, LedgerHeightIsPartOfTheKey) {
   ResultCache cache(ResultCacheConfig{16, 2});
-  cache.Put({1, 100}, 0.75);
+  cache.Put({1, 100}, {0.75, 0});
   // Same address at a taller ledger: must miss — the cached score was
   // computed on a stale transaction set.
   EXPECT_FALSE(cache.Get({1, 101}).has_value());
@@ -206,8 +179,8 @@ TEST(ResultCacheTest, LedgerHeightIsPartOfTheKey) {
 
 TEST(ResultCacheTest, InvalidateOlderThanDropsStaleHeights) {
   ResultCache cache(ResultCacheConfig{64, 4});
-  for (int a = 0; a < 10; ++a) cache.Put({a, 100}, 0.5);
-  for (int a = 0; a < 5; ++a) cache.Put({a, 200}, 0.9);
+  for (int a = 0; a < 10; ++a) cache.Put({a, 100}, {0.5, 0});
+  for (int a = 0; a < 5; ++a) cache.Put({a, 200}, {0.9, 0});
   EXPECT_EQ(cache.size(), 15u);
   cache.InvalidateOlderThan(200);
   EXPECT_EQ(cache.size(), 5u);
@@ -218,12 +191,12 @@ TEST(ResultCacheTest, InvalidateOlderThanDropsStaleHeights) {
 TEST(ResultCacheTest, EvictsLeastRecentlyUsedWithinShard) {
   // One shard so the LRU order is globally observable.
   ResultCache cache(ResultCacheConfig{3, 1});
-  EXPECT_FALSE(cache.Put({1, 1}, 0.1));
-  EXPECT_FALSE(cache.Put({2, 1}, 0.2));
-  EXPECT_FALSE(cache.Put({3, 1}, 0.3));
+  EXPECT_FALSE(cache.Put({1, 1}, {0.1, 0}));
+  EXPECT_FALSE(cache.Put({2, 1}, {0.2, 0}));
+  EXPECT_FALSE(cache.Put({3, 1}, {0.3, 0}));
   ASSERT_TRUE(cache.Get({1, 1}).has_value());  // Refresh 1; LRU is now 2.
-  EXPECT_TRUE(cache.Put({4, 1}, 0.4));         // Evicts 2.
-  EXPECT_FALSE(cache.Put({4, 1}, 0.5));        // Refreshes in place.
+  EXPECT_TRUE(cache.Put({4, 1}, {0.4, 0}));    // Evicts 2.
+  EXPECT_FALSE(cache.Put({4, 1}, {0.5, 0}));   // Refreshes in place.
   EXPECT_FALSE(cache.Get({2, 1}).has_value());
   EXPECT_TRUE(cache.Get({1, 1}).has_value());
   EXPECT_TRUE(cache.Get({3, 1}).has_value());
@@ -238,11 +211,11 @@ TEST(ResultCacheTest, ConcurrentMixedAccessIsSafe) {
       for (int i = 0; i < 2000; ++i) {
         const eth::AccountId address = (t * 37 + i) % 200;
         if (i % 3 == 0) {
-          cache.Put({address, 1}, address * 0.001);
+          cache.Put({address, 1}, {address * 0.001, 0});
         } else {
           auto got = cache.Get({address, 1});
           if (got) {
-            EXPECT_DOUBLE_EQ(*got, address * 0.001);
+            EXPECT_DOUBLE_EQ(got->probability, address * 0.001);
           }
         }
       }

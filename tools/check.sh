@@ -142,7 +142,7 @@ if [[ "${fast}" == "1" || "${bench}" == "1" ]]; then
   exit 0
 fi
 
-serve_suites="Serve|ServerStats|ThreadPool|RequestQueue|ResultCache|InferenceArena|TapeFree|FastPath|ModelRegistry"
+serve_suites="Serve|ServerStats|ThreadPool|ResultCache|InferenceArena|TapeFree|FastPath|ModelRegistry"
 
 echo "=== tsan: configure + build (build-tsan/) ==="
 cmake --preset tsan >/dev/null
@@ -171,8 +171,9 @@ echo "=== failpoints: kill during snapshot/epoch -> resume -> hot-reload smoke =
 
 # The serve, fast-path, obs and net suites again under AddressSanitizer +
 # UBSan: the inference arena recycles activation buffers across passes,
-# requests cross threads through the queue, the in-flight table and cache,
-# and the exporters and HTTP routes render merged registry snapshots.
+# requests cross threads through the worker pool, the in-flight table and
+# cache, and the exporters and HTTP routes render merged registry
+# snapshots.
 # halt_on_error turns a UBSan report into a test failure, not a log line.
 echo "=== asan+ubsan: configure + build (build-asan/) ==="
 cmake --preset asan >/dev/null
