@@ -8,28 +8,15 @@ namespace eth {
 AppendableLedger::AppendableLedger(const Ledger& base)
     : accounts_(base.accounts()),
       transactions_(base.transactions()),
-      coinbase_id_(base.coinbase_id()) {
-  tx_index_.resize(accounts_.size());
-  for (int i = 0; i < static_cast<int>(transactions_.size()); ++i) {
-    const Transaction& tx = transactions_[i];
-    if (tx.from >= 0 && tx.from < static_cast<AccountId>(tx_index_.size())) {
-      tx_index_[tx.from].push_back(i);
-    }
-    if (tx.to >= 0 && tx.to < static_cast<AccountId>(tx_index_.size()) &&
-        tx.to != tx.from) {
-      tx_index_[tx.to].push_back(i);
-    }
-  }
-}
+      index_(accounts_.size(), transactions_),
+      coinbase_id_(base.coinbase_id()) {}
 
 Status AppendableLedger::Append(const Transaction& tx) {
-  const auto num_accounts = static_cast<AccountId>(accounts_.size());
-  if (tx.from < 0 || tx.from >= num_accounts || tx.to < 0 ||
-      tx.to >= num_accounts) {
+  if (!IsAccount(tx.from) || !IsAccount(tx.to)) {
     return Status::InvalidArgument(
         StrFormat("transaction endpoints (%d -> %d) outside the account "
-                  "table of size %d",
-                  tx.from, tx.to, num_accounts));
+                  "table of size %zu",
+                  tx.from, tx.to, accounts_.size()));
   }
   if (!transactions_.empty() &&
       tx.timestamp < transactions_.back().timestamp) {
@@ -37,18 +24,18 @@ Status AppendableLedger::Append(const Transaction& tx) {
         "appended timestamp %.3f precedes ledger tip %.3f", tx.timestamp,
         transactions_.back().timestamp));
   }
-  const int index = static_cast<int>(transactions_.size());
+  index_.Add(static_cast<int>(transactions_.size()), tx);
   transactions_.push_back(tx);
-  tx_index_[tx.from].push_back(index);
-  if (tx.to != tx.from) tx_index_[tx.to].push_back(index);
   return Status::OK();
 }
 
 const std::vector<int>& AppendableLedger::TransactionsOf(AccountId id) const {
-  if (id < 0 || id >= static_cast<AccountId>(tx_index_.size())) {
-    return empty_;
-  }
-  return tx_index_[id];
+  return IsAccount(id) ? index_.TransactionsOf(id) : no_transactions_;
+}
+
+const std::vector<Counterparty>& AppendableLedger::CounterpartiesOf(
+    AccountId id) const {
+  return IsAccount(id) ? index_.CounterpartiesOf(id) : no_counterparties_;
 }
 
 }  // namespace eth

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "eth/incident_index.h"
 #include "eth/ledger_base.h"
 
 namespace dbg4eth {
@@ -35,14 +36,22 @@ class AppendableLedger : public Ledger {
   const std::vector<Transaction>& transactions() const override {
     return transactions_;
   }
+  /// Both indexes hold no entries for an id outside the account table.
   const std::vector<int>& TransactionsOf(AccountId id) const override;
+  const std::vector<Counterparty>& CounterpartiesOf(
+      AccountId id) const override;
   AccountId coinbase_id() const override { return coinbase_id_; }
 
  private:
+  bool IsAccount(AccountId id) const {
+    return id >= 0 && id < static_cast<AccountId>(accounts_.size());
+  }
+
   std::vector<Account> accounts_;
   std::vector<Transaction> transactions_;
-  std::vector<std::vector<int>> tx_index_;  ///< Per account id.
-  std::vector<int> empty_;
+  IncidentIndex index_;
+  std::vector<int> no_transactions_;
+  std::vector<Counterparty> no_counterparties_;
   AccountId coinbase_id_ = -1;
 };
 

@@ -123,16 +123,14 @@ Result<std::unique_ptr<CsvLedger>> CsvLedger::FromCsv(std::istream* is) {
   if (ledger->transactions_.empty()) {
     return Status::InvalidArgument("transaction CSV contains no rows");
   }
-  std::sort(ledger->transactions_.begin(), ledger->transactions_.end(),
-            [](const Transaction& a, const Transaction& b) {
-              return a.timestamp < b.timestamp;
-            });
-  ledger->tx_index_.assign(ledger->accounts_.size(), {});
-  for (int i = 0; i < static_cast<int>(ledger->transactions_.size()); ++i) {
-    const Transaction& tx = ledger->transactions_[i];
-    ledger->tx_index_[tx.from].push_back(i);
-    if (tx.to != tx.from) ledger->tx_index_[tx.to].push_back(i);
-  }
+  // Stable: rows with equal timestamps keep file order (block order in a
+  // chain export), so an exported ledger re-imports in its own order.
+  std::stable_sort(ledger->transactions_.begin(), ledger->transactions_.end(),
+                   [](const Transaction& a, const Transaction& b) {
+                     return a.timestamp < b.timestamp;
+                   });
+  ledger->index_ =
+      IncidentIndex(ledger->accounts_.size(), ledger->transactions_);
   return ledger;
 }
 
@@ -173,8 +171,14 @@ Result<int> CsvLedger::LoadLabels(std::istream* is) {
 }
 
 const std::vector<int>& CsvLedger::TransactionsOf(AccountId id) const {
-  DBG4ETH_CHECK(id >= 0 && id < static_cast<AccountId>(tx_index_.size()));
-  return tx_index_[id];
+  DBG4ETH_CHECK(id >= 0 && id < static_cast<AccountId>(accounts_.size()));
+  return index_.TransactionsOf(id);
+}
+
+const std::vector<Counterparty>& CsvLedger::CounterpartiesOf(
+    AccountId id) const {
+  DBG4ETH_CHECK(id >= 0 && id < static_cast<AccountId>(accounts_.size()));
+  return index_.CounterpartiesOf(id);
 }
 
 Result<AccountId> CsvLedger::Resolve(const std::string& address) const {
@@ -199,7 +203,7 @@ void WriteTransactionsCsv(const Ledger& ledger, std::ostream* os) {
     const std::string to =
         csv ? csv->AddressOf(tx.to) : StrFormat("addr_%d", tx.to);
     *os << from << "," << to << ","
-        << StrFormat("%.9g,%.9g,%.9g,%.9g,%d", tx.value, tx.timestamp,
+        << StrFormat("%.17g,%.17g,%.17g,%.17g,%d", tx.value, tx.timestamp,
                      tx.gas_price, tx.gas_used, tx.is_contract_call ? 1 : 0)
         << "\n";
   }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "eth/incident_index.h"
 #include "eth/ledger_base.h"
 
 namespace dbg4eth {
@@ -22,7 +23,7 @@ namespace eth {
 ///   from,to,value,timestamp,gas_price,gas_used,to_is_contract
 /// `from`/`to` are arbitrary address strings (0x... or any identifier);
 /// `to_is_contract` is 0/1. Rows may appear in any order; they are sorted
-/// by timestamp on load.
+/// by timestamp on load, and rows with equal timestamps keep file order.
 ///
 /// Label CSV columns (header required):
 ///   address,label
@@ -44,6 +45,8 @@ class CsvLedger : public Ledger {
     return transactions_;
   }
   const std::vector<int>& TransactionsOf(AccountId id) const override;
+  const std::vector<Counterparty>& CounterpartiesOf(
+      AccountId id) const override;
 
   /// Dense id of an address, if it appears in the ledger.
   Result<AccountId> Resolve(const std::string& address) const;
@@ -60,13 +63,16 @@ class CsvLedger : public Ledger {
   std::vector<std::string> addresses_;
   std::unordered_map<std::string, AccountId> by_address_;
   std::vector<Transaction> transactions_;
-  std::vector<std::vector<int>> tx_index_;
+  IncidentIndex index_;
 };
 
 /// Writes a ledger's transactions in the CsvLedger::FromCsv format, using
 /// `addr_<id>` as the address of account id (or the CsvLedger's original
 /// addresses when exporting one). Useful for exporting simulator traffic
-/// and for round-trip tests.
+/// and for round-trip tests. Numbers are printed with 17 significant
+/// digits, which FromCsv reads back to the same bits, so a ledger exported
+/// in timestamp order re-imports as the same transactions in the same
+/// order.
 void WriteTransactionsCsv(const Ledger& ledger, std::ostream* os);
 
 /// Writes the ledger's non-normal account labels in the LoadLabels format.

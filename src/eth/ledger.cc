@@ -401,19 +401,23 @@ void LedgerSimulator::FinalizeIndexes() {
             [](const Transaction& a, const Transaction& b) {
               return a.timestamp < b.timestamp;
             });
-  tx_index_.assign(accounts_.size(), {});
-  for (int i = 0; i < static_cast<int>(transactions_.size()); ++i) {
-    tx_index_[transactions_[i].from].push_back(i);
-    if (transactions_[i].to != transactions_[i].from) {
-      tx_index_[transactions_[i].to].push_back(i);
-    }
-  }
+  index_ = IncidentIndex(accounts_.size(), transactions_);
+}
+
+void LedgerSimulator::CheckAccount(AccountId id) const {
+  DBG4ETH_CHECK(generated_);
+  DBG4ETH_CHECK(id >= 0 && id < static_cast<AccountId>(accounts_.size()));
 }
 
 const std::vector<int>& LedgerSimulator::TransactionsOf(AccountId id) const {
-  DBG4ETH_CHECK(generated_);
-  DBG4ETH_CHECK(id >= 0 && id < static_cast<AccountId>(tx_index_.size()));
-  return tx_index_[id];
+  CheckAccount(id);
+  return index_.TransactionsOf(id);
+}
+
+const std::vector<Counterparty>& LedgerSimulator::CounterpartiesOf(
+    AccountId id) const {
+  CheckAccount(id);
+  return index_.CounterpartiesOf(id);
 }
 
 }  // namespace eth

@@ -6,6 +6,7 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "eth/incident_index.h"
 #include "eth/ledger_base.h"
 #include "eth/types.h"
 
@@ -84,6 +85,8 @@ class LedgerSimulator : public Ledger {
   /// Indices (into transactions()) of every transaction where `id` is
   /// sender or receiver, in timestamp order.
   const std::vector<int>& TransactionsOf(AccountId id) const override;
+  const std::vector<Counterparty>& CounterpartiesOf(
+      AccountId id) const override;
 
   /// Simulation horizon in seconds.
   double duration_seconds() const { return config_.duration_days * 86400.0; }
@@ -107,6 +110,8 @@ class LedgerSimulator : public Ledger {
   void GenerateBridge(AccountId id);
   void GenerateDefi(AccountId id);
   void FinalizeIndexes();
+  /// Dies unless generated and `id` is an account of this ledger.
+  void CheckAccount(AccountId id) const;
 
   LedgerConfig config_;
   Rng rng_;
@@ -115,7 +120,7 @@ class LedgerSimulator : public Ledger {
   AccountId mixer_base_ = -1;
   std::vector<Account> accounts_;
   std::vector<Transaction> transactions_;
-  std::vector<std::vector<int>> tx_index_;  ///< Per-account incident txs.
+  IncidentIndex index_;
 };
 
 }  // namespace eth

@@ -11,9 +11,10 @@ namespace eth {
 /// \brief Read interface of a transaction ledger: the data source the
 /// sampling / dataset pipeline consumes.
 ///
-/// Implementations: LedgerSimulator (synthetic behavioural generator) and
+/// Implementations: LedgerSimulator (synthetic behavioural generator),
 /// CsvLedger (transactions exported from a real chain, e.g. an Etherscan
-/// dump).
+/// dump) and AppendableLedger (a growable copy of another ledger). All
+/// three back TransactionsOf and CounterpartiesOf with one IncidentIndex.
 class Ledger {
  public:
   virtual ~Ledger() = default;
@@ -26,6 +27,14 @@ class Ledger {
   /// Indices (into transactions()) of every transaction where `id` is
   /// sender or receiver, in timestamp order.
   virtual const std::vector<int>& TransactionsOf(AccountId id) const = 0;
+
+  /// The counterparty and value of each transaction in TransactionsOf(id),
+  /// aligned entry for entry with it (same length, same order); the peer
+  /// of a self-transfer is `id` itself. The sampler ranks neighbours and
+  /// picks induced transactions from these 16-byte entries, and loads a
+  /// transaction record only for the transactions it keeps.
+  virtual const std::vector<Counterparty>& CounterpartiesOf(
+      AccountId id) const = 0;
 
   /// The block-reward source account, when the ledger has one; -1
   /// otherwise. Excluded from negative sampling pools.

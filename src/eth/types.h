@@ -45,6 +45,13 @@ struct Transaction {
   bool is_contract_call = false;  ///< True when `to` is a contract account.
 };
 
+/// \brief The other endpoint and the value of one transaction, as seen from
+/// one of its endpoints (see Ledger::CounterpartiesOf).
+struct Counterparty {
+  AccountId peer = -1;  ///< The account itself for a self-transfer.
+  double value = 0.0;   ///< ETH transferred.
+};
+
 /// \brief Account metadata tracked by the ledger.
 struct Account {
   AccountId id = -1;

@@ -17,35 +17,30 @@ struct PeerStats {
 };
 
 /// Per-thread scratch reused across SampleSubgraph calls. The cold serving
-/// path samples one subgraph per request, and the per-call hash sets
-/// (selected nodes, local index map, induced-transaction dedup, per-node
-/// peer aggregation) dominated its cost: a 48-node neighborhood around a
-/// high-degree account touches thousands of incident transactions, each
-/// paying hash inserts and lookups. Epoch-stamped marker arrays over the
-/// ledger's account and transaction id spaces make every membership test
-/// one indexed load; bumping the epoch empties a "set" in O(1), so the
-/// arrays are reused across calls without clearing. Results are identical
-/// to the hash-based version — only the lookup structure changed.
+/// path samples one subgraph per request, and per-call hash sets (selected
+/// nodes, local index map, per-node peer aggregation) dominated its cost: a
+/// 48-node neighborhood touches thousands of incident transactions.
+/// Epoch-stamped marker arrays over the ledger's account id space make
+/// every membership test one indexed load; bumping the epoch empties a
+/// "set" in O(1), so the arrays are reused across calls without clearing.
 struct SamplingScratch {
-  std::vector<uint64_t> selected_epoch;  ///< Account id -> in selected set.
-  std::vector<uint64_t> local_epoch;     ///< Account id -> has local index.
+  /// Account id -> selected; local_index holds its position in `nodes`.
+  std::vector<uint64_t> selected_epoch;
   std::vector<int> local_index;
   std::vector<uint64_t> peer_epoch;  ///< Account id -> seen by CollectPeers.
   std::vector<int> peer_slot;
-  std::vector<uint64_t> tx_epoch;  ///< Tx index -> already induced.
   uint64_t epoch = 0;
 
-  /// Grows the marker arrays to the ledger's id spaces. Stale entries keep
-  /// old epochs (never equal to a fresh one), so no clearing is needed.
-  void Prepare(size_t num_accounts, size_t num_txs) {
+  /// Grows the marker arrays to the ledger's account id space. Stale
+  /// entries keep old epochs (never equal to a fresh one), so no clearing
+  /// is needed.
+  void Prepare(size_t num_accounts) {
     if (selected_epoch.size() < num_accounts) {
       selected_epoch.resize(num_accounts, 0);
-      local_epoch.resize(num_accounts, 0);
       local_index.resize(num_accounts, 0);
       peer_epoch.resize(num_accounts, 0);
       peer_slot.resize(num_accounts, 0);
     }
-    if (tx_epoch.size() < num_txs) tx_epoch.resize(num_txs, 0);
   }
 };
 
@@ -54,17 +49,17 @@ SamplingScratch* ThreadScratch() {
   return &scratch;
 }
 
-/// Counterparty aggregates for one account in first-touch order (the order
-/// does not matter downstream: the ranking comparator is a strict total
-/// order with the account id as final tiebreak).
+/// Counterparty aggregates for one account in first-touch order, read from
+/// the ledger's counterparty index without loading any transaction (the
+/// order does not matter downstream: the ranking comparator is a strict
+/// total order with the account id as final tiebreak).
 std::vector<std::pair<eth::AccountId, PeerStats>> CollectPeers(
     const eth::Ledger& ledger, eth::AccountId node,
     SamplingScratch* scratch) {
   const uint64_t epoch = ++scratch->epoch;
   std::vector<std::pair<eth::AccountId, PeerStats>> peers;
-  for (int idx : ledger.TransactionsOf(node)) {
-    const eth::Transaction& tx = ledger.transactions()[idx];
-    const eth::AccountId peer = tx.from == node ? tx.to : tx.from;
+  for (const eth::Counterparty& entry : ledger.CounterpartiesOf(node)) {
+    const eth::AccountId peer = entry.peer;
     if (peer == node) continue;
     if (scratch->peer_epoch[peer] != epoch) {
       scratch->peer_epoch[peer] = epoch;
@@ -72,10 +67,21 @@ std::vector<std::pair<eth::AccountId, PeerStats>> CollectPeers(
       peers.push_back({peer, PeerStats{}});
     }
     PeerStats& st = peers[scratch->peer_slot[peer]].second;
-    st.total_value += tx.value;
+    st.total_value += entry.value;
     ++st.count;
   }
   return peers;
+}
+
+/// Rank order of Section III-B1: average transaction value descending,
+/// ties by total value, then by account id.
+bool RanksBefore(const std::pair<eth::AccountId, PeerStats>& a,
+                 const std::pair<eth::AccountId, PeerStats>& b) {
+  if (a.second.avg() != b.second.avg()) return a.second.avg() > b.second.avg();
+  if (a.second.total_value != b.second.total_value) {
+    return a.second.total_value > b.second.total_value;
+  }
+  return a.first < b.first;
 }
 
 }  // namespace
@@ -95,36 +101,30 @@ Result<eth::TxSubgraph> SampleSubgraph(const eth::Ledger& ledger,
   }
 
   SamplingScratch* scratch = ThreadScratch();
-  scratch->Prepare(ledger.accounts().size(), ledger.transactions().size());
+  scratch->Prepare(ledger.accounts().size());
 
   std::vector<eth::AccountId> nodes = {center};
   const uint64_t selected = ++scratch->epoch;
   scratch->selected_epoch[center] = selected;
+  scratch->local_index[center] = 0;
   std::vector<eth::AccountId> frontier = {center};
 
   for (int hop = 0; hop < config.hops; ++hop) {
     std::vector<eth::AccountId> next_frontier;
     for (eth::AccountId v : frontier) {
       auto ranked = CollectPeers(ledger, v, scratch);
-      // Rank peers by average transaction value, ties by total value
-      // (Section III-B1).
-      std::sort(ranked.begin(), ranked.end(),
-                [](const auto& a, const auto& b) {
-                  if (a.second.avg() != b.second.avg()) {
-                    return a.second.avg() > b.second.avg();
-                  }
-                  if (a.second.total_value != b.second.total_value) {
-                    return a.second.total_value > b.second.total_value;
-                  }
-                  return a.first < b.first;
-                });
-      int taken = 0;
-      for (const auto& [peer, stats] : ranked) {
-        if (taken >= config.top_k) break;
-        ++taken;  // Existing members count toward the per-node budget.
+      // The node's budget is its top K peers, members already selected
+      // included. The order is total, so sorting only that prefix gives
+      // the same prefix as a full sort.
+      const auto top =
+          ranked.begin() + std::min<size_t>(config.top_k, ranked.size());
+      std::partial_sort(ranked.begin(), top, ranked.end(), RanksBefore);
+      for (auto it = ranked.begin(); it != top; ++it) {
+        const eth::AccountId peer = it->first;
         if (scratch->selected_epoch[peer] == selected) continue;
         if (static_cast<int>(nodes.size()) >= config.max_nodes) break;
         scratch->selected_epoch[peer] = selected;
+        scratch->local_index[peer] = static_cast<int>(nodes.size());
         nodes.push_back(peer);
         next_frontier.push_back(peer);
       }
@@ -134,14 +134,6 @@ Result<eth::TxSubgraph> SampleSubgraph(const eth::Ledger& ledger,
     if (frontier.empty()) break;
   }
 
-  // Local index map.
-  const uint64_t local = ++scratch->epoch;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    scratch->local_epoch[nodes[i]] = local;
-    scratch->local_index[nodes[i]] = static_cast<int>(i);
-  }
-
-  // Induced transactions: every ledger tx with both endpoints selected.
   eth::TxSubgraph sub;
   sub.nodes = nodes;
   sub.center_index = 0;
@@ -151,16 +143,21 @@ Result<eth::TxSubgraph> SampleSubgraph(const eth::Ledger& ledger,
     sub.is_contract[i] =
         ledger.accounts()[nodes[i]].kind == eth::AccountKind::kContract;
   }
-  const uint64_t seen_tx = ++scratch->epoch;
-  for (eth::AccountId v : nodes) {
-    for (int idx : ledger.TransactionsOf(v)) {
-      if (scratch->tx_epoch[idx] == seen_tx) continue;
-      scratch->tx_epoch[idx] = seen_tx;
-      const eth::Transaction& tx = ledger.transactions()[idx];
-      if (scratch->local_epoch[tx.from] != local ||
-          scratch->local_epoch[tx.to] != local) {
+  // Induced transactions: every ledger tx with both endpoints selected.
+  // Each is listed under both endpoints (a self-transfer once, under
+  // itself) and emitted once, from whichever endpoint comes first in
+  // `nodes`; only emitted transactions are loaded.
+  for (size_t vi = 0; vi < nodes.size(); ++vi) {
+    const std::vector<int>& incident = ledger.TransactionsOf(nodes[vi]);
+    const std::vector<eth::Counterparty>& peers =
+        ledger.CounterpartiesOf(nodes[vi]);
+    for (size_t i = 0; i < peers.size(); ++i) {
+      const eth::AccountId peer = peers[i].peer;
+      if (scratch->selected_epoch[peer] != selected ||
+          scratch->local_index[peer] < static_cast<int>(vi)) {
         continue;
       }
+      const eth::Transaction& tx = ledger.transactions()[incident[i]];
       eth::LocalTransaction lt;
       lt.src = scratch->local_index[tx.from];
       lt.dst = scratch->local_index[tx.to];

@@ -149,6 +149,25 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
   return out;
 }
 
+namespace {
+
+/// Two doubles in one 16-byte vector register (GCC vector extension; SSE2,
+/// part of the x86-64 baseline, so no compile flag or CPU dispatch).
+/// Lane-wise `*` and `+` round exactly like the scalar operations.
+typedef double Double2 __attribute__((vector_size(16)));
+
+inline Double2 Load2(const double* p) {
+  Double2 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline void Store2(double* p, Double2 v) { std::memcpy(p, &v, sizeof(v)); }
+
+inline Double2 Splat2(double x) { return Double2{x, x}; }
+
+}  // namespace
+
 void MatMulAccumulate(const Matrix& a, const Matrix& b, Matrix* out) {
   DBG4ETH_CHECK_EQ(a.cols(), b.rows());
   DBG4ETH_CHECK_EQ(out->rows(), a.rows());
@@ -156,13 +175,17 @@ void MatMulAccumulate(const Matrix& a, const Matrix& b, Matrix* out) {
   const int n = a.rows();
   const int k = a.cols();
   const int m = b.cols();
-  // ikj order (streams rows of b and out), register-blocked over 4 rows of
-  // a: each row of b loaded once feeds 4 output rows. The zero test moves
-  // from per-element to per-block — it still skips the fully-masked rows
-  // that attention masking produces (a masked GAT alpha row is all zeros
-  // across the whole block only if all 4 rows mask that column, which is
-  // the common case for padded/disconnected nodes) without paying a branch
-  // per multiply in the dense case.
+  // Summation-order contract (the tape, the fast path and training depend
+  // on it bit for bit): out[i][j] starts from its current value and adds
+  // a[i][kk] * b[kk][j] for kk ascending. A term is skipped when all four
+  // rows of i's 4-row block hold 0 at kk; in a remainder row (n % 4), when
+  // that row holds 0. The block-level skip drops the fully-masked rows
+  // attention masking produces without a branch per multiply.
+  //
+  // Each 4x4 tile of out stays in registers (8 Double2 accumulators) for
+  // the whole kk loop, so it is loaded and stored once, not once per kk;
+  // each row of b loaded feeds 4 output rows. Remainder columns (m % 4)
+  // and rows are scalar or 1-row tiles with the same order.
   int i = 0;
   for (; i + 4 <= n; i += 4) {
     const double* a0 = a.RowPtr(i);
@@ -173,32 +196,78 @@ void MatMulAccumulate(const Matrix& a, const Matrix& b, Matrix* out) {
     double* o1 = out->RowPtr(i + 1);
     double* o2 = out->RowPtr(i + 2);
     double* o3 = out->RowPtr(i + 3);
-    for (int kk = 0; kk < k; ++kk) {
-      const double v0 = a0[kk];
-      const double v1 = a1[kk];
-      const double v2 = a2[kk];
-      const double v3 = a3[kk];
-      if (v0 == 0.0 && v1 == 0.0 && v2 == 0.0 && v3 == 0.0) continue;
-      const double* brow = b.RowPtr(kk);
-      for (int j = 0; j < m; ++j) {
-        const double bj = brow[j];
-        o0[j] += v0 * bj;
-        o1[j] += v1 * bj;
-        o2[j] += v2 * bj;
-        o3[j] += v3 * bj;
+    int j = 0;
+    for (; j + 4 <= m; j += 4) {
+      Double2 c00 = Load2(o0 + j), c01 = Load2(o0 + j + 2);
+      Double2 c10 = Load2(o1 + j), c11 = Load2(o1 + j + 2);
+      Double2 c20 = Load2(o2 + j), c21 = Load2(o2 + j + 2);
+      Double2 c30 = Load2(o3 + j), c31 = Load2(o3 + j + 2);
+      const double* bk = b.data() + j;  // b[kk][j], walked down the rows.
+      for (int kk = 0; kk < k; ++kk, bk += m) {
+        const double v0 = a0[kk];
+        const double v1 = a1[kk];
+        const double v2 = a2[kk];
+        const double v3 = a3[kk];
+        if (v0 == 0.0 && v1 == 0.0 && v2 == 0.0 && v3 == 0.0) continue;
+        const Double2 b0 = Load2(bk);
+        const Double2 b1 = Load2(bk + 2);
+        const Double2 w0 = Splat2(v0);
+        const Double2 w1 = Splat2(v1);
+        const Double2 w2 = Splat2(v2);
+        const Double2 w3 = Splat2(v3);
+        c00 += w0 * b0;
+        c01 += w0 * b1;
+        c10 += w1 * b0;
+        c11 += w1 * b1;
+        c20 += w2 * b0;
+        c21 += w2 * b1;
+        c30 += w3 * b0;
+        c31 += w3 * b1;
       }
+      Store2(o0 + j, c00), Store2(o0 + j + 2, c01);
+      Store2(o1 + j, c10), Store2(o1 + j + 2, c11);
+      Store2(o2 + j, c20), Store2(o2 + j + 2, c21);
+      Store2(o3 + j, c30), Store2(o3 + j + 2, c31);
+    }
+    for (; j < m; ++j) {
+      double c0 = o0[j], c1 = o1[j], c2 = o2[j], c3 = o3[j];
+      const double* bk = b.data() + j;
+      for (int kk = 0; kk < k; ++kk, bk += m) {
+        const double v0 = a0[kk];
+        const double v1 = a1[kk];
+        const double v2 = a2[kk];
+        const double v3 = a3[kk];
+        if (v0 == 0.0 && v1 == 0.0 && v2 == 0.0 && v3 == 0.0) continue;
+        c0 += v0 * *bk;
+        c1 += v1 * *bk;
+        c2 += v2 * *bk;
+        c3 += v3 * *bk;
+      }
+      o0[j] = c0, o1[j] = c1, o2[j] = c2, o3[j] = c3;
     }
   }
-  for (; i < n; ++i) {  // Remainder rows (n % 4), scalar.
+  for (; i < n; ++i) {
     const double* arow = a.RowPtr(i);
     double* orow = out->RowPtr(i);
-    for (int kk = 0; kk < k; ++kk) {
-      const double av = arow[kk];
-      if (av == 0.0) continue;
-      const double* brow = b.RowPtr(kk);
-      for (int j = 0; j < m; ++j) {
-        orow[j] += av * brow[j];
+    int j = 0;
+    for (; j + 4 <= m; j += 4) {
+      Double2 c0 = Load2(orow + j), c1 = Load2(orow + j + 2);
+      const double* bk = b.data() + j;
+      for (int kk = 0; kk < k; ++kk, bk += m) {
+        if (arow[kk] == 0.0) continue;
+        const Double2 w = Splat2(arow[kk]);
+        c0 += w * Load2(bk);
+        c1 += w * Load2(bk + 2);
       }
+      Store2(orow + j, c0), Store2(orow + j + 2, c1);
+    }
+    for (; j < m; ++j) {
+      double c = orow[j];
+      const double* bk = b.data() + j;
+      for (int kk = 0; kk < k; ++kk, bk += m) {
+        if (arow[kk] != 0.0) c += arow[kk] * *bk;
+      }
+      orow[j] = c;
     }
   }
 }

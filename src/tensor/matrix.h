@@ -128,7 +128,9 @@ class Matrix {
 
 /// out = a * b (matrix product). Shapes must agree.
 Matrix MatMul(const Matrix& a, const Matrix& b);
-/// Accumulates a * b into *out (must be pre-shaped).
+/// Accumulates a * b into *out (must be pre-shaped). Each element adds its
+/// terms in ascending k, onto its current value; matrix.cc states the
+/// exact summation-order contract, which the results depend on bit for bit.
 void MatMulAccumulate(const Matrix& a, const Matrix& b, Matrix* out);
 /// out = a^T * b without materializing the transpose.
 Matrix MatMulTransA(const Matrix& a, const Matrix& b);

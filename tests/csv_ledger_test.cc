@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "eth/csv_ledger.h"
 #include "eth/dataset.h"
@@ -186,48 +189,102 @@ TEST(CsvLedgerTest, LoadLabelsAppliesKnownAddresses) {
             StatusCode::kInvalidArgument);
 }
 
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
 TEST(CsvLedgerTest, SimulatorExportRoundTrips) {
   // Export a simulated ledger to CSV, re-import it, and verify the
-  // pipeline sees identical data.
-  LedgerConfig config;
-  config.num_normal = 300;
-  config.num_exchange = 4;
-  config.num_ico_wallet = 2;
-  config.num_mining = 2;
-  config.num_phish_hack = 3;
-  config.num_bridge = 2;
-  config.num_defi = 2;
-  config.duration_days = 40.0;
-  config.seed = 5;
-  LedgerSimulator sim(config);
-  ASSERT_TRUE(sim.Generate().ok());
+  // pipeline sees identical data: the same transactions bit for bit, in
+  // the same order, and the same subgraph around every account. Seed 4
+  // has rows sharing a timestamp, which must keep their exported order.
+  for (uint64_t seed : {4, 5}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    LedgerConfig config;
+    config.num_normal = 300;
+    config.num_exchange = 4;
+    config.num_ico_wallet = 2;
+    config.num_mining = 2;
+    config.num_phish_hack = 3;
+    config.num_bridge = 2;
+    config.num_defi = 2;
+    config.duration_days = 40.0;
+    config.seed = seed;
+    LedgerSimulator sim(config);
+    ASSERT_TRUE(sim.Generate().ok());
 
-  std::stringstream tx_csv, label_csv;
-  WriteTransactionsCsv(sim, &tx_csv);
-  WriteLabelsCsv(sim, &label_csv);
+    std::stringstream tx_csv, label_csv;
+    WriteTransactionsCsv(sim, &tx_csv);
+    WriteLabelsCsv(sim, &label_csv);
 
-  auto imported = std::move(CsvLedger::FromCsv(&tx_csv)).ValueOrDie();
-  auto applied = imported->LoadLabels(&label_csv);
-  ASSERT_TRUE(applied.ok());
-  EXPECT_EQ(applied.ValueOrDie(), 4 + 2 + 2 + 3 + 2 + 2);
+    auto imported = std::move(CsvLedger::FromCsv(&tx_csv)).ValueOrDie();
+    auto applied = imported->LoadLabels(&label_csv);
+    ASSERT_TRUE(applied.ok());
+    EXPECT_EQ(applied.ValueOrDie(), 4 + 2 + 2 + 3 + 2 + 2);
+    EXPECT_EQ(imported->AccountsOfClass(AccountClass::kExchange).size(), 4u);
 
-  EXPECT_EQ(imported->transactions().size(), sim.transactions().size());
-  EXPECT_EQ(imported->AccountsOfClass(AccountClass::kExchange).size(), 4u);
+    // Simulator id -> imported id; -1 for accounts without transactions,
+    // which the export does not mention.
+    std::vector<AccountId> to_csv(sim.accounts().size(), -1);
+    for (const Account& account : sim.accounts()) {
+      auto resolved =
+          imported->Resolve("addr_" + std::to_string(account.id));
+      if (resolved.ok()) to_csv[account.id] = resolved.ValueOrDie();
+    }
 
-  // The graph pipeline works on the imported ledger: same subgraph shape
-  // for the same center account.
-  const AccountId sim_center =
-      sim.AccountsOfClass(AccountClass::kExchange)[0];
-  const AccountId csv_center =
-      imported->Resolve("addr_" + std::to_string(sim_center)).ValueOrDie();
-  graph::SamplingConfig sampling;
-  auto sub_sim = graph::SampleSubgraph(sim, sim_center, sampling);
-  auto sub_csv = graph::SampleSubgraph(*imported, csv_center, sampling);
-  ASSERT_TRUE(sub_sim.ok());
-  ASSERT_TRUE(sub_csv.ok());
-  EXPECT_EQ(sub_sim.ValueOrDie().num_nodes(),
-            sub_csv.ValueOrDie().num_nodes());
-  EXPECT_EQ(sub_sim.ValueOrDie().txs.size(), sub_csv.ValueOrDie().txs.size());
+    const auto& want = sim.transactions();
+    const auto& got = imported->transactions();
+    ASSERT_EQ(got.size(), want.size());
+    int equal_timestamps = 0;
+    for (size_t i = 0; i < want.size(); ++i) {
+      SCOPED_TRACE("row " + std::to_string(i));
+      EXPECT_EQ(got[i].from, to_csv[want[i].from]);
+      EXPECT_EQ(got[i].to, to_csv[want[i].to]);
+      EXPECT_EQ(Bits(got[i].value), Bits(want[i].value));
+      EXPECT_EQ(Bits(got[i].timestamp), Bits(want[i].timestamp));
+      EXPECT_EQ(Bits(got[i].gas_price), Bits(want[i].gas_price));
+      EXPECT_EQ(Bits(got[i].gas_used), Bits(want[i].gas_used));
+      EXPECT_EQ(got[i].is_contract_call, want[i].is_contract_call);
+      equal_timestamps +=
+          i > 0 && want[i].timestamp == want[i - 1].timestamp;
+    }
+    if (seed == 4) {
+      EXPECT_GT(equal_timestamps, 0);
+    }
+
+    // The graph pipeline sees the same subgraph around every account,
+    // which also exercises CsvLedger's counterparty index.
+    graph::SamplingConfig sampling;
+    int compared = 0;
+    for (const Account& account : sim.accounts()) {
+      const AccountId csv_center = to_csv[account.id];
+      if (csv_center < 0) continue;
+      SCOPED_TRACE("center " + std::to_string(account.id));
+      auto sub_sim = graph::SampleSubgraph(sim, account.id, sampling);
+      auto sub_csv = graph::SampleSubgraph(*imported, csv_center, sampling);
+      ASSERT_TRUE(sub_sim.ok());
+      ASSERT_TRUE(sub_csv.ok());
+      const TxSubgraph& a = sub_sim.ValueOrDie();
+      const TxSubgraph& b = sub_csv.ValueOrDie();
+      ASSERT_EQ(b.nodes.size(), a.nodes.size());
+      for (size_t i = 0; i < a.nodes.size(); ++i) {
+        EXPECT_EQ(b.nodes[i], to_csv[a.nodes[i]]);
+      }
+      EXPECT_EQ(b.center_index, a.center_index);
+      EXPECT_EQ(b.center_class, a.center_class);
+      EXPECT_EQ(b.is_contract, a.is_contract);
+      ASSERT_EQ(b.txs.size(), a.txs.size());
+      for (size_t i = 0; i < a.txs.size(); ++i) {
+        EXPECT_EQ(b.txs[i].src, a.txs[i].src);
+        EXPECT_EQ(b.txs[i].dst, a.txs[i].dst);
+        EXPECT_EQ(Bits(b.txs[i].value), Bits(a.txs[i].value));
+        EXPECT_EQ(Bits(b.txs[i].timestamp), Bits(a.txs[i].timestamp));
+        EXPECT_EQ(Bits(b.txs[i].gas_price), Bits(a.txs[i].gas_price));
+        EXPECT_EQ(Bits(b.txs[i].gas_used), Bits(a.txs[i].gas_used));
+        EXPECT_EQ(b.txs[i].is_contract_call, a.txs[i].is_contract_call);
+      }
+      ++compared;
+    }
+    EXPECT_GT(compared, 300);
+  }
 }
 
 TEST(CsvLedgerTest, DatasetBuildsFromImportedData) {

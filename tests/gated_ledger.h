@@ -24,6 +24,9 @@ namespace dbg4eth {
 ///     other passes whose neighbourhood includes `gate_id` keep running.
 ///   - `TransactionsOf(poison_id)` always throws std::runtime_error.
 ///
+/// `CounterpartiesOf` always forwards: the sampler's first index read stays
+/// `TransactionsOf(center)`, so the gate still parks a pass at its start.
+///
 /// The gate starts closed; `Close()` re-arms it for one more call. A held
 /// call gives up after 60 s, so a failing test cannot hang the suite.
 class GatedLedger : public eth::Ledger {
@@ -54,6 +57,11 @@ class GatedLedger : public eth::Ledger {
       }
     }
     return base_.TransactionsOf(id);
+  }
+
+  const std::vector<eth::Counterparty>& CounterpartiesOf(
+      eth::AccountId id) const override {
+    return base_.CounterpartiesOf(id);
   }
 
   /// Releases the held call, if any.

@@ -96,6 +96,30 @@ TEST_F(LedgerTest, TxIndexIsConsistent) {
   }
 }
 
+TEST_F(LedgerTest, CounterpartiesAlignWithTransactions) {
+  // Entry i of CounterpartiesOf(id) is the other endpoint and value of
+  // transaction TransactionsOf(id)[i]; every transaction is listed under
+  // both endpoints, a self-transfer once.
+  size_t entries = 0;
+  for (const Account& account : ledger_->accounts()) {
+    const AccountId id = account.id;
+    const auto& txs = ledger_->TransactionsOf(id);
+    const auto& peers = ledger_->CounterpartiesOf(id);
+    ASSERT_EQ(peers.size(), txs.size()) << "account " << id;
+    for (size_t i = 0; i < txs.size(); ++i) {
+      const Transaction& tx = ledger_->transactions()[txs[i]];
+      EXPECT_EQ(peers[i].peer, tx.from == id ? tx.to : tx.from);
+      EXPECT_EQ(peers[i].value, tx.value);
+    }
+    entries += txs.size();
+  }
+  size_t expected = 0;
+  for (const Transaction& tx : ledger_->transactions()) {
+    expected += tx.from == tx.to ? 1 : 2;
+  }
+  EXPECT_EQ(entries, expected);
+}
+
 TEST_F(LedgerTest, ExchangesAreHighDegreeHubs) {
   // Behavioural signature: exchanges have far more transactions than a
   // typical normal user.

@@ -1,14 +1,155 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
+#include "eth/appendable_ledger.h"
 #include "eth/dataset.h"
 #include "eth/ledger.h"
 #include "graph/sampling.h"
 
 namespace dbg4eth {
 namespace {
+
+/// The sampler as it was before the counterparty index: it loads every
+/// incident transaction to find its counterparty, fully sorts each node's
+/// peers, and dedups induced transactions by transaction id. The indexed
+/// sampler must reproduce its output exactly.
+eth::TxSubgraph ReferenceSampleSubgraph(const eth::Ledger& ledger,
+                                        eth::AccountId center,
+                                        const graph::SamplingConfig& config) {
+  struct Peer {
+    eth::AccountId id;
+    double total_value = 0.0;
+    int count = 0;
+    double avg() const { return total_value / count; }
+  };
+  std::vector<eth::AccountId> nodes = {center};
+  std::unordered_set<eth::AccountId> selected = {center};
+  std::vector<eth::AccountId> frontier = {center};
+  for (int hop = 0; hop < config.hops; ++hop) {
+    std::vector<eth::AccountId> next_frontier;
+    for (eth::AccountId v : frontier) {
+      std::vector<Peer> ranked;
+      std::unordered_map<eth::AccountId, size_t> slot;
+      for (int idx : ledger.TransactionsOf(v)) {
+        const eth::Transaction& tx = ledger.transactions()[idx];
+        const eth::AccountId peer = tx.from == v ? tx.to : tx.from;
+        if (peer == v) continue;
+        auto [it, fresh] = slot.try_emplace(peer, ranked.size());
+        if (fresh) ranked.push_back(Peer{peer});
+        ranked[it->second].total_value += tx.value;
+        ++ranked[it->second].count;
+      }
+      std::sort(ranked.begin(), ranked.end(),
+                [](const Peer& a, const Peer& b) {
+                  if (a.avg() != b.avg()) return a.avg() > b.avg();
+                  if (a.total_value != b.total_value) {
+                    return a.total_value > b.total_value;
+                  }
+                  return a.id < b.id;
+                });
+      int taken = 0;
+      for (const Peer& peer : ranked) {
+        if (taken >= config.top_k) break;
+        ++taken;
+        if (selected.count(peer.id)) continue;
+        if (static_cast<int>(nodes.size()) >= config.max_nodes) break;
+        selected.insert(peer.id);
+        nodes.push_back(peer.id);
+        next_frontier.push_back(peer.id);
+      }
+      if (static_cast<int>(nodes.size()) >= config.max_nodes) break;
+    }
+    frontier = std::move(next_frontier);
+    if (frontier.empty()) break;
+  }
+  std::unordered_map<eth::AccountId, int> local;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    local[nodes[i]] = static_cast<int>(i);
+  }
+  eth::TxSubgraph sub;
+  sub.nodes = nodes;
+  sub.center_class = ledger.accounts()[center].cls;
+  for (eth::AccountId id : nodes) {
+    sub.is_contract.push_back(ledger.accounts()[id].kind ==
+                              eth::AccountKind::kContract);
+  }
+  std::unordered_set<int> seen;
+  for (eth::AccountId v : nodes) {
+    for (int idx : ledger.TransactionsOf(v)) {
+      if (!seen.insert(idx).second) continue;
+      const eth::Transaction& tx = ledger.transactions()[idx];
+      if (!local.count(tx.from) || !local.count(tx.to)) continue;
+      eth::LocalTransaction lt;
+      lt.src = local[tx.from];
+      lt.dst = local[tx.to];
+      lt.value = tx.value;
+      lt.timestamp = tx.timestamp;
+      lt.gas_price = tx.gas_price;
+      lt.gas_used = tx.gas_used;
+      lt.is_contract_call = tx.is_contract_call;
+      sub.txs.push_back(lt);
+    }
+  }
+  std::sort(sub.txs.begin(), sub.txs.end(),
+            [](const eth::LocalTransaction& a, const eth::LocalTransaction& b) {
+              return a.timestamp < b.timestamp;
+            });
+  return sub;
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+/// Field-by-field equality, doubles compared by bit pattern (memcmp would
+/// also compare LocalTransaction's padding).
+void ExpectSameSubgraph(const eth::TxSubgraph& got,
+                        const eth::TxSubgraph& want, eth::AccountId center) {
+  SCOPED_TRACE("center " + std::to_string(center));
+  EXPECT_EQ(got.nodes, want.nodes);
+  EXPECT_EQ(got.center_index, want.center_index);
+  EXPECT_EQ(got.center_class, want.center_class);
+  EXPECT_EQ(got.is_contract, want.is_contract);
+  ASSERT_EQ(got.txs.size(), want.txs.size());
+  for (size_t i = 0; i < got.txs.size(); ++i) {
+    SCOPED_TRACE("tx " + std::to_string(i));
+    EXPECT_EQ(got.txs[i].src, want.txs[i].src);
+    EXPECT_EQ(got.txs[i].dst, want.txs[i].dst);
+    EXPECT_EQ(Bits(got.txs[i].value), Bits(want.txs[i].value));
+    EXPECT_EQ(Bits(got.txs[i].timestamp), Bits(want.txs[i].timestamp));
+    EXPECT_EQ(Bits(got.txs[i].gas_price), Bits(want.txs[i].gas_price));
+    EXPECT_EQ(Bits(got.txs[i].gas_used), Bits(want.txs[i].gas_used));
+    EXPECT_EQ(got.txs[i].is_contract_call, want.txs[i].is_contract_call);
+  }
+}
+
+/// Samples every account of `ledger` with both samplers; returns how many
+/// subgraphs were compared.
+int ExpectSamplersAgreeOnEveryAccount(const eth::Ledger& ledger,
+                                      const graph::SamplingConfig& config) {
+  int compared = 0;
+  for (const eth::Account& account : ledger.accounts()) {
+    auto sampled = graph::SampleSubgraph(ledger, account.id, config);
+    if (ledger.TransactionsOf(account.id).empty()) {
+      EXPECT_EQ(sampled.status().code(), StatusCode::kNotFound);
+      continue;
+    }
+    EXPECT_TRUE(sampled.ok()) << sampled.status().ToString();
+    if (!sampled.ok()) continue;
+    ExpectSameSubgraph(sampled.ValueOrDie(),
+                       ReferenceSampleSubgraph(ledger, account.id, config),
+                       account.id);
+    ++compared;
+  }
+  return compared;
+}
 
 eth::LedgerConfig TestLedgerConfig() {
   eth::LedgerConfig config;
@@ -131,6 +272,43 @@ TEST_F(SamplingTest, HighValuePeersPreferred) {
   }
   const eth::AccountId chosen = sub.nodes[1];
   EXPECT_NEAR(agg[chosen].first / agg[chosen].second, best_avg, 1e-9);
+}
+
+TEST_F(SamplingTest, MatchesTheFullScanReferenceOnEveryAccount) {
+  graph::SamplingConfig serving;  // The serving config of the benchmark.
+  serving.top_k = 6;
+  serving.max_nodes = 48;
+  const int accounts = static_cast<int>(ledger_->accounts().size());
+  EXPECT_GT(ExpectSamplersAgreeOnEveryAccount(*ledger_, serving),
+            accounts / 2);
+  EXPECT_GT(ExpectSamplersAgreeOnEveryAccount(*ledger_, {}), accounts / 2);
+}
+
+TEST_F(SamplingTest, MatchesTheFullScanReferenceAfterAppends) {
+  // Appends between existing accounts, every fifth a self-transfer and
+  // some sharing a timestamp, so the index is extended by Append rather
+  // than built in one pass.
+  eth::AppendableLedger grown(*ledger_);
+  Rng rng(17);
+  const int num_accounts = static_cast<int>(grown.accounts().size());
+  double timestamp = grown.transactions().back().timestamp;
+  int self_transfers = 0;
+  for (int i = 0; i < 100; ++i) {
+    eth::Transaction tx;
+    tx.from = rng.UniformInt(num_accounts);
+    tx.to = i % 5 == 0 ? tx.from : rng.UniformInt(num_accounts);
+    self_transfers += tx.to == tx.from;
+    tx.value = rng.LogNormal(0.0, 1.5);
+    if (i % 3 != 0) timestamp += rng.Uniform(1.0, 60.0);
+    tx.timestamp = timestamp;
+    ASSERT_TRUE(grown.Append(tx).ok());
+  }
+  ASSERT_GE(self_transfers, 20);
+  graph::SamplingConfig serving;
+  serving.top_k = 6;
+  serving.max_nodes = 48;
+  EXPECT_GT(ExpectSamplersAgreeOnEveryAccount(grown, serving), 0);
+  EXPECT_GT(ExpectSamplersAgreeOnEveryAccount(grown, {}), 0);
 }
 
 class DatasetTest : public SamplingTest {};

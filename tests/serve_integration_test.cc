@@ -763,6 +763,31 @@ TEST_F(ServeIntegrationTest, AppendableLedgerGrowsAndIndexes) {
   EXPECT_EQ(growable.TransactionsOf(a).size(), a_before + 1);
   EXPECT_EQ(growable.TransactionsOf(a).back(),
             static_cast<int>(base_txs));
+  // The counterparty index grows with it: {b, value} under a, {a, value}
+  // under b.
+  EXPECT_EQ(growable.CounterpartiesOf(a).back().peer, b);
+  EXPECT_EQ(growable.CounterpartiesOf(a).back().value, tx.value);
+  EXPECT_EQ(growable.CounterpartiesOf(b).back().peer, a);
+  EXPECT_EQ(growable.CounterpartiesOf(b).back().value, tx.value);
+
+  // A self-transfer is one entry, whose peer is the account itself.
+  const size_t b_before = growable.CounterpartiesOf(b).size();
+  eth::Transaction self = tx;
+  self.from = self.to = b;
+  self.value = 2.5;
+  ASSERT_TRUE(growable.Append(self).ok());
+  ASSERT_EQ(growable.CounterpartiesOf(b).size(), b_before + 1);
+  EXPECT_EQ(growable.TransactionsOf(b).back(),
+            static_cast<int>(base_txs + 1));
+  EXPECT_EQ(growable.CounterpartiesOf(b).back().peer, b);
+  EXPECT_EQ(growable.CounterpartiesOf(b).back().value, 2.5);
+
+  // Both indexes stay aligned entry for entry on every account.
+  for (const eth::Account& account : growable.accounts()) {
+    ASSERT_EQ(growable.TransactionsOf(account.id).size(),
+              growable.CounterpartiesOf(account.id).size())
+        << "account " << account.id;
+  }
 
   // Violations are rejected: unknown endpoint, time running backwards.
   eth::Transaction bad = tx;

@@ -3,7 +3,10 @@
 // autograd op.
 #include "tensor/sparse.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -78,6 +81,93 @@ TEST(BlockedKernelsTest, MatMulAccumulateAddsOntoExisting) {
   Matrix expected = NaiveMatMul(a, b);
   expected.AddInPlace(Matrix(6, 7, 2.5));
   ExpectMatrixNear(out, expected, 1e-12);
+}
+
+// MatMulAccumulate's summation-order contract written as a plain loop:
+// out[i][j] adds a[i][k] * b[k][j] onto its current value for k
+// ascending, skipping a term when every row of i's 4-row block holds 0 at
+// k (in a remainder row, when that row holds 0).
+Matrix ContractMatMulAccumulate(const Matrix& a, const Matrix& b, Matrix out) {
+  const int blocked_rows = a.rows() - a.rows() % 4;
+  for (int i = 0; i < a.rows(); ++i) {
+    const int first = i < blocked_rows ? i - i % 4 : i;
+    const int last = i < blocked_rows ? first + 4 : i + 1;
+    for (int j = 0; j < b.cols(); ++j) {
+      double acc = out.At(i, j);
+      for (int k = 0; k < a.cols(); ++k) {
+        bool all_zero = true;
+        for (int r = first; r < last; ++r) all_zero &= a.At(r, k) == 0.0;
+        if (all_zero) continue;
+        acc += a.At(i, k) * b.At(k, j);
+      }
+      out.At(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+void ExpectSameBits(const Matrix& got, const Matrix& want) {
+  ASSERT_TRUE(got.SameShape(want));
+  for (int r = 0; r < got.rows(); ++r) {
+    for (int c = 0; c < got.cols(); ++c) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.At(r, c)),
+                std::bit_cast<uint64_t>(want.At(r, c)))
+          << "at (" << r << ", " << c << "): " << got.At(r, c) << " vs "
+          << want.At(r, c);
+    }
+  }
+}
+
+// Entries mixing +0, -0 and magnitudes 1e-8, 1 and 1e8 of either sign.
+Matrix ContractTestMatrix(int rows, int cols, Rng* rng) {
+  static constexpr double kValues[] = {0.0, -0.0, 1e-8, 1.0, 1e8};
+  Matrix m(rows, cols);
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      const double v = kValues[rng->UniformInt(5)];
+      m.At(r, c) = v * rng->Uniform(0.5, 1.5) * (rng->Bernoulli(0.5) ? 1 : -1);
+    }
+  }
+  return m;
+}
+
+TEST(BlockedKernelsTest, MatMulAccumulateFollowsTheSummationOrderContract) {
+  // The tape-vs-fast-path tests run one kernel on both sides, so only a
+  // reference outside the kernel catches a change in its arithmetic.
+  Rng rng(95);
+  for (int n = 1; n <= 11; ++n) {      // n % 4 in 0..3, with and without
+    for (int m = 1; m <= 11; ++m) {    // full 4-row blocks / 4-column tiles.
+      for (int k : {1, 5, 24}) {
+        SCOPED_TRACE(testing::Message() << n << "x" << k << " * " << k << "x"
+                                        << m);
+        Matrix a = ContractTestMatrix(n, k, &rng);
+        // Zero whole 4-row blocks at some k (mixing +0 and -0), so the
+        // block skip is taken, and one k column everywhere.
+        for (int kk = 0; kk < k; ++kk) {
+          for (int r0 = 0; r0 < n; r0 += 4) {
+            if (kk == k / 2 || rng.Bernoulli(0.3)) {
+              for (int r = r0; r < std::min(n, r0 + 4); ++r) {
+                a.At(r, kk) = rng.Bernoulli(0.5) ? 0.0 : -0.0;
+              }
+            }
+          }
+        }
+        Matrix b = ContractTestMatrix(k, m, &rng);
+        // Inf and NaN in the b row whose a column is zero everywhere: the
+        // skipped terms must not turn the result into NaN.
+        b.At(k / 2, 0) = INFINITY;
+        b.At(k / 2, m - 1) = std::nan("");
+        Matrix nonzero_init = ContractTestMatrix(n, m, &rng);
+        Matrix negative_zero_init(n, m, -0.0);
+        for (const Matrix* init : {&nonzero_init, &negative_zero_init}) {
+          Matrix out = *init;
+          MatMulAccumulate(a, b, &out);
+          ExpectSameBits(out, ContractMatMulAccumulate(a, b, *init));
+          EXPECT_TRUE(out.AllFinite());
+        }
+      }
+    }
+  }
 }
 
 TEST(BlockedKernelsTest, TransAMatchesNaiveOnRandomShapes) {

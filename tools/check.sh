@@ -4,8 +4,9 @@
 # suite), an end-to-end HTTP smoke (demo server + curl + graceful SIGTERM),
 # the observability, serving and network suites under ThreadSanitizer
 # (including the model hot-swap hammer and the net chaos fault injection),
-# the serving, inference fast-path, observability and network suites under
-# AddressSanitizer + UBSan, a failpoint-enabled kill -> resume ->
+# the serving, inference fast-path, observability, network, sampling,
+# ledger and dense-kernel suites under AddressSanitizer + UBSan, a
+# failpoint-enabled kill -> resume ->
 # hot-reload chaos smoke, and a serving-latency regression guard against
 # the committed BENCH_serve.json.
 #
@@ -143,6 +144,7 @@ if [[ "${fast}" == "1" || "${bench}" == "1" ]]; then
 fi
 
 serve_suites="Serve|ServerStats|ThreadPool|ResultCache|InferenceArena|TapeFree|FastPath|ModelRegistry"
+index_suites="Sampling|Dataset|Ledger|BlockedKernels|Matrix"
 
 echo "=== tsan: configure + build (build-tsan/) ==="
 cmake --preset tsan >/dev/null
@@ -182,6 +184,13 @@ cmake --build --preset asan -j
 echo "=== asan+ubsan: serve + chaos + inference fast-path suites ==="
 (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest -R "${serve_suites}" --no-tests=error --output-on-failure -j"$(nproc)")
+
+# The ledgers' per-account index arrays (TransactionsOf, CounterpartiesOf)
+# and the sampler's marker arrays are indexed by position, and the dense
+# kernels walk raw row pointers in register tiles.
+echo "=== asan+ubsan: sampling, ledger and dense-kernel suites ==="
+(cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest -R "${index_suites}" --no-tests=error --output-on-failure -j"$(nproc)")
 
 echo "=== asan+ubsan: obs + net suites (ctest -L obs / -L net) ==="
 (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
