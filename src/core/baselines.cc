@@ -337,11 +337,9 @@ Result<EvaluationReport> RunBaseline(BaselineKind kind,
                                                 2, &rng);
       params = gnn::JoinParameters({conv1.get(), conv2.get(), head.get()});
       forward = [=](const eth::GraphInstance& inst) {
-        const Matrix& mask = inst.gsg.AttentionMask();
         const auto support = inst.gsg.AttentionMaskSparse();
-        ag::Tensor h =
-            ag::Elu(conv1->Forward(node_input(inst), mask, support));
-        h = ag::Elu(conv2->Forward(h, mask, support));
+        ag::Tensor h = ag::Elu(conv1->Forward(node_input(inst), support));
+        h = ag::Elu(conv2->Forward(h, support));
         return head->Forward(ag::MeanPoolRows(h));
       };
       break;
@@ -410,7 +408,7 @@ Result<EvaluationReport> RunBaseline(BaselineKind kind,
       auto head = std::make_shared<gnn::Linear>(hidden, 2, &rng);
       params = gnn::JoinParameters({conv1.get(), conv2.get(), head.get()});
       forward = [=](const eth::GraphInstance& inst) {
-        ag::Tensor adj = ag::Tensor::Constant(inst.gsg.WeightedAdjacency());
+        auto adj = inst.gsg.WeightedAdjacencySparse();
         ag::Tensor h = ag::Relu(conv1->Forward(adj, node_input(inst)));
         h = ag::Relu(conv2->Forward(adj, h));
         return head->Forward(ag::MaxPoolRows(h));
@@ -428,7 +426,7 @@ Result<EvaluationReport> RunBaseline(BaselineKind kind,
       forward = [=](const eth::GraphInstance& inst) {
         ag::Tensor x =
             ag::Tensor::Constant(GsgEncoder::BuildNodeInput(inst.gsg));
-        ag::Tensor adj = ag::Tensor::Constant(inst.gsg.WeightedAdjacency());
+        auto adj = inst.gsg.WeightedAdjacencySparse();
         ag::Tensor h = ag::Relu(conv1->Forward(adj, x));
         h = ag::Relu(conv2->Forward(adj, h));
         return head->Forward(
@@ -453,9 +451,8 @@ Result<EvaluationReport> RunBaseline(BaselineKind kind,
             ag::Tensor::Constant(inst.ldg.front().node_features)));
         std::vector<ag::Tensor> per_slice;
         for (const graph::Graph& slice : inst.ldg) {
-          ag::Tensor adj = ag::Tensor::Constant(slice.WeightedAdjacency());
-          per_slice.push_back(
-              ag::MeanPoolRows(ag::Relu(conv->Forward(adj, x))));
+          per_slice.push_back(ag::MeanPoolRows(
+              ag::Relu(conv->Forward(slice.WeightedAdjacencySparse(), x))));
         }
         ag::Tensor stacked = ag::ConcatRowsList(per_slice);  // T x hidden
         ag::Tensor alphas = ag::SoftmaxColVector(*time_coeff);

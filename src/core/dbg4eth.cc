@@ -442,37 +442,20 @@ Status ReadTrainHparams(BinaryReader* r, Dbg4EthConfig* c) {
   return r->ReadBool(&c->encoders_use_validation);
 }
 
+/// The bytes a TrainState records of a config: architecture, augmentation
+/// views, toggles and epoch-loop hyperparameters. Comparing them compares
+/// every recorded field, doubles by bit pattern.
+std::string ResumeFingerprint(const Dbg4EthConfig& c) {
+  std::ostringstream os;
+  BinaryWriter writer(&os);
+  WriteConfig(&writer, c);
+  WriteTrainHparams(&writer, c);
+  return os.str();
+}
+
 Status CheckResumeCompatible(const Dbg4EthConfig& live,
                              const Dbg4EthConfig& snap) {
-  const bool same =
-      live.use_gsg == snap.use_gsg && live.use_ldg == snap.use_ldg &&
-      live.use_calibration == snap.use_calibration &&
-      live.encoders_use_validation == snap.encoders_use_validation &&
-      live.head == snap.head && live.seed == snap.seed &&
-      live.gsg.node_feature_dim == snap.gsg.node_feature_dim &&
-      live.gsg.hidden_dim == snap.gsg.hidden_dim &&
-      live.gsg.num_gat_layers == snap.gsg.num_gat_layers &&
-      live.gsg.num_heads == snap.gsg.num_heads &&
-      live.gsg.num_classes == snap.gsg.num_classes &&
-      live.gsg.dropout == snap.gsg.dropout &&
-      live.gsg.use_contrastive == snap.gsg.use_contrastive &&
-      live.gsg.contrastive_weight == snap.gsg.contrastive_weight &&
-      live.gsg.temperature == snap.gsg.temperature &&
-      live.gsg.seed == snap.gsg.seed && live.gsg.epochs == snap.gsg.epochs &&
-      live.gsg.learning_rate == snap.gsg.learning_rate &&
-      live.gsg.batch_size == snap.gsg.batch_size &&
-      live.gsg.grad_clip == snap.gsg.grad_clip &&
-      live.ldg.node_feature_dim == snap.ldg.node_feature_dim &&
-      live.ldg.hidden_dim == snap.ldg.hidden_dim &&
-      live.ldg.num_time_slices == snap.ldg.num_time_slices &&
-      live.ldg.num_pooling_layers == snap.ldg.num_pooling_layers &&
-      live.ldg.first_level_clusters == snap.ldg.first_level_clusters &&
-      live.ldg.num_classes == snap.ldg.num_classes &&
-      live.ldg.seed == snap.ldg.seed && live.ldg.epochs == snap.ldg.epochs &&
-      live.ldg.learning_rate == snap.ldg.learning_rate &&
-      live.ldg.batch_size == snap.ldg.batch_size &&
-      live.ldg.grad_clip == snap.ldg.grad_clip;
-  if (!same) {
+  if (ResumeFingerprint(live) != ResumeFingerprint(snap)) {
     return Status::InvalidArgument(
         "training snapshot was taken under a different model or training "
         "configuration; resume with the exact configuration of the "

@@ -73,13 +73,12 @@ Matrix GsgEncoder::BuildNodeInput(const graph::Graph& g) {
 
 ag::Tensor GsgEncoder::EmbedGraph(const graph::Graph& g, bool training,
                                   Rng* rng) const {
-  const Matrix& mask = g.AttentionMask();
   const auto support = g.AttentionMaskSparse();
   ag::Tensor h = ag::Tensor::Constant(BuildNodeInput(g));
   // Eq. 6: linear alignment + LeakyReLU.
   h = ag::LeakyRelu(align_->Forward(h));
   for (const auto& gat : gat_layers_) {
-    h = ag::Elu(gat->Forward(h, mask, support));
+    h = ag::Elu(gat->Forward(h, support));
     if (training && config_.dropout > 0.0) {
       h = ag::Dropout(h, config_.dropout, rng, training);
     }

@@ -39,12 +39,8 @@ GatConv::GatConv(int in_features, int out_features, int num_heads, Rng* rng,
   }
 }
 
-ag::Tensor GatConv::Forward(const ag::Tensor& x, const Matrix& mask) const {
-  return Forward(x, mask, nullptr);
-}
-
 ag::Tensor GatConv::Forward(
-    const ag::Tensor& x, const Matrix& mask,
+    const ag::Tensor& x,
     const std::shared_ptr<const SparseMatrix>& support) const {
   ag::Tensor out;
   for (int h = 0; h < num_heads_; ++h) {
@@ -53,9 +49,8 @@ ag::Tensor GatConv::Forward(
     ag::Tensor v = ag::MatMul(hw, attn_dst_[h]);
     ag::Tensor scores =
         ag::LeakyRelu(ag::PairwiseSum(u, v), negative_slope_);
-    ag::Tensor alpha = ag::MaskedSoftmaxRows(scores, mask);
-    ag::Tensor head = support != nullptr ? ag::MaskedSpMatMul(support, alpha, hw)
-                                         : ag::MatMul(alpha, hw);
+    ag::Tensor alpha = ag::MaskedSoftmaxRows(scores, support);
+    ag::Tensor head = ag::MaskedSpMatMul(support, alpha, hw);
     out = h == 0 ? head : ag::ConcatCols(out, head);
   }
   return out;
@@ -113,17 +108,6 @@ Appnp::Appnp(int in_features, int hidden_features, int out_features,
       fc2_(hidden_features, out_features, rng),
       k_steps_(k_steps),
       alpha_(alpha) {}
-
-ag::Tensor Appnp::Forward(const ag::Tensor& norm_adj,
-                          const ag::Tensor& x) const {
-  ag::Tensor h = fc2_.Forward(ag::Relu(fc1_.Forward(x)));
-  ag::Tensor z = h;
-  for (int k = 0; k < k_steps_; ++k) {
-    z = ag::Add(ag::ScalarMul(ag::MatMul(norm_adj, z), 1.0 - alpha_),
-                ag::ScalarMul(h, alpha_));
-  }
-  return z;
-}
 
 ag::Tensor Appnp::Forward(std::shared_ptr<const SparseMatrix> norm_adj,
                           const ag::Tensor& x) const {

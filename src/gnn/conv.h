@@ -16,18 +16,18 @@ namespace gnn {
 
 /// \brief Graph convolution (Kipf & Welling): H' = Â (H W) + b.
 ///
-/// The propagation matrix Â is supplied per graph (typically
-/// Graph::NormalizedAdjacency() wrapped as a constant tensor, or a
-/// differentiable pooled adjacency inside DiffPool).
+/// The propagation matrix Â is supplied per graph: a constant CSR operator
+/// of the graph (Graph::NormalizedAdjacencySparse() or
+/// Graph::WeightedAdjacencySparse()), or a differentiable dense adjacency
+/// (DiffPool's pooled Â at deeper levels).
 class GcnConv : public Module {
  public:
   GcnConv(int in_features, int out_features, Rng* rng);
 
+  /// Dense propagation; `adj` may carry gradient.
   ag::Tensor Forward(const ag::Tensor& adj, const ag::Tensor& x) const;
 
-  /// Sparse propagation: Â in CSR form (constant, e.g. the cached
-  /// Graph::NormalizedAdjacencySparse()). The dense overload remains for
-  /// differentiable adjacencies (DiffPool's pooled Â).
+  /// Sparse propagation with a constant CSR Â.
   ag::Tensor Forward(std::shared_ptr<const SparseMatrix> adj,
                      const ag::Tensor& x) const;
 
@@ -40,7 +40,7 @@ class GcnConv : public Module {
 /// \brief Multi-head graph attention (Velickovic et al.).
 ///
 /// Per head: e_ij = LeakyReLU(a_src . (W h_i) + a_dst . (W h_j)) restricted
-/// to the support mask, alpha = softmax_j(e_ij), h'_i = sum_j alpha_ij W h_j.
+/// to the support, alpha = softmax_j(e_ij), h'_i = sum_j alpha_ij W h_j.
 /// Heads are concatenated.
 class GatConv : public Module {
  public:
@@ -48,14 +48,10 @@ class GatConv : public Module {
   GatConv(int in_features, int out_features, int num_heads, Rng* rng,
           double negative_slope = 0.2);
 
-  /// `mask` is the attention support (adjacency + self loops).
-  ag::Tensor Forward(const ag::Tensor& x, const Matrix& mask) const;
-
-  /// Mask-sparse variant: `support` is the CSR form of `mask` (from
-  /// Graph::AttentionMaskSparse()); the alpha @ hW head product and its
-  /// backward only touch support entries. Final parameter gradients are
-  /// bit-identical to the dense overload.
-  ag::Tensor Forward(const ag::Tensor& x, const Matrix& mask,
+  /// `support` is the attention support in CSR (adjacency + self loops,
+  /// Graph::AttentionMaskSparse()). The softmax, the alpha @ hW head
+  /// product and their backward visit support entries only.
+  ag::Tensor Forward(const ag::Tensor& x,
                      const std::shared_ptr<const SparseMatrix>& support) const;
 
   std::vector<ag::Tensor> Parameters() const override;
@@ -110,9 +106,8 @@ class Appnp : public Module {
   Appnp(int in_features, int hidden_features, int out_features, int k_steps,
         double alpha, Rng* rng);
 
-  ag::Tensor Forward(const ag::Tensor& norm_adj, const ag::Tensor& x) const;
-
-  /// Sparse propagation with a constant CSR Â.
+  /// `norm_adj` is the constant CSR Â
+  /// (Graph::NormalizedAdjacencySparse()).
   ag::Tensor Forward(std::shared_ptr<const SparseMatrix> norm_adj,
                      const ag::Tensor& x) const;
 

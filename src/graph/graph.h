@@ -1,10 +1,8 @@
 #ifndef DBG4ETH_GRAPH_GRAPH_H_
 #define DBG4ETH_GRAPH_GRAPH_H_
 
-#include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "tensor/matrix.h"
@@ -21,43 +19,32 @@ struct Edge {
 
 namespace internal {
 
-/// \brief Lazily-computed adjacency operators of one Graph.
+/// \brief Lazily built CSR graph operators of one Graph.
 ///
-/// Every trainer epoch used to rebuild the same O(N^2) normalized
-/// adjacency / attention mask from scratch per forward pass; this memoizes
-/// them once per graph. Thread-safe: the mutex guards lazy initialization,
-/// and entries are immutable once built, so concurrent trainer threads can
-/// share the returned references.
+/// Every trainer epoch and every cold score reads the same operators of a
+/// graph; this builds each one once. Thread-safe: the mutex guards lazy
+/// initialization, and operators are immutable once built, so concurrent
+/// trainer threads share them.
 ///
 /// Copying (or moving) a cache yields a cold cache: the new owner's graph
-/// may diverge from the source afterwards, and recomputing is always
+/// may diverge from the source afterwards, and rebuilding is always
 /// correct. This also keeps Graph cheaply movable despite the mutex.
 class AdjacencyCache {
  public:
   AdjacencyCache() = default;
   AdjacencyCache(const AdjacencyCache&) {}
   AdjacencyCache& operator=(const AdjacencyCache&) {
-    Reset();
+    std::lock_guard<std::mutex> lock(mu);
+    normalized_sparse.reset();
+    attention_mask_sparse.reset();
+    weighted_sparse.reset();
     return *this;
   }
 
-  void Reset() {
-    std::lock_guard<std::mutex> lock(mu);
-    normalized.reset();
-    normalized_sparse.reset();
-    attention_mask.reset();
-    attention_mask_sparse.reset();
-    weighted.clear();
-    weighted_sparse.clear();
-  }
-
   mutable std::mutex mu;
-  mutable std::optional<Matrix> normalized;
   mutable std::shared_ptr<const SparseMatrix> normalized_sparse;
-  mutable std::optional<Matrix> attention_mask;
   mutable std::shared_ptr<const SparseMatrix> attention_mask_sparse;
-  mutable std::map<int, Matrix> weighted;  ///< keyed by value column
-  mutable std::map<int, std::shared_ptr<const SparseMatrix>> weighted_sparse;
+  mutable std::shared_ptr<const SparseMatrix> weighted_sparse;
 };
 
 }  // namespace internal
@@ -68,17 +55,19 @@ class AdjacencyCache {
 /// [total value w, transaction count t] per merged edge; for a Local
 /// Dynamic Graph (LDG) time slice it holds [w^k] (Section III-B3).
 ///
-/// The derived adjacency operators (NormalizedAdjacency, AttentionMask,
-/// WeightedAdjacency) are cached on first use. Code that mutates
-/// `num_nodes`, `edges`, or `edge_features` after a cached accessor has
-/// run must call InvalidateAdjacencyCache(); mutating `node_features`
-/// alone (e.g. feature standardization) leaves the caches valid — they
-/// are derived from the edge structure only.
+/// The three graph operators (NormalizedAdjacencySparse,
+/// AttentionMaskSparse, WeightedAdjacencySparse) are CSR matrices built
+/// straight from the edge list on first use and cached. Rule: a graph's
+/// `num_nodes`, `edges` and `edge_features` do not change once an operator
+/// has been read. Code that needs other edges builds a new Graph (as
+/// augment::AugmentGraph does); a copy starts with a cold cache. Mutating
+/// `node_features` alone (e.g. feature standardization) is fine: the
+/// operators are derived from the edge structure only.
 struct Graph {
   int num_nodes = 0;
   std::vector<Edge> edges;
   Matrix node_features;  ///< num_nodes x d1 (may be empty until attached).
-  Matrix edge_features;  ///< edges.size() x d2.
+  Matrix edge_features;  ///< edges.size() x d2, or empty.
   int center = 0;        ///< Local index of the target account.
   int label = 0;         ///< Binary task label.
 
@@ -89,41 +78,24 @@ struct Graph {
   /// message passing); `self_loops` adds the identity. Not cached.
   Matrix DenseAdjacency(bool symmetric = true, bool self_loops = false) const;
 
-  /// Symmetric GCN propagation matrix D^{-1/2} (A + I) D^{-1/2}. Cached.
-  const Matrix& NormalizedAdjacency() const;
-
-  /// NormalizedAdjacency in CSR form for SpMM message passing. Cached; the
-  /// shared_ptr lets autograd tape nodes outlive the Graph.
+  /// Symmetric GCN propagation matrix D^{-1/2} (A + I) D^{-1/2}, where A is
+  /// the symmetrized 0/1 adjacency and D counts each row's entries. Cached;
+  /// the shared_ptr lets autograd tape nodes outlive the Graph.
   std::shared_ptr<const SparseMatrix> NormalizedAdjacencySparse() const;
 
-  /// Adjacency + self loops, used as the attention support mask for GAT.
-  /// Cached.
-  const Matrix& AttentionMask() const;
-
-  /// AttentionMask in CSR form: the support pattern for mask-sparse
-  /// attention products. Cached.
+  /// GAT attention support: 1.0 at every pair of A + I (symmetrized
+  /// adjacency plus self loops). Cached.
   std::shared_ptr<const SparseMatrix> AttentionMaskSparse() const;
 
-  /// Value-weighted adjacency: log1p(edge value) at connected pairs,
-  /// symmetrized, with self loops of weight 1 and row normalization.
-  /// `value_column` selects the edge feature column holding the value.
-  /// Cached per column.
-  const Matrix& WeightedAdjacency(int value_column = 0) const;
-
-  /// WeightedAdjacency in CSR form for SpMM message passing (the LDG
-  /// slice-topology path). Cached per column.
-  std::shared_ptr<const SparseMatrix> WeightedAdjacencySparse(
-      int value_column = 0) const;
-
-  /// Drops all cached adjacency operators. Call after mutating the edge
-  /// structure of a graph whose cached accessors have already run.
-  void InvalidateAdjacencyCache() { adjacency_cache_.Reset(); }
+  /// Value-weighted propagation matrix of the LDG slice topology:
+  /// log1p(max(0, edge value)) summed over the edges joining a pair (both
+  /// directions; value 1 per edge when `edge_features` is empty), plus 1
+  /// on the diagonal, then each row divided by its sum. The value is edge
+  /// feature column 0. Cached.
+  std::shared_ptr<const SparseMatrix> WeightedAdjacencySparse() const;
 
   /// Undirected degree (in + out, counting each merged edge once).
   std::vector<int> UndirectedDegrees() const;
-
-  /// Uncached computation behind WeightedAdjacency.
-  Matrix ComputeWeightedAdjacency(int value_column) const;
 
   /// Cache member is public to keep Graph an aggregate; treat as private.
   internal::AdjacencyCache adjacency_cache_;

@@ -587,47 +587,50 @@ Tensor SoftmaxRows(const Tensor& a) {
       "softmax_rows");
 }
 
-Tensor MaskedSoftmaxRows(const Tensor& a, const Matrix& mask) {
-  DBG4ETH_CHECK(a.value().SameShape(mask));
+Tensor MaskedSoftmaxRows(const Tensor& a,
+                         std::shared_ptr<const SparseMatrix> support) {
+  DBG4ETH_CHECK(support != nullptr);
+  DBG4ETH_CHECK_EQ(support->rows(), a.rows());
+  DBG4ETH_CHECK_EQ(support->cols(), a.cols());
+  const std::vector<int>& offsets = support->row_offsets();
+  const std::vector<int>& cols = support->col_indices();
   Matrix out = OutZeros(a.rows(), a.cols());
   for (int r = 0; r < a.rows(); ++r) {
+    const int begin = offsets[r];
+    const int end = offsets[r + 1];
+    if (begin == end) continue;  // all-zero row
+    const double* arow = a.value().RowPtr(r);
+    double* orow = out.RowPtr(r);
     double max_v = -1e300;
-    bool any = false;
-    for (int c = 0; c < a.cols(); ++c) {
-      if (mask.At(r, c) != 0.0) {
-        any = true;
-        max_v = std::max(max_v, a.value().At(r, c));
-      }
-    }
-    if (!any) continue;  // all-zero row
+    for (int e = begin; e < end; ++e) max_v = std::max(max_v, arow[cols[e]]);
     double denom = 0.0;
-    for (int c = 0; c < a.cols(); ++c) {
-      if (mask.At(r, c) != 0.0) {
-        denom += std::exp(a.value().At(r, c) - max_v);
-      }
-    }
-    for (int c = 0; c < a.cols(); ++c) {
-      if (mask.At(r, c) != 0.0) {
-        out.At(r, c) = std::exp(a.value().At(r, c) - max_v) / denom;
-      }
+    for (int e = begin; e < end; ++e) denom += std::exp(arow[cols[e]] - max_v);
+    for (int e = begin; e < end; ++e) {
+      orow[cols[e]] = std::exp(arow[cols[e]] - max_v) / denom;
     }
   }
   if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {a},
-      [](TensorNode* n) {
+      [support](TensorNode* n) {
         if (!ParentRequires(n, 0)) return;
-        // Same Jacobian as softmax, restricted to the support (entries
-        // outside the mask have y == 0 so they contribute/receive nothing).
+        // Softmax Jacobian over the support: off-support outputs are
+        // constant zero, so they neither give nor receive gradient.
         Matrix& g = ParentGrad(n, 0);
         const Matrix& y = n->value;
+        const std::vector<int>& offsets = support->row_offsets();
+        const std::vector<int>& cols = support->col_indices();
         for (int r = 0; r < y.rows(); ++r) {
+          const double* yrow = y.RowPtr(r);
+          const double* drow = n->grad.RowPtr(r);
+          double* grow = g.RowPtr(r);
           double dot = 0.0;
-          for (int c = 0; c < y.cols(); ++c) {
-            dot += n->grad.At(r, c) * y.At(r, c);
+          for (int e = offsets[r]; e < offsets[r + 1]; ++e) {
+            dot += drow[cols[e]] * yrow[cols[e]];
           }
-          for (int c = 0; c < y.cols(); ++c) {
-            g.At(r, c) += y.At(r, c) * (n->grad.At(r, c) - dot);
+          for (int e = offsets[r]; e < offsets[r + 1]; ++e) {
+            const int c = cols[e];
+            grow[c] += yrow[c] * (drow[c] - dot);
           }
         }
       },

@@ -83,9 +83,13 @@ Tensor Log(const Tensor& a, double eps = 1e-12);
 
 /// Row-wise softmax.
 Tensor SoftmaxRows(const Tensor& a);
-/// Row-wise softmax restricted to positions where mask != 0; rows whose mask
-/// is entirely zero produce an all-zero row.
-Tensor MaskedSoftmaxRows(const Tensor& a, const Matrix& mask);
+/// Row-wise softmax of `a` (N x M) over the entries of `support` (an N x M
+/// pattern, e.g. Graph::AttentionMaskSparse()), taken in ascending column
+/// order. The output is N x M and exactly zero off the support (the form
+/// MaskedSpMatMul consumes); a row with no support entries is all zero.
+/// Forward and backward visit support entries only.
+Tensor MaskedSoftmaxRows(const Tensor& a,
+                         std::shared_ptr<const SparseMatrix> support);
 /// Softmax over the entries of an N x 1 column vector.
 Tensor SoftmaxColVector(const Tensor& a);
 

@@ -1,8 +1,6 @@
 #include "tensor/sparse.h"
 
 #include <cmath>
-#include <map>
-#include <tuple>
 #include <utility>
 
 #include "common/logging.h"
@@ -29,30 +27,34 @@ SparseMatrix SparseMatrix::FromDense(const Matrix& dense,
   return out;
 }
 
-SparseMatrix SparseMatrix::FromTriplets(
-    int rows, int cols,
-    const std::vector<std::tuple<int, int, double>>& triplets) {
-  // (row, col) map gives sorted CSR order and sums duplicates.
-  std::map<std::pair<int, int>, double> entries;
-  for (const auto& [r, c, v] : triplets) {
-    DBG4ETH_CHECK(r >= 0 && r < rows && c >= 0 && c < cols);
-    entries[{r, c}] += v;
+SparseMatrix SparseMatrix::FromCsr(int rows, int cols,
+                                   std::vector<int> row_offsets,
+                                   std::vector<int> col_indices,
+                                   std::vector<double> values) {
+  DBG4ETH_CHECK(rows >= 0 && cols >= 0);
+  DBG4ETH_CHECK_EQ(row_offsets.size(), static_cast<size_t>(rows) + 1);
+  DBG4ETH_CHECK_EQ(row_offsets.front(), 0);
+  DBG4ETH_CHECK_EQ(static_cast<size_t>(row_offsets.back()),
+                   col_indices.size());
+  DBG4ETH_CHECK_EQ(col_indices.size(), values.size());
+  // Monotone offsets from 0 to nnz keep every row's range inside the
+  // arrays, so they are checked before any column is read.
+  for (int r = 0; r < rows; ++r) {
+    DBG4ETH_CHECK_LE(row_offsets[r], row_offsets[r + 1]);
+  }
+  for (int r = 0; r < rows; ++r) {
+    int prev = -1;
+    for (int e = row_offsets[r]; e < row_offsets[r + 1]; ++e) {
+      DBG4ETH_CHECK(col_indices[e] > prev && col_indices[e] < cols);
+      prev = col_indices[e];
+    }
   }
   SparseMatrix out;
   out.rows_ = rows;
   out.cols_ = cols;
-  out.row_offsets_.assign(1, 0);
-  out.row_offsets_.reserve(rows + 1);
-  out.col_indices_.reserve(entries.size());
-  out.values_.reserve(entries.size());
-  auto it = entries.begin();
-  for (int r = 0; r < rows; ++r) {
-    for (; it != entries.end() && it->first.first == r; ++it) {
-      out.col_indices_.push_back(it->first.second);
-      out.values_.push_back(it->second);
-    }
-    out.row_offsets_.push_back(static_cast<int>(out.values_.size()));
-  }
+  out.row_offsets_ = std::move(row_offsets);
+  out.col_indices_ = std::move(col_indices);
+  out.values_ = std::move(values);
   return out;
 }
 
@@ -120,13 +122,6 @@ void SpMMTransAAccumulate(const SparseMatrix& a, const Matrix& x,
       }
     }
   }
-}
-
-Matrix MaskedMatMul(const SparseMatrix& support, const Matrix& a,
-                    const Matrix& b) {
-  Matrix out(a.rows(), b.cols());
-  MaskedMatMulAccumulate(support, a, b, &out);
-  return out;
 }
 
 void MaskedMatMulAccumulate(const SparseMatrix& support, const Matrix& a,

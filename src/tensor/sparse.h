@@ -1,7 +1,6 @@
 #ifndef DBG4ETH_TENSOR_SPARSE_H_
 #define DBG4ETH_TENSOR_SPARSE_H_
 
-#include <tuple>
 #include <vector>
 
 #include "tensor/matrix.h"
@@ -26,18 +25,20 @@ class SparseMatrix {
   static SparseMatrix FromDense(const Matrix& dense,
                                 double zero_tolerance = 0.0);
 
-  /// Builds from coordinate triplets (row, col, value); duplicates are
-  /// summed. Entries that sum to exactly zero are kept (structure matters
-  /// more than a few spurious explicit zeros).
-  static SparseMatrix FromTriplets(
-      int rows, int cols,
-      const std::vector<std::tuple<int, int, double>>& triplets);
+  /// Adopts CSR arrays (see row_offsets()). DBG4ETH_CHECKs the invariants
+  /// the kernels index by: `row_offsets` has rows + 1 entries, starts at 0,
+  /// never decreases and ends at nnz == col_indices.size() ==
+  /// values.size(); every column is in [0, cols) and columns are strictly
+  /// ascending within a row. Stored values may be zero.
+  static SparseMatrix FromCsr(int rows, int cols, std::vector<int> row_offsets,
+                              std::vector<int> col_indices,
+                              std::vector<double> values);
 
   Matrix ToDense() const;
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }
-  /// Stored entries (may include explicit zeros from FromTriplets).
+  /// Stored entries.
   int nnz() const { return static_cast<int>(values_.size()); }
 
   /// CSR arrays: row i's entries live at [row_offsets()[i],
@@ -73,21 +74,17 @@ void SpMMTransAAccumulate(const SparseMatrix& a, const Matrix& x,
 /// in the order the dense kernel visits the corresponding indices, so the
 /// results are bit-identical to the dense products for finite inputs.
 ///
-/// out = a @ b restricted to support: out(i,:) = sum_k a(i,k) b(k,:) over
-/// support entries (i,k).
-Matrix MaskedMatMul(const SparseMatrix& support, const Matrix& a,
-                    const Matrix& b);
-/// Accumulates the masked product into *out (must be pre-shaped).
-/// Allocation-free form used by the inference fast path.
+/// Accumulates a @ b restricted to support into *out (must be pre-shaped):
+/// out(i,:) += sum_k a(i,k) b(k,:) over support entries (i,k).
 void MaskedMatMulAccumulate(const SparseMatrix& support, const Matrix& a,
                             const Matrix& b, Matrix* out);
 /// *da(i,k) += dot(dout(i,:), b(k,:)) at support entries — the dA = dOut
-/// @ B^T backward of MaskedMatMul, skipping entries the masked softmax
-/// annihilates anyway.
+/// @ B^T backward of the masked product, skipping entries the masked
+/// softmax annihilates anyway.
 void MaskedOuterAccumulate(const SparseMatrix& support, const Matrix& dout,
                            const Matrix& b, Matrix* da);
 /// *db(k,:) += a(i,k) * dout(i,:) over support entries — the dB = A^T @
-/// dOut backward of MaskedMatMul.
+/// dOut backward of the masked product.
 void MaskedTransAccumulate(const SparseMatrix& support, const Matrix& a,
                            const Matrix& dout, Matrix* db);
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "common/rng.h"
 #include "tensor/gradcheck.h"
@@ -179,18 +180,18 @@ TEST(GradCheckTest, MaskedSoftmaxRows) {
   Rng rng(13);
   Tensor a = RandomParam(3, 3, &rng);
   Tensor w = RandomParam(3, 3, &rng);
-  Matrix mask = Matrix::FromFlat(3, 3, {1, 1, 0, 0, 1, 1, 0, 0, 0});
-  auto loss = [&] { return SumAll(Mul(MaskedSoftmaxRows(a, mask), w)); };
+  auto support = std::make_shared<const SparseMatrix>(SparseMatrix::FromDense(
+      Matrix::FromFlat(3, 3, {1, 1, 0, 0, 1, 1, 0, 0, 0})));
+  auto loss = [&] { return SumAll(Mul(MaskedSoftmaxRows(a, support), w)); };
   auto res = CheckGradients(loss, {a, w});
   EXPECT_TRUE(res.passed) << res.max_rel_error;
 }
 
 TEST(OpsTest, MaskedSoftmaxZeroRowStaysZero) {
   Tensor a = Tensor::Constant(Matrix::Ones(2, 2));
-  Matrix mask(2, 2);
-  mask.At(0, 0) = 1;
-  mask.At(0, 1) = 1;
-  Tensor out = MaskedSoftmaxRows(a, mask);
+  auto support = std::make_shared<const SparseMatrix>(
+      SparseMatrix::FromCsr(2, 2, {0, 2, 2}, {0, 1}, {1.0, 1.0}));
+  Tensor out = MaskedSoftmaxRows(a, support);
   EXPECT_DOUBLE_EQ(out.value().At(1, 0), 0.0);
   EXPECT_DOUBLE_EQ(out.value().At(1, 1), 0.0);
   EXPECT_NEAR(out.value().At(0, 0), 0.5, 1e-12);

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "tensor/optimizer.h"
@@ -57,7 +61,8 @@ TEST(GcnConvTest, PropagatesAndGradChecks) {
   Rng rng(3);
   graph::Graph g = TestGraph();
   GcnConv conv(3, 2, &rng);
-  ag::Tensor adj = ag::Tensor::Constant(g.NormalizedAdjacency());
+  ag::Tensor adj =
+      ag::Tensor::Constant(g.NormalizedAdjacencySparse()->ToDense());
   ag::Tensor x = RandomInput(5, 3, &rng);
   ag::Tensor y = conv.Forward(adj, x);
   EXPECT_EQ(y.rows(), 5);
@@ -85,7 +90,7 @@ TEST(GatConvTest, HeadsConcatAndAttentionNormalized) {
   graph::Graph g = TestGraph();
   GatConv conv(3, 4, /*num_heads=*/2, &rng);
   ag::Tensor x = RandomInput(5, 3, &rng);
-  ag::Tensor y = conv.Forward(x, g.AttentionMask());
+  ag::Tensor y = conv.Forward(x, g.AttentionMaskSparse());
   EXPECT_EQ(y.rows(), 5);
   EXPECT_EQ(y.cols(), 8);  // 2 heads x 4
   EXPECT_EQ(conv.Parameters().size(), 6u);
@@ -96,10 +101,148 @@ TEST(GatConvTest, GradCheck) {
   graph::Graph g = TestGraph();
   GatConv conv(3, 2, 2, &rng);
   ag::Tensor x = RandomInput(5, 3, &rng);
-  const Matrix mask = g.AttentionMask();
-  auto loss = [&] { return ag::SumAll(ag::Tanh(conv.Forward(x, mask))); };
+  const auto support = g.AttentionMaskSparse();
+  auto loss = [&] { return ag::SumAll(ag::Tanh(conv.Forward(x, support))); };
   auto res = ag::CheckGradients(loss, conv.Parameters(), 1e-5, 1e-3);
   EXPECT_TRUE(res.passed) << res.max_rel_error;
+}
+
+void ExpectBitEqual(const Matrix& got, const Matrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (int r = 0; r < want.rows(); ++r) {
+    for (int c = 0; c < want.cols(); ++c) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(got.At(r, c)),
+                std::bit_cast<uint64_t>(want.At(r, c)))
+          << "(" << r << ", " << c << "): " << got.At(r, c) << " vs "
+          << want.At(r, c);
+    }
+  }
+}
+
+// Test-local copy of the dense-mask masked softmax that the CSR-support op
+// replaced: forward and backward scan every entry of the N x M mask.
+ag::Tensor DenseMaskSoftmaxReference(const ag::Tensor& a, const Matrix& mask) {
+  Matrix out(a.rows(), a.cols());
+  for (int r = 0; r < a.rows(); ++r) {
+    double max_v = -1e300;
+    bool any = false;
+    for (int c = 0; c < a.cols(); ++c) {
+      if (mask.At(r, c) != 0.0) {
+        any = true;
+        max_v = std::max(max_v, a.value().At(r, c));
+      }
+    }
+    if (!any) continue;
+    double denom = 0.0;
+    for (int c = 0; c < a.cols(); ++c) {
+      if (mask.At(r, c) != 0.0) denom += std::exp(a.value().At(r, c) - max_v);
+    }
+    for (int c = 0; c < a.cols(); ++c) {
+      if (mask.At(r, c) != 0.0) {
+        out.At(r, c) = std::exp(a.value().At(r, c) - max_v) / denom;
+      }
+    }
+  }
+  auto node = std::make_shared<ag::internal::TensorNode>();
+  node->value = std::move(out);
+  node->op_name = "dense_mask_softmax_reference";
+  node->parents = {a.node()};
+  node->requires_grad = a.requires_grad();
+  node->backward_fn = [](ag::internal::TensorNode* n) {
+    if (!n->parents[0]->requires_grad) return;
+    Matrix& g = ag::internal::GradAccumTarget(n->parents[0].get());
+    const Matrix& y = n->value;
+    for (int r = 0; r < y.rows(); ++r) {
+      double dot = 0.0;
+      for (int c = 0; c < y.cols(); ++c) dot += n->grad.At(r, c) * y.At(r, c);
+      for (int c = 0; c < y.cols(); ++c) {
+        g.At(r, c) += y.At(r, c) * (n->grad.At(r, c) - dot);
+      }
+    }
+  };
+  return ag::Tensor::FromNode(std::move(node));
+}
+
+// GatConv's heads as the GSG encoder ran them with the dense mask:
+// `params` is GatConv::Parameters() (W, a_src, a_dst per head).
+ag::Tensor DenseMaskGatReference(const std::vector<ag::Tensor>& params,
+                                 const ag::Tensor& x, const Matrix& mask,
+                                 std::shared_ptr<const SparseMatrix> support) {
+  ag::Tensor out;
+  for (size_t h = 0; 3 * h < params.size(); ++h) {
+    ag::Tensor hw = ag::MatMul(x, params[3 * h]);
+    ag::Tensor u = ag::MatMul(hw, params[3 * h + 1]);
+    ag::Tensor v = ag::MatMul(hw, params[3 * h + 2]);
+    ag::Tensor scores = ag::LeakyRelu(ag::PairwiseSum(u, v), 0.2);
+    ag::Tensor alpha = DenseMaskSoftmaxReference(scores, mask);
+    ag::Tensor head = ag::MaskedSpMatMul(support, alpha, hw);
+    out = h == 0 ? head : ag::ConcatCols(out, head);
+  }
+  return out;
+}
+
+TEST(OpsTest, MaskedSoftmaxMatchesTheDenseMaskReference) {
+  Rng rng(41);
+  for (int trial = 0; trial < 24; ++trial) {
+    const int n = 1 + rng.UniformInt(9);
+    const int m = 1 + rng.UniformInt(9);
+    Matrix mask(n, m);
+    for (int r = 0; r < n; ++r) {
+      for (int c = 0; c < m; ++c) mask.At(r, c) = rng.Bernoulli(0.4) ? 1 : 0;
+    }
+    const int empty_row = rng.UniformInt(n);
+    for (int c = 0; c < m; ++c) mask.At(empty_row, c) = 0.0;
+    auto support =
+        std::make_shared<const SparseMatrix>(SparseMatrix::FromDense(mask));
+    const Matrix scores = Matrix::Random(n, m, &rng, -4.0, 4.0);
+    const ag::Tensor w =
+        ag::Tensor::Constant(Matrix::Random(n, m, &rng, -1.0, 1.0));
+
+    ag::Tensor a = ag::Tensor::Parameter(scores);
+    ag::Tensor y = ag::MaskedSoftmaxRows(a, support);
+    ag::SumAll(ag::Mul(y, w)).Backward();
+    ag::Tensor a_ref = ag::Tensor::Parameter(scores);
+    ag::Tensor y_ref = DenseMaskSoftmaxReference(a_ref, mask);
+    ag::SumAll(ag::Mul(y_ref, w)).Backward();
+
+    ExpectBitEqual(y.value(), y_ref.value());
+    ExpectBitEqual(a.grad(), a_ref.grad());
+  }
+}
+
+TEST(GatConvTest, GradientsMatchTheDenseMaskReference) {
+  Rng rng(42);
+  graph::Graph g;
+  g.num_nodes = 9;  // Node 8 stays isolated.
+  for (int m = 0; m < 14; ++m) {
+    g.edges.push_back({rng.UniformInt(8), rng.UniformInt(8)});
+  }
+  const auto support = g.AttentionMaskSparse();
+  const Matrix mask = g.DenseAdjacency(/*symmetric=*/true, /*self_loops=*/true);
+  Rng init(43);
+  Rng init_ref(43);
+  GatConv conv(3, 4, /*num_heads=*/2, &init);
+  GatConv reference(3, 4, /*num_heads=*/2, &init_ref);
+  const Matrix x0 = Matrix::Random(g.num_nodes, 3, &rng, -1.0, 1.0);
+
+  ag::Tensor x = ag::Tensor::Parameter(x0);
+  ag::Tensor y = conv.Forward(x, support);
+  ag::SumAll(ag::Tanh(y)).Backward();
+  ag::Tensor x_ref = ag::Tensor::Parameter(x0);
+  ag::Tensor y_ref =
+      DenseMaskGatReference(reference.Parameters(), x_ref, mask, support);
+  ag::SumAll(ag::Tanh(y_ref)).Backward();
+
+  ExpectBitEqual(y.value(), y_ref.value());
+  ExpectBitEqual(x.grad(), x_ref.grad());
+  const auto params = conv.Parameters();
+  const auto params_ref = reference.Parameters();
+  ASSERT_EQ(params.size(), 6u);
+  for (size_t i = 0; i < params.size(); ++i) {
+    SCOPED_TRACE(i);
+    ExpectBitEqual(params[i].grad(), params_ref[i].grad());
+  }
 }
 
 TEST(GinConvTest, GradCheckAndShapes) {
@@ -141,7 +284,7 @@ TEST(AppnpTest, PropagationMixesPredictions) {
   Rng rng(9);
   graph::Graph g = TestGraph();
   Appnp model(3, 8, 2, /*k_steps=*/4, /*alpha=*/0.2, &rng);
-  ag::Tensor adj = ag::Tensor::Constant(g.NormalizedAdjacency());
+  auto adj = g.NormalizedAdjacencySparse();
   ag::Tensor x = RandomInput(5, 3, &rng);
   ag::Tensor y = model.Forward(adj, x);
   EXPECT_EQ(y.rows(), 5);
@@ -185,7 +328,8 @@ TEST(DiffPoolTest, ShapesAndGradCheck) {
   Rng rng(12);
   graph::Graph g = TestGraph();
   DiffPool pool(3, /*num_clusters=*/2, &rng);
-  ag::Tensor adj = ag::Tensor::Constant(g.NormalizedAdjacency());
+  ag::Tensor adj =
+      ag::Tensor::Constant(g.NormalizedAdjacencySparse()->ToDense());
   ag::Tensor x = RandomInput(5, 3, &rng);
   auto out = pool.Forward(adj, x);
   EXPECT_EQ(out.features.rows(), 2);
@@ -206,7 +350,8 @@ TEST(DiffPoolTest, StackedPoolingToSingleCluster) {
   graph::Graph g = TestGraph();
   DiffPool pool1(3, 2, &rng);
   DiffPool pool2(3, 1, &rng);
-  ag::Tensor adj = ag::Tensor::Constant(g.NormalizedAdjacency());
+  ag::Tensor adj =
+      ag::Tensor::Constant(g.NormalizedAdjacencySparse()->ToDense());
   ag::Tensor x = RandomInput(5, 3, &rng);
   auto level1 = pool1.Forward(adj, x);
   auto level2 = pool2.Forward(level1.adjacency, level1.features);
@@ -318,7 +463,8 @@ TEST(GnnIntegrationTest, OverfitsTinyTask) {
   auto params = JoinParameters({&conv1, &conv2, &head});
   ag::Adam opt(params, 0.05);
   auto forward = [&](const graph::Graph& g) {
-    ag::Tensor adj = ag::Tensor::Constant(g.NormalizedAdjacency());
+    ag::Tensor adj =
+      ag::Tensor::Constant(g.NormalizedAdjacencySparse()->ToDense());
     ag::Tensor x = ag::Tensor::Constant(g.node_features);
     ag::Tensor h = ag::Relu(conv1.Forward(adj, x));
     h = ag::Relu(conv2.Forward(adj, h));

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
+#include "eth/dataset.h"
+#include "eth/ledger.h"
 #include "eth/types.h"
 #include "graph/build.h"
 #include "graph/centrality.h"
 #include "graph/graph.h"
+#include "tensor/sparse.h"
 
 namespace dbg4eth {
 namespace graph {
@@ -32,7 +39,7 @@ TEST(GraphTest, DenseAdjacency) {
 
 TEST(GraphTest, NormalizedAdjacencyRowsBounded) {
   Graph g = PathGraph3();
-  Matrix norm = g.NormalizedAdjacency();
+  Matrix norm = g.NormalizedAdjacencySparse()->ToDense();
   // Symmetric and entries in (0, 1].
   for (int i = 0; i < 3; ++i) {
     for (int j = 0; j < 3; ++j) {
@@ -47,7 +54,7 @@ TEST(GraphTest, NormalizedAdjacencyRowsBounded) {
 
 TEST(GraphTest, WeightedAdjacencyRowStochastic) {
   Graph g = PathGraph3();
-  Matrix w = g.WeightedAdjacency();
+  Matrix w = g.WeightedAdjacencySparse()->ToDense();
   for (int i = 0; i < 3; ++i) {
     double row = 0.0;
     for (int j = 0; j < 3; ++j) row += w.At(i, j);
@@ -55,6 +62,126 @@ TEST(GraphTest, WeightedAdjacencyRowStochastic) {
   }
   // Edge 0-1 has larger value than 1-2, so it gets more weight from node 1.
   EXPECT_GT(w.At(1, 0), w.At(1, 2));
+}
+
+// Test-local copies of the dense construction the CSR builders replaced:
+// an N x N matrix per operator, converted with SparseMatrix::FromDense.
+Matrix DenseNormalizedReference(const Graph& g) {
+  Matrix adj = g.DenseAdjacency(/*symmetric=*/true, /*self_loops=*/true);
+  const int n = g.num_nodes;
+  std::vector<double> inv_sqrt_deg(n);
+  for (int i = 0; i < n; ++i) {
+    double deg = 0.0;
+    for (int j = 0; j < n; ++j) deg += adj.At(i, j);
+    inv_sqrt_deg[i] = deg > 0.0 ? 1.0 / std::sqrt(deg) : 0.0;
+  }
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      adj.At(i, j) *= inv_sqrt_deg[i] * inv_sqrt_deg[j];
+    }
+  }
+  return adj;
+}
+
+Matrix DenseWeightedReference(const Graph& g) {
+  const int n = g.num_nodes;
+  Matrix adj(n, n);
+  for (int m = 0; m < g.num_edges(); ++m) {
+    const Edge& e = g.edges[m];
+    double w = 0.0;
+    if (!g.edge_features.empty()) {
+      w = std::log1p(std::max(0.0, g.edge_features.At(m, 0)));
+    } else {
+      w = 1.0;
+    }
+    adj.At(e.src, e.dst) += w;
+    adj.At(e.dst, e.src) += w;
+  }
+  for (int i = 0; i < n; ++i) adj.At(i, i) += 1.0;
+  for (int i = 0; i < n; ++i) {
+    double row_sum = 0.0;
+    for (int j = 0; j < n; ++j) row_sum += adj.At(i, j);
+    if (row_sum > 0.0) {
+      for (int j = 0; j < n; ++j) adj.At(i, j) /= row_sum;
+    }
+  }
+  return adj;
+}
+
+void ExpectSameCsr(const SparseMatrix& got, const Matrix& dense_reference,
+                   const std::string& what) {
+  const SparseMatrix want = SparseMatrix::FromDense(dense_reference);
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  EXPECT_EQ(got.row_offsets(), want.row_offsets()) << what;
+  EXPECT_EQ(got.col_indices(), want.col_indices()) << what;
+  ASSERT_EQ(got.values().size(), want.values().size()) << what;
+  for (size_t e = 0; e < want.values().size(); ++e) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(got.values()[e]),
+              std::bit_cast<uint64_t>(want.values()[e]))
+        << what << ": entry " << e << " is " << got.values()[e]
+        << ", reference " << want.values()[e];
+  }
+}
+
+/// Compares all three operators of `g` with the dense reference, field for
+/// field, values by bit pattern.
+void ExpectOperatorsMatchTheDenseReference(const Graph& g,
+                                           const std::string& what) {
+  ExpectSameCsr(*g.NormalizedAdjacencySparse(), DenseNormalizedReference(g),
+                what + " normalized");
+  ExpectSameCsr(*g.AttentionMaskSparse(),
+                g.DenseAdjacency(/*symmetric=*/true, /*self_loops=*/true),
+                what + " attention support");
+  ExpectSameCsr(*g.WeightedAdjacencySparse(), DenseWeightedReference(g),
+                what + " weighted");
+}
+
+TEST(GraphTest, CsrOperatorsMatchTheDenseReference) {
+  // Hand-built corner cases. Edges are deliberately not sorted, one pair
+  // repeats, node 0 has a self-loop edge, (1, 2) and (2, 1) are
+  // antiparallel, (3, 1) carries value 0 and (0, 3) a negative value, and
+  // nodes 4 and 5 are isolated.
+  Graph corners;
+  corners.num_nodes = 6;
+  corners.edges = {{2, 1}, {0, 0}, {1, 2}, {3, 1}, {0, 3}, {1, 2}, {0, 1}};
+  corners.edge_features = Matrix::FromFlat(
+      7, 2, {0.7, 1, 0.1, 1, 3.0, 2, 0.0, 1, -1.0, 1, 0.3, 1, 1e6, 4});
+  ExpectOperatorsMatchTheDenseReference(corners, "corners");
+
+  Graph unvalued = corners;  // No edge features: every edge weighs 1.
+  unvalued.edge_features = Matrix();
+  ExpectOperatorsMatchTheDenseReference(unvalued, "empty edge_features");
+
+  Graph edgeless;  // An LDG slice with no transactions.
+  edgeless.num_nodes = 4;
+  edgeless.edge_features = Matrix(0, 1);
+  ExpectOperatorsMatchTheDenseReference(edgeless, "edgeless slice");
+  ExpectOperatorsMatchTheDenseReference(Graph{}, "no nodes");
+
+  // The GSG and every LDG slice of every instance of a simulator dataset.
+  eth::LedgerConfig ledger_config;
+  ledger_config.num_normal = 600;
+  ledger_config.duration_days = 90.0;
+  ledger_config.seed = 21;
+  eth::LedgerSimulator ledger(ledger_config);
+  ASSERT_TRUE(ledger.Generate().ok());
+  int graphs = 0;
+  for (int slices : {6, 10}) {
+    eth::DatasetConfig config;
+    config.target = eth::AccountClass::kExchange;
+    config.num_time_slices = slices;
+    auto ds = eth::BuildDataset(ledger, config);
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    for (const eth::GraphInstance& inst : ds.ValueOrDie().instances) {
+      ExpectOperatorsMatchTheDenseReference(inst.gsg, "gsg");
+      for (const Graph& slice : inst.ldg) {
+        ExpectOperatorsMatchTheDenseReference(slice, "slice");
+      }
+      graphs += 1 + static_cast<int>(inst.ldg.size());
+    }
+  }
+  EXPECT_GT(graphs, 100);
 }
 
 TEST(GraphTest, UndirectedDegrees) {

@@ -134,7 +134,7 @@ class GraphInvariantTest : public ::testing::TestWithParam<int> {};
 TEST_P(GraphInvariantTest, NormalizedAdjacencySymmetricBounded) {
   Rng rng(GetParam() * 13 + 1);
   graph::Graph g = RandomGraph(&rng, 4 + rng.UniformInt(12), 0.3);
-  Matrix norm = g.NormalizedAdjacency();
+  Matrix norm = g.NormalizedAdjacencySparse()->ToDense();
   for (int i = 0; i < g.num_nodes; ++i) {
     for (int j = 0; j < g.num_nodes; ++j) {
       EXPECT_NEAR(norm.At(i, j), norm.At(j, i), 1e-12);
@@ -147,7 +147,7 @@ TEST_P(GraphInvariantTest, NormalizedAdjacencySymmetricBounded) {
 TEST_P(GraphInvariantTest, WeightedAdjacencyRowStochastic) {
   Rng rng(GetParam() * 17 + 3);
   graph::Graph g = RandomGraph(&rng, 4 + rng.UniformInt(12), 0.25);
-  Matrix w = g.WeightedAdjacency();
+  Matrix w = g.WeightedAdjacencySparse()->ToDense();
   for (int i = 0; i < g.num_nodes; ++i) {
     double sum = 0.0;
     for (int j = 0; j < g.num_nodes; ++j) {

@@ -339,6 +339,17 @@ TEST_F(ResumeTrainTest, ResumeRejectsConfigMismatch) {
     ASSERT_FALSE(progress.ok());
     EXPECT_EQ(progress.status().code(), StatusCode::kInvalidArgument);
   }
+  {
+    // Other augmentation views draw other edge drops in the remaining GSG
+    // epochs, so the resumed model would silently diverge.
+    Dbg4EthConfig changed = TinyConfig(/*num_threads=*/1);
+    changed.gsg.view1.edge_drop_prob += 0.1;
+    eth::SubgraphDataset ds = *raw_dataset_;
+    Dbg4Eth model(changed);
+    auto progress = model.ResumeTrain(&ds, options);
+    ASSERT_FALSE(progress.ok());
+    EXPECT_EQ(progress.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_F(ResumeTrainTest, ResumeRequiresAStoreWithASnapshot) {

@@ -208,22 +208,37 @@ TEST(SparseMatrixTest, FromDenseRoundTrips) {
   }
 }
 
-TEST(SparseMatrixTest, FromTripletsSumsDuplicatesInCsrOrder) {
-  SparseMatrix s = SparseMatrix::FromTriplets(
-      3, 4, {{2, 1, 1.5}, {0, 3, 2.0}, {2, 1, 0.5}, {1, 0, -1.0}});
+TEST(SparseMatrixTest, FromCsrAdoptsTheArrays) {
+  // Row 1 is empty; a stored zero stays stored.
+  SparseMatrix s = SparseMatrix::FromCsr(3, 4, {0, 1, 1, 3}, {3, 0, 2},
+                                         {2.0, -1.0, 0.0});
+  EXPECT_EQ(s.rows(), 3);
+  EXPECT_EQ(s.cols(), 4);
   EXPECT_EQ(s.nnz(), 3);
+  EXPECT_EQ(s.row_offsets(), (std::vector<int>{0, 1, 1, 3}));
+  EXPECT_EQ(s.col_indices(), (std::vector<int>{3, 0, 2}));
+  EXPECT_EQ(s.values(), (std::vector<double>{2.0, -1.0, 0.0}));
   Matrix dense = s.ToDense();
   EXPECT_DOUBLE_EQ(dense.At(0, 3), 2.0);
-  EXPECT_DOUBLE_EQ(dense.At(1, 0), -1.0);
-  EXPECT_DOUBLE_EQ(dense.At(2, 1), 2.0);
-  // CSR invariants: offsets monotone, columns ascending per row.
-  ASSERT_EQ(s.row_offsets().size(), 4u);
-  for (int r = 0; r < 3; ++r) {
-    EXPECT_LE(s.row_offsets()[r], s.row_offsets()[r + 1]);
-    for (int e = s.row_offsets()[r] + 1; e < s.row_offsets()[r + 1]; ++e) {
-      EXPECT_LT(s.col_indices()[e - 1], s.col_indices()[e]);
-    }
-  }
+  EXPECT_DOUBLE_EQ(dense.At(2, 0), -1.0);
+  EXPECT_DOUBLE_EQ(dense.Sum(), 1.0);
+}
+
+TEST(SparseMatrixDeathTest, FromCsrRejectsBrokenInvariants) {
+  // Columns must ascend strictly within a row.
+  EXPECT_DEATH(SparseMatrix::FromCsr(1, 3, {0, 2}, {2, 1}, {1.0, 1.0}),
+               "Check failed");
+  EXPECT_DEATH(SparseMatrix::FromCsr(1, 3, {0, 2}, {1, 1}, {1.0, 1.0}),
+               "Check failed");
+  EXPECT_DEATH(SparseMatrix::FromCsr(1, 3, {0, 1}, {3}, {1.0}),
+               "Check failed");
+  // Offsets need rows + 1 entries, from 0 up to nnz without decreasing.
+  EXPECT_DEATH(SparseMatrix::FromCsr(2, 3, {0, 1}, {0}, {1.0}),
+               "Check failed");
+  EXPECT_DEATH(SparseMatrix::FromCsr(1, 3, {0, 2}, {0}, {1.0}),
+               "Check failed");
+  EXPECT_DEATH(SparseMatrix::FromCsr(2, 3, {0, 2, 1}, {0}, {1.0}),
+               "Check failed");
 }
 
 TEST(SparseMatrixTest, EmptyMatrix) {

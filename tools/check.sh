@@ -5,8 +5,10 @@
 # the observability, serving and network suites under ThreadSanitizer
 # (including the model hot-swap hammer and the net chaos fault injection),
 # the serving, inference fast-path, observability, network, sampling,
-# ledger and dense-kernel suites under AddressSanitizer + UBSan, a
-# failpoint-enabled kill -> resume ->
+# ledger and dense-kernel suites under AddressSanitizer + UBSan, and there
+# also the graph-operator suites
+# (ctest -R "Graph|GatConv|GcnConv|Appnp|DiffPool|GradCheck|OpsTest|EncoderUnit|SpMM"),
+# a failpoint-enabled kill -> resume ->
 # hot-reload chaos smoke, and a serving-latency regression guard against
 # the committed BENCH_serve.json.
 #
@@ -145,6 +147,7 @@ fi
 
 serve_suites="Serve|ServerStats|ThreadPool|ResultCache|InferenceArena|TapeFree|FastPath|ModelRegistry"
 index_suites="Sampling|Dataset|Ledger|BlockedKernels|Matrix"
+operator_suites="Graph|GatConv|GcnConv|Appnp|DiffPool|GradCheck|OpsTest|EncoderUnit|SpMM"
 
 echo "=== tsan: configure + build (build-tsan/) ==="
 cmake --preset tsan >/dev/null
@@ -191,6 +194,13 @@ echo "=== asan+ubsan: serve + chaos + inference fast-path suites ==="
 echo "=== asan+ubsan: sampling, ledger and dense-kernel suites ==="
 (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest -R "${index_suites}" --no-tests=error --output-on-failure -j"$(nproc)")
+
+# The graph-operator builders and SparseMatrix::FromCsr write through
+# counted cursors, and the CSR kernels (SpMM, masked softmax, masked
+# products) index by col_indices.
+echo "=== asan+ubsan: graph-operator and CSR-kernel suites ==="
+(cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest -R "${operator_suites}" --no-tests=error --output-on-failure -j"$(nproc)")
 
 echo "=== asan+ubsan: obs + net suites (ctest -L obs / -L net) ==="
 (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
