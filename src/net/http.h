@@ -1,7 +1,6 @@
 #ifndef DBG4ETH_NET_HTTP_H_
 #define DBG4ETH_NET_HTTP_H_
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -33,9 +32,6 @@ struct HttpRequest {
   /// In arrival order; names lower-cased, values trimmed.
   std::vector<std::pair<std::string, std::string>> headers;
   std::string body;
-  /// When the server had the whole request and dispatched it to a handler
-  /// thread; request budgets count from here.
-  std::chrono::steady_clock::time_point received_at;
 
   /// Value of the first header named `name_lower` (must be given in
   /// lower case); null when absent.

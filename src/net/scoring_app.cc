@@ -1,10 +1,10 @@
 #include "net/scoring_app.h"
 
 #include <algorithm>
-#include <chrono>
+#include <atomic>
 #include <cstdlib>
-#include <future>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -63,6 +63,49 @@ void WriteScoreResult(const serve::ScoreResult& result,
   writer->EndObject();
 }
 
+/// The /v1/score answer for `result`; its status code mirrors the
+/// result's status.
+HttpResponse ScoreResponse(const serve::ScoreResult& result) {
+  std::string body;
+  json::JsonWriter writer(&body);
+  WriteScoreResult(result, &writer);
+  body += "\n";
+  return HttpResponse::Json(serve::SuggestedHttpStatus(result.status),
+                            std::move(body));
+}
+
+/// The /v1/score_batch answer: every result in request order. Partial
+/// failures are reported per item; the batch itself is a 200.
+HttpResponse BatchResponse(const std::vector<serve::ScoreResult>& results) {
+  std::string body;
+  json::JsonWriter writer(&body);
+  writer.BeginObject();
+  writer.Key("results");
+  writer.BeginArray();
+  size_t failures = 0;
+  for (const serve::ScoreResult& result : results) {
+    if (!result.ok()) ++failures;
+    WriteScoreResult(result, &writer);
+  }
+  writer.EndArray();
+  writer.Key("failures");
+  writer.UInt(failures);
+  writer.EndObject();
+  body += "\n";
+  return HttpResponse::Json(200, std::move(body));
+}
+
+/// The results of one /v1/score_batch request as they resolve; the item
+/// that resolves last answers the request.
+struct PendingBatch {
+  PendingBatch(size_t size, HttpServer::Responder respond)
+      : results(size), remaining(size), respond(std::move(respond)) {}
+
+  std::vector<serve::ScoreResult> results;
+  std::atomic<size_t> remaining;
+  HttpServer::Responder respond;
+};
+
 /// What the metric routes render: the process-wide registry plus the
 /// service's own, which holds its `serve_*` request, latency, batch and
 /// cache-event families.
@@ -75,11 +118,18 @@ obs::RegistryList Registries(const serve::InferenceService& service) {
 ScoringApp::ScoringApp(serve::InferenceService* service, HttpServer* server,
                        const ScoringAppConfig& config)
     : service_(service), server_(server), config_(config) {
-  server_->Route("POST", "/v1/score",
-                 [this](const HttpRequest& r) { return HandleScore(r); });
-  server_->Route("POST", "/v1/score_batch", [this](const HttpRequest& r) {
-    return HandleScoreBatch(r);
-  });
+  // The score routes never block: they answer from the loop thread, or
+  // from the service's worker once a cold pass is done.
+  server_->RouteAsync("POST", "/v1/score",
+                      [this](const HttpRequest& r,
+                             HttpServer::Responder respond) {
+                        HandleScore(r, std::move(respond));
+                      });
+  server_->RouteAsync("POST", "/v1/score_batch",
+                      [this](const HttpRequest& r,
+                             HttpServer::Responder respond) {
+                        HandleScoreBatch(r, std::move(respond));
+                      });
   server_->Route("GET", "/metrics",
                  [this](const HttpRequest& r) { return HandleMetrics(r); });
   server_->Route("GET", "/healthz",
@@ -117,80 +167,76 @@ bool ScoringApp::ParseDeadline(const HttpRequest& request,
                  *header + "'");
     return false;
   }
-  if (parsed == 0) return true;  // Zero asks for no deadline.
-  // The budget counts from arrival: time spent waiting for a handler
-  // thread is already gone.
-  const int64_t waited_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - request.received_at)
-          .count();
-  *deadline_us =
-      std::min<int64_t>(parsed, config_.max_deadline_us) - waited_us;
-  if (*deadline_us <= 0) {
-    *error = HttpResponse::Error(
-        504, "deadline expired while waiting for a handler thread");
-    return false;
-  }
+  // Zero asks for no deadline.
+  *deadline_us = std::min<int64_t>(parsed, config_.max_deadline_us);
   return true;
 }
 
-HttpResponse ScoringApp::HandleScore(const HttpRequest& request) {
+void ScoringApp::HandleScore(const HttpRequest& request,
+                             HttpServer::Responder respond) const {
   int64_t deadline_us = 0;
   HttpResponse error;
-  if (!ParseDeadline(request, &deadline_us, &error)) return error;
+  if (!ParseDeadline(request, &deadline_us, &error)) {
+    respond(std::move(error));
+    return;
+  }
 
   auto parsed = json::ParseJson(request.body);
   if (!parsed.ok()) {
-    return HttpResponse::Error(400, parsed.status().message());
+    respond(HttpResponse::Error(400, parsed.status().message()));
+    return;
   }
   const json::JsonValue* address = parsed.ValueOrDie().Find("address");
   if (address == nullptr) {
-    return HttpResponse::Error(400, "body must be {\"address\": N}");
+    respond(HttpResponse::Error(400, "body must be {\"address\": N}"));
+    return;
   }
   auto id = address->AsInt64();
   if (!id.ok() ||
       id.ValueOrDie() < std::numeric_limits<eth::AccountId>::min() ||
       id.ValueOrDie() > std::numeric_limits<eth::AccountId>::max()) {
-    return HttpResponse::Error(400, "address must be a 32-bit integer");
+    respond(HttpResponse::Error(400, "address must be a 32-bit integer"));
+    return;
   }
 
   // The server resolved and injected the canonical trace id at dispatch;
   // riding it into ScoreAsync stamps the cold path's span tree and the
   // latency exemplar with the id the response header already carries.
   const std::string* trace_id = request.FindHeader("x-trace-id");
-  const serve::ScoreResult result =
-      service_
-          ->ScoreAsync(static_cast<eth::AccountId>(id.ValueOrDie()),
-                       deadline_us,
-                       trace_id != nullptr ? *trace_id : std::string())
-          .get();
-  std::string body;
-  json::JsonWriter writer(&body);
-  WriteScoreResult(result, &writer);
-  body += "\n";
-  return HttpResponse::Json(serve::SuggestedHttpStatus(result.status),
-                            std::move(body));
+  service_->ScoreAsync(
+      static_cast<eth::AccountId>(id.ValueOrDie()), deadline_us,
+      trace_id != nullptr ? *trace_id : std::string(),
+      [respond = std::move(respond)](serve::ScoreResult result) {
+        respond(ScoreResponse(result));
+      });
 }
 
-HttpResponse ScoringApp::HandleScoreBatch(const HttpRequest& request) {
+void ScoringApp::HandleScoreBatch(const HttpRequest& request,
+                                  HttpServer::Responder respond) const {
   int64_t deadline_us = 0;
   HttpResponse error;
-  if (!ParseDeadline(request, &deadline_us, &error)) return error;
+  if (!ParseDeadline(request, &deadline_us, &error)) {
+    respond(std::move(error));
+    return;
+  }
 
   auto parsed = json::ParseJson(request.body);
   if (!parsed.ok()) {
-    return HttpResponse::Error(400, parsed.status().message());
+    respond(HttpResponse::Error(400, parsed.status().message()));
+    return;
   }
   const json::JsonValue* addresses = parsed.ValueOrDie().Find("addresses");
   if (addresses == nullptr || !addresses->is_array()) {
-    return HttpResponse::Error(400,
-                               "body must be {\"addresses\": [N, ...]}");
+    respond(
+        HttpResponse::Error(400, "body must be {\"addresses\": [N, ...]}"));
+    return;
   }
   if (addresses->items.size() > config_.max_batch_addresses) {
-    return HttpResponse::Error(
+    respond(HttpResponse::Error(
         413, StrFormat("batch of %zu addresses exceeds limit of %zu",
                        addresses->items.size(),
-                       config_.max_batch_addresses));
+                       config_.max_batch_addresses)));
+    return;
   }
   std::vector<eth::AccountId> ids;
   ids.reserve(addresses->items.size());
@@ -199,41 +245,35 @@ HttpResponse ScoringApp::HandleScoreBatch(const HttpRequest& request) {
     if (!id.ok() ||
         id.ValueOrDie() < std::numeric_limits<eth::AccountId>::min() ||
         id.ValueOrDie() > std::numeric_limits<eth::AccountId>::max()) {
-      return HttpResponse::Error(400,
-                                 "addresses must be 32-bit integers");
+      respond(HttpResponse::Error(400, "addresses must be 32-bit integers"));
+      return;
     }
     ids.push_back(static_cast<eth::AccountId>(id.ValueOrDie()));
   }
+  if (ids.empty()) {
+    respond(BatchResponse({}));
+    return;
+  }
 
-  // Fan the whole batch out first so the service's workers score it in
-  // parallel, then gather in order. Every item shares the batch request's
-  // trace id: one HTTP request, one correlation id.
+  // Fan the whole batch out at once so the service's workers score it in
+  // parallel; each result lands in its request-order slot. Every item
+  // shares the batch request's trace id: one HTTP request, one
+  // correlation id.
   const std::string* trace_header = request.FindHeader("x-trace-id");
   const std::string trace_id =
       trace_header != nullptr ? *trace_header : std::string();
-  std::vector<std::future<serve::ScoreResult>> pending;
-  pending.reserve(ids.size());
-  for (eth::AccountId id : ids) {
-    pending.push_back(service_->ScoreAsync(id, deadline_us, trace_id));
+  auto batch = std::make_shared<PendingBatch>(ids.size(), std::move(respond));
+  for (size_t i = 0; i < ids.size(); ++i) {
+    service_->ScoreAsync(
+        ids[i], deadline_us, trace_id,
+        [batch, i](serve::ScoreResult result) {
+          batch->results[i] = std::move(result);
+          // acq_rel: the last item sees every other item's slot.
+          if (batch->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            batch->respond(BatchResponse(batch->results));
+          }
+        });
   }
-  std::string body;
-  json::JsonWriter writer(&body);
-  writer.BeginObject();
-  writer.Key("results");
-  writer.BeginArray();
-  size_t failures = 0;
-  for (auto& future : pending) {
-    const serve::ScoreResult result = future.get();
-    if (!result.ok()) ++failures;
-    WriteScoreResult(result, &writer);
-  }
-  writer.EndArray();
-  writer.Key("failures");
-  writer.UInt(failures);
-  writer.EndObject();
-  body += "\n";
-  // Partial failures are reported per item; the batch itself is a 200.
-  return HttpResponse::Json(200, std::move(body));
 }
 
 HttpResponse ScoringApp::HandleMetrics(const HttpRequest& request) {

@@ -13,7 +13,7 @@ namespace net {
 /// \brief Knobs of the HTTP scoring API.
 struct ScoringAppConfig {
   /// Largest accepted `x-deadline-us` value; larger asks are clamped so a
-  /// client cannot pin a handler thread for an hour.
+  /// client cannot keep a request queued for an hour.
   int64_t max_deadline_us = 60'000'000;
   /// Address-count bound of one /v1/score_batch body.
   size_t max_batch_addresses = 256;
@@ -63,14 +63,21 @@ struct ScoringAppConfig {
 /// InferenceService::ScoreAsync so span trees and latency exemplars are
 /// stamped with the same id the response returns.
 ///
+/// Threading: the two score routes are async (HttpServer::RouteAsync).
+/// They parse the request and call InferenceService::ScoreAsync on the
+/// connection's event loop; a cache hit, a 400, a shed (429) or a stale
+/// answer is rendered and written right there, and a cold score is
+/// rendered on the service's worker and posted back to the loop. So the
+/// service's admission control is the only one on these routes. The
+/// admin and debug routes may block and run on the handler pool.
+///
 /// Deadline propagation: an `x-deadline-us` request header (microsecond
-/// budget from arrival, clamped to `max_deadline_us`) rides into
-/// InferenceService::ScoreAsync minus the time the request waited for a
-/// handler thread, so an expired request resolves kDeadlineExceeded
-/// without a forward pass and maps to 504 on the wire; a budget already
-/// spent on that wait answers 504 without calling the service.
-/// All ScoreResult error statuses map through serve::SuggestedHttpStatus
-/// (504 deadline / 429 shed / 503 unavailable / 404 unknown address).
+/// budget, clamped to `max_deadline_us`) rides into
+/// InferenceService::ScoreAsync when the loop dispatches the request, so
+/// an expired request resolves kDeadlineExceeded without a forward pass
+/// and maps to 504 on the wire. All ScoreResult error statuses map
+/// through serve::SuggestedHttpStatus (504 deadline / 429 shed / 503
+/// unavailable / 404 unknown address).
 ///
 /// Scores are serialized with round-trip precision: the double a client
 /// parses back is bit-identical to the in-process PredictProba result.
@@ -85,8 +92,12 @@ class ScoringApp {
   ScoringApp& operator=(const ScoringApp&) = delete;
 
  private:
-  HttpResponse HandleScore(const HttpRequest& request);
-  HttpResponse HandleScoreBatch(const HttpRequest& request);
+  /// Run on the event loop; answer through `respond`, inline or from the
+  /// service's worker.
+  void HandleScore(const HttpRequest& request,
+                   HttpServer::Responder respond) const;
+  void HandleScoreBatch(const HttpRequest& request,
+                        HttpServer::Responder respond) const;
   HttpResponse HandleMetrics(const HttpRequest& request);
   HttpResponse HandleHealthz(const HttpRequest& request);
   HttpResponse HandleStatusz(const HttpRequest& request);
@@ -94,10 +105,9 @@ class ScoringApp {
   HttpResponse HandleDebugProfile(const HttpRequest& request);
   HttpResponse HandleDebugVars(const HttpRequest& request);
 
-  /// Parses the `x-deadline-us` header into the budget left since the
-  /// request arrived; 0 (no deadline) when absent or zero. Negative or
-  /// non-numeric values (400) and a budget already spent (504) are
-  /// reported via `error`.
+  /// Parses the `x-deadline-us` header into a budget clamped to
+  /// `max_deadline_us`; 0 (no deadline) when absent or zero. Negative or
+  /// non-numeric values are reported via `error` (400).
   bool ParseDeadline(const HttpRequest& request, int64_t* deadline_us,
                      HttpResponse* error) const;
 

@@ -13,7 +13,9 @@
 
 #include <algorithm>
 #include <exception>
+#include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -49,7 +51,46 @@ const char kOverCapacityResponse[] =
     "\r\n"
     "{\"error\": {\"code\": 503, \"message\": \"over capacity\"}}\n";
 
+/// `route` label of responses no route produced (parse errors, timeouts,
+/// 404/405).
+const char kUnmatchedRoute[] = "unmatched";
+
+/// The request a loop thread is dispatching right now (its responder's
+/// state) and the answer its handler gave before returning, if any.
+struct InlineAnswer {
+  const void* responder = nullptr;
+  bool answered = false;
+  HttpResponse response;
+};
+thread_local InlineAnswer* t_inline_answer = nullptr;
+
 }  // namespace
+
+/// Shared by every copy of one request's Responder.
+struct HttpServer::Responder::State {
+  State(HttpServer* server, Loop* loop, uint64_t conn_id)
+      : server(server), loop(loop), conn_id(conn_id) {
+    server->outstanding_responders_.fetch_add(1, std::memory_order_relaxed);
+  }
+  /// A handler that let go of every copy without answering gets a 500, so
+  /// its connection is released and Shutdown does not wait for it forever.
+  ~State() {
+    if (!responded.exchange(true, std::memory_order_acq_rel)) {
+      server->Deliver(this, HttpResponse::Error(
+                                500, "handler dropped its responder"));
+    }
+  }
+
+  HttpServer* const server;
+  Loop* const loop;
+  const uint64_t conn_id;
+  std::atomic<bool> responded{false};
+};
+
+void HttpServer::Responder::operator()(HttpResponse response) const {
+  if (state_->responded.exchange(true, std::memory_order_acq_rel)) return;
+  state_->server->Deliver(state_.get(), std::move(response));
+}
 
 std::string FormatAccessLogLine(const std::string& method,
                                 const std::string& route, int code,
@@ -107,6 +148,34 @@ HttpServer::~HttpServer() { Shutdown(); }
 
 void HttpServer::Route(const std::string& method, const std::string& path,
                        Handler handler) {
+  RouteAsync(method, path,
+             [this, handler = std::move(handler)](const HttpRequest& request,
+                                                  Responder respond) {
+               // The task owns a copy of the request: if the client
+               // disconnects and the connection is torn down mid-handling,
+               // nothing dangles.
+               const bool submitted =
+                   pool_->TrySubmit([handler, request, respond] {
+                     // A throwing handler still answers: its 500 goes back
+                     // through the event loop like any response.
+                     HttpResponse response;
+                     try {
+                       response = handler(request);
+                     } catch (const std::exception& e) {
+                       response = HttpResponse::Error(
+                           500, std::string("handler threw: ") + e.what());
+                     }
+                     respond(std::move(response));
+                   });
+               if (!submitted) {
+                 shed_total_->Inc();
+                 respond(HttpResponse::Error(503, "handler queue saturated"));
+               }
+             });
+}
+
+void HttpServer::RouteAsync(const std::string& method,
+                            const std::string& path, AsyncHandler handler) {
   RouteEntry entry;
   entry.method = method;
   entry.path = path;
@@ -224,9 +293,26 @@ void HttpServer::Shutdown() {
     if (loop->thread.joinable()) loop->thread.join();
   }
 
-  // Handlers still running belong to connections already force-closed;
-  // drain them so their (dropped) completions stop referencing us.
+  // A loop with nothing left to drain exits at once, so the acceptor may
+  // have handed it a connection it never adopted: close those here.
+  for (auto& loop : loops_) {
+    std::lock_guard<std::mutex> inbox_lock(loop->inbox_mu);
+    for (int fd : loop->pending_fds) {
+      ::close(fd);
+      connections_gauge_->Set(
+          open_connections_.fetch_sub(1, std::memory_order_relaxed) - 1);
+    }
+    loop->pending_fds.clear();
+  }
+
+  // Answers still to come belong to connections already closed. Run the
+  // queued blocking handlers out, then wait for every other responder (a
+  // cold score in the service's pool), so a late answer never writes a
+  // closed eventfd or a freed loop; it is dropped in the dead inbox.
   if (pool_ != nullptr) pool_->Shutdown();
+  while (outstanding_responders_.load(std::memory_order_acquire) > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   for (auto& loop : loops_) {
     if (loop->epoll_fd >= 0) ::close(loop->epoll_fd);
@@ -317,11 +403,14 @@ void HttpServer::EventLoop(Loop* loop) {
     const int n = ::epoll_wait(loop->epoll_fd, events, kMaxEvents, tick_ms);
     if (n < 0 && errno != EINTR) break;
 
+    bool woken = false;
     for (int i = 0; i < std::max(n, 0); ++i) {
       if (events[i].data.u64 == kWakeSentinel) {
+        // One read returns and resets the whole eventfd counter.
         uint64_t drained;
-        while (::read(loop->wake_fd, &drained, sizeof(drained)) > 0) {
-        }
+        ssize_t rc = ::read(loop->wake_fd, &drained, sizeof(drained));
+        (void)rc;
+        woken = true;
         continue;
       }
       auto it = loop->conns.find(events[i].data.u64);
@@ -329,22 +418,26 @@ void HttpServer::EventLoop(Loop* loop) {
       HandleConnEvent(loop, it->second.get(), events[i].events);
     }
 
-    // Inbox: adopt new connections, apply handler completions.
-    std::vector<int> fds;
-    std::vector<Completion> completions;
-    {
-      std::lock_guard<std::mutex> lock(loop->inbox_mu);
-      fds.swap(loop->pending_fds);
-      completions.swap(loop->pending_completions);
-    }
-    for (int fd : fds) AdoptConnection(loop, fd);
-    for (Completion& completion : completions) {
-      auto it = loop->conns.find(completion.conn_id);
-      if (it == loop->conns.end()) continue;  // Peer went away; drop it.
-      Conn* conn = it->second.get();
-      conn->handler_inflight = false;
-      StageResponse(loop, conn, std::move(completion.response),
-                    conn->request_keep_alive);
+    // Inbox: adopt new connections, apply async answers. Every push is
+    // followed by a wake, so an empty wake fd means an empty inbox.
+    if (woken) {
+      std::vector<int> fds;
+      std::vector<Completion> completions;
+      {
+        std::lock_guard<std::mutex> lock(loop->inbox_mu);
+        fds.swap(loop->pending_fds);
+        completions.swap(loop->pending_completions);
+      }
+      for (int fd : fds) AdoptConnection(loop, fd);
+      for (Completion& completion : completions) {
+        auto it = loop->conns.find(completion.conn_id);
+        if (it == loop->conns.end()) continue;  // Peer went away; drop it.
+        Conn* conn = it->second.get();
+        conn->handler_inflight = false;
+        StageResponse(loop, conn, std::move(completion.response),
+                      conn->request_keep_alive);
+        if (TryWrite(loop, conn)) ServeBuffered(loop, conn);
+      }
     }
 
     const auto now = std::chrono::steady_clock::now();
@@ -376,6 +469,7 @@ void HttpServer::AdoptConnection(Loop* loop, int fd) {
   conn->fd = fd;
   conn->id = next_conn_id_.fetch_add(1);
   conn->last_activity = std::chrono::steady_clock::now();
+  conn->interest = EPOLLIN;
   epoll_event ev;
   std::memset(&ev, 0, sizeof(ev));
   ev.events = EPOLLIN | EPOLLRDHUP;
@@ -390,6 +484,8 @@ void HttpServer::AdoptConnection(Loop* loop, int fd) {
 }
 
 void HttpServer::UpdateInterest(Loop* loop, Conn* conn, uint32_t events) {
+  if (conn->interest == events) return;
+  conn->interest = events;
   epoll_event ev;
   std::memset(&ev, 0, sizeof(ev));
   ev.events = events | EPOLLRDHUP;
@@ -416,7 +512,7 @@ void HttpServer::HandleConnEvent(Loop* loop, Conn* conn, uint32_t events) {
     return;
   }
   if ((events & EPOLLOUT) != 0 && conn->want_write) {
-    TryWrite(loop, conn);
+    if (TryWrite(loop, conn)) ServeBuffered(loop, conn);
     if (loop->conns.find(id) == loop->conns.end()) return;  // Closed.
   }
   if ((events & (EPOLLIN | EPOLLRDHUP)) != 0) {
@@ -466,40 +562,41 @@ void HttpServer::OnReadable(Loop* loop, Conn* conn) {
   }
   conn->last_activity = std::chrono::steady_clock::now();
   conn->parser.Consume(buf, static_cast<size_t>(n));
-  AdvanceParse(loop, conn);
+  ServeBuffered(loop, conn);
 }
 
-void HttpServer::AdvanceParse(Loop* loop, Conn* conn) {
-  switch (conn->parser.state()) {
-    case HttpParser::State::kError: {
-      parse_errors_total_->Inc();
-      conn->route_label = "unmatched";
-      conn->method = "";
-      // The request never parsed, so any client-sent traceparent is
-      // untrusted bytes; a fresh id still lets the client correlate the
-      // rejection with the server's log line.
-      conn->trace_id = obs::GenerateTraceId();
-      conn->request_start = std::chrono::steady_clock::now();
-      StageResponse(loop, conn,
-                    HttpResponse::Error(conn->parser.error_status(),
-                                        conn->parser.error_message()),
-                    /*keep_alive=*/false);
-      return;
+void HttpServer::ServeBuffered(Loop* loop, Conn* conn) {
+  for (;;) {
+    switch (conn->parser.state()) {
+      case HttpParser::State::kError:
+        parse_errors_total_->Inc();
+        conn->route = nullptr;
+        conn->method = "";
+        // The request never parsed, so any client-sent traceparent is
+        // untrusted bytes; a fresh id still lets the client correlate the
+        // rejection with the server's log line.
+        conn->trace_id = obs::GenerateTraceId();
+        conn->request_start = std::chrono::steady_clock::now();
+        StageResponse(loop, conn,
+                      HttpResponse::Error(conn->parser.error_status(),
+                                          conn->parser.error_message()),
+                      /*keep_alive=*/false);
+        break;
+      case HttpParser::State::kComplete:
+        if (!DispatchRequest(loop, conn)) return;  // Answer comes later.
+        break;
+      default:
+        return;  // Need more bytes.
     }
-    case HttpParser::State::kComplete:
-      DispatchRequest(loop, conn);
-      return;
-    default:
-      return;  // Need more bytes.
+    if (!TryWrite(loop, conn)) return;  // Write blocked, or closed.
   }
 }
 
-void HttpServer::DispatchRequest(Loop* loop, Conn* conn) {
+bool HttpServer::DispatchRequest(Loop* loop, Conn* conn) {
   conn->request_start = std::chrono::steady_clock::now();
   HttpRequest request = conn->parser.TakeRequest();
-  request.received_at = conn->request_start;
   conn->request_keep_alive = request.keep_alive();
-  conn->route_label = "unmatched";
+  conn->route = nullptr;
   conn->method = request.method;
 
   // Resolve the request's correlation id once, here at the edge: the
@@ -540,61 +637,74 @@ void HttpServer::DispatchRequest(Loop* loop, Conn* conn) {
                       : HttpResponse::Error(404, "no route for " +
                                                      request.path),
                   conn->request_keep_alive);
-    return;
+    return true;
   }
-  conn->route_label = match->path;
-  conn->handler_inflight = true;
-  // Poll for peer-close only while the handler runs; EPOLLIN stays off so
-  // pipelined bytes wait in the kernel buffer.
-  UpdateInterest(loop, conn, 0);
+  conn->route = match;
 
-  // The handler owns a copy of the request: if the client disconnects and
-  // the connection is torn down mid-handling, nothing dangles.
-  auto shared_request = std::make_shared<HttpRequest>(std::move(request));
-  const Handler& handler = match->handler;
-  const uint64_t conn_id = conn->id;
-  const bool submitted = pool_->TrySubmit([this, loop, conn_id, handler,
-                                           shared_request] {
-    Completion completion;
-    completion.conn_id = conn_id;
-    // A throwing handler still completes: its 500 goes back through the
-    // event loop like any response, so the connection is released and
-    // the request is counted, traced and logged.
+  // The handler runs here, on the loop. An answer it gives before it
+  // returns lands in `answer` and is written below, with no hand-off.
+  InlineAnswer answer;
+  {
+    Responder respond(std::make_shared<Responder::State>(this, loop, conn->id));
+    answer.responder = respond.state_.get();
+    t_inline_answer = &answer;
     try {
-      completion.response = handler(*shared_request);
+      match->handler(request, respond);
     } catch (const std::exception& e) {
-      completion.response =
-          HttpResponse::Error(500, std::string("handler threw: ") + e.what());
+      // A throwing handler still answers (unless it already has), so the
+      // connection is released and the request counted, traced and logged.
+      respond(HttpResponse::Error(500, std::string("handler threw: ") +
+                                           e.what()));
+    } catch (...) {
+      respond(HttpResponse::Error(500, "handler threw"));
     }
-    {
-      std::lock_guard<std::mutex> lock(loop->inbox_mu);
-      loop->pending_completions.push_back(std::move(completion));
-    }
-    Wake(loop);
-  });
-  if (!submitted) {
-    shed_total_->Inc();
-    conn->handler_inflight = false;
-    StageResponse(loop, conn,
-                  HttpResponse::Error(503, "handler queue saturated"),
-                  conn->request_keep_alive);
   }
+  t_inline_answer = nullptr;
+  if (answer.answered) {
+    StageResponse(loop, conn, std::move(answer.response),
+                  conn->request_keep_alive);
+    return true;
+  }
+  conn->handler_inflight = true;
+  // Poll for peer-close only until the answer comes back; EPOLLIN stays
+  // off so pipelined bytes wait in the kernel buffer.
+  UpdateInterest(loop, conn, 0);
+  return false;
 }
 
-void HttpServer::RecordRequestMetrics(const Conn& conn, int code) {
-  requests_served_.fetch_add(1, std::memory_order_relaxed);
-  obs::MetricsRegistry::Global()
-      ->CounterAt("net_requests_total", "HTTP requests by route and status",
-                  {{"route", conn.route_label},
-                   {"code", StrFormat("%d", code)}})
-      ->Inc();
-  obs::Histogram* request_us = request_us_unmatched_;
-  for (const RouteEntry& route : routes_) {
-    if (route.path == conn.route_label) {
-      request_us = route.request_us;
-      break;
+void HttpServer::Deliver(Responder::State* state, HttpResponse response) {
+  if (t_inline_answer != nullptr && t_inline_answer->responder == state) {
+    // Called from within the request's own handler, on its loop thread.
+    t_inline_answer->answered = true;
+    t_inline_answer->response = std::move(response);
+  } else {
+    Loop* loop = state->loop;
+    {
+      std::lock_guard<std::mutex> lock(loop->inbox_mu);
+      loop->pending_completions.push_back(
+          {state->conn_id, std::move(response)});
     }
+    Wake(loop);
   }
+  // Last touch of the server: once the count drops, Shutdown may close
+  // the loop's eventfd and free it.
+  outstanding_responders_.fetch_sub(1, std::memory_order_release);
+}
+
+void HttpServer::RecordRequestMetrics(Loop* loop, const Conn& conn,
+                                      int code) {
+  requests_served_.fetch_add(1, std::memory_order_relaxed);
+  obs::Counter*& requests = loop->request_counters[{conn.route, code}];
+  if (requests == nullptr) {
+    requests = obs::MetricsRegistry::Global()->CounterAt(
+        "net_requests_total", "HTTP requests by route and status",
+        {{"route", conn.route != nullptr ? conn.route->path : kUnmatchedRoute},
+         {"code", StrFormat("%d", code)}});
+  }
+  requests->Inc();
+  obs::Histogram* request_us = conn.route != nullptr
+                                   ? conn.route->request_us
+                                   : request_us_unmatched_;
   request_us->Record(std::chrono::duration<double, std::micro>(
                          std::chrono::steady_clock::now() -
                          conn.request_start)
@@ -611,10 +721,12 @@ void HttpServer::StageResponse(Loop* loop, Conn* conn,
   if (!conn->trace_id.empty()) {
     response.SetHeader("x-trace-id", conn->trace_id);
   }
-  RecordRequestMetrics(*conn, response.status);
+  RecordRequestMetrics(loop, *conn, response.status);
   if (config_.access_log) {
     DBG4ETH_LOG(Info) << FormatAccessLogLine(
-        conn->method, conn->route_label, response.status,
+        conn->method,
+        conn->route != nullptr ? conn->route->path : kUnmatchedRoute,
+        response.status,
         std::chrono::duration<double, std::micro>(
             std::chrono::steady_clock::now() - conn->request_start)
             .count(),
@@ -623,16 +735,15 @@ void HttpServer::StageResponse(Loop* loop, Conn* conn,
   conn->write_buffer = SerializeResponse(response, persist);
   conn->write_offset = 0;
   conn->close_after_write = !persist;
-  TryWrite(loop, conn);
 }
 
-void HttpServer::TryWrite(Loop* loop, Conn* conn) {
+bool HttpServer::TryWrite(Loop* loop, Conn* conn) {
   if (failpoint::kCompiledIn) {
     const Status injected = failpoint::Evaluate("net.conn_write");
     if (!injected.ok()) {
       client_aborts_total_->Inc();
       CloseConn(loop, conn);
-      return;
+      return false;
     }
   }
   while (conn->write_offset < conn->write_buffer.size()) {
@@ -644,20 +755,20 @@ void HttpServer::TryWrite(Loop* loop, Conn* conn) {
         conn->want_write = true;
         conn->last_activity = std::chrono::steady_clock::now();
         UpdateInterest(loop, conn, EPOLLOUT);
-        return;
+        return false;
       }
       if (errno == EINTR) continue;
       // EPIPE / ECONNRESET: the peer is gone mid-response.
       client_aborts_total_->Inc();
       CloseConn(loop, conn);
-      return;
+      return false;
     }
     conn->write_offset += static_cast<size_t>(n);
   }
-  FinishWrite(loop, conn);
+  return FinishWrite(loop, conn);
 }
 
-void HttpServer::FinishWrite(Loop* loop, Conn* conn) {
+bool HttpServer::FinishWrite(Loop* loop, Conn* conn) {
   conn->want_write = false;
   conn->write_buffer.clear();
   conn->write_offset = 0;
@@ -665,12 +776,12 @@ void HttpServer::FinishWrite(Loop* loop, Conn* conn) {
   conn->last_activity = std::chrono::steady_clock::now();
   if (conn->close_after_write) {
     CloseConn(loop, conn);
-    return;
+    return false;
   }
   // Back to reading; a pipelined request may already be buffered.
   UpdateInterest(loop, conn, EPOLLIN);
   conn->parser.Reset();
-  AdvanceParse(loop, conn);
+  return true;
 }
 
 void HttpServer::SweepTimeouts(Loop* loop) {
@@ -690,7 +801,7 @@ void HttpServer::SweepTimeouts(Loop* loop) {
       if (age >= std::chrono::microseconds(config_.read_timeout_us)) {
         // Slowloris: answer 408 (best effort) and close.
         timeouts_read_->Inc();
-        conn->route_label = "unmatched";
+        conn->route = nullptr;
         conn->method = "";
         // The stuck request never finished parsing; give the 408 its own
         // id (any buffered traceparent bytes are still untrusted input).
@@ -699,6 +810,7 @@ void HttpServer::SweepTimeouts(Loop* loop) {
         StageResponse(loop, conn,
                       HttpResponse::Error(408, "request timed out"),
                       /*keep_alive=*/false);
+        TryWrite(loop, conn);
       }
       continue;
     }

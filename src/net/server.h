@@ -5,11 +5,13 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -29,11 +31,13 @@ struct HttpServerConfig {
   uint16_t port = 0;
   /// Event-loop threads; connections are assigned round-robin at accept.
   int num_loops = 2;
-  /// Handler pool: request handlers run here, never on an event loop, so
-  /// a slow handler (a cold score) cannot stall other connections' I/O.
+  /// Handler pool: blocking handlers (Route) run here, never on an event
+  /// loop, so a slow one (a profile capture) cannot stall other
+  /// connections' I/O. Async handlers (RouteAsync) do not use it.
   int num_handler_threads = 4;
-  /// Pending handler tasks beyond the running ones; when full, new
-  /// requests are shed with 503 instead of queueing without bound.
+  /// Pending blocking-handler tasks beyond the running ones; when full,
+  /// new requests to blocking routes are shed with 503 instead of
+  /// queueing without bound.
   size_t handler_queue_capacity = 256;
   /// Open-connection cap; accepts beyond it get a canned 503 and close.
   int max_connections = 1024;
@@ -80,14 +84,22 @@ std::string FormatAccessLogLine(const std::string& method,
 ///     (keep-alive) reading, with incremental request parsing, pipelined
 ///     request support, and a periodic sweep enforcing read/idle/write
 ///     timeouts.
-///   - Parsed requests are dispatched to the handler pool; the loop stops
-///     reading the connection (poll for peer-close only) until the
-///     handler's response comes back through the loop's inbox. A full
-///     handler queue sheds the request with 503 immediately.
+///   - Every parsed request runs its route's AsyncHandler on the loop
+///     thread. A handler that answers before it returns (a cache hit, a
+///     400) has its response written right there: no thread hand-off, no
+///     eventfd, no epoll_ctl unless the write would block. Otherwise the
+///     loop stops reading the connection (poll for peer-close only) until
+///     the Responder posts the answer back through the loop's inbox; one
+///     request in flight per connection keeps pipelined responses in
+///     order.
+///   - A blocking Handler (Route) is an AsyncHandler that runs it on the
+///     handler pool; a full handler queue sheds the request with 503.
 ///
 /// Graceful shutdown: Shutdown() closes the listener, lets every
 /// in-flight request finish and flush within `drain_deadline_us`, then
-/// closes whatever remains and joins all threads. Idempotent.
+/// closes whatever remains, waits until every outstanding Responder has
+/// been called (its answer is dropped when its connection is gone) and
+/// joins all threads. Idempotent.
 ///
 /// Metrics (global registry): `net_connections` (open, gauge),
 /// `net_connections_total`, `net_requests_total{route,code}`,
@@ -99,10 +111,32 @@ std::string FormatAccessLogLine(const std::string& method,
 /// `net.conn_write` (connection torn down at the read/write site).
 class HttpServer {
  public:
-  /// Request handler; runs on the handler pool, may block. The request
-  /// object stays valid for the handler's whole lifetime even if the
-  /// client disconnects mid-handling.
+  /// \brief Delivers the answer to one request. Copyable; call it exactly
+  /// once, from any thread — later calls are ignored. Called on the loop
+  /// thread before the handler returns, the response is written inline;
+  /// otherwise it travels through the loop's inbox, and is dropped when
+  /// the connection is gone by then. Dropping every copy uncalled answers
+  /// 500.
+  class Responder {
+   public:
+    void operator()(HttpResponse response) const;
+
+   private:
+    friend class HttpServer;
+    struct State;  ///< Defined in server.cc.
+    explicit Responder(std::shared_ptr<State> state)
+        : state_(std::move(state)) {}
+    std::shared_ptr<State> state_;
+  };
+
+  /// Blocking request handler; runs on the handler pool, may block. The
+  /// request object stays valid for the handler's whole lifetime even if
+  /// the client disconnects mid-handling.
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
+  /// Non-blocking request handler; runs on the connection's event loop at
+  /// dispatch and must not block. The request is valid only until it
+  /// returns, so copy what a later answer needs. A throw answers 500.
+  using AsyncHandler = std::function<void(const HttpRequest&, Responder)>;
 
   explicit HttpServer(const HttpServerConfig& config);
   ~HttpServer();
@@ -110,11 +144,16 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Registers an exact-match route. Call before Start (the table is
-  /// read-only once the loops run). A path registered under a different
-  /// method yields 405 for the others.
+  /// Registers an exact-match route whose handler blocks: it runs on the
+  /// handler pool. Call before Start (the table is read-only once the
+  /// loops run). A path registered under a different method yields 405
+  /// for the others.
   void Route(const std::string& method, const std::string& path,
              Handler handler);
+  /// Registers an exact-match route whose handler runs on the event loop
+  /// (see AsyncHandler); same rules as Route.
+  void RouteAsync(const std::string& method, const std::string& path,
+                  AsyncHandler handler);
 
   /// Binds, listens and spawns the acceptor + event-loop threads.
   Status Start();
@@ -137,7 +176,7 @@ class HttpServer {
   struct RouteEntry {
     std::string method;
     std::string path;
-    Handler handler;
+    AsyncHandler handler;
     obs::Histogram* request_us = nullptr;
   };
 
@@ -149,12 +188,16 @@ class HttpServer {
     std::string write_buffer;
     size_t write_offset = 0;
     bool close_after_write = false;
+    /// A request's answer is still to come through the inbox.
     bool handler_inflight = false;
     bool want_write = false;
+    /// Current epoll interest, without EPOLLRDHUP.
+    uint32_t interest = 0;
     /// Keep-alive decision of the request currently being handled.
     bool request_keep_alive = false;
-    std::string route_label;  ///< Of the request currently in flight.
-    std::string method;       ///< Of the request currently in flight.
+    /// Route of the request in flight; null for an unmatched request.
+    const RouteEntry* route = nullptr;
+    std::string method;  ///< Of the request currently in flight.
     /// Correlation id of the in-flight request: the client's traceparent
     /// trace id (or sanitized x-request-id), else a freshly generated id.
     /// Stamped as `x-trace-id` on the response — success or error.
@@ -185,6 +228,10 @@ class HttpServer {
     // Loop-thread private.
     std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns;
     std::chrono::steady_clock::time_point last_sweep;
+    /// `net_requests_total` instruments by (route, code), resolved once
+    /// per pair so booking a response takes no registry lock.
+    std::map<std::pair<const RouteEntry*, int>, obs::Counter*>
+        request_counters;
   };
 
   void AcceptLoop();
@@ -194,22 +241,35 @@ class HttpServer {
   void AdoptConnection(Loop* loop, int fd);
   void HandleConnEvent(Loop* loop, Conn* conn, uint32_t events);
   void OnReadable(Loop* loop, Conn* conn);
-  /// Advances the parser-driven part of the state machine after new bytes
-  /// (or after Reset made pipelined leftovers current).
-  void AdvanceParse(Loop* loop, Conn* conn);
-  void DispatchRequest(Loop* loop, Conn* conn);
+  /// Answers the complete requests buffered on `conn` one after another
+  /// (after new bytes, or once a response is out and Reset made pipelined
+  /// leftovers current) until one goes async, a write blocks, the
+  /// connection closes or more bytes are needed. A loop, not recursion:
+  /// one read can hold hundreds of pipelined requests.
+  void ServeBuffered(Loop* loop, Conn* conn);
+  /// Runs the route's handler for the complete request on `conn`. True
+  /// when it answered inline and the response is staged; false when the
+  /// answer will come through the inbox.
+  bool DispatchRequest(Loop* loop, Conn* conn);
+  /// Hands a Responder's answer to its connection's loop: inline when
+  /// called from within that request's handler, else through the inbox.
+  void Deliver(Responder::State* state, HttpResponse response);
   /// Every response — handler result or synthesized error — funnels
   /// through here: trace-id header stamping, metrics, and the access log
   /// happen exactly once per response.
   void StageResponse(Loop* loop, Conn* conn, HttpResponse response,
                      bool keep_alive);
-  void TryWrite(Loop* loop, Conn* conn);
-  void FinishWrite(Loop* loop, Conn* conn);
+  /// Sends the staged response. True when it is out and the connection is
+  /// reading again; false when the write blocked (EPOLLOUT armed) or the
+  /// connection closed (`conn` is then freed).
+  bool TryWrite(Loop* loop, Conn* conn);
+  bool FinishWrite(Loop* loop, Conn* conn);
   void CloseConn(Loop* loop, Conn* conn);
   void SweepTimeouts(Loop* loop);
-  /// Updates the epoll interest set of `conn` to `events` | RDHUP.
+  /// Sets the epoll interest set of `conn` to `events` | RDHUP; no
+  /// syscall when it is already that.
   void UpdateInterest(Loop* loop, Conn* conn, uint32_t events);
-  void RecordRequestMetrics(const Conn& conn, int code);
+  void RecordRequestMetrics(Loop* loop, const Conn& conn, int code);
 
   bool draining() const {
     return draining_.load(std::memory_order_acquire);
@@ -233,6 +293,9 @@ class HttpServer {
   std::atomic<uint64_t> requests_served_{0};
   std::atomic<bool> started_{false};
   std::atomic<bool> draining_{false};
+  /// Responders created and not yet delivered; Shutdown waits for zero
+  /// before it closes the eventfds and frees the loops they post to.
+  std::atomic<int> outstanding_responders_{0};
   std::mutex shutdown_mu_;  ///< Serializes Shutdown callers.
   bool shut_down_ = false;
   /// Force-close everything at this point of a drain.

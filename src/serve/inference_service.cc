@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -114,9 +115,8 @@ void InferenceService::RefreshLedgerHeight() {
   }
 }
 
-std::future<ScoreResult> InferenceService::ScoreAsync(eth::AccountId address,
-                                                      int64_t deadline_us,
-                                                      std::string trace_id) {
+void InferenceService::ScoreAsync(eth::AccountId address, int64_t deadline_us,
+                                  std::string trace_id, ScoreCallback done) {
   ScoreRequest request;
   request.address = address;
   request.ledger_height = ledger_height_.load();
@@ -127,14 +127,13 @@ std::future<ScoreResult> InferenceService::ScoreAsync(eth::AccountId address,
     request.has_deadline = true;
   }
   request.trace_id = std::move(trace_id);
-  request.promise = std::make_shared<std::promise<ScoreResult>>();
-  std::future<ScoreResult> future = request.promise->get_future();
+  request.done = std::move(done);
 
   if (shutdown_.load()) {
     // A shut-down service rejects uniformly — even addresses that would
     // hit the cache — so clients observe one consistent terminal state.
     ResolveError(request, Status::FailedPrecondition("service is shut down"));
-    return future;
+    return;
   }
 
   // Fast path: a cached score resolves without touching the pool, the
@@ -144,31 +143,44 @@ std::future<ScoreResult> InferenceService::ScoreAsync(eth::AccountId address,
   stats_.RecordCacheAccess(cached.has_value());
   if (cached) {
     ResolveHit(request, *cached);
-    return future;
+    return;
   }
 
-  // Admission control: never block the producer. The task holds a copy of
-  // the request, so on refusal the original is still resolvable here.
+  // Admission control: never block the producer. A refused task is
+  // dropped with its reference, so the request is still whole here.
+  auto admitted = std::make_shared<ScoreRequest>(std::move(request));
   if (pool_.TrySubmit(
-          [this, request]() mutable { ProcessRequest(std::move(request)); })) {
-    return future;
+          [this, admitted] { ProcessRequest(std::move(*admitted)); })) {
+    return;
   }
+  const ScoreRequest& refused = *admitted;
   if (shutdown_.load()) {
-    ResolveError(request, Status::FailedPrecondition("service is shut down"));
-    return future;
+    ResolveError(refused, Status::FailedPrecondition("service is shut down"));
+    return;
   }
   // Overloaded: a stale answer beats an outright rejection when degraded
   // mode has one.
-  if (TryServeStale(request)) return future;
+  if (TryServeStale(refused)) return;
   stats_.RecordShed();
   ScoreResult result;
   result.address = address;
-  result.ledger_height = request.ledger_height;
-  result.trace_id = request.trace_id;
+  result.ledger_height = refused.ledger_height;
+  result.trace_id = refused.trace_id;
   result.status =
       Status::ResourceExhausted("request queue is saturated; load shed");
-  result.latency_us = ElapsedUs(request.enqueue_time);
-  request.promise->set_value(std::move(result));
+  result.latency_us = ElapsedUs(refused.enqueue_time);
+  refused.done(std::move(result));
+}
+
+std::future<ScoreResult> InferenceService::ScoreAsync(eth::AccountId address,
+                                                      int64_t deadline_us,
+                                                      std::string trace_id) {
+  auto promise = std::make_shared<std::promise<ScoreResult>>();
+  std::future<ScoreResult> future = promise->get_future();
+  ScoreAsync(address, deadline_us, std::move(trace_id),
+             [promise](ScoreResult result) {
+               promise->set_value(std::move(result));
+             });
   return future;
 }
 
@@ -282,7 +294,7 @@ void InferenceService::FinishColdGroup(const std::vector<ScoreRequest>& group,
     result.trace_id = request.trace_id;
     stats_.RecordRequest(result.latency_us, result.cache_hit,
                          request.trace_id);
-    request.promise->set_value(std::move(result));
+    request.done(std::move(result));
     first = false;
   }
 }
@@ -343,7 +355,7 @@ bool InferenceService::TryServeStale(const ScoreRequest& request) {
   result.latency_us = ElapsedUs(request.enqueue_time);
   result.trace_id = request.trace_id;
   stats_.RecordStaleServed(result.latency_us, request.trace_id);
-  request.promise->set_value(std::move(result));
+  request.done(std::move(result));
   return true;
 }
 
@@ -360,7 +372,7 @@ void InferenceService::ResolveError(const ScoreRequest& request,
     stats_.RecordError();
   }
   result.status = std::move(status);
-  request.promise->set_value(std::move(result));
+  request.done(std::move(result));
 }
 
 void InferenceService::ResolveHit(const ScoreRequest& request,
@@ -375,7 +387,7 @@ void InferenceService::ResolveHit(const ScoreRequest& request,
   result.trace_id = request.trace_id;
   stats_.RecordRequest(result.latency_us, /*cache_hit=*/true,
                        request.trace_id);
-  request.promise->set_value(std::move(result));
+  request.done(std::move(result));
 }
 
 Result<double> InferenceService::ScoreCold(const core::Dbg4Eth& model,
@@ -407,7 +419,7 @@ Result<double> InferenceService::ScoreCold(const core::Dbg4Eth& model,
     }
     return model.PredictProba(instance.ValueOrDie());
   } catch (const std::exception& e) {
-    // A throwing pass fails its requests instead of leaving their promises
+    // A throwing pass fails its requests instead of leaving them
     // unresolved.
     span.SetError();
     return Status::Internal(std::string("cold score threw: ") + e.what());

@@ -57,12 +57,14 @@ struct InferenceServiceConfig {
 
 /// \brief Concurrent account-scoring service over a trained Dbg4Eth model.
 ///
-/// Request path: `ScoreAsync(address)` first consults the sharded result
-/// cache keyed by (address, ledger height) — a hit resolves immediately,
-/// skipping both subgraph materialization and the forward pass. Each miss
-/// is submitted as one task to the service's bounded ThreadPool of
-/// `num_workers` threads: a cold request crosses one thread hand-off and
-/// never waits for a batching window. The worker re-checks the cache, then
+/// Request path: `ScoreAsync(address, ..., done)` first consults the
+/// sharded result cache keyed by (address, ledger height) — a hit calls
+/// `done` right away on the caller's thread, skipping both subgraph
+/// materialization and the forward pass, as do a shed request, a stale
+/// answer and a shut-down service. Each miss is submitted as one task to
+/// the service's bounded ThreadPool of `num_workers` threads: a cold
+/// request crosses one thread hand-off, never waits for a batching window,
+/// and its `done` runs on the worker. The worker re-checks the cache, then
 /// looks the request up in the in-flight table keyed by (address, height,
 /// model generation): a request whose key another worker is already
 /// scoring attaches to that pass and shares its result. Otherwise the
@@ -101,11 +103,16 @@ class InferenceService {
   InferenceService(const InferenceService&) = delete;
   InferenceService& operator=(const InferenceService&) = delete;
 
-  /// Submits one address for scoring. The future resolves with a
+  /// Submits one address for scoring and calls `done` exactly once with a
   /// ScoreResult whose status reflects per-request failures (unknown
-  /// address, degenerate subgraph, deadline expiry, shed load) — the
-  /// future itself never throws, and every request resolves even when
-  /// Shutdown races submission.
+  /// address, degenerate subgraph, deadline expiry, shed load), even when
+  /// Shutdown races submission. Every outcome is booked in ServerStats
+  /// before `done` runs. Outcomes decided at admission — a cache hit, a
+  /// shed or stale answer, a shut-down service — call it inline, before
+  /// ScoreAsync returns; a cold pass calls it on the worker thread, for
+  /// the pass's own request and for every duplicate attached to it. So
+  /// `done` must not block, must not throw, and must not call back into a
+  /// lock the caller holds across ScoreAsync.
   ///
   /// `deadline_us` is the request's budget in microseconds from now (0 =
   /// none); an expired request resolves kDeadlineExceeded without a
@@ -114,6 +121,10 @@ class InferenceService {
   /// is stamped with it, latency exemplars reference it, and it comes
   /// back on `ScoreResult::trace_id` for every outcome. An empty id means
   /// "untraced" (no context, no exemplars).
+  void ScoreAsync(eth::AccountId address, int64_t deadline_us,
+                  std::string trace_id, ScoreCallback done);
+
+  /// ScoreAsync whose result arrives through a future (never throws).
   std::future<ScoreResult> ScoreAsync(eth::AccountId address,
                                       int64_t deadline_us = 0,
                                       std::string trace_id = {});

@@ -2,8 +2,7 @@
 #define DBG4ETH_SERVE_TYPES_H_
 
 #include <chrono>
-#include <future>
-#include <memory>
+#include <functional>
 #include <string>
 
 #include "common/status.h"
@@ -82,6 +81,9 @@ inline int SuggestedHttpStatus(const Status& status) {
   }
 }
 
+/// Completion of one scoring request; receives its ScoreResult exactly once.
+using ScoreCallback = std::function<void(ScoreResult)>;
+
 /// \brief One in-flight scoring request as it moves from ScoreAsync to a
 /// pool worker.
 struct ScoreRequest {
@@ -96,7 +98,11 @@ struct ScoreRequest {
   /// Correlation id carried from admission through the queue into the
   /// worker's trace context (see obs::ScopedTraceContext).
   std::string trace_id;
-  std::shared_ptr<std::promise<ScoreResult>> promise;
+  /// Called exactly once with the outcome, after it is booked in
+  /// ServerStats: inline on the ScoreAsync caller's thread when admission
+  /// decides it (hit, shed, stale, shut down), else on the worker thread
+  /// that resolves the request.
+  ScoreCallback done;
 
   bool expired(std::chrono::steady_clock::time_point now) const {
     return has_deadline && now >= deadline;

@@ -5,6 +5,8 @@
 // tsan/asan presets), like the serving chaos suite in this binary.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -190,6 +192,29 @@ TEST_F(NetChaosTest, IntermittentWriteFaultsUnderConcurrentLoad) {
   EXPECT_GT(ok_count.load(), 0);
   failpoint::Disable("net.conn_write");
   EXPECT_TRUE(PingOk());
+}
+
+TEST_F(NetChaosTest, ConnectionAcceptedDuringShutdownIsClosed) {
+  SKIP_WITHOUT_FAILPOINTS();
+  // The acceptor holds the accepted socket for 300 ms before handing it to
+  // a loop; Shutdown lands in that window, when the loops have nothing to
+  // drain and exit.
+  ASSERT_TRUE(
+      failpoint::Enable("net.accept", failpoint::SleepFor(300'000)).ok());
+  HttpClientConfig one_second;
+  one_second.io_timeout_us = 1'000'000;
+  HttpClient client("127.0.0.1", server_->port(), one_second);
+  ASSERT_TRUE(client.Connect().ok());
+  for (int i = 0; i < 1000 && failpoint::EvalCount("net.accept") == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(failpoint::EvalCount("net.accept"), 1u);
+
+  server_->Shutdown();
+  EXPECT_EQ(server_->open_connections(), 0);
+  // The client sees the close (EOF), not its 1 s receive timeout.
+  char byte;
+  EXPECT_EQ(::recv(client.fd(), &byte, 1, 0), 0);
 }
 
 }  // namespace

@@ -3,11 +3,13 @@
 #include <sys/socket.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <future>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -16,8 +18,10 @@
 
 #include "common/json_util.h"
 #include "core/dbg4eth.h"
+#include "eth/appendable_ledger.h"
 #include "eth/dataset.h"
 #include "eth/ledger.h"
+#include "gated_ledger.h"
 #include "net/client.h"
 #include "net/http.h"
 #include "net/scoring_app.h"
@@ -557,16 +561,11 @@ class NetScoringTest : public ::testing::Test {
 
     std::stringstream checkpoint;
     ASSERT_TRUE(model_->Save(&checkpoint).ok());
-
-    serve::InferenceServiceConfig sc;
-    sc.num_workers = 2;
-    sc.cache.capacity = 256;
-    sc.cache.num_shards = 4;
-    sc.sampling = Sampling();
-    sc.num_time_slices = kTimeSlices;
-    auto created = serve::InferenceService::Create(sc, &checkpoint, ledger_);
-    ASSERT_TRUE(created.ok()) << created.status().ToString();
-    service_ = std::move(created).ValueOrDie().release();
+    checkpoint_ = new std::string(checkpoint.str());
+    service_ = MakeService(ledger_, /*num_workers=*/2,
+                           serve::InferenceServiceConfig().queue_capacity)
+                   .release();
+    ASSERT_NE(service_, nullptr);
 
     server_ = new HttpServer(HttpServerConfig());
     ScoringAppConfig app_config;
@@ -581,8 +580,10 @@ class NetScoringTest : public ::testing::Test {
     delete server_;
     delete service_;
     delete model_;
+    delete checkpoint_;
     delete ledger_;
     app_ = nullptr;
+    checkpoint_ = nullptr;
     server_ = nullptr;
     service_ = nullptr;
     model_ = nullptr;
@@ -600,6 +601,32 @@ class NetScoringTest : public ::testing::Test {
     return HttpClient("127.0.0.1", server_->port(), FastClient());
   }
 
+  /// A service over `ledger`, restored from the fixture's checkpoint.
+  static std::unique_ptr<serve::InferenceService> MakeService(
+      const eth::Ledger* ledger, int num_workers, size_t queue_capacity) {
+    serve::InferenceServiceConfig sc;
+    sc.num_workers = num_workers;
+    sc.queue_capacity = queue_capacity;
+    sc.cache.capacity = 256;
+    sc.cache.num_shards = 4;
+    sc.sampling = Sampling();
+    sc.num_time_slices = kTimeSlices;
+    std::stringstream checkpoint(*checkpoint_);
+    auto created = serve::InferenceService::Create(sc, &checkpoint, ledger);
+    EXPECT_TRUE(created.ok()) << created.status().ToString();
+    return created.ok() ? std::move(created).ValueOrDie() : nullptr;
+  }
+
+  static std::string ScoreBody(eth::AccountId address) {
+    return "{\"address\": " + std::to_string(address) + "}";
+  }
+
+  /// The wire form of one keep-alive POST /v1/score.
+  static std::string ScoreRequestBytes(const std::string& body) {
+    return "POST /v1/score HTTP/1.1\r\nContent-Length: " +
+           std::to_string(body.size()) + "\r\n\r\n" + body;
+  }
+
   /// POSTs {"address": N} to /v1/score and returns the raw response.
   static HttpResponse ScoreOverHttp(
       eth::AccountId address,
@@ -615,6 +642,7 @@ class NetScoringTest : public ::testing::Test {
   static constexpr int kTimeSlices = 4;
   static eth::LedgerSimulator* ledger_;
   static core::Dbg4Eth* model_;
+  static std::string* checkpoint_;
   static serve::InferenceService* service_;
   static HttpServer* server_;
   static ScoringApp* app_;
@@ -622,6 +650,7 @@ class NetScoringTest : public ::testing::Test {
 
 eth::LedgerSimulator* NetScoringTest::ledger_ = nullptr;
 core::Dbg4Eth* NetScoringTest::model_ = nullptr;
+std::string* NetScoringTest::checkpoint_ = nullptr;
 serve::InferenceService* NetScoringTest::service_ = nullptr;
 HttpServer* NetScoringTest::server_ = nullptr;
 ScoringApp* NetScoringTest::app_ = nullptr;
@@ -716,14 +745,14 @@ TEST_F(NetScoringTest, ExpiredDeadlineMapsTo504) {
   EXPECT_EQ(response.status, 504) << response.body;
 }
 
-TEST_F(NetScoringTest, DeadlineBudgetCountsFromArrival) {
+TEST_F(NetScoringTest, CacheHitIsAnsweredWhileEveryHandlerThreadIsBusy) {
   const auto exchanges =
       ledger_->AccountsOfClass(eth::AccountClass::kExchange);
   ASSERT_FALSE(exchanges.empty());
   const eth::AccountId address = exchanges.front();
   ASSERT_TRUE(service_->Score(address).ok());  // A cache hit from here on.
 
-  // One handler thread, held by /hold for 60 ms.
+  // One handler thread, held by /hold for 2 s.
   HttpServerConfig config;
   config.num_handler_threads = 1;
   HttpServer server(config);
@@ -731,7 +760,7 @@ TEST_F(NetScoringTest, DeadlineBudgetCountsFromArrival) {
   std::promise<void> entered;
   server.Route("GET", "/hold", [&entered](const HttpRequest&) {
     entered.set_value();
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    std::this_thread::sleep_for(std::chrono::seconds(2));
     return HttpResponse::Text(200, "held\n");
   });
   ASSERT_TRUE(server.Start().ok());
@@ -741,16 +770,331 @@ TEST_F(NetScoringTest, DeadlineBudgetCountsFromArrival) {
   });
   entered.get_future().wait();
 
-  // The 20 ms budget runs out while the request waits for the handler
-  // thread, so even a cache hit is too late.
-  HttpClient client("127.0.0.1", server.port(), FastClient());
-  auto response = client.Post(
-      "/v1/score", "{\"address\": " + std::to_string(address) + "}",
-      {{"x-deadline-us", "20000"}});
+  // The hit is answered on the event loop, well inside the hold.
+  HttpClientConfig one_second;
+  one_second.io_timeout_us = 1'000'000;
+  HttpClient client("127.0.0.1", server.port(), one_second);
+  auto response = client.Post("/v1/score", ScoreBody(address));
   holder.join();
   server.Shutdown();
   ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response.ValueOrDie().status, 504) << response.ValueOrDie().body;
+  ASSERT_EQ(response.ValueOrDie().status, 200) << response.ValueOrDie().body;
+  auto parsed = json::ParseJson(response.ValueOrDie().body);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_TRUE(parsed.ValueOrDie().Find("cache_hit")->bool_value);
+}
+
+TEST_F(NetScoringTest, ColdScoreDoesNotHoldAHandlerThread) {
+  const auto exchanges =
+      ledger_->AccountsOfClass(eth::AccountClass::kExchange);
+  ASSERT_FALSE(exchanges.empty());
+  GatedLedger gated(*ledger_, /*gate_id=*/exchanges[0]);
+  auto service = MakeService(&gated, /*num_workers=*/1, /*queue_capacity=*/16);
+  ASSERT_NE(service, nullptr);
+  HttpServerConfig config;
+  config.num_handler_threads = 1;
+  HttpServer server(config);
+  ScoringApp app(service.get(), &server);
+  ASSERT_TRUE(server.Start().ok());
+
+  // The cold score parks in the service's worker, not in a handler thread.
+  HttpResponse cold;
+  std::thread scorer([&] {
+    HttpClient client("127.0.0.1", server.port(), FastClient());
+    auto response = client.Post("/v1/score", ScoreBody(exchanges[0]));
+    if (response.ok()) cold = response.ValueOrDie();
+  });
+  const bool entered = gated.WaitUntilEntered();
+
+  HttpClientConfig one_second;
+  one_second.io_timeout_us = 1'000'000;
+  HttpClient client("127.0.0.1", server.port(), one_second);
+  auto health = client.Get("/healthz");
+  gated.Open();
+  scorer.join();
+  server.Shutdown();
+  ASSERT_TRUE(entered);
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health.ValueOrDie().status, 200);
+  EXPECT_EQ(cold.status, 200) << cold.body;
+}
+
+TEST_F(NetScoringTest, RequestMetricsCountEachResponseOnce) {
+  obs::MetricsRegistry* registry = obs::MetricsRegistry::Global();
+  obs::Counter* scored = registry->CounterAt(
+      "net_requests_total", "HTTP requests by route and status",
+      {{"route", "/v1/score"}, {"code", "200"}});
+  obs::Counter* unmatched = registry->CounterAt(
+      "net_requests_total", "HTTP requests by route and status",
+      {{"route", "unmatched"}, {"code", "404"}});
+  obs::Histogram* score_us = registry->HistogramAt(
+      "net_request_us", "HTTP request latency", {{"route", "/v1/score"}});
+  const uint64_t scored_before = scored->Value();
+  const uint64_t unmatched_before = unmatched->Value();
+  const uint64_t timed_before = score_us->TakeSnapshot().count;
+
+  const auto exchanges =
+      ledger_->AccountsOfClass(eth::AccountClass::kExchange);
+  ASSERT_GE(exchanges.size(), 3u);
+  constexpr uint64_t kRequests = 12;
+  HttpClient client = MakeClient();
+  for (uint64_t i = 0; i < kRequests; ++i) {
+    auto response = client.Post("/v1/score", ScoreBody(exchanges[i % 3]));
+    ASSERT_TRUE(response.ok());
+    ASSERT_EQ(response.ValueOrDie().status, 200);
+  }
+  auto missing = client.Get("/nope");
+  ASSERT_TRUE(missing.ok());
+  ASSERT_EQ(missing.ValueOrDie().status, 404);
+
+  // Booked before the response is written, so settled by now.
+  EXPECT_EQ(scored->Value() - scored_before, kRequests);
+  EXPECT_EQ(unmatched->Value() - unmatched_before, 1u);
+  EXPECT_EQ(score_us->TakeSnapshot().count - timed_before, kRequests);
+}
+
+/// Value of the counter `name` with rendered labels `labels` in
+/// `registry`; 0 when absent.
+uint64_t CounterValue(const obs::MetricsRegistry& registry,
+                      const std::string& name, const std::string& labels) {
+  for (const auto& family : registry.TakeSnapshot()) {
+    if (family.name != name) continue;
+    for (const auto& instrument : family.instruments) {
+      if (instrument.labels == labels) return instrument.counter_value;
+    }
+  }
+  return 0;
+}
+
+TEST_F(NetScoringTest, OverloadAnswersStaleOrShedsOverHttp) {
+  eth::AppendableLedger growable(*ledger_);
+  const auto exchanges =
+      growable.AccountsOfClass(eth::AccountClass::kExchange);
+  ASSERT_GE(exchanges.size(), 4u);
+  GatedLedger gated(growable, /*gate_id=*/exchanges[1]);
+  gated.Open();  // The warm-up runs ungated.
+  auto service = MakeService(&gated, /*num_workers=*/1, /*queue_capacity=*/1);
+  ASSERT_NE(service, nullptr);
+  // One event loop: requests are admitted in the order they arrive.
+  HttpServerConfig config;
+  config.num_loops = 1;
+  HttpServer server(config);
+  ScoringApp app(service.get(), &server);
+  ASSERT_TRUE(server.Start().ok());
+  HttpClient client("127.0.0.1", server.port(), FastClient());
+
+  // Warm the cache at the current height.
+  auto warm = client.Post("/v1/score", ScoreBody(exchanges[0]));
+  ASSERT_TRUE(warm.ok());
+  ASSERT_EQ(warm.ValueOrDie().status, 200) << warm.ValueOrDie().body;
+  auto warm_json = json::ParseJson(warm.ValueOrDie().body);
+  ASSERT_TRUE(warm_json.ok());
+  const uint64_t old_height = service->ledger_height();
+
+  // The chain advances; the superseded entry stays as the stale corpus.
+  eth::Transaction tx = growable.transactions().back();
+  tx.timestamp += 1.0;
+  ASSERT_TRUE(growable.Append(tx).ok());
+  service->RefreshLedgerHeight();
+  ASSERT_EQ(service->ledger_height(), old_height + 1);
+
+  // Hold the only worker inside exchanges[1]'s pass, then fill the queue
+  // (capacity 1) with exchanges[2]'s.
+  const serve::ServerStats::Snapshot before = service->StatsSnapshot();
+  gated.Close();
+  HttpResponse held;
+  HttpResponse queued;
+  std::thread held_client([&] {
+    HttpClient c("127.0.0.1", server.port(), FastClient());
+    auto response = c.Post("/v1/score", ScoreBody(exchanges[1]));
+    if (response.ok()) held = response.ValueOrDie();
+  });
+  const bool entered = gated.WaitUntilEntered();
+  const std::string misses_label = "{outcome=\"miss\"}";
+  const uint64_t misses =
+      CounterValue(service->metrics(), "serve_cache_events_total",
+                   misses_label);
+  std::thread queued_client([&] {
+    HttpClient c("127.0.0.1", server.port(), FastClient());
+    auto response = c.Post("/v1/score", ScoreBody(exchanges[2]));
+    if (response.ok()) queued = response.ValueOrDie();
+  });
+  // Its miss is booked on the loop right before it is queued.
+  for (int i = 0; i < 5000 && CounterValue(service->metrics(),
+                                           "serve_cache_events_total",
+                                           misses_label) == misses;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // A miss that cannot be admitted degrades to the older-height entry...
+  auto stale = client.Post("/v1/score", ScoreBody(exchanges[0]));
+  // ...and, with no such entry, is shed.
+  auto shed = client.Post("/v1/score", ScoreBody(exchanges[3]));
+  gated.Open();
+  held_client.join();
+  queued_client.join();
+  server.Shutdown();
+  ASSERT_TRUE(entered);
+
+  ASSERT_TRUE(stale.ok());
+  ASSERT_EQ(stale.ValueOrDie().status, 200) << stale.ValueOrDie().body;
+  auto stale_json = json::ParseJson(stale.ValueOrDie().body);
+  ASSERT_TRUE(stale_json.ok());
+  EXPECT_TRUE(stale_json.ValueOrDie().Find("stale")->bool_value);
+  EXPECT_EQ(stale_json.ValueOrDie().Find("ledger_height")->number_value,
+            static_cast<double>(old_height));
+  EXPECT_EQ(stale_json.ValueOrDie().Find("score")->number_value,
+            warm_json.ValueOrDie().Find("score")->number_value);
+  ASSERT_TRUE(shed.ok());
+  EXPECT_EQ(shed.ValueOrDie().status, 429) << shed.ValueOrDie().body;
+  EXPECT_EQ(held.status, 200) << held.body;
+  EXPECT_EQ(queued.status, 200) << queued.body;
+
+  EXPECT_EQ(CounterValue(service->metrics(), "serve_shed_total", "") -
+                before.shed,
+            1u);
+  EXPECT_EQ(CounterValue(service->metrics(), "serve_requests_total",
+                         "{path=\"stale\"}") -
+                before.stale_served,
+            1u);
+}
+
+/// Reads `count` responses off `fd` (Content-Length framed); fewer when
+/// the peer closes or the socket's receive timeout fires first.
+std::vector<HttpResponse> ReadResponses(int fd, size_t count) {
+  std::vector<HttpResponse> out;
+  std::string buffer;
+  char chunk[16 * 1024];
+  while (out.size() < count) {
+    const size_t header_end = buffer.find("\r\n\r\n");
+    if (header_end != std::string::npos) {
+      const size_t length_at = buffer.find("Content-Length: ");
+      if (length_at == std::string::npos || length_at > header_end) break;
+      const size_t length =
+          std::stoul(buffer.substr(length_at + 16, header_end));
+      if (buffer.size() >= header_end + 4 + length) {
+        HttpResponse response;
+        response.status = std::stoi(buffer.substr(9, 3));
+        response.body = buffer.substr(header_end + 4, length);
+        out.push_back(std::move(response));
+        buffer.erase(0, header_end + 4 + length);
+        continue;
+      }
+    }
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) break;
+    buffer.append(chunk, static_cast<size_t>(n));
+  }
+  return out;
+}
+
+TEST_F(NetScoringTest, PipelinedScoresAnswerInOrderInOneConnection) {
+  const auto exchanges =
+      ledger_->AccountsOfClass(eth::AccountClass::kExchange);
+  const auto normals = ledger_->AccountsOfClass(eth::AccountClass::kNormal);
+  ASSERT_GE(exchanges.size(), 6u);
+  ASSERT_GE(normals.size(), 401u);
+  std::vector<eth::AccountId> hits(exchanges.begin(), exchanges.begin() + 6);
+  for (eth::AccountId address : hits) {
+    ASSERT_TRUE(service_->Score(address).ok());
+  }
+
+  // 1,000 requests in one send: hits answered inline, a few misses that
+  // go to the service's workers, and bodies the handler rejects with 400
+  // while keeping the connection. -1 marks a malformed body.
+  constexpr size_t kRequests = 1000;
+  std::vector<eth::AccountId> addresses;
+  std::string wire;
+  for (size_t i = 0; i < kRequests; ++i) {
+    eth::AccountId address = hits[i % hits.size()];
+    if (i % 97 == 5) address = normals[390 + i / 97];  // Misses.
+    if (i % 89 == 7) address = -1;
+    addresses.push_back(address);
+    wire += ScoreRequestBytes(address == -1 ? std::string("{\"address\": ")
+                                            : ScoreBody(address));
+  }
+  HttpClient client = MakeClient();
+  ASSERT_TRUE(client.Connect().ok());
+  // Send from a thread of its own: the server writes answers while the
+  // rest of the batch is still arriving.
+  std::thread sender([&client, &wire] {
+    EXPECT_TRUE(client.SendRaw(wire).ok());
+  });
+  const std::vector<HttpResponse> responses =
+      ReadResponses(client.fd(), kRequests);
+  sender.join();
+
+  ASSERT_EQ(responses.size(), kRequests);
+  for (size_t i = 0; i < kRequests; ++i) {
+    if (addresses[i] == -1) {
+      EXPECT_EQ(responses[i].status, 400) << "request " << i;
+      continue;
+    }
+    auto parsed = json::ParseJson(responses[i].body);
+    ASSERT_TRUE(parsed.ok()) << "request " << i << ": " << responses[i].body;
+    ASSERT_NE(parsed.ValueOrDie().Find("address"), nullptr);
+    EXPECT_EQ(parsed.ValueOrDie().Find("address")->number_value,
+              static_cast<double>(addresses[i]))
+        << "request " << i;
+    // Errors are not cached, so a second in-process score reproduces the
+    // status of a miss that could not be scored.
+    EXPECT_EQ(responses[i].status,
+              serve::SuggestedHttpStatus(service_->Score(addresses[i]).status))
+        << "request " << i;
+  }
+}
+
+TEST_F(NetScoringTest, ShutdownWaitsForAHeldColdScoreAndDropsItsAnswer) {
+  const auto exchanges =
+      ledger_->AccountsOfClass(eth::AccountClass::kExchange);
+  ASSERT_FALSE(exchanges.empty());
+  GatedLedger gated(*ledger_, /*gate_id=*/exchanges[0]);
+  auto service = MakeService(&gated, /*num_workers=*/1, /*queue_capacity=*/16);
+  ASSERT_NE(service, nullptr);
+  HttpServerConfig config;
+  config.drain_deadline_us = 100'000;
+  config.sweep_interval_us = 10'000;
+  HttpServer server(config);
+  ScoringApp app(service.get(), &server);
+  ASSERT_TRUE(server.Start().ok());
+  obs::Counter* answered = obs::MetricsRegistry::Global()->CounterAt(
+      "net_requests_total", "HTTP requests by route and status",
+      {{"route", "/v1/score"}, {"code", "200"}});
+  const uint64_t answered_before = answered->Value();
+  const uint64_t served_before = server.requests_served();
+
+  HttpClient client("127.0.0.1", server.port(), FastClient());
+  ASSERT_TRUE(client.Connect().ok());
+  ASSERT_TRUE(client.SendRaw(ScoreRequestBytes(ScoreBody(exchanges[0]))).ok());
+  const bool entered = gated.WaitUntilEntered();
+
+  std::atomic<bool> shut_down{false};
+  std::thread stopper([&] {
+    server.Shutdown();
+    shut_down = true;
+  });
+  // Past the drain deadline the loop closes the connection: the client
+  // reads EOF, not an answer.
+  const auto start = std::chrono::steady_clock::now();
+  const std::string raw = RecvUntilClose(client.fd());
+  const auto waited = std::chrono::steady_clock::now() - start;
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const bool returned_while_held = shut_down.load();
+  gated.Open();
+  stopper.join();
+
+  ASSERT_TRUE(entered);
+  EXPECT_EQ(raw, "");
+  EXPECT_LT(waited, std::chrono::seconds(2)) << "no EOF: receive timed out";
+  EXPECT_FALSE(returned_while_held)
+      << "Shutdown returned while the cold pass was still held";
+  // The pass finished after its connection was gone: the answer was
+  // dropped, neither written nor booked.
+  EXPECT_EQ(answered->Value(), answered_before);
+  EXPECT_EQ(server.requests_served(), served_before);
+  EXPECT_EQ(server.open_connections(), 0);
+  EXPECT_EQ(service->StatsSnapshot().requests, 1u);
 }
 
 TEST_F(NetScoringTest, BadRequestsMapTo400) {
@@ -1183,6 +1527,84 @@ TEST(HttpServerTest, ThrowingHandlerGets500AndKeepsTheConnection) {
   auto healthy = client.Get("/healthz");
   ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
   EXPECT_EQ(healthy.ValueOrDie().status, 200);
+  EXPECT_EQ(client.connects(), 1u);
+  server->Shutdown();
+}
+
+TEST(HttpServerTest, AsyncResponderAnswersOnceInRequestOrder) {
+  auto server = std::make_unique<HttpServer>(HttpServerConfig());
+  std::mutex threads_mu;
+  std::vector<std::thread> threads;
+  // Answers `response` from a thread of its own, 20 ms later.
+  auto answer_later = [&](HttpServer::Responder respond,
+                          HttpResponse response) {
+    std::lock_guard<std::mutex> lock(threads_mu);
+    threads.emplace_back([respond, response]() mutable {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      respond(std::move(response));
+    });
+  };
+  server->RouteAsync("GET", "/inline",
+                     [](const HttpRequest& r, HttpServer::Responder respond) {
+                       respond(HttpResponse::Text(200, "inline " + r.query));
+                     });
+  server->RouteAsync("GET", "/later",
+                     [&](const HttpRequest& r, HttpServer::Responder respond) {
+                       answer_later(respond,
+                                    HttpResponse::Text(200, "later " + r.query));
+                     });
+  // The second call is ignored.
+  server->RouteAsync("GET", "/twice",
+                     [](const HttpRequest&, HttpServer::Responder respond) {
+                       respond(HttpResponse::Text(200, "first"));
+                       respond(HttpResponse::Text(200, "second"));
+                     });
+  // The throw's 500 answers first; the thread's late answer is ignored.
+  server->RouteAsync("GET", "/throw",
+                     [&](const HttpRequest&, HttpServer::Responder respond) {
+                       answer_later(respond, HttpResponse::Text(200, "late"));
+                       throw std::runtime_error("handler bug");
+                     });
+  // Lets go of the responder without answering.
+  server->RouteAsync("GET", "/drop",
+                     [](const HttpRequest&, HttpServer::Responder) {});
+  ASSERT_TRUE(server->Start().ok());
+
+  HttpClient client("127.0.0.1", server->port(), FastClient());
+  ASSERT_TRUE(client.Connect().ok());
+  ASSERT_TRUE(client
+                  .SendRaw("GET /later?1 HTTP/1.1\r\n\r\n"
+                           "GET /inline?2 HTTP/1.1\r\n\r\n"
+                           "GET /later?3 HTTP/1.1\r\n\r\n"
+                           "GET /twice HTTP/1.1\r\n\r\n"
+                           "GET /throw HTTP/1.1\r\n\r\n"
+                           "GET /drop HTTP/1.1\r\n\r\n"
+                           "GET /inline?7 HTTP/1.1\r\n\r\n")
+                  .ok());
+  const std::vector<HttpResponse> responses = ReadResponses(client.fd(), 7);
+  {
+    std::lock_guard<std::mutex> lock(threads_mu);
+    for (std::thread& thread : threads) thread.join();
+  }
+  ASSERT_EQ(responses.size(), 7u);
+  EXPECT_EQ(responses[0].body, "later 1");
+  EXPECT_EQ(responses[1].body, "inline 2");
+  EXPECT_EQ(responses[2].body, "later 3");
+  EXPECT_EQ(responses[3].body, "first");
+  EXPECT_EQ(responses[4].status, 500);
+  EXPECT_NE(responses[4].body.find("handler threw: handler bug"),
+            std::string::npos)
+      << responses[4].body;
+  EXPECT_EQ(responses[5].status, 500);
+  EXPECT_NE(responses[5].body.find("dropped its responder"),
+            std::string::npos)
+      << responses[5].body;
+  EXPECT_EQ(responses[6].body, "inline 7");
+
+  // No late answer leaked onto the connection, which goes on serving.
+  auto next = client.Get("/inline?8");
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next.ValueOrDie().body, "inline 8");
   EXPECT_EQ(client.connects(), 1u);
   server->Shutdown();
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <functional>
 #include <future>
@@ -175,6 +176,62 @@ TEST_F(ServeIntegrationTest, ConcurrentPredictProbaMatchesSequential) {
 // --------------------------------------------------------------------------
 // InferenceService end-to-end
 // --------------------------------------------------------------------------
+
+TEST_F(ServeIntegrationTest, ScoreCallbackRunsInlineOnAHitAndOnTheWorkerOnAMiss) {
+  std::stringstream checkpoint(*checkpoint_);
+  auto created =
+      InferenceService::Create(ServiceConfig(1), &checkpoint, ledger_);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  auto& service = *created.ValueOrDie();
+  const auto exchanges =
+      ledger_->AccountsOfClass(eth::AccountClass::kExchange);
+  ASSERT_FALSE(exchanges.empty());
+  const eth::AccountId address = exchanges[0];
+  const std::thread::id caller = std::this_thread::get_id();
+
+  // A miss: `done` runs once, on the worker, after the outcome is booked.
+  struct Call {
+    std::thread::id thread;
+    uint64_t booked = 0;
+    ScoreResult result;
+  };
+  std::atomic<int> cold_calls{0};
+  std::promise<Call> cold_call;
+  service.ScoreAsync(address, 0, "", [&](ScoreResult result) {
+    ++cold_calls;
+    cold_call.set_value({std::this_thread::get_id(),
+                         service.StatsSnapshot().requests,
+                         std::move(result)});
+  });
+  const Call cold = cold_call.get_future().get();
+  EXPECT_NE(cold.thread, caller);
+  ASSERT_TRUE(cold.result.ok()) << cold.result.status.ToString();
+  EXPECT_FALSE(cold.result.cache_hit);
+  EXPECT_EQ(cold.booked, 1u);
+
+  // A hit: `done` runs on the caller's thread before ScoreAsync returns.
+  bool hit_called = false;
+  Call hit;
+  service.ScoreAsync(address, 0, "", [&](ScoreResult result) {
+    hit_called = true;
+    hit = {std::this_thread::get_id(), service.StatsSnapshot().cache_hits,
+           std::move(result)};
+  });
+  ASSERT_TRUE(hit_called);
+  EXPECT_EQ(hit.thread, caller);
+  EXPECT_TRUE(hit.result.cache_hit);
+  EXPECT_EQ(hit.result.probability, cold.result.probability);
+  EXPECT_EQ(hit.booked, 1u);
+
+  // So does the rejection of a shut-down service.
+  service.Shutdown();
+  bool rejected = false;
+  service.ScoreAsync(address, 0, "", [&](ScoreResult result) {
+    rejected = result.status.code() == StatusCode::kFailedPrecondition;
+  });
+  EXPECT_TRUE(rejected);
+  EXPECT_EQ(cold_calls.load(), 1);
+}
 
 TEST_F(ServeIntegrationTest, ServiceScoresMatchDirectModelCalls) {
   std::stringstream checkpoint(*checkpoint_);

@@ -3,10 +3,12 @@
 # kill-and-resume determinism matrix and the tier1_net HTTP loopback
 # suite), an end-to-end HTTP smoke (demo server + curl + graceful SIGTERM),
 # the observability, serving and network suites under ThreadSanitizer
-# (including the model hot-swap hammer and the net chaos fault injection),
-# the serving, inference fast-path, observability, network, sampling,
-# ledger and dense-kernel suites under AddressSanitizer + UBSan, and there
-# also the graph-operator suites
+# (including the model hot-swap hammer and the net chaos fault injection,
+# and ten repeats of the async-responder and shutdown tests,
+# ctest -R "Responder|HandlerThread|PipelinedScores|ShutdownWaits|AcceptedDuringShutdown|OverloadAnswers"),
+# the serving, inference fast-path, observability, network, net chaos,
+# sampling, ledger and dense-kernel suites under AddressSanitizer + UBSan,
+# and there also the graph-operator suites
 # (ctest -R "Graph|GatConv|GcnConv|Appnp|DiffPool|GradCheck|OpsTest|EncoderUnit|SpMM"),
 # a failpoint-enabled kill -> resume ->
 # hot-reload chaos smoke, and a serving-latency regression guard against
@@ -32,12 +34,12 @@ fi
 
 echo "=== tier-1: configure + build + ctest (build/) ==="
 cmake -B build -S . >/dev/null
-cmake --build build -j
+cmake --build build -j"$(nproc)"
 (cd build && ctest -L tier1 --no-tests=error --output-on-failure -j"$(nproc)")
 
 if [[ "${fast}" != "1" ]]; then
   echo "=== http smoke: demo server up -> curl healthz/metrics/score -> graceful SIGTERM ==="
-  cmake --build build -j --target example_http_server_demo >/dev/null
+  cmake --build build -j"$(nproc)" --target example_http_server_demo >/dev/null
   smoke_dir="$(mktemp -d /tmp/dbg4eth_http_smoke.XXXXXX)"
   smoke_log="${smoke_dir}/server.log"
   smoke_port=18742
@@ -99,7 +101,7 @@ fi
 
 if [[ "${bench}" == "1" ]]; then
   echo "=== bench-regression guard: cold p50/p95 vs committed BENCH_serve.json ==="
-  cmake --build build -j --target bench_serve_throughput >/dev/null
+  cmake --build build -j"$(nproc)" --target bench_serve_throughput >/dev/null
   fresh_a="$(mktemp /tmp/bench_serve.XXXXXX.json)"
   fresh_b="$(mktemp /tmp/bench_serve.XXXXXX.json)"
   trap 'rm -f "${fresh_a}" "${fresh_b}"' EXIT
@@ -148,10 +150,11 @@ fi
 serve_suites="Serve|ServerStats|ThreadPool|ResultCache|InferenceArena|TapeFree|FastPath|ModelRegistry"
 index_suites="Sampling|Dataset|Ledger|BlockedKernels|Matrix"
 operator_suites="Graph|GatConv|GcnConv|Appnp|DiffPool|GradCheck|OpsTest|EncoderUnit|SpMM"
+responder_tests="Responder|HandlerThread|PipelinedScores|ShutdownWaits|AcceptedDuringShutdown|OverloadAnswers"
 
 echo "=== tsan: configure + build (build-tsan/) ==="
 cmake --preset tsan >/dev/null
-cmake --build --preset tsan -j
+cmake --build --preset tsan -j"$(nproc)"
 
 echo "=== tsan: obs suite (ctest -L obs) ==="
 (cd build-tsan && ctest -L obs --no-tests=error --output-on-failure -j"$(nproc)")
@@ -161,12 +164,18 @@ echo "=== tsan: serve + chaos + inference fast-path suites ==="
     --no-tests=error --output-on-failure -j"$(nproc)")
 
 # The network suite carries the event loops' cross-thread handoffs
-# (acceptor -> loop inbox -> handler pool -> loop completion), and the
+# (acceptor -> loop inbox; score routes answered inline on the loop or by
+# the service's worker -> loop inbox; blocking routes on the handler pool
+# -> loop inbox) and Shutdown's wait for outstanding responders, and the
 # net chaos tests inject accept/read/write faults under that concurrency
-# — both must be clean under tsan.
+# — all must be clean under tsan. The responder and shutdown tests run
+# ten times over, since one clean pass of a race proves little.
 echo "=== tsan: net suite + net chaos (ctest -L net / -R NetChaos) ==="
 (cd build-tsan && ctest -L net --no-tests=error --output-on-failure -j"$(nproc)")
 (cd build-tsan && ctest -R "NetChaos" --no-tests=error --output-on-failure -j"$(nproc)")
+echo "=== tsan: responder + shutdown tests, repeated (ctest -R ... --repeat until-fail:10) ==="
+(cd build-tsan && ctest -R "${responder_tests}" --repeat until-fail:10 \
+    --no-tests=error --output-on-failure -j"$(nproc)")
 
 # The tsan preset compiles with DBG4ETH_FAILPOINTS=ON, so this stage
 # actually injects the faults; in the default build these tests skip.
@@ -182,7 +191,7 @@ echo "=== failpoints: kill during snapshot/epoch -> resume -> hot-reload smoke =
 # halt_on_error turns a UBSan report into a test failure, not a log line.
 echo "=== asan+ubsan: configure + build (build-asan/) ==="
 cmake --preset asan >/dev/null
-cmake --build --preset asan -j
+cmake --build --preset asan -j"$(nproc)"
 
 echo "=== asan+ubsan: serve + chaos + inference fast-path suites ==="
 (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
@@ -202,10 +211,15 @@ echo "=== asan+ubsan: graph-operator and CSR-kernel suites ==="
 (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest -R "${operator_suites}" --no-tests=error --output-on-failure -j"$(nproc)")
 
-echo "=== asan+ubsan: obs + net suites (ctest -L obs / -L net) ==="
+# NetChaos too: a connection's lifetime now spans responders that may
+# fire after it is closed, and the accept-during-shutdown path closes fds
+# no loop adopted.
+echo "=== asan+ubsan: obs + net + net chaos suites (ctest -L obs / -L net / -R NetChaos) ==="
 (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest -L obs --no-tests=error --output-on-failure -j"$(nproc)")
 (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest -L net --no-tests=error --output-on-failure -j"$(nproc)")
+(cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest -R "NetChaos" --no-tests=error --output-on-failure -j"$(nproc)")
 
 echo "=== all checks passed ==="
