@@ -204,15 +204,17 @@ void BbqCalibration::Save(BinaryWriter* writer) const {
 Status BbqCalibration::Load(BinaryReader* reader) {
   uint32_t count = 0;
   DBG4ETH_RETURN_NOT_OK(reader->ReadU32(&count));
+  // One model at a time: a corrupt count runs out of stream, not memory.
   models_.clear();
-  models_.resize(count);
-  for (BinningModel& m : models_) {
+  for (uint32_t i = 0; i < count; ++i) {
+    BinningModel m;
     DBG4ETH_RETURN_NOT_OK(reader->ReadDoubleVector(&m.boundaries));
     DBG4ETH_RETURN_NOT_OK(reader->ReadDoubleVector(&m.bin_probs));
     DBG4ETH_RETURN_NOT_OK(reader->ReadDouble(&m.weight));
     if (m.bin_probs.empty()) {
       return Status::Internal("bbq checkpoint inconsistent");
     }
+    models_.push_back(std::move(m));
   }
   return Status::OK();
 }

@@ -155,16 +155,6 @@ Result<std::string> ReadFramedCheckpoint(std::istream* is) {
   return payload;
 }
 
-bool LooksFramed(std::istream* is) {
-  const std::istream::pos_type start = is->tellg();
-  uint32_t magic = 0;
-  is->read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  const bool got4 = is->gcount() == sizeof(magic);
-  is->clear();
-  is->seekg(start);
-  return got4 && magic == kCheckpointMagic;
-}
-
 Result<std::unique_ptr<CheckpointStore>> CheckpointStore::Open(
     const CheckpointStoreConfig& config) {
   if (config.directory.empty()) {

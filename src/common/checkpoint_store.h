@@ -33,9 +33,8 @@ uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 /// A frame makes corruption detectable *before* payload parsing: a
 /// truncated file fails the length check, a flipped byte fails the CRC,
 /// and both surface as kDataLoss instead of a parser crash or a silently
-/// wrong model. Streams that do not start with the magic are legacy
-/// unframed checkpoints; callers detect that with LooksFramed and fall
-/// back to parsing the stream directly.
+/// wrong model. A stream that does not start with the magic is not a
+/// checkpoint (kInvalidArgument).
 inline constexpr uint32_t kCheckpointMagic = 0xd5b64e7f;
 inline constexpr uint32_t kCheckpointFrameVersion = 1;
 
@@ -50,10 +49,6 @@ Status WriteFramedCheckpoint(std::ostream* os, const std::string& payload);
 /// (bad length, truncation, CRC mismatch) returns kDataLoss; a stream
 /// that is not framed at all returns kInvalidArgument.
 Result<std::string> ReadFramedCheckpoint(std::istream* is);
-
-/// Peeks the first four bytes of `is` (restoring the read position):
-/// true when they are the frame magic.
-bool LooksFramed(std::istream* is);
 
 /// \brief Sizing and placement of a CheckpointStore.
 struct CheckpointStoreConfig {

@@ -1,5 +1,6 @@
 #include "common/serialize.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace dbg4eth {
@@ -7,6 +8,9 @@ namespace dbg4eth {
 namespace {
 
 constexpr size_t kMaxVectorSize = 1u << 28;  // Corruption guard.
+/// Elements a sized read allocates at a time, so a corrupt length runs out
+/// of stream instead of allocating its whole declared size up front.
+constexpr size_t kReadStep = 1u << 16;
 
 }  // namespace
 
@@ -69,39 +73,36 @@ Status BinaryReader::ReadBool(bool* v) {
   return Status::OK();
 }
 
-Status BinaryReader::ReadString(std::string* s) {
+template <typename Container>
+Status BinaryReader::ReadSized(Container* out) {
   uint32_t size = 0;
   DBG4ETH_RETURN_NOT_OK(ReadU32(&size));
   if (size > kMaxVectorSize) {
-    return Status::Internal("corrupt checkpoint: oversized string");
+    return Status::Internal("corrupt checkpoint: oversized array");
   }
-  s->resize(size);
-  return ReadBytes(s->data(), size);
+  out->clear();
+  while (out->size() < size) {
+    const size_t begin = out->size();
+    const size_t n = std::min<size_t>(kReadStep, size - begin);
+    out->resize(begin + n);
+    DBG4ETH_RETURN_NOT_OK(
+        ReadBytes(out->data() + begin, n * sizeof(out->front())));
+  }
+  return Status::OK();
+}
+
+Status BinaryReader::ReadString(std::string* s) {
+  return ReadSized(s);
 }
 
 Status BinaryReader::ReadDoubleVector(std::vector<double>* v) {
-  uint32_t size = 0;
-  DBG4ETH_RETURN_NOT_OK(ReadU32(&size));
-  if (size > kMaxVectorSize) {
-    return Status::Internal("corrupt checkpoint: oversized vector");
-  }
-  v->resize(size);
-  return ReadBytes(v->data(), size * sizeof(double));
+  return ReadSized(v);
 }
 
 Status BinaryReader::ReadIntVector(std::vector<int>* v) {
-  uint32_t size = 0;
-  DBG4ETH_RETURN_NOT_OK(ReadU32(&size));
-  if (size > kMaxVectorSize) {
-    return Status::Internal("corrupt checkpoint: oversized vector");
-  }
-  v->resize(size);
-  for (uint32_t i = 0; i < size; ++i) {
-    int32_t x = 0;
-    DBG4ETH_RETURN_NOT_OK(ReadI32(&x));
-    (*v)[i] = x;
-  }
-  return Status::OK();
+  // Elements travel as int32_t, which is what `int` is on every target.
+  static_assert(sizeof(int) == sizeof(int32_t));
+  return ReadSized(v);
 }
 
 Status BinaryReader::ExpectTag(const std::string& tag) {

@@ -57,8 +57,18 @@ class BinaryReader {
   /// Reads and verifies a tag string (section marker).
   Status ExpectTag(const std::string& tag);
 
+  /// Largest layer width, and deepest layer stack, a checkpoint may
+  /// declare for a model it restores. Trained models are far smaller; a
+  /// larger value is corruption, and honouring it would allocate before the
+  /// weights that disprove it are read.
+  static constexpr int kMaxLayerWidth = 1024;
+  static constexpr int kMaxLayers = 16;
+
  private:
   Status ReadBytes(void* out, size_t n);
+  /// Reads a u32 element count, then that many elements in bounded steps.
+  template <typename Container>
+  Status ReadSized(Container* out);
 
   std::istream* is_;
 };

@@ -379,6 +379,34 @@ void WriteConfig(BinaryWriter* w, const Dbg4EthConfig& c) {
   w->WriteU64(c.seed);
 }
 
+/// Rejects an architecture block that the encoder, head or Dbg4Eth
+/// constructors would abort on, or would allocate from before the weights
+/// that disprove it are read. `head` is the head kind as stored.
+Status CheckArchitecture(const Dbg4EthConfig& c, int32_t head) {
+  const auto in = [](int value, int limit) {
+    return value >= 1 && value <= limit;
+  };
+  const int w = BinaryReader::kMaxLayerWidth;
+  const bool gsg_ok =
+      in(c.gsg.node_feature_dim, w) && in(c.gsg.hidden_dim, w) &&
+      in(c.gsg.num_gat_layers, BinaryReader::kMaxLayers) &&
+      in(c.gsg.num_heads, c.gsg.hidden_dim) &&
+      c.gsg.hidden_dim % c.gsg.num_heads == 0 && in(c.gsg.num_classes, w);
+  const bool ldg_ok =
+      in(c.ldg.node_feature_dim, w) && in(c.ldg.hidden_dim, w) &&
+      in(c.ldg.num_time_slices, w) && in(c.ldg.num_pooling_layers, 3) &&
+      in(c.ldg.first_level_clusters, w) && in(c.ldg.num_classes, w);
+  const bool head_ok = head >= static_cast<int32_t>(HeadKind::kLightGbm) &&
+                       head <= static_cast<int32_t>(HeadKind::kAdaBoost);
+  if (!(c.use_gsg || c.use_ldg) || (c.use_gsg && !gsg_ok) ||
+      (c.use_ldg && !ldg_ok) || !head_ok) {
+    return Status::Internal(
+        "corrupt checkpoint: architecture out of range (layer sizes, head "
+        "kind, or both branches off)");
+  }
+  return Status::OK();
+}
+
 Status ReadConfig(BinaryReader* r, Dbg4EthConfig* c) {
   DBG4ETH_RETURN_NOT_OK(r->ExpectTag("dbg4eth_config"));
   int32_t i = 0;
@@ -406,7 +434,8 @@ Status ReadConfig(BinaryReader* r, Dbg4EthConfig* c) {
   DBG4ETH_RETURN_NOT_OK(r->ReadBool(&c->use_calibration));
   DBG4ETH_RETURN_NOT_OK(r->ReadI32(&i));
   c->head = static_cast<HeadKind>(i);
-  return r->ReadU64(&c->seed);
+  DBG4ETH_RETURN_NOT_OK(r->ReadU64(&c->seed));
+  return CheckArchitecture(*c, i);
 }
 
 constexpr uint32_t kTrainStateVersion = 1;
@@ -603,14 +632,9 @@ Status Dbg4Eth::SaveRaw(std::ostream* os) const {
 }
 
 Result<std::unique_ptr<Dbg4Eth>> Dbg4Eth::Load(std::istream* is) {
-  if (LooksFramed(is)) {
-    DBG4ETH_ASSIGN_OR_RETURN(std::string payload, ReadFramedCheckpoint(is));
-    std::istringstream body(payload);
-    return LoadRaw(&body);
-  }
-  // Legacy unframed stream (pre-framing checkpoints) — parse directly;
-  // the section tags still catch gross corruption.
-  return LoadRaw(is);
+  DBG4ETH_ASSIGN_OR_RETURN(std::string payload, ReadFramedCheckpoint(is));
+  std::istringstream body(payload);
+  return LoadRaw(&body);
 }
 
 Result<std::unique_ptr<Dbg4Eth>> Dbg4Eth::LoadRaw(std::istream* is) {
@@ -628,6 +652,9 @@ Result<std::unique_ptr<Dbg4Eth>> Dbg4Eth::LoadRaw(std::istream* is) {
   std::vector<double> means, stds;
   DBG4ETH_RETURN_NOT_OK(reader.ReadDoubleVector(&means));
   DBG4ETH_RETURN_NOT_OK(reader.ReadDoubleVector(&stds));
+  if (means.size() != stds.size()) {
+    return Status::Internal("corrupt checkpoint: normalizer size mismatch");
+  }
   model->normalizer_.Restore(means, stds);
 
   if (config.use_gsg) {

@@ -152,9 +152,9 @@ class Dbg4Eth {
   Status Save(std::ostream* os) const;
 
   /// Restores a model saved with Save; the result is ready for
-  /// PredictProba / Evaluate without retraining. Accepts both framed
-  /// checkpoints (validated against their CRC, corruption -> kDataLoss)
-  /// and legacy unframed streams from before the framing change.
+  /// PredictProba / Evaluate without retraining. Corruption of the frame
+  /// returns kDataLoss and an unframed stream kInvalidArgument; a payload
+  /// with sizes, counts or tree links out of range returns an error.
   static Result<std::unique_ptr<Dbg4Eth>> Load(std::istream* is);
 
   /// Metrics over the given instances.
@@ -175,8 +175,8 @@ class Dbg4Eth {
   const Dbg4EthConfig& config() const { return config_; }
 
  private:
-  /// Unframed serialization body shared by Save (which frames it) and the
-  /// legacy-stream path of Load.
+  /// The checkpoint payload: Save frames what SaveRaw writes, and Load
+  /// parses a validated frame's payload with LoadRaw.
   Status SaveRaw(std::ostream* os) const;
   static Result<std::unique_ptr<Dbg4Eth>> LoadRaw(std::istream* is);
 

@@ -129,9 +129,13 @@ Status RandomForestClassifier::Load(BinaryReader* reader) {
   DBG4ETH_RETURN_NOT_OK(reader->ExpectTag("random_forest"));
   uint32_t count = 0;
   DBG4ETH_RETURN_NOT_OK(reader->ReadU32(&count));
-  trees_.assign(count, ClassificationTree{});
-  for (ClassificationTree& tree : trees_) {
+  if (count == 0) return Status::Internal("corrupt checkpoint: empty forest");
+  // One tree at a time: a corrupt count runs out of stream, not memory.
+  trees_.clear();
+  for (uint32_t i = 0; i < count; ++i) {
+    ClassificationTree tree;
     DBG4ETH_RETURN_NOT_OK(tree.Load(reader));
+    trees_.push_back(std::move(tree));
   }
   return Status::OK();
 }
@@ -151,15 +155,16 @@ Status AdaBoostClassifier::Load(BinaryReader* reader) {
   DBG4ETH_RETURN_NOT_OK(reader->ExpectTag("adaboost"));
   uint32_t count = 0;
   DBG4ETH_RETURN_NOT_OK(reader->ReadU32(&count));
-  stumps_.assign(count, Stump{});
-  for (Stump& s : stumps_) {
-    int32_t v = 0;
-    DBG4ETH_RETURN_NOT_OK(reader->ReadI32(&v));
-    s.feature = v;
+  if (count == 0) return Status::Internal("corrupt checkpoint: no stumps");
+  // One stump at a time: a corrupt count runs out of stream, not memory.
+  stumps_.clear();
+  for (uint32_t i = 0; i < count; ++i) {
+    Stump s;
+    DBG4ETH_RETURN_NOT_OK(reader->ReadI32(&s.feature));
     DBG4ETH_RETURN_NOT_OK(reader->ReadDouble(&s.threshold));
-    DBG4ETH_RETURN_NOT_OK(reader->ReadI32(&v));
-    s.polarity = v;
+    DBG4ETH_RETURN_NOT_OK(reader->ReadI32(&s.polarity));
     DBG4ETH_RETURN_NOT_OK(reader->ReadDouble(&s.alpha));
+    stumps_.push_back(s);
   }
   return Status::OK();
 }

@@ -89,9 +89,12 @@ Status GbdtClassifier::Load(BinaryReader* reader) {
   DBG4ETH_RETURN_NOT_OK(reader->ReadDouble(&base_score_));
   uint32_t count = 0;
   DBG4ETH_RETURN_NOT_OK(reader->ReadU32(&count));
-  trees_.assign(count, RegressionTree{});
-  for (RegressionTree& tree : trees_) {
+  // One tree at a time: a corrupt count runs out of stream, not memory.
+  trees_.clear();
+  for (uint32_t i = 0; i < count; ++i) {
+    RegressionTree tree;
     DBG4ETH_RETURN_NOT_OK(tree.Load(reader));
+    trees_.push_back(std::move(tree));
   }
   return Status::OK();
 }

@@ -1,5 +1,7 @@
 #include "ml/mlp.h"
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
@@ -65,6 +67,18 @@ Status MlpClassifier::Load(BinaryReader* reader) {
   int32_t input_dim = 0;
   DBG4ETH_RETURN_NOT_OK(reader->ReadI32(&input_dim));
   DBG4ETH_RETURN_NOT_OK(reader->ReadIntVector(&config_.hidden_dims));
+  // The layers below are allocated from these sizes before the weights
+  // that would disprove a corrupt one are read.
+  const auto in_range = [](int width) {
+    return width >= 1 && width <= BinaryReader::kMaxLayerWidth;
+  };
+  if (!in_range(input_dim) ||
+      config_.hidden_dims.size() >
+          static_cast<size_t>(BinaryReader::kMaxLayers) ||
+      !std::all_of(config_.hidden_dims.begin(), config_.hidden_dims.end(),
+                   in_range)) {
+    return Status::Internal("corrupt checkpoint: MLP sizes out of range");
+  }
   input_dim_ = input_dim;
   // Rebuild the architecture, then overwrite the weights.
   Rng rng(config_.seed);

@@ -83,6 +83,52 @@ SplitCandidate FindBestSplit(const Matrix& x, const std::vector<double>& grad,
   return best;
 }
 
+/// Node tables of both trees: feature, threshold, left, right, then the
+/// double a leaf answers with (`leaf`: a value or a probability).
+template <typename Node>
+void SaveNodes(BinaryWriter* writer, const std::vector<Node>& nodes,
+               double Node::*leaf) {
+  writer->WriteU32(static_cast<uint32_t>(nodes.size()));
+  for (const Node& n : nodes) {
+    writer->WriteI32(n.feature);
+    writer->WriteDouble(n.threshold);
+    writer->WriteI32(n.left);
+    writer->WriteI32(n.right);
+    writer->WriteDouble(n.*leaf);
+  }
+}
+
+/// Nodes are read one at a time, so a corrupt count runs out of stream
+/// instead of allocating. Training places both children of an internal
+/// node after it, so a walk from the root only moves forward and ends at a
+/// leaf; a table that breaks this (a cycle, a child off the table) is
+/// corrupt.
+template <typename Node>
+Status LoadNodes(BinaryReader* reader, std::vector<Node>* nodes,
+                 double Node::*leaf) {
+  uint32_t count = 0;
+  DBG4ETH_RETURN_NOT_OK(reader->ReadU32(&count));
+  if (count == 0) return Status::Internal("corrupt checkpoint: empty tree");
+  nodes->clear();
+  for (uint32_t i = 0; i < count; ++i) {
+    Node n;
+    DBG4ETH_RETURN_NOT_OK(reader->ReadI32(&n.feature));
+    DBG4ETH_RETURN_NOT_OK(reader->ReadDouble(&n.threshold));
+    DBG4ETH_RETURN_NOT_OK(reader->ReadI32(&n.left));
+    DBG4ETH_RETURN_NOT_OK(reader->ReadI32(&n.right));
+    DBG4ETH_RETURN_NOT_OK(reader->ReadDouble(&(n.*leaf)));
+    const int64_t id = i;
+    const int64_t end = count;
+    if (n.feature >= 0 && (n.left <= id || n.right <= id || n.left >= end ||
+                           n.right >= end)) {
+      return Status::Internal(
+          "corrupt checkpoint: tree node child outside the table");
+    }
+    nodes->push_back(n);
+  }
+  return Status::OK();
+}
+
 double LeafValue(const std::vector<double>& grad,
                  const std::vector<double>& hess,
                  const std::vector<int>& samples, double lambda) {
@@ -269,61 +315,19 @@ double ClassificationTree::PredictProba(const double* row) const {
 }
 
 void RegressionTree::Save(BinaryWriter* writer) const {
-  writer->WriteU32(static_cast<uint32_t>(nodes_.size()));
-  for (const Node& n : nodes_) {
-    writer->WriteI32(n.feature);
-    writer->WriteDouble(n.threshold);
-    writer->WriteI32(n.left);
-    writer->WriteI32(n.right);
-    writer->WriteDouble(n.value);
-  }
+  SaveNodes(writer, nodes_, &Node::value);
 }
 
 Status RegressionTree::Load(BinaryReader* reader) {
-  uint32_t count = 0;
-  DBG4ETH_RETURN_NOT_OK(reader->ReadU32(&count));
-  nodes_.assign(count, Node{});
-  for (Node& n : nodes_) {
-    int32_t v = 0;
-    DBG4ETH_RETURN_NOT_OK(reader->ReadI32(&v));
-    n.feature = v;
-    DBG4ETH_RETURN_NOT_OK(reader->ReadDouble(&n.threshold));
-    DBG4ETH_RETURN_NOT_OK(reader->ReadI32(&v));
-    n.left = v;
-    DBG4ETH_RETURN_NOT_OK(reader->ReadI32(&v));
-    n.right = v;
-    DBG4ETH_RETURN_NOT_OK(reader->ReadDouble(&n.value));
-  }
-  return Status::OK();
+  return LoadNodes(reader, &nodes_, &Node::value);
 }
 
 void ClassificationTree::Save(BinaryWriter* writer) const {
-  writer->WriteU32(static_cast<uint32_t>(nodes_.size()));
-  for (const Node& n : nodes_) {
-    writer->WriteI32(n.feature);
-    writer->WriteDouble(n.threshold);
-    writer->WriteI32(n.left);
-    writer->WriteI32(n.right);
-    writer->WriteDouble(n.prob);
-  }
+  SaveNodes(writer, nodes_, &Node::prob);
 }
 
 Status ClassificationTree::Load(BinaryReader* reader) {
-  uint32_t count = 0;
-  DBG4ETH_RETURN_NOT_OK(reader->ReadU32(&count));
-  nodes_.assign(count, Node{});
-  for (Node& n : nodes_) {
-    int32_t v = 0;
-    DBG4ETH_RETURN_NOT_OK(reader->ReadI32(&v));
-    n.feature = v;
-    DBG4ETH_RETURN_NOT_OK(reader->ReadDouble(&n.threshold));
-    DBG4ETH_RETURN_NOT_OK(reader->ReadI32(&v));
-    n.left = v;
-    DBG4ETH_RETURN_NOT_OK(reader->ReadI32(&v));
-    n.right = v;
-    DBG4ETH_RETURN_NOT_OK(reader->ReadDouble(&n.prob));
-  }
-  return Status::OK();
+  return LoadNodes(reader, &nodes_, &Node::prob);
 }
 
 }  // namespace ml

@@ -88,11 +88,11 @@ void InferenceService::SwapModel(std::shared_ptr<const core::Dbg4Eth> model,
   std::lock_guard<std::mutex> lock(model_mu_);
   model_ = std::move(model);
   model_generation_.store(generation);
-  // Cached scores are keyed only by (address, height); every entry was
-  // produced by the replaced model. Dropping them also empties the stale
-  // corpus, so degraded-mode answers never cross a model boundary.
-  // Clearing under model_mu_ pairs with FillCache: a pass still running
-  // on the replaced model cannot put its score back after this.
+  // Every cached score was produced by the replaced model. Dropping them
+  // drops their stale answers too, so degraded-mode answers never cross a
+  // model boundary. Clearing under model_mu_ pairs with FillCache: a pass
+  // still running on the replaced model cannot put its score back after
+  // this.
   cache_.Clear();
 }
 
@@ -104,15 +104,7 @@ void InferenceService::Shutdown() {
 }
 
 void InferenceService::RefreshLedgerHeight() {
-  const uint64_t height = ledger_->transactions().size();
-  const uint64_t previous = ledger_height_.exchange(height);
-  if (height > previous && !config_.serve_stale) {
-    // Without degraded mode, superseded entries are dead weight — drop
-    // them eagerly. With it, they are the stale corpus that keeps
-    // answers flowing while the cold path is failing; LRU pressure
-    // retires them naturally.
-    cache_.InvalidateOlderThan(height);
-  }
+  ledger_height_.store(ledger_->transactions().size());
 }
 
 void InferenceService::ScoreAsync(eth::AccountId address, int64_t deadline_us,
@@ -137,11 +129,12 @@ void InferenceService::ScoreAsync(eth::AccountId address, int64_t deadline_us,
   }
 
   // Fast path: a cached score resolves without touching the pool, the
-  // sampler, or the model.
-  const std::optional<ResultCache::Value> cached =
-      cache_.Get({address, request.ledger_height});
-  stats_.RecordCacheAccess(cached.has_value());
-  if (cached) {
+  // sampler, or the model. The same lookup holds the stale answer, should
+  // the pool refuse the miss.
+  const std::optional<ResultCache::Entry> cached = cache_.Get(address);
+  const bool hit = cached && cached->height == request.ledger_height;
+  stats_.RecordCacheAccess(hit);
+  if (hit) {
     ResolveHit(request, *cached);
     return;
   }
@@ -158,9 +151,8 @@ void InferenceService::ScoreAsync(eth::AccountId address, int64_t deadline_us,
     ResolveError(refused, Status::FailedPrecondition("service is shut down"));
     return;
   }
-  // Overloaded: a stale answer beats an outright rejection when degraded
-  // mode has one.
-  if (TryServeStale(refused)) return;
+  // Overloaded: a stale answer beats an outright rejection.
+  if (TryServeStale(refused, cached)) return;
   stats_.RecordShed();
   ScoreResult result;
   result.address = address;
@@ -208,14 +200,16 @@ void InferenceService::ProcessRequest(ScoreRequest request) {
   const ModelRef ref = SnapshotModel();
   const auto key = std::make_tuple(request.address, request.ledger_height,
                                    ref.generation);
-  std::optional<ResultCache::Value> cached;
+  std::optional<ResultCache::Entry> cached;
+  bool hit = false;
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
     // A concurrent pass may have filled the cache since ScoreAsync missed.
     // ScoreAsync already booked this request's lookup, so this re-check
     // books nothing.
-    cached = cache_.Get({request.address, request.ledger_height});
-    if (!cached) {
+    cached = cache_.Get(request.address);
+    hit = cached && cached->height == request.ledger_height;
+    if (!hit) {
       auto [pass, inserted] = inflight_.try_emplace(key);
       if (!inserted) {
         // Another worker is scoring this key: share its pass.
@@ -224,7 +218,7 @@ void InferenceService::ProcessRequest(ScoreRequest request) {
       }
     }
   }
-  if (cached) {
+  if (hit) {
     ResolveHit(request, *cached);
     return;
   }
@@ -265,8 +259,8 @@ void InferenceService::FillCache(const ScoreRequest& request,
     // SwapModel has already cleared the replaced model's scores; putting
     // this one back would serve it past the swap.
     if (model_generation_.load() != generation) return;
-    evicted = cache_.Put({request.address, request.ledger_height},
-                         {probability, generation});
+    evicted = cache_.Put(request.address,
+                         {request.ledger_height, probability, generation});
   }
   if (evicted) stats_.RecordCacheEviction();
 }
@@ -301,10 +295,13 @@ void InferenceService::FinishColdGroup(const std::vector<ScoreRequest>& group,
 
 void InferenceService::ResolveColdFailure(
     const std::vector<ScoreRequest>& group, const Status& status) {
+  // Degraded mode: the cold path is down (transiently) and the retry
+  // budget is spent — a stale score beats no score. Every request of the
+  // group asks for one account at one height, so one lookup serves all.
+  const std::optional<ResultCache::Entry> cached =
+      status.IsTransient() ? cache_.Get(group.front().address) : std::nullopt;
   for (const ScoreRequest& request : group) {
-    // Degraded mode: the cold path is down (transiently) and the retry
-    // budget is spent — a stale score beats no score.
-    if (status.IsTransient() && TryServeStale(request)) continue;
+    if (TryServeStale(request, cached)) continue;
     ResolveError(request, status);
   }
 }
@@ -341,17 +338,18 @@ Result<double> InferenceService::ScoreColdWithRetry(
   }
 }
 
-bool InferenceService::TryServeStale(const ScoreRequest& request) {
-  if (!config_.serve_stale) return false;
-  const auto stale =
-      cache_.GetNewestBelow(request.address, request.ledger_height);
-  if (!stale) return false;
+bool InferenceService::TryServeStale(
+    const ScoreRequest& request,
+    const std::optional<ResultCache::Entry>& cached) {
+  // An entry from a taller ledger than the request's (admitted before a
+  // RefreshLedgerHeight) answers nothing.
+  if (!cached || cached->height >= request.ledger_height) return false;
   ScoreResult result;
   result.address = request.address;
-  result.ledger_height = stale->key.height;  // Height the score is valid at.
-  result.probability = stale->value.probability;
+  result.ledger_height = cached->height;  // Height the score is valid at.
+  result.probability = cached->probability;
   result.stale = true;
-  result.model_generation = stale->value.generation;
+  result.model_generation = cached->generation;
   result.latency_us = ElapsedUs(request.enqueue_time);
   result.trace_id = request.trace_id;
   stats_.RecordStaleServed(result.latency_us, request.trace_id);
@@ -376,7 +374,7 @@ void InferenceService::ResolveError(const ScoreRequest& request,
 }
 
 void InferenceService::ResolveHit(const ScoreRequest& request,
-                                  const ResultCache::Value& cached) {
+                                  const ResultCache::Entry& cached) {
   ScoreResult result;
   result.address = request.address;
   result.ledger_height = request.ledger_height;

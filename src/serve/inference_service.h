@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -47,33 +48,31 @@ struct InferenceServiceConfig {
   /// Backoff before retry attempt r: retry_backoff_us * r (linear),
   /// truncated by the request deadline.
   int64_t retry_backoff_us = 500;
-  /// Degraded mode: when the cold path fails transiently past the retry
-  /// budget (or a request is about to be shed) answer from the newest
-  /// cache entry at an older ledger height, flagged `stale = true`. When
-  /// enabled, RefreshLedgerHeight keeps superseded entries around as the
-  /// stale corpus instead of dropping them eagerly.
-  bool serve_stale = true;
 };
 
 /// \brief Concurrent account-scoring service over a trained Dbg4Eth model.
 ///
-/// Request path: `ScoreAsync(address, ..., done)` first consults the
-/// sharded result cache keyed by (address, ledger height) — a hit calls
-/// `done` right away on the caller's thread, skipping both subgraph
-/// materialization and the forward pass, as do a shed request, a stale
-/// answer and a shut-down service. Each miss is submitted as one task to
-/// the service's bounded ThreadPool of `num_workers` threads: a cold
-/// request crosses one thread hand-off, never waits for a batching window,
-/// and its `done` runs on the worker. The worker re-checks the cache, then
-/// looks the request up in the in-flight table keyed by (address, height,
-/// model generation): a request whose key another worker is already
-/// scoring attaches to that pass and shares its result. Otherwise the
-/// worker scores it — materializes the account-centred subgraph
-/// (eth::MaterializeInstance), normalizes it with the model's train-split
-/// statistics, runs the double-graph forward pass — fills the cache and
-/// resolves the request and everything attached to it. Every outcome is
-/// booked once, in the service's own metrics registry (ServerStats; see
-/// `metrics()`).
+/// Request path: `ScoreAsync(address, ..., done)` first looks the account
+/// up in the sharded result cache. An entry scored at the request's ledger
+/// height is a hit: `done` runs right away on the caller's thread,
+/// skipping both subgraph materialization and the forward pass, as it does
+/// for a shed request, a stale answer and a shut-down service. Each miss is
+/// submitted as one task to the service's bounded ThreadPool of
+/// `num_workers` threads: a cold request crosses one thread hand-off, never
+/// waits for a batching window, and its `done` runs on the worker. The
+/// worker re-checks the cache, then looks the request up in the in-flight
+/// table keyed by (address, height, model generation): a request whose key
+/// another worker is already scoring attaches to that pass and shares its
+/// result. Otherwise the worker scores it — materializes the account-centred
+/// subgraph (eth::MaterializeInstance), normalizes it with the model's
+/// train-split statistics, runs the double-graph forward pass — fills the
+/// cache and resolves the request and everything attached to it. Every
+/// outcome is booked once, in the service's own metrics registry
+/// (ServerStats; see `metrics()`).
+///
+/// Degraded mode (DESIGN.md "Failure model"): when the pool refuses a miss,
+/// or its pass fails transiently past the retries, the account's entry from
+/// an older ledger height answers, flagged `stale = true`.
 ///
 /// Thread safety: the service holds the model as a
 /// `shared_ptr<const Dbg4Eth>` behind a mutex; each pick-up takes one
@@ -137,10 +136,9 @@ class InferenceService {
   /// Installs `model` as the serving model for every request picked up
   /// after the swap; passes already running keep the snapshot they took
   /// and finish on the old model, which is freed when the last such pass
-  /// completes. The result cache is cleared — its entries are keyed only
-  /// by (address, height) and belong to the replaced model — and a pass
-  /// finishing on the old model does not cache its score. Safe to call
-  /// concurrently with scoring; typically wired to
+  /// completes. The result cache is cleared — its entries belong to the
+  /// replaced model — and a pass finishing on the old model does not cache
+  /// its score. Safe to call concurrently with scoring; typically wired to
   /// ModelRegistry::SetSwapCallback.
   void SwapModel(std::shared_ptr<const core::Dbg4Eth> model,
                  uint64_t generation);
@@ -148,9 +146,10 @@ class InferenceService {
   /// Checkpoint generation currently serving (0 until the first swap).
   uint64_t model_generation() const { return model_generation_.load(); }
 
-  /// Re-reads the ledger's transaction count. When it grew, subsequent
-  /// requests key the cache at the new height (old entries can no longer
-  /// be returned) and superseded entries are dropped eagerly.
+  /// Re-reads the ledger's transaction count. When it grew, later requests
+  /// carry the new height: an entry scored at an older height no longer
+  /// answers them as a hit, only as their stale answer in degraded mode,
+  /// until the account's next score replaces it.
   void RefreshLedgerHeight();
 
   uint64_t ledger_height() const { return ledger_height_.load(); }
@@ -214,10 +213,11 @@ class InferenceService {
   /// Resolves `request` as a cache hit with the cached score and the
   /// generation that produced it.
   void ResolveHit(const ScoreRequest& request,
-                  const ResultCache::Value& cached);
-  /// Resolves `request` from the newest stale cache entry below its
-  /// height, if degraded mode allows; true when it was resolved.
-  bool TryServeStale(const ScoreRequest& request);
+                  const ResultCache::Entry& cached);
+  /// Resolves `request` from `cached` when that entry was scored at an
+  /// older ledger height (degraded mode); true when it was resolved.
+  bool TryServeStale(const ScoreRequest& request,
+                     const std::optional<ResultCache::Entry>& cached);
   /// Resolves `request` with a failure status and records it: as a
   /// deadline expiry for kDeadlineExceeded, as an error otherwise.
   void ResolveError(const ScoreRequest& request, Status status);

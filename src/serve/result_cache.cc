@@ -20,68 +20,40 @@ ResultCache::ResultCache(const ResultCacheConfig& config) {
   }
 }
 
-ResultCache::Shard& ResultCache::ShardFor(const Key& key) {
-  return *shards_[KeyHash()(key) % shards_.size()];
+ResultCache::Shard& ResultCache::ShardFor(eth::AccountId address) {
+  return *shards_[static_cast<uint32_t>(address) % shards_.size()];
 }
 
-std::optional<ResultCache::Value> ResultCache::Get(const Key& key) {
-  Shard& shard = ShardFor(key);
+std::optional<ResultCache::Entry> ResultCache::Get(eth::AccountId address) {
+  Shard& shard = ShardFor(address);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
+  auto it = shard.index.find(address);
   if (it == shard.index.end()) return std::nullopt;
-  // Move to the front (most recently used) and read the value while still
+  // Move to the front (most recently used) and read the entry while still
   // holding the lock.
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->value;
+  return it->second->second;
 }
 
-bool ResultCache::Put(const Key& key, const Value& value) {
-  Shard& shard = ShardFor(key);
+bool ResultCache::Put(eth::AccountId address, const Entry& entry) {
+  Shard& shard = ShardFor(address);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
+  auto it = shard.index.find(address);
   if (it != shard.index.end()) {
-    it->second->value = value;
+    Entry& cached = it->second->second;
+    if (entry.height < cached.height) return false;
+    cached = entry;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return false;
   }
   const bool evict = shard.lru.size() >= shard_capacity_;
   if (evict) {
-    const Entry& victim = shard.lru.back();
-    shard.index.erase(victim.key);
+    shard.index.erase(shard.lru.back().first);
     shard.lru.pop_back();
   }
-  shard.lru.push_front(Entry{key, value});
-  shard.index.emplace(key, shard.lru.begin());
+  shard.lru.emplace_front(address, entry);
+  shard.index.emplace(address, shard.lru.begin());
   return evict;
-}
-
-std::optional<ResultCache::Entry> ResultCache::GetNewestBelow(
-    eth::AccountId address, uint64_t height) {
-  std::optional<Entry> best;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const Entry& entry : shard->lru) {
-      if (entry.key.address != address || entry.key.height >= height) {
-        continue;
-      }
-      if (!best || entry.key.height > best->key.height) best = entry;
-    }
-  }
-  return best;
-}
-
-void ResultCache::InvalidateOlderThan(uint64_t height) {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      if (it->key.height < height) {
-        shard->index.erase(it->key);
-        it = shard->lru.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
 }
 
 void ResultCache::Clear() {

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "eth/types.h"
@@ -24,90 +25,58 @@ struct ResultCacheConfig {
   int num_shards = 8;
 };
 
-/// \brief Sharded LRU cache of scored probabilities keyed by
-/// (address, ledger height); each entry also records the model generation
-/// that produced its score.
+/// \brief Sharded LRU cache of scored probabilities, one entry per
+/// account.
 ///
-/// The ledger height is part of the key: as soon as the service observes a
-/// taller ledger, lookups for the new height miss and fresh scores are
-/// computed, so stale entries are never returned. `InvalidateOlderThan`
-/// additionally drops entries from superseded heights eagerly to free
-/// capacity.
+/// An entry records the ledger height its score was computed at and the
+/// generation of the model that computed it. Its owner reads it against a
+/// request's height: at that height it is a hit; from a lower height it is
+/// not a hit, but it is the request's stale (degraded-mode) answer. A
+/// taller ledger therefore needs no invalidation pass: the next score of
+/// each account replaces its entry. `Put` never lowers an entry's height,
+/// so a pass at an older height that finishes late cannot replace a newer
+/// score. Every lookup locks one shard and makes one hash lookup.
 ///
 /// The cache counts nothing: its owner books hits, misses and evictions
 /// (InferenceService, through ServerStats).
 class ResultCache {
  public:
-  struct Key {
-    eth::AccountId address = -1;
-    uint64_t height = 0;
-    bool operator==(const Key& other) const {
-      return address == other.address && height == other.height;
-    }
-  };
-
   explicit ResultCache(const ResultCacheConfig& config);
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// A cached score and the generation of the model that produced it.
-  struct Value {
+  /// A cached score, the ledger height it was computed at and the
+  /// generation of the model that produced it.
+  struct Entry {
+    uint64_t height = 0;
     double probability = 0.0;
     uint64_t generation = 0;
   };
 
-  struct Entry {
-    Key key;
-    Value value;
-  };
+  /// Returns the entry cached for `address`, whatever its height, and
+  /// refreshes its recency; nullopt when there is none.
+  std::optional<Entry> Get(eth::AccountId address);
 
-  /// Returns the cached value and refreshes the entry's recency, or
-  /// nullopt on miss.
-  std::optional<Value> Get(const Key& key);
-
-  /// Inserts or refreshes an entry, evicting its shard's LRU tail when the
-  /// shard is at capacity. Returns true when it evicted an entry.
-  bool Put(const Key& key, const Value& value);
-
-  /// Degraded-mode lookup: the newest cached entry for `address` strictly
-  /// below `height`, or nullopt. Scans every shard (entries for one
-  /// address at different heights hash to different shards), so this is
-  /// O(cache size) — it runs only when the cold path is failing or
-  /// overloaded, never on the hit path. Recency is not refreshed.
-  std::optional<Entry> GetNewestBelow(eth::AccountId address,
-                                      uint64_t height);
-
-  /// Drops every entry whose height is strictly below `height`.
-  void InvalidateOlderThan(uint64_t height);
+  /// Caches `entry` for `address` unless the cached entry is from a taller
+  /// ledger, which it keeps. A new account evicts its shard's LRU tail
+  /// when the shard is full. Returns true when it evicted an entry.
+  bool Put(eth::AccountId address, const Entry& entry);
 
   void Clear();
 
   size_t size() const;
   size_t capacity() const { return capacity_; }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
 
  private:
-  struct KeyHash {
-    size_t operator()(const Key& key) const {
-      // Splitmix-style scramble of the two key halves.
-      uint64_t x = (static_cast<uint64_t>(static_cast<uint32_t>(key.address))
-                    << 32) ^
-                   key.height;
-      x ^= x >> 30;
-      x *= 0xbf58476d1ce4e5b9ULL;
-      x ^= x >> 27;
-      return static_cast<size_t>(x);
-    }
-  };
-
+  using Node = std::pair<eth::AccountId, Entry>;
   struct Shard {
     std::mutex mu;
-    std::list<Entry> lru;  ///< Front = most recent.
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index;
+    std::list<Node> lru;  ///< Front = most recent.
+    std::unordered_map<eth::AccountId, std::list<Node>::iterator> index;
   };
 
-  Shard& ShardFor(const Key& key);
+  Shard& ShardFor(eth::AccountId address);
 
   size_t capacity_ = 0;
   size_t shard_capacity_ = 0;

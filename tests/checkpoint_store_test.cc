@@ -71,26 +71,10 @@ TEST(CheckpointFrameTest, RoundTripsPayloads) {
   for (size_t n : {size_t{0}, size_t{1}, size_t{257}, size_t{5000}}) {
     const std::string payload = MakePayload(n);
     std::stringstream stream(Frame(payload));
-    EXPECT_TRUE(LooksFramed(&stream));
     auto read = ReadFramedCheckpoint(&stream);
     ASSERT_TRUE(read.ok()) << read.status().ToString();
     EXPECT_EQ(read.ValueOrDie(), payload);
   }
-}
-
-TEST(CheckpointFrameTest, LooksFramedRestoresThePosition) {
-  std::stringstream framed(Frame("abc"));
-  EXPECT_TRUE(LooksFramed(&framed));
-  EXPECT_TRUE(ReadFramedCheckpoint(&framed).ok());  // Position untouched.
-
-  std::stringstream legacy("dbg4eth_checkpoint etc");
-  EXPECT_FALSE(LooksFramed(&legacy));
-  std::string word;
-  legacy >> word;
-  EXPECT_EQ(word, "dbg4eth_checkpoint");  // Still readable from the start.
-
-  std::stringstream tiny("ab");  // Shorter than the magic itself.
-  EXPECT_FALSE(LooksFramed(&tiny));
 }
 
 TEST(CheckpointFrameTest, UnframedStreamIsInvalidArgumentNotDataLoss) {

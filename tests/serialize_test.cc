@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -378,21 +381,15 @@ TEST(ModelSerializeTest, FullDbg4EthRoundTrips) {
   // The checkpoint is framed (magic + version + length + CRC) so
   // corruption fails loudly instead of restoring a silently wrong model.
   const std::string framed = stream.str();
-  {
-    std::stringstream probe(framed);
-    EXPECT_TRUE(LooksFramed(&probe));
-  }
 
-  // Legacy pre-framing checkpoints (the bare payload) still load.
+  // The bare payload, without its frame, is not a checkpoint.
   {
     std::stringstream whole(framed);
     auto payload = ReadFramedCheckpoint(&whole);
     ASSERT_TRUE(payload.ok());
-    std::stringstream legacy(payload.ValueOrDie());
-    auto from_legacy = core::Dbg4Eth::Load(&legacy);
-    ASSERT_TRUE(from_legacy.ok()) << from_legacy.status().ToString();
-    EXPECT_DOUBLE_EQ(original.PredictProba(ds.instances[0]),
-                     from_legacy.ValueOrDie()->PredictProba(ds.instances[0]));
+    std::stringstream unframed(payload.ValueOrDie());
+    EXPECT_EQ(core::Dbg4Eth::Load(&unframed).status().code(),
+              StatusCode::kInvalidArgument);
   }
 
   // Truncation at any point errors instead of crashing. Sweep every byte
@@ -426,6 +423,160 @@ TEST(ModelSerializeTest, FullDbg4EthRoundTrips) {
     ASSERT_FALSE(load.ok());
     EXPECT_EQ(load.status().code(), StatusCode::kDataLoss);
   }
+}
+
+/// A trained model's checkpoint payload (the bytes inside the frame). The
+/// model is small so that random mutations land on structure (sizes,
+/// counts, tags, tree links) as often as on weights.
+std::string TinyModelPayload() {
+  eth::LedgerConfig lc;
+  lc.num_normal = 300;
+  lc.num_exchange = 10;
+  lc.duration_days = 60.0;
+  lc.seed = 7;
+  eth::LedgerSimulator ledger(lc);
+  EXPECT_TRUE(ledger.Generate().ok());
+  eth::DatasetConfig dc;
+  dc.target = eth::AccountClass::kExchange;
+  dc.max_positives = 10;
+  dc.sampling.top_k = 4;
+  dc.sampling.max_nodes = 20;
+  dc.num_time_slices = 3;
+  auto ds = std::move(eth::BuildDataset(ledger, dc)).ValueOrDie();
+
+  core::Dbg4EthConfig config;
+  config.gsg.hidden_dim = 4;
+  config.gsg.epochs = 1;
+  config.ldg.hidden_dim = 4;
+  config.ldg.epochs = 1;
+  config.ldg.first_level_clusters = 2;
+  config.gbdt.num_trees = 4;
+  core::Dbg4Eth model(config);
+  Rng rng(config.seed);
+  const ml::SplitIndices split = ml::StratifiedSplit(
+      ds.labels(), config.train_fraction, config.val_fraction, &rng);
+  EXPECT_TRUE(model.Train(&ds, split).ok());
+  std::stringstream framed;
+  EXPECT_TRUE(model.Save(&framed).ok());
+  auto payload = ReadFramedCheckpoint(&framed);
+  EXPECT_TRUE(payload.ok());
+  return payload.ValueOrDie();
+}
+
+/// Loads `payload` inside a fresh, valid frame: only the payload parser
+/// sees the damage.
+Status LoadPayload(const std::string& payload) {
+  std::stringstream framed;
+  EXPECT_TRUE(WriteFramedCheckpoint(&framed, payload).ok());
+  return core::Dbg4Eth::Load(&framed).status();
+}
+
+void PutU32(std::string* bytes, size_t at, uint32_t value) {
+  ASSERT_LE(at + sizeof(value), bytes->size());
+  std::memcpy(bytes->data() + at, &value, sizeof(value));
+}
+
+uint32_t GetU32(const std::string& bytes, size_t at) {
+  uint32_t value = 0;
+  std::memcpy(&value, bytes.data() + at, sizeof(value));
+  return value;
+}
+
+TEST(ModelSerializeTest, CorruptPayloadsLoadOrFailWithAStatus) {
+  const std::string payload = TinyModelPayload();
+  ASSERT_TRUE(LoadPayload(payload).ok());
+
+  // Fixed cases. Offsets follow the payload layout: the architecture block
+  // starts after the "dbg4eth_config" tag (u32 length + bytes), the GBDT
+  // head after the "gbdt" tag near the end.
+  const std::string config_tag =
+      std::string("\x0e\0\0\0", 4) + "dbg4eth_config";
+  const size_t config = payload.find(config_tag);
+  ASSERT_NE(config, std::string::npos);
+  const size_t gsg_hidden_dim = config + config_tag.size() + 4;
+  ASSERT_EQ(GetU32(payload, gsg_hidden_dim), 4u);
+  const size_t use_gsg = config + config_tag.size() + 141;
+  const size_t head_kind = use_gsg + 3;
+  ASSERT_EQ(payload[use_gsg], 1);
+  ASSERT_EQ(payload[use_gsg + 1], 1);  // use_ldg
+  ASSERT_EQ(GetU32(payload, head_kind), 0u);  // HeadKind::kLightGbm
+
+  const std::string gbdt_tag = std::string("\x04\0\0\0", 4) + "gbdt";
+  const size_t gbdt = payload.rfind(gbdt_tag);
+  ASSERT_NE(gbdt, std::string::npos);
+  const size_t name = gbdt + gbdt_tag.size();
+  const size_t tree_count = name + 4 + GetU32(payload, name) + 2 * 8;
+  ASSERT_EQ(GetU32(payload, tree_count), 4u);
+  // Node 0 of the first tree: past the tree count and that tree's node
+  // count.
+  const size_t root = tree_count + 4 + 4;
+  const size_t root_left = root + 4 + 8;
+
+  struct Case {
+    const char* what;
+    std::function<void(std::string*)> damage;
+  };
+  const std::vector<Case> cases = {
+      {"GBDT tree count 0xffffffff",
+       [&](std::string* p) { PutU32(p, tree_count, 0xffffffffu); }},
+      {"first root's children point at itself",
+       [&](std::string* p) {
+         PutU32(p, root, 0);  // An internal node on feature 0...
+         PutU32(p, root_left, 0);
+         PutU32(p, root_left + 4, 0);  // ...whose children are itself.
+       }},
+      {"gsg.hidden_dim 2^30",
+       [&](std::string* p) { PutU32(p, gsg_hidden_dim, 1u << 30); }},
+      {"gsg.num_heads 0",
+       [&](std::string* p) { PutU32(p, gsg_hidden_dim + 8, 0); }},
+      {"head kind 99", [&](std::string* p) { PutU32(p, head_kind, 99); }},
+      {"both branches off",
+       [&](std::string* p) {
+         (*p)[use_gsg] = 0;
+         (*p)[use_gsg + 1] = 0;
+       }},
+  };
+  for (const Case& c : cases) {
+    std::string damaged = payload;
+    c.damage(&damaged);
+    const Status status = LoadPayload(damaged);
+    EXPECT_FALSE(status.ok()) << c.what;
+    EXPECT_FALSE(status.message().empty()) << c.what;
+  }
+
+  // Seeded random mutations: each either loads (the mutation was benign)
+  // or fails with a Status; none may crash, hang or allocate without
+  // bound.
+  std::mt19937_64 rng(0x5eed);
+  int failed = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string mutated = payload;
+    const size_t pos = rng() % mutated.size();
+    switch (rng() % 4) {
+      case 0:  // Replace with an arbitrary byte.
+        mutated[pos] = static_cast<char>(rng() & 0xff);
+        break;
+      case 1:  // Overwrite a word with an extreme count.
+        if (pos + 4 <= mutated.size()) {
+          constexpr uint32_t kExtremes[] = {0, 1, 0x7fffffffu, 0x80000000u,
+                                            0xffffffffu};
+          PutU32(&mutated, pos, kExtremes[rng() % 5]);
+        }
+        break;
+      case 2:  // Drop a byte.
+        mutated.erase(pos, 1);
+        break;
+      default:  // Duplicate a byte.
+        mutated.insert(pos, 1, mutated[pos]);
+        break;
+    }
+    const Status status = LoadPayload(mutated);
+    if (!status.ok()) {
+      ++failed;
+      EXPECT_FALSE(status.message().empty()) << "trial " << trial;
+    }
+  }
+  EXPECT_GT(failed, 0);
 }
 
 TEST(ModelSerializeTest, GarbageStreamFailsToLoad) {

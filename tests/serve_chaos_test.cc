@@ -203,7 +203,6 @@ TEST_F(ServeChaosTest, ExhaustedRetriesWithoutStaleCorpusIsAnError) {
   SKIP_WITHOUT_FAILPOINTS();
   InferenceServiceConfig config = ServiceConfig(/*workers=*/1);
   config.max_cold_retries = 2;
-  config.serve_stale = false;
   auto service = MakeService(config, ledger_);
   const auto exchanges =
       ledger_->AccountsOfClass(eth::AccountClass::kExchange);

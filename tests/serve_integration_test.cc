@@ -411,14 +411,15 @@ TEST_F(ServeIntegrationTest, ShutdownRejectsNewRequestsButKeepsState) {
 }
 
 TEST_F(ServeIntegrationTest, RefreshLedgerHeightInvalidatesCachedScores) {
+  eth::AppendableLedger growable(*ledger_);
   std::stringstream checkpoint(*checkpoint_);
   auto created =
-      InferenceService::Create(ServiceConfig(2), &checkpoint, ledger_);
+      InferenceService::Create(ServiceConfig(2), &checkpoint, &growable);
   ASSERT_TRUE(created.ok());
   auto& service = *created.ValueOrDie();
 
   const auto exchanges =
-      ledger_->AccountsOfClass(eth::AccountClass::kExchange);
+      growable.AccountsOfClass(eth::AccountClass::kExchange);
   const eth::AccountId address = exchanges.front();
   ASSERT_FALSE(service.Score(address).cache_hit);
   ASSERT_TRUE(service.Score(address).cache_hit);
@@ -427,15 +428,23 @@ TEST_F(ServeIntegrationTest, RefreshLedgerHeightInvalidatesCachedScores) {
   service.RefreshLedgerHeight();
   EXPECT_TRUE(service.Score(address).cache_hit);
 
-  // Simulate observing a taller ledger: entries keyed at the old height
-  // must no longer be served. (The simulator cannot grow in place, so this
-  // drives the cache contract directly through the service's key space.)
+  // A taller ledger: the score cached at the superseded height must not
+  // answer a fresh request, neither as a hit nor as a stale answer.
   const uint64_t old_height = service.ledger_height();
-  ResultCache cache(ResultCacheConfig{16, 2});
-  cache.Put({address, old_height}, {0.42, 0});
-  EXPECT_TRUE(cache.Get({address, old_height}).has_value());
-  cache.InvalidateOlderThan(old_height + 1);
-  EXPECT_FALSE(cache.Get({address, old_height}).has_value());
+  eth::Transaction tx = growable.transactions().back();
+  tx.timestamp += 1.0;
+  ASSERT_TRUE(growable.Append(tx).ok());
+  service.RefreshLedgerHeight();
+  const ScoreResult fresh = service.Score(address);
+  ASSERT_TRUE(fresh.ok()) << fresh.status.ToString();
+  EXPECT_FALSE(fresh.cache_hit);
+  EXPECT_FALSE(fresh.stale);
+  EXPECT_EQ(fresh.ledger_height, old_height + 1);
+  // The fresh score replaced the entry: the next request hits it.
+  const ScoreResult again = service.Score(address);
+  EXPECT_TRUE(again.cache_hit);
+  EXPECT_EQ(again.ledger_height, old_height + 1);
+  EXPECT_EQ(service.StatsSnapshot().cold.count, 2u);
 }
 
 // --------------------------------------------------------------------------
@@ -480,7 +489,6 @@ TEST_F(ServeIntegrationTest, SaturatedQueueShedsWithResourceExhausted) {
   std::stringstream checkpoint(*checkpoint_);
   InferenceServiceConfig config = ServiceConfig(1);
   config.queue_capacity = 2;
-  config.serve_stale = false;  // Shed outright, no fallback.
   auto created = InferenceService::Create(config, &checkpoint, &gated);
   ASSERT_TRUE(created.ok());
   auto& service = *created.ValueOrDie();
@@ -526,8 +534,8 @@ TEST_F(ServeIntegrationTest, OverloadServesStaleScoreFromPreviousHeight) {
   ASSERT_TRUE(cold.ok()) << cold.status.ToString();
   const uint64_t old_height = service.ledger_height();
 
-  // The chain advances. With serve_stale on, the superseded entry stays
-  // around as the degraded-mode corpus.
+  // The chain advances. The entry scored at the superseded height stays
+  // as the account's degraded-mode answer.
   eth::Transaction tx = growable.transactions().back();
   tx.timestamp += 1.0;
   ASSERT_TRUE(growable.Append(tx).ok());
@@ -556,6 +564,94 @@ TEST_F(ServeIntegrationTest, OverloadServesStaleScoreFromPreviousHeight) {
   EXPECT_EQ(stats.stale.count, 1u);
   EXPECT_EQ(stats.shed, 0u);
   EXPECT_EQ(stats.requests, 4u);  // Three cold scores + one stale serve.
+}
+
+TEST_F(ServeIntegrationTest, OverloadServesTheNewestOlderScoreWithItsGeneration) {
+  eth::AppendableLedger growable(*ledger_);
+  const auto exchanges =
+      growable.AccountsOfClass(eth::AccountClass::kExchange);
+  ASSERT_GE(exchanges.size(), 3u);
+  const eth::AccountId address = exchanges[0];
+  GatedLedger gated(growable, /*gate_id=*/exchanges[1]);
+  gated.Open();  // The warm-up runs ungated.
+  std::stringstream checkpoint(*checkpoint_);
+  InferenceServiceConfig config = ServiceConfig(1);
+  config.queue_capacity = 1;
+  auto created = InferenceService::Create(config, &checkpoint, &gated);
+  ASSERT_TRUE(created.ok());
+  auto& service = *created.ValueOrDie();
+  const auto grow = [&] {
+    eth::Transaction tx = growable.transactions().back();
+    tx.timestamp += 1.0;
+    ASSERT_TRUE(growable.Append(tx).ok());
+    service.RefreshLedgerHeight();
+  };
+
+  // h0, scored by generation 0.
+  ASSERT_TRUE(service.Score(address).ok());
+  // h1, re-scored by generation 7.
+  service.SwapModel(LoadModel(), /*generation=*/7);
+  grow();
+  const uint64_t h1 = service.ledger_height();
+  const ScoreResult at_h1 = service.Score(address);
+  ASSERT_TRUE(at_h1.ok()) << at_h1.status.ToString();
+  ASSERT_FALSE(at_h1.cache_hit);
+  ASSERT_EQ(at_h1.model_generation, 7u);
+  // h2: the overloaded request gets the h1 score, stamped with the
+  // generation that scored it.
+  grow();
+  ASSERT_EQ(service.ledger_height(), h1 + 1);
+  gated.Close();
+  std::future<ScoreResult> held = service.ScoreAsync(exchanges[1]);
+  ASSERT_TRUE(gated.WaitUntilEntered());
+  std::future<ScoreResult> blocker = service.ScoreAsync(exchanges[2]);
+  const ScoreResult stale = service.ScoreAsync(address).get();
+  gated.Open();
+  EXPECT_TRUE(held.get().ok());
+  EXPECT_TRUE(blocker.get().ok());
+  ASSERT_TRUE(stale.ok()) << stale.status.ToString();
+  EXPECT_TRUE(stale.stale);
+  EXPECT_EQ(stale.ledger_height, h1);
+  EXPECT_EQ(stale.probability, at_h1.probability);
+  EXPECT_EQ(stale.model_generation, 7u);
+}
+
+TEST_F(ServeIntegrationTest, LateOlderPassDoesNotReplaceANewerScore) {
+  eth::AppendableLedger growable(*ledger_);
+  const auto exchanges =
+      growable.AccountsOfClass(eth::AccountClass::kExchange);
+  const eth::AccountId address = exchanges[0];
+  // The first pass over `address` parks at the gate; later ones run.
+  GatedLedger gated(growable, /*gate_id=*/address);
+  std::stringstream checkpoint(*checkpoint_);
+  auto created =
+      InferenceService::Create(ServiceConfig(2), &checkpoint, &gated);
+  ASSERT_TRUE(created.ok());
+  auto& service = *created.ValueOrDie();
+  if (service.num_workers() < 2) {
+    GTEST_SKIP() << "needs two hardware threads for two workers";
+  }
+
+  const uint64_t h0 = service.ledger_height();
+  std::future<ScoreResult> late = service.ScoreAsync(address);
+  ASSERT_TRUE(gated.WaitUntilEntered());
+  eth::Transaction tx = growable.transactions().back();
+  tx.timestamp += 1.0;
+  ASSERT_TRUE(growable.Append(tx).ok());
+  service.RefreshLedgerHeight();
+  const ScoreResult newer = service.Score(address);
+  ASSERT_TRUE(newer.ok()) << newer.status.ToString();
+  ASSERT_EQ(newer.ledger_height, h0 + 1);
+
+  // The h0 pass finishes after the h1 score was cached.
+  gated.Open();
+  const ScoreResult older = late.get();
+  ASSERT_TRUE(older.ok()) << older.status.ToString();
+  EXPECT_EQ(older.ledger_height, h0);
+  const ScoreResult hit = service.Score(address);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.ledger_height, h0 + 1);
+  EXPECT_EQ(hit.probability, newer.probability);
 }
 
 // --------------------------------------------------------------------------

@@ -136,71 +136,61 @@ TEST(ThreadPoolTest, SurvivesThrowingTasks) {
 
 TEST(ResultCacheTest, PutGetRoundTrip) {
   ResultCache cache(ResultCacheConfig{16, 2});
-  EXPECT_FALSE(cache.Get({1, 100}).has_value());
-  cache.Put({1, 100}, {0.75, 0});
-  auto got = cache.Get({1, 100});
+  EXPECT_FALSE(cache.Get(1).has_value());
+  cache.Put(1, {100, 0.75, 0});
+  auto got = cache.Get(1);
   ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->height, 100u);
   EXPECT_DOUBLE_EQ(got->probability, 0.75);
 }
 
 TEST(ResultCacheTest, EntriesKeepTheGenerationThatScoredThem) {
   ResultCache cache(ResultCacheConfig{16, 2});
-  cache.Put({1, 100}, {0.25, 3});
-  cache.Put({1, 101}, {0.5, 4});
-  auto got = cache.Get({1, 101});
+  cache.Put(1, {100, 0.25, 3});
+  cache.Put(1, {101, 0.5, 4});
+  auto got = cache.Get(1);
   ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->height, 101u);
   EXPECT_DOUBLE_EQ(got->probability, 0.5);
   EXPECT_EQ(got->generation, 4u);
 
-  // A refresh replaces the generation with the score.
-  cache.Put({1, 101}, {0.625, 5});
-  got = cache.Get({1, 101});
+  // A refresh at the same height replaces the generation with the score.
+  cache.Put(1, {101, 0.625, 5});
+  got = cache.Get(1);
   ASSERT_TRUE(got.has_value());
   EXPECT_DOUBLE_EQ(got->probability, 0.625);
   EXPECT_EQ(got->generation, 5u);
-
-  // The stale lookup returns the older entry with its own generation.
-  auto stale = cache.GetNewestBelow(1, 101);
-  ASSERT_TRUE(stale.has_value());
-  EXPECT_EQ(stale->key.height, 100u);
-  EXPECT_DOUBLE_EQ(stale->value.probability, 0.25);
-  EXPECT_EQ(stale->value.generation, 3u);
-  EXPECT_FALSE(cache.GetNewestBelow(1, 100).has_value());
 }
 
-TEST(ResultCacheTest, LedgerHeightIsPartOfTheKey) {
+TEST(ResultCacheTest, KeepsOneEntryPerAccountAtItsNewestHeight) {
   ResultCache cache(ResultCacheConfig{16, 2});
-  cache.Put({1, 100}, {0.75, 0});
-  // Same address at a taller ledger: must miss — the cached score was
-  // computed on a stale transaction set.
-  EXPECT_FALSE(cache.Get({1, 101}).has_value());
-  ASSERT_TRUE(cache.Get({1, 100}).has_value());
-}
-
-TEST(ResultCacheTest, InvalidateOlderThanDropsStaleHeights) {
-  ResultCache cache(ResultCacheConfig{64, 4});
-  for (int a = 0; a < 10; ++a) cache.Put({a, 100}, {0.5, 0});
-  for (int a = 0; a < 5; ++a) cache.Put({a, 200}, {0.9, 0});
-  EXPECT_EQ(cache.size(), 15u);
-  cache.InvalidateOlderThan(200);
-  EXPECT_EQ(cache.size(), 5u);
-  EXPECT_FALSE(cache.Get({3, 100}).has_value());
-  EXPECT_TRUE(cache.Get({3, 200}).has_value());
+  cache.Put(1, {100, 0.25, 0});
+  // A taller ledger's score replaces the account's entry...
+  EXPECT_FALSE(cache.Put(1, {102, 0.5, 0}));
+  EXPECT_EQ(cache.size(), 1u);
+  // ...and a pass at an older height that finishes later does not put
+  // its score back over the newer one.
+  EXPECT_FALSE(cache.Put(1, {101, 0.75, 0}));
+  const auto got = cache.Get(1);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->height, 102u);
+  EXPECT_DOUBLE_EQ(got->probability, 0.5);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(ResultCacheTest, EvictsLeastRecentlyUsedWithinShard) {
   // One shard so the LRU order is globally observable.
   ResultCache cache(ResultCacheConfig{3, 1});
-  EXPECT_FALSE(cache.Put({1, 1}, {0.1, 0}));
-  EXPECT_FALSE(cache.Put({2, 1}, {0.2, 0}));
-  EXPECT_FALSE(cache.Put({3, 1}, {0.3, 0}));
-  ASSERT_TRUE(cache.Get({1, 1}).has_value());  // Refresh 1; LRU is now 2.
-  EXPECT_TRUE(cache.Put({4, 1}, {0.4, 0}));    // Evicts 2.
-  EXPECT_FALSE(cache.Put({4, 1}, {0.5, 0}));   // Refreshes in place.
-  EXPECT_FALSE(cache.Get({2, 1}).has_value());
-  EXPECT_TRUE(cache.Get({1, 1}).has_value());
-  EXPECT_TRUE(cache.Get({3, 1}).has_value());
-  EXPECT_TRUE(cache.Get({4, 1}).has_value());
+  EXPECT_FALSE(cache.Put(1, {1, 0.1, 0}));
+  EXPECT_FALSE(cache.Put(2, {1, 0.2, 0}));
+  EXPECT_FALSE(cache.Put(3, {1, 0.3, 0}));
+  ASSERT_TRUE(cache.Get(1).has_value());    // Refresh 1; LRU is now 2.
+  EXPECT_TRUE(cache.Put(4, {1, 0.4, 0}));   // Evicts 2.
+  EXPECT_FALSE(cache.Put(4, {2, 0.5, 0}));  // Replaces 4 in place.
+  EXPECT_FALSE(cache.Get(2).has_value());
+  EXPECT_TRUE(cache.Get(1).has_value());
+  EXPECT_TRUE(cache.Get(3).has_value());
+  EXPECT_TRUE(cache.Get(4).has_value());
 }
 
 TEST(ResultCacheTest, ConcurrentMixedAccessIsSafe) {
@@ -211,9 +201,9 @@ TEST(ResultCacheTest, ConcurrentMixedAccessIsSafe) {
       for (int i = 0; i < 2000; ++i) {
         const eth::AccountId address = (t * 37 + i) % 200;
         if (i % 3 == 0) {
-          cache.Put({address, 1}, {address * 0.001, 0});
+          cache.Put(address, {static_cast<uint64_t>(i), address * 0.001, 0});
         } else {
-          auto got = cache.Get({address, 1});
+          auto got = cache.Get(address);
           if (got) {
             EXPECT_DOUBLE_EQ(got->probability, address * 0.001);
           }

@@ -6,15 +6,12 @@
 # (including the model hot-swap hammer and the net chaos fault injection,
 # and ten repeats of the async-responder and shutdown tests,
 # ctest -R "Responder|HandlerThread|PipelinedScores|ShutdownWaits|AcceptedDuringShutdown|OverloadAnswers"),
-# the serving, inference fast-path, observability, network, net chaos,
-# sampling, ledger and dense-kernel suites under AddressSanitizer + UBSan,
-# and there also the graph-operator suites
-# (ctest -R "Graph|GatConv|GcnConv|Appnp|DiffPool|GradCheck|OpsTest|EncoderUnit|SpMM"),
-# a failpoint-enabled kill -> resume ->
-# hot-reload chaos smoke, and a serving-latency regression guard against
-# the committed BENCH_serve.json.
+# a failpoint-enabled kill -> resume -> hot-reload chaos smoke, the whole
+# tier-1 gate plus the chaos suite under AddressSanitizer + UBSan
+# (ctest -L "tier1|chaos", the asan test preset's filter), and a
+# serving-latency regression guard against the committed BENCH_serve.json.
 #
-#   tools/check.sh            # tier-1 + tsan and asan obs/serve/net
+#   tools/check.sh            # tier-1 + tsan obs/serve/net + asan tier-1/chaos
 #   tools/check.sh --fast     # tier-1 only
 #   tools/check.sh --bench    # tier-1 + bench-regression guard
 #
@@ -148,8 +145,6 @@ if [[ "${fast}" == "1" || "${bench}" == "1" ]]; then
 fi
 
 serve_suites="Serve|ServerStats|ThreadPool|ResultCache|InferenceArena|TapeFree|FastPath|ModelRegistry"
-index_suites="Sampling|Dataset|Ledger|BlockedKernels|Matrix"
-operator_suites="Graph|GatConv|GcnConv|Appnp|DiffPool|GradCheck|OpsTest|EncoderUnit|SpMM"
 responder_tests="Responder|HandlerThread|PipelinedScores|ShutdownWaits|AcceptedDuringShutdown|OverloadAnswers"
 
 echo "=== tsan: configure + build (build-tsan/) ==="
@@ -183,43 +178,20 @@ echo "=== failpoints: kill during snapshot/epoch -> resume -> hot-reload smoke =
 (cd build-tsan && ctest -R "ResumeReloadChaos" \
     --no-tests=error --output-on-failure -j"$(nproc)")
 
-# The serve, fast-path, obs and net suites again under AddressSanitizer +
-# UBSan: the inference arena recycles activation buffers across passes,
-# requests cross threads through the worker pool, the in-flight table and
-# cache, and the exporters and HTTP routes render merged registry
-# snapshots.
+# Every tier-1 and chaos test again under AddressSanitizer + UBSan: the
+# checkpoint loaders and parsers read untrusted bytes, the inference arena
+# recycles activation buffers, the samplers, CSR builders and dense
+# kernels index by position, requests cross threads through the worker
+# pool, in-flight table and cache, and a connection's lifetime spans
+# responders that may fire after it is closed. The asan preset compiles
+# failpoints in, so the chaos tests inject their faults here too.
 # halt_on_error turns a UBSan report into a test failure, not a log line.
 echo "=== asan+ubsan: configure + build (build-asan/) ==="
 cmake --preset asan >/dev/null
 cmake --build --preset asan -j"$(nproc)"
 
-echo "=== asan+ubsan: serve + chaos + inference fast-path suites ==="
+echo "=== asan+ubsan: tier-1 + chaos (ctest -L \"tier1|chaos\") ==="
 (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-    ctest -R "${serve_suites}" --no-tests=error --output-on-failure -j"$(nproc)")
-
-# The ledgers' per-account index arrays (TransactionsOf, CounterpartiesOf)
-# and the sampler's marker arrays are indexed by position, and the dense
-# kernels walk raw row pointers in register tiles.
-echo "=== asan+ubsan: sampling, ledger and dense-kernel suites ==="
-(cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-    ctest -R "${index_suites}" --no-tests=error --output-on-failure -j"$(nproc)")
-
-# The graph-operator builders and SparseMatrix::FromCsr write through
-# counted cursors, and the CSR kernels (SpMM, masked softmax, masked
-# products) index by col_indices.
-echo "=== asan+ubsan: graph-operator and CSR-kernel suites ==="
-(cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-    ctest -R "${operator_suites}" --no-tests=error --output-on-failure -j"$(nproc)")
-
-# NetChaos too: a connection's lifetime now spans responders that may
-# fire after it is closed, and the accept-during-shutdown path closes fds
-# no loop adopted.
-echo "=== asan+ubsan: obs + net + net chaos suites (ctest -L obs / -L net / -R NetChaos) ==="
-(cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-    ctest -L obs --no-tests=error --output-on-failure -j"$(nproc)")
-(cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-    ctest -L net --no-tests=error --output-on-failure -j"$(nproc)")
-(cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-    ctest -R "NetChaos" --no-tests=error --output-on-failure -j"$(nproc)")
+    ctest -L "tier1|chaos" --no-tests=error --output-on-failure -j"$(nproc)")
 
 echo "=== all checks passed ==="
