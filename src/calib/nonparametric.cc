@@ -46,6 +46,7 @@ Status HistogramBinning::Fit(const std::vector<double>& scores,
 }
 
 double HistogramBinning::Calibrate(double score) const {
+  if (std::isnan(score)) return score;  // No bin to read.
   int bin = static_cast<int>(Clamp(score, 0.0, 1.0) * num_bins_);
   bin = std::min(bin, num_bins_ - 1);
   return bin_probs_[bin];
@@ -172,7 +173,7 @@ Status HistogramBinning::Load(BinaryReader* reader) {
   DBG4ETH_RETURN_NOT_OK(reader->ReadI32(&bins));
   num_bins_ = bins;
   DBG4ETH_RETURN_NOT_OK(reader->ReadDoubleVector(&bin_probs_));
-  if (static_cast<int>(bin_probs_.size()) != num_bins_) {
+  if (num_bins_ < 1 || static_cast<int>(bin_probs_.size()) != num_bins_) {
     return Status::Internal("histogram checkpoint inconsistent");
   }
   return Status::OK();

@@ -134,13 +134,22 @@ Result<std::string> ReadFramedCheckpoint(std::istream* is) {
     return Status::DataLoss(
         "corrupt checkpoint frame: implausible payload length");
   }
-  std::string payload(length, '\0');
-  is->read(payload.data(), static_cast<std::streamsize>(length));
-  if (static_cast<uint64_t>(is->gcount()) != length) {
-    return Status::DataLoss(StrFormat(
-        "truncated checkpoint payload: expected %llu bytes, got %llu",
-        static_cast<unsigned long long>(length),
-        static_cast<unsigned long long>(is->gcount())));
+  // The CRC does not cover the length, so the payload grows in bounded
+  // steps: a short stream costs what it holds plus one step, not the
+  // declared length.
+  constexpr uint64_t kReadStep = 1 << 20;
+  std::string payload;
+  while (payload.size() < length) {
+    const size_t held = payload.size();
+    const size_t step = std::min(kReadStep, length - held);
+    payload.resize(held + step);
+    is->read(payload.data() + held, static_cast<std::streamsize>(step));
+    if (static_cast<size_t>(is->gcount()) != step) {
+      return Status::DataLoss(StrFormat(
+          "truncated checkpoint payload: expected %llu bytes, got %llu",
+          static_cast<unsigned long long>(length),
+          static_cast<unsigned long long>(held + is->gcount())));
+    }
   }
   uint32_t stored_crc = 0;
   if (!reader.ReadU32(&stored_crc).ok()) {

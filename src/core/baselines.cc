@@ -19,7 +19,6 @@
 #include "ml/mlp.h"
 #include "ml/split.h"
 #include "tensor/ops.h"
-#include "tensor/optimizer.h"
 
 namespace dbg4eth {
 namespace core {
@@ -136,37 +135,20 @@ EvaluationReport TrainGraphModel(
     const std::vector<int>& test_idx, const std::vector<ag::Tensor>& params,
     const std::function<ag::Tensor(const eth::GraphInstance&)>& forward,
     const BaselineConfig& config, Rng* rng) {
-  ag::Adam opt(params, config.learning_rate);
-  std::vector<int> order = train_idx;
-  const size_t batch_size =
-      static_cast<size_t>(std::max(1, config.batch_size));
-  std::unique_ptr<ThreadPool> pool =
-      MakeTrainerPool(ResolveNumThreads(config.num_threads));
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    rng->Shuffle(&order);
-    for (size_t start = 0; start < order.size(); start += batch_size) {
-      const size_t end = std::min(order.size(), start + batch_size);
-      const int batch_count = static_cast<int>(end - start);
-      opt.ZeroGrad();
-      // Baseline forwards draw no randomness, so the fan-out needs no
-      // per-instance RNG streams; batch_size=1 reproduces the original
-      // per-instance SGD bit-for-bit.
-      ParallelBatchBackward(
-          pool.get(), batch_count,
-          [&](int bi, ag::GradientBuffer* buffer) {
-            const eth::GraphInstance& inst =
-                dataset.instances[order[start + bi]];
-            ag::Tensor loss =
-                ag::SoftmaxCrossEntropy(forward(inst), {inst.label});
-            if (batch_count > 1) {
-              loss = ag::ScalarMul(loss, 1.0 / batch_count);
-            }
-            loss.Backward(buffer);
-          });
-      opt.ClipGradNorm(5.0);
-      opt.Step();
-    }
-  }
+  // Baseline forwards draw no randomness: no per-instance streams.
+  EpochLoop::Objective objective;
+  objective.instance = [&](int index, Rng*, std::vector<ag::Tensor>*) {
+    const eth::GraphInstance& inst = dataset.instances[index];
+    return ag::SoftmaxCrossEntropy(forward(inst), {inst.label});
+  };
+  EpochLoop loop(params, train_idx, rng,
+                 {.epochs = config.epochs,
+                  .learning_rate = config.learning_rate,
+                  .batch_size = config.batch_size,
+                  .grad_clip = 5.0,
+                  .num_threads = config.num_threads},
+                 std::move(objective), "baseline");
+  DBG4ETH_CHECK(loop.Run().ok());
   EvaluationReport report;
   for (int idx : test_idx) {
     const eth::GraphInstance& inst = dataset.instances[idx];

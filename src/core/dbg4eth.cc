@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <sstream>
 
 #include "common/checkpoint_store.h"
@@ -133,13 +132,15 @@ Result<TrainProgress> Dbg4Eth::RunTrainLoop(eth::SubgraphDataset* dataset,
     encoder_indices.insert(encoder_indices.end(), split.val.begin(),
                            split.val.end());
   }
-  std::optional<GsgEncoder::TrainSession> gsg_session;
-  std::optional<LdgEncoder::TrainSession> ldg_session;
+  // One session per enabled branch, GSG first: the order of their epochs
+  // and of their states in a TrainState frame.
+  std::vector<std::unique_ptr<EpochLoop>> sessions;
   if (config_.use_gsg) {
     gsg_ = std::make_unique<GsgEncoder>(config_.gsg);
     DBG4ETH_RETURN_NOT_OK(
         gsg_->ValidateTrainingInputs(*dataset, encoder_indices));
-    gsg_session.emplace(gsg_.get(), dataset, encoder_indices);
+    sessions.push_back(std::make_unique<GsgEncoder::TrainSession>(
+        gsg_.get(), dataset, encoder_indices));
   }
   if (config_.use_ldg) {
     if (!dataset->instances.empty()) {
@@ -151,21 +152,15 @@ Result<TrainProgress> Dbg4Eth::RunTrainLoop(eth::SubgraphDataset* dataset,
     ldg_ = std::make_unique<LdgEncoder>(config_.ldg);
     DBG4ETH_RETURN_NOT_OK(
         ldg_->ValidateTrainingInputs(*dataset, encoder_indices));
-    ldg_session.emplace(ldg_.get(), dataset, encoder_indices);
+    sessions.push_back(std::make_unique<LdgEncoder::TrainSession>(
+        ldg_.get(), dataset, encoder_indices));
   }
   if (resume != nullptr) {
     // Overwrite the freshly initialized parameters and session state with
     // the snapshot; the RNG streams come along, so the first resumed epoch
     // draws exactly what the next uninterrupted epoch would have drawn.
-    if (config_.use_gsg) {
-      std::vector<ag::Tensor> params = gsg_->Parameters();
-      DBG4ETH_RETURN_NOT_OK(ag::ReadParameters(resume, &params));
-      DBG4ETH_RETURN_NOT_OK(gsg_session->LoadState(resume));
-    }
-    if (config_.use_ldg) {
-      std::vector<ag::Tensor> params = ldg_->Parameters();
-      DBG4ETH_RETURN_NOT_OK(ag::ReadParameters(resume, &params));
-      DBG4ETH_RETURN_NOT_OK(ldg_session->LoadState(resume));
+    for (const auto& session : sessions) {
+      DBG4ETH_RETURN_NOT_OK(session->LoadState(resume));
     }
     DBG4ETH_RETURN_NOT_OK(resume->ExpectTag("end"));
   }
@@ -183,16 +178,14 @@ Result<TrainProgress> Dbg4Eth::RunTrainLoop(eth::SubgraphDataset* dataset,
     const bool preempt = options.max_epochs_this_run > 0 &&
                          epochs_this_run >= options.max_epochs_this_run;
     if (options.store != nullptr) {
-      const int total_done = (gsg_session ? gsg_session->epoch() : 0) +
-                             (ldg_session ? ldg_session->epoch() : 0);
+      int total_done = 0;
+      for (const auto& session : sessions) total_done += session->epoch();
       const int cadence = std::max(1, options.snapshot_every_epochs);
       if (preempt || total_done % cadence == 0) {
         DBG4ETH_ASSIGN_OR_RETURN(
             const std::string path,
             options.store->Save([&](std::ostream* os) {
-              return WriteTrainState(
-                  os, split, gsg_session ? &*gsg_session : nullptr,
-                  ldg_session ? &*ldg_session : nullptr);
+              return WriteTrainState(os, split, sessions);
             }));
         (void)path;
         snapshots_total->Inc();
@@ -202,15 +195,12 @@ Result<TrainProgress> Dbg4Eth::RunTrainLoop(eth::SubgraphDataset* dataset,
     return preempt;
   };
 
-  while (gsg_session && !gsg_session->done()) {
-    DBG4ETH_RETURN_NOT_OK(gsg_session->RunEpoch());
-    DBG4ETH_ASSIGN_OR_RETURN(const bool preempt, epoch_boundary());
-    if (preempt) return TrainProgress::kPreempted;
-  }
-  while (ldg_session && !ldg_session->done()) {
-    DBG4ETH_RETURN_NOT_OK(ldg_session->RunEpoch());
-    DBG4ETH_ASSIGN_OR_RETURN(const bool preempt, epoch_boundary());
-    if (preempt) return TrainProgress::kPreempted;
+  for (const auto& session : sessions) {
+    while (!session->done()) {
+      DBG4ETH_RETURN_NOT_OK(session->RunEpoch());
+      DBG4ETH_ASSIGN_OR_RETURN(const bool preempt, epoch_boundary());
+      if (preempt) return TrainProgress::kPreempted;
+    }
   }
 
   // Stage 3a: confidence generation — scale raw branch scores by their
@@ -380,20 +370,23 @@ void WriteConfig(BinaryWriter* w, const Dbg4EthConfig& c) {
 }
 
 /// Rejects an architecture block that the encoder, head or Dbg4Eth
-/// constructors would abort on, or would allocate from before the weights
-/// that disprove it are read. `head` is the head kind as stored.
+/// constructors would abort on, that would allocate before the weights that
+/// disprove it are read, or whose encoders could not score the features
+/// MaterializeInstance computes. `head` is the head kind as stored.
 Status CheckArchitecture(const Dbg4EthConfig& c, int32_t head) {
   const auto in = [](int value, int limit) {
     return value >= 1 && value <= limit;
   };
   const int w = BinaryReader::kMaxLayerWidth;
   const bool gsg_ok =
-      in(c.gsg.node_feature_dim, w) && in(c.gsg.hidden_dim, w) &&
+      c.gsg.node_feature_dim == features::kNumFeatures &&
+      in(c.gsg.hidden_dim, w) &&
       in(c.gsg.num_gat_layers, BinaryReader::kMaxLayers) &&
       in(c.gsg.num_heads, c.gsg.hidden_dim) &&
       c.gsg.hidden_dim % c.gsg.num_heads == 0 && in(c.gsg.num_classes, w);
   const bool ldg_ok =
-      in(c.ldg.node_feature_dim, w) && in(c.ldg.hidden_dim, w) &&
+      c.ldg.node_feature_dim == features::kNumFeatures &&
+      in(c.ldg.hidden_dim, w) &&
       in(c.ldg.num_time_slices, w) && in(c.ldg.num_pooling_layers, 3) &&
       in(c.ldg.first_level_clusters, w) && in(c.ldg.num_classes, w);
   const bool head_ok = head >= static_cast<int32_t>(HeadKind::kLightGbm) &&
@@ -401,8 +394,8 @@ Status CheckArchitecture(const Dbg4EthConfig& c, int32_t head) {
   if (!(c.use_gsg || c.use_ldg) || (c.use_gsg && !gsg_ok) ||
       (c.use_ldg && !ldg_ok) || !head_ok) {
     return Status::Internal(
-        "corrupt checkpoint: architecture out of range (layer sizes, head "
-        "kind, or both branches off)");
+        "corrupt checkpoint: architecture out of range (feature width, "
+        "layer sizes, head kind, or both branches off)");
   }
   return Status::OK();
 }
@@ -497,8 +490,7 @@ Status CheckResumeCompatible(const Dbg4EthConfig& live,
 
 Status Dbg4Eth::WriteTrainState(
     std::ostream* os, const ml::SplitIndices& split,
-    const GsgEncoder::TrainSession* gsg_session,
-    const LdgEncoder::TrainSession* ldg_session) const {
+    const std::vector<std::unique_ptr<EpochLoop>>& sessions) const {
   BinaryWriter writer(os);
   writer.WriteString("dbg4eth_train_state");
   writer.WriteU32(kTrainStateVersion);
@@ -510,14 +502,7 @@ Status Dbg4Eth::WriteTrainState(
   writer.WriteIntVector(split.test);
   writer.WriteDoubleVector(normalizer_.means());
   writer.WriteDoubleVector(normalizer_.stds());
-  if (config_.use_gsg) {
-    ag::WriteParameters(&writer, gsg_->Parameters());
-    gsg_session->SaveState(&writer);
-  }
-  if (config_.use_ldg) {
-    ag::WriteParameters(&writer, ldg_->Parameters());
-    ldg_session->SaveState(&writer);
-  }
+  for (const auto& session : sessions) session->SaveState(&writer);
   writer.WriteString("end");
   if (!writer.ok()) return Status::Internal("training snapshot write failed");
   return Status::OK();
@@ -652,8 +637,10 @@ Result<std::unique_ptr<Dbg4Eth>> Dbg4Eth::LoadRaw(std::istream* is) {
   std::vector<double> means, stds;
   DBG4ETH_RETURN_NOT_OK(reader.ReadDoubleVector(&means));
   DBG4ETH_RETURN_NOT_OK(reader.ReadDoubleVector(&stds));
-  if (means.size() != stds.size()) {
-    return Status::Internal("corrupt checkpoint: normalizer size mismatch");
+  if (means.size() != features::kNumFeatures ||
+      stds.size() != features::kNumFeatures) {
+    return Status::Internal(
+        "corrupt checkpoint: normalizer width is not the feature width");
   }
   model->normalizer_.Restore(means, stds);
 
@@ -684,7 +671,9 @@ Result<std::unique_ptr<Dbg4Eth>> Dbg4Eth::LoadRaw(std::istream* is) {
     }
   }
   model->head_ = MakeHead(config.head, config.gbdt);
-  DBG4ETH_RETURN_NOT_OK(model->head_->Load(&reader));
+  // The head reads one calibrated probability per enabled branch.
+  DBG4ETH_RETURN_NOT_OK(model->head_->Load(
+      &reader, (config.use_gsg ? 1 : 0) + (config.use_ldg ? 1 : 0)));
   DBG4ETH_RETURN_NOT_OK(reader.ExpectTag("end"));
   model->trained_ = true;
   return model;

@@ -189,9 +189,9 @@ class Dbg4Eth {
                                      BinaryReader* resume);
 
   /// Serializes one TrainState frame (see TrainWithSnapshots).
-  Status WriteTrainState(std::ostream* os, const ml::SplitIndices& split,
-                         const GsgEncoder::TrainSession* gsg_session,
-                         const LdgEncoder::TrainSession* ldg_session) const;
+  Status WriteTrainState(
+      std::ostream* os, const ml::SplitIndices& split,
+      const std::vector<std::unique_ptr<EpochLoop>>& sessions) const;
 
   struct BranchScaler {
     double mean = 0.0;

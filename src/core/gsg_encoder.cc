@@ -5,10 +5,7 @@
 
 #include "augment/contrastive.h"
 #include "common/logging.h"
-#include "core/parallel_trainer.h"
-#include "obs/metrics.h"
 #include "tensor/ops.h"
-#include "tensor/optimizer.h"
 
 namespace dbg4eth {
 namespace core {
@@ -16,11 +13,6 @@ namespace core {
 namespace {
 
 constexpr int kEdgeAggregateDim = 2;
-
-obs::Histogram* TrainHistogram(const char* name, const char* help) {
-  return obs::MetricsRegistry::Global()->HistogramAt(name, help,
-                                                     {{"encoder", "gsg"}});
-}
 
 }  // namespace
 
@@ -109,143 +101,63 @@ std::vector<ag::Tensor> GsgEncoder::Parameters() const {
   return params;
 }
 
+namespace {
+
+/// Per instance, softmax cross-entropy on the graph and, with the
+/// contrastive term on, the embeddings of two augmented views; over the
+/// batch, the weighted NT-Xent loss between those views.
+EpochLoop::Objective TrainObjective(const GsgEncoder* enc,
+                                    const eth::SubgraphDataset* dataset) {
+  EpochLoop::Objective objective;
+  objective.draws_randomness = true;  // Dropout masks, augmentation draws.
+  objective.instance = [enc, dataset](int index, Rng* rng,
+                                      std::vector<ag::Tensor>* views) {
+    const GsgEncoderConfig& config = enc->config();
+    const eth::GraphInstance& inst = dataset->instances[index];
+    ag::Tensor emb = enc->EmbedGraph(inst.gsg, /*training=*/true, rng);
+    ag::Tensor loss = ag::SoftmaxCrossEntropy(enc->Logits(emb), {inst.label});
+    if (config.use_contrastive) {
+      const graph::Graph v1 =
+          augment::AugmentGraph(inst.gsg, config.view1, rng);
+      const graph::Graph v2 =
+          augment::AugmentGraph(inst.gsg, config.view2, rng);
+      views->push_back(enc->EmbedGraph(v1, /*training=*/true, rng));
+      views->push_back(enc->EmbedGraph(v2, /*training=*/true, rng));
+    }
+    return loss;
+  };
+  if (enc->config().use_contrastive) {
+    // NT-Xent needs at least two graphs in the batch for negatives.
+    objective.batch = [enc](const std::vector<std::vector<ag::Tensor>>& views) {
+      if (views.size() < 2) return ag::Tensor();
+      std::vector<ag::Tensor> z1, z2;
+      for (const std::vector<ag::Tensor>& pair : views) {
+        z1.push_back(pair[0]);
+        z2.push_back(pair[1]);
+      }
+      const GsgEncoderConfig& config = enc->config();
+      return ag::ScalarMul(
+          augment::NtXentLoss(ag::ConcatRowsList(z1), ag::ConcatRowsList(z2),
+                              config.temperature),
+          config.contrastive_weight);
+    };
+  }
+  return objective;
+}
+
+}  // namespace
+
 GsgEncoder::TrainSession::TrainSession(GsgEncoder* encoder,
                                        const eth::SubgraphDataset* dataset,
                                        std::vector<int> train_indices)
-    : encoder_(encoder),
-      dataset_(dataset),
-      order_(std::move(train_indices)),
-      opt_(encoder->Parameters(), encoder->config_.learning_rate),
-      pool_(MakeTrainerPool(ResolveNumThreads(encoder->config_.num_threads))) {
-}
-
-GsgEncoder::TrainSession::~TrainSession() = default;
-
-bool GsgEncoder::TrainSession::done() const {
-  return epoch_ >= encoder_->config_.epochs;
-}
-
-Status GsgEncoder::TrainSession::RunEpoch() {
-  GsgEncoder& enc = *encoder_;
-  const GsgEncoderConfig& config = enc.config_;
-  const eth::SubgraphDataset& dataset = *dataset_;
-
-  // Timing only observes the loop — it draws no randomness and reorders
-  // nothing, so the bit-identical determinism guarantees are untouched.
-  static obs::Histogram* epoch_hist = TrainHistogram(
-      "train_epoch_us", "Wall time of one training epoch by encoder");
-  static obs::Histogram* forward_hist = TrainHistogram(
-      "train_forward_us", "Per-instance forward-pass wall time by encoder");
-  static obs::Histogram* backward_hist = TrainHistogram(
-      "train_backward_us", "Per-instance backward-pass wall time by encoder");
-  static obs::Histogram* step_hist = TrainHistogram(
-      "train_step_us",
-      "Optimizer clip+step wall time per batch by encoder");
-  static obs::Counter* epochs_total = obs::MetricsRegistry::Global()->CounterAt(
-      "train_epochs_total", "Completed training epochs by encoder",
-      {{"encoder", "gsg"}});
-
-  obs::ScopedTimer epoch_timer(epoch_hist);
-  enc.rng_.Shuffle(&order_);
-  for (size_t start = 0; start < order_.size(); start += config.batch_size) {
-    const size_t end = std::min(order_.size(), start + config.batch_size);
-    const int batch_count = static_cast<int>(end - start);
-    opt_.ZeroGrad();
-
-    // One RNG per instance, forked from the trainer stream on this
-    // thread in instance order: the randomness each instance sees
-    // (dropout masks, augmentation draws) does not depend on the thread
-    // count or on scheduling.
-    std::vector<Rng> rngs;
-    rngs.reserve(batch_count);
-    for (int bi = 0; bi < batch_count; ++bi) rngs.push_back(enc.rng_.Fork());
-
-    // Per-instance slots for the contrastive view embeddings; the tapes
-    // built on worker threads stay alive until the NT-Xent backward
-    // below.
-    std::vector<ag::Tensor> view1_embs(batch_count);
-    std::vector<ag::Tensor> view2_embs(batch_count);
-
-    // Classification term: each instance backwards its 1/B-scaled loss
-    // into a private gradient buffer (same mean-loss gradient as the
-    // seed's sum-then-scale, accumulated per instance).
-    ParallelBatchBackward(
-        pool_.get(), batch_count,
-        [&](int bi, ag::GradientBuffer* buffer) {
-          const eth::GraphInstance& inst =
-              dataset.instances[order_[start + bi]];
-          Rng* rng = &rngs[bi];
-          obs::ScopedTimer forward_timer(forward_hist);
-          ag::Tensor emb = enc.EmbedGraph(inst.gsg, /*training=*/true, rng);
-          ag::Tensor loss =
-              ag::SoftmaxCrossEntropy(enc.Logits(emb), {inst.label});
-          ag::Tensor scaled = ag::ScalarMul(loss, 1.0 / batch_count);
-          forward_timer.Stop();
-          {
-            obs::ScopedTimer backward_timer(backward_hist);
-            scaled.Backward(buffer);
-          }
-          if (config.use_contrastive) {
-            const graph::Graph v1 =
-                augment::AugmentGraph(inst.gsg, config.view1, rng);
-            const graph::Graph v2 =
-                augment::AugmentGraph(inst.gsg, config.view2, rng);
-            view1_embs[bi] = enc.EmbedGraph(v1, /*training=*/true, rng);
-            view2_embs[bi] = enc.EmbedGraph(v2, /*training=*/true, rng);
-          }
-        });
-
-    // NT-Xent couples all views of the batch, so it runs (and backwards,
-    // unbuffered) on this thread after the join. It needs at least two
-    // graphs in the batch to have negatives.
-    if (config.use_contrastive && batch_count >= 2) {
-      ag::Tensor z1 = ag::ConcatRowsList(view1_embs);
-      ag::Tensor z2 = ag::ConcatRowsList(view2_embs);
-      ag::Tensor contrastive =
-          augment::NtXentLoss(z1, z2, config.temperature);
-      ag::ScalarMul(contrastive, config.contrastive_weight).Backward();
-    }
-    obs::ScopedTimer step_timer(step_hist);
-    opt_.ClipGradNorm(config.grad_clip);
-    opt_.Step();
-  }
-  ++epoch_;
-  epochs_total->Inc();
-  return Status::OK();
-}
-
-void GsgEncoder::TrainSession::SaveState(BinaryWriter* writer) const {
-  writer->WriteString("gsg_train_session");
-  writer->WriteU32(static_cast<uint32_t>(epoch_));
-  writer->WriteIntVector(order_);
-  WriteRngState(writer, encoder_->rng_);
-  opt_.SaveState(writer);
-}
-
-Status GsgEncoder::TrainSession::LoadState(BinaryReader* reader) {
-  DBG4ETH_RETURN_NOT_OK(reader->ExpectTag("gsg_train_session"));
-  uint32_t epoch = 0;
-  DBG4ETH_RETURN_NOT_OK(reader->ReadU32(&epoch));
-  if (static_cast<int>(epoch) > encoder_->config_.epochs) {
-    return Status::InvalidArgument(
-        "GSG training session snapshot is ahead of the configured epochs");
-  }
-  std::vector<int> order;
-  DBG4ETH_RETURN_NOT_OK(reader->ReadIntVector(&order));
-  if (order.size() != order_.size()) {
-    return Status::InvalidArgument(
-        "GSG training session snapshot covers a different index count");
-  }
-  // Stage the RNG so a corrupt tail (e.g. mismatched optimizer state)
-  // cannot leave the session half-restored.
-  Rng staged(0);
-  DBG4ETH_RETURN_NOT_OK(ReadRngState(reader, &staged));
-  DBG4ETH_RETURN_NOT_OK(opt_.LoadState(reader));
-  encoder_->rng_.SetState(staged.State());
-  order_ = std::move(order);
-  epoch_ = static_cast<int>(epoch);
-  return Status::OK();
-}
+    : EpochLoop(encoder->Parameters(), std::move(train_indices),
+                &encoder->rng_,
+                {.epochs = encoder->config_.epochs,
+                 .learning_rate = encoder->config_.learning_rate,
+                 .batch_size = encoder->config_.batch_size,
+                 .grad_clip = encoder->config_.grad_clip,
+                 .num_threads = encoder->config_.num_threads},
+                TrainObjective(encoder, dataset), "gsg") {}
 
 Status GsgEncoder::ValidateTrainingInputs(
     const eth::SubgraphDataset& dataset,
@@ -260,11 +172,7 @@ Status GsgEncoder::ValidateTrainingInputs(
 Status GsgEncoder::Train(const eth::SubgraphDataset& dataset,
                          const std::vector<int>& train_indices) {
   DBG4ETH_RETURN_NOT_OK(ValidateTrainingInputs(dataset, train_indices));
-  TrainSession session(this, &dataset, train_indices);
-  while (!session.done()) {
-    DBG4ETH_RETURN_NOT_OK(session.RunEpoch());
-  }
-  return Status::OK();
+  return TrainSession(this, &dataset, train_indices).Run();
 }
 
 }  // namespace core

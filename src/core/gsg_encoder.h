@@ -6,15 +6,13 @@
 
 #include "augment/augmentation.h"
 #include "common/rng.h"
-#include "common/serialize.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
+#include "core/parallel_trainer.h"
 #include "eth/dataset.h"
 #include "gnn/conv.h"
 #include "gnn/hier_attention.h"
 #include "gnn/linear.h"
 #include "graph/graph.h"
-#include "tensor/optimizer.h"
 
 namespace dbg4eth {
 namespace core {
@@ -80,51 +78,17 @@ class GsgEncoder {
   /// Branch prediction score for a graph: logit(positive) - logit(negative).
   double PredictScore(const graph::Graph& g) const;
 
-  /// \brief Epoch-granular resumable training session.
-  ///
-  /// Holds the cross-epoch mutable training state that is not part of the
-  /// encoder itself — the cumulative shuffle order (the per-epoch shuffle
-  /// permutes the previous epoch's order, so it cannot be re-derived from
-  /// the RNG state alone), the Adam moments, and the worker pool. Training
-  /// can stop at any epoch boundary, serialize with SaveState, and later
-  /// continue in a fresh process bit-identically to an uninterrupted run.
-  class TrainSession {
+  /// \brief Epoch-granular resumable training session: the shared
+  /// EpochLoop bound to this encoder's objective — softmax cross-entropy
+  /// per instance plus, over each batch, the weighted NT-Xent term between
+  /// two augmented views of every graph. Dropout and augmentation draw
+  /// from per-instance streams forked off the encoder's RNG.
+  class TrainSession : public EpochLoop {
    public:
     /// The session trains `encoder` on `dataset` instances listed by
     /// `train_indices`. Both pointees must outlive the session.
     TrainSession(GsgEncoder* encoder, const eth::SubgraphDataset* dataset,
                  std::vector<int> train_indices);
-    ~TrainSession();
-
-    TrainSession(const TrainSession&) = delete;
-    TrainSession& operator=(const TrainSession&) = delete;
-
-    /// Runs one epoch: shuffle, then one clipped Adam step per batch.
-    Status RunEpoch();
-
-    /// True once the configured number of epochs has completed.
-    bool done() const;
-
-    /// Completed epochs.
-    int epoch() const { return epoch_; }
-
-    /// Serializes the session (epoch index, shuffle order, the encoder's
-    /// RNG and the optimizer moments). Encoder parameter *values* are not
-    /// included — snapshot them alongside with ag::WriteParameters.
-    void SaveState(BinaryWriter* writer) const;
-
-    /// Restores state written by SaveState. The session must be built over
-    /// an identically sized index list; mismatches and corrupt streams
-    /// return an error and leave the session untouched.
-    Status LoadState(BinaryReader* reader);
-
-   private:
-    GsgEncoder* encoder_;
-    const eth::SubgraphDataset* dataset_;
-    std::vector<int> order_;
-    ag::Adam opt_;
-    std::unique_ptr<ThreadPool> pool_;
-    int epoch_ = 0;
   };
 
   /// Checks that `train_indices` can train this encoder (non-empty).

@@ -3,22 +3,10 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "core/parallel_trainer.h"
-#include "obs/metrics.h"
 #include "tensor/ops.h"
-#include "tensor/optimizer.h"
 
 namespace dbg4eth {
 namespace core {
-
-namespace {
-
-obs::Histogram* TrainHistogram(const char* name, const char* help) {
-  return obs::MetricsRegistry::Global()->HistogramAt(name, help,
-                                                     {{"encoder", "ldg"}});
-}
-
-}  // namespace
 
 LdgEncoder::LdgEncoder(const LdgEncoderConfig& config)
     : config_(config), rng_(config.seed) {
@@ -105,109 +93,35 @@ std::vector<ag::Tensor> LdgEncoder::Parameters() const {
   return params;
 }
 
+namespace {
+
+/// Softmax cross-entropy of one instance's slice sequence. The forward pass
+/// draws no randomness, so no per-instance streams are forked.
+EpochLoop::Objective TrainObjective(const LdgEncoder* enc,
+                                    const eth::SubgraphDataset* dataset) {
+  EpochLoop::Objective objective;
+  objective.instance = [enc, dataset](int index, Rng*,
+                                      std::vector<ag::Tensor>*) {
+    const eth::GraphInstance& inst = dataset->instances[index];
+    return ag::SoftmaxCrossEntropy(enc->Logits(enc->EmbedSlices(inst.ldg)),
+                                   {inst.label});
+  };
+  return objective;
+}
+
+}  // namespace
+
 LdgEncoder::TrainSession::TrainSession(LdgEncoder* encoder,
                                        const eth::SubgraphDataset* dataset,
                                        std::vector<int> train_indices)
-    : encoder_(encoder),
-      dataset_(dataset),
-      order_(std::move(train_indices)),
-      opt_(encoder->Parameters(), encoder->config_.learning_rate),
-      pool_(MakeTrainerPool(ResolveNumThreads(encoder->config_.num_threads))) {
-}
-
-LdgEncoder::TrainSession::~TrainSession() = default;
-
-bool LdgEncoder::TrainSession::done() const {
-  return epoch_ >= encoder_->config_.epochs;
-}
-
-Status LdgEncoder::TrainSession::RunEpoch() {
-  LdgEncoder& enc = *encoder_;
-  const LdgEncoderConfig& config = enc.config_;
-  const eth::SubgraphDataset& dataset = *dataset_;
-  const size_t batch_size = static_cast<size_t>(std::max(1, config.batch_size));
-
-  // Timing only observes the loop; shuffles, forks and reduction order are
-  // untouched, so determinism guarantees hold.
-  static obs::Histogram* epoch_hist = TrainHistogram(
-      "train_epoch_us", "Wall time of one training epoch by encoder");
-  static obs::Histogram* forward_hist = TrainHistogram(
-      "train_forward_us", "Per-instance forward-pass wall time by encoder");
-  static obs::Histogram* backward_hist = TrainHistogram(
-      "train_backward_us", "Per-instance backward-pass wall time by encoder");
-  static obs::Histogram* step_hist = TrainHistogram(
-      "train_step_us",
-      "Optimizer clip+step wall time per batch by encoder");
-  static obs::Counter* epochs_total = obs::MetricsRegistry::Global()->CounterAt(
-      "train_epochs_total", "Completed training epochs by encoder",
-      {{"encoder", "ldg"}});
-
-  obs::ScopedTimer epoch_timer(epoch_hist);
-  enc.rng_.Shuffle(&order_);
-  for (size_t start = 0; start < order_.size(); start += batch_size) {
-    const size_t end = std::min(order_.size(), start + batch_size);
-    const int batch_count = static_cast<int>(end - start);
-    opt_.ZeroGrad();
-    // The LDG forward pass draws no randomness, so instances need no
-    // forked RNG streams; the batch mean gradient is reduced in instance
-    // order (thread-count independent). batch_size=1 reproduces the
-    // original per-instance SGD bit-for-bit.
-    ParallelBatchBackward(
-        pool_.get(), batch_count,
-        [&](int bi, ag::GradientBuffer* buffer) {
-          const eth::GraphInstance& inst =
-              dataset.instances[order_[start + bi]];
-          obs::ScopedTimer forward_timer(forward_hist);
-          ag::Tensor loss = ag::SoftmaxCrossEntropy(
-              enc.Logits(enc.EmbedSlices(inst.ldg)), {inst.label});
-          if (batch_count > 1) {
-            loss = ag::ScalarMul(loss, 1.0 / batch_count);
-          }
-          forward_timer.Stop();
-          obs::ScopedTimer backward_timer(backward_hist);
-          loss.Backward(buffer);
-        });
-    obs::ScopedTimer step_timer(step_hist);
-    opt_.ClipGradNorm(config.grad_clip);
-    opt_.Step();
-  }
-  ++epoch_;
-  epochs_total->Inc();
-  return Status::OK();
-}
-
-void LdgEncoder::TrainSession::SaveState(BinaryWriter* writer) const {
-  writer->WriteString("ldg_train_session");
-  writer->WriteU32(static_cast<uint32_t>(epoch_));
-  writer->WriteIntVector(order_);
-  WriteRngState(writer, encoder_->rng_);
-  opt_.SaveState(writer);
-}
-
-Status LdgEncoder::TrainSession::LoadState(BinaryReader* reader) {
-  DBG4ETH_RETURN_NOT_OK(reader->ExpectTag("ldg_train_session"));
-  uint32_t epoch = 0;
-  DBG4ETH_RETURN_NOT_OK(reader->ReadU32(&epoch));
-  if (static_cast<int>(epoch) > encoder_->config_.epochs) {
-    return Status::InvalidArgument(
-        "LDG training session snapshot is ahead of the configured epochs");
-  }
-  std::vector<int> order;
-  DBG4ETH_RETURN_NOT_OK(reader->ReadIntVector(&order));
-  if (order.size() != order_.size()) {
-    return Status::InvalidArgument(
-        "LDG training session snapshot covers a different index count");
-  }
-  // Stage the RNG so a corrupt tail cannot leave the session
-  // half-restored.
-  Rng staged(0);
-  DBG4ETH_RETURN_NOT_OK(ReadRngState(reader, &staged));
-  DBG4ETH_RETURN_NOT_OK(opt_.LoadState(reader));
-  encoder_->rng_.SetState(staged.State());
-  order_ = std::move(order);
-  epoch_ = static_cast<int>(epoch);
-  return Status::OK();
-}
+    : EpochLoop(encoder->Parameters(), std::move(train_indices),
+                &encoder->rng_,
+                {.epochs = encoder->config_.epochs,
+                 .learning_rate = encoder->config_.learning_rate,
+                 .batch_size = encoder->config_.batch_size,
+                 .grad_clip = encoder->config_.grad_clip,
+                 .num_threads = encoder->config_.num_threads},
+                TrainObjective(encoder, dataset), "ldg") {}
 
 Status LdgEncoder::ValidateTrainingInputs(
     const eth::SubgraphDataset& dataset,
@@ -228,11 +142,7 @@ Status LdgEncoder::ValidateTrainingInputs(
 Status LdgEncoder::Train(const eth::SubgraphDataset& dataset,
                          const std::vector<int>& train_indices) {
   DBG4ETH_RETURN_NOT_OK(ValidateTrainingInputs(dataset, train_indices));
-  TrainSession session(this, &dataset, train_indices);
-  while (!session.done()) {
-    DBG4ETH_RETURN_NOT_OK(session.RunEpoch());
-  }
-  return Status::OK();
+  return TrainSession(this, &dataset, train_indices).Run();
 }
 
 }  // namespace core

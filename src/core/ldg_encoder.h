@@ -5,16 +5,14 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/serialize.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
+#include "core/parallel_trainer.h"
 #include "eth/dataset.h"
 #include "gnn/conv.h"
 #include "gnn/diffpool.h"
 #include "gnn/gru.h"
 #include "gnn/linear.h"
 #include "graph/graph.h"
-#include "tensor/optimizer.h"
 
 namespace dbg4eth {
 namespace core {
@@ -68,43 +66,14 @@ class LdgEncoder {
   /// Branch prediction score: logit(positive) - logit(negative).
   double PredictScore(const std::vector<graph::Graph>& slices) const;
 
-  /// \brief Epoch-granular resumable training session; the LDG twin of
-  /// GsgEncoder::TrainSession (cumulative shuffle order, Adam moments,
-  /// worker pool). Stop at any epoch boundary, SaveState, resume
-  /// bit-identically.
-  class TrainSession {
+  /// \brief Epoch-granular resumable training session: the shared
+  /// EpochLoop bound to this encoder's softmax cross-entropy.
+  class TrainSession : public EpochLoop {
    public:
+    /// The session trains `encoder` on `dataset` instances listed by
+    /// `train_indices`. Both pointees must outlive the session.
     TrainSession(LdgEncoder* encoder, const eth::SubgraphDataset* dataset,
                  std::vector<int> train_indices);
-    ~TrainSession();
-
-    TrainSession(const TrainSession&) = delete;
-    TrainSession& operator=(const TrainSession&) = delete;
-
-    /// Runs one epoch: shuffle, then one clipped Adam step per batch.
-    Status RunEpoch();
-
-    /// True once the configured number of epochs has completed.
-    bool done() const;
-
-    /// Completed epochs.
-    int epoch() const { return epoch_; }
-
-    /// Serializes the session state (not the encoder parameter values —
-    /// snapshot those alongside with ag::WriteParameters).
-    void SaveState(BinaryWriter* writer) const;
-
-    /// Restores state written by SaveState; errors leave the session
-    /// untouched.
-    Status LoadState(BinaryReader* reader);
-
-   private:
-    LdgEncoder* encoder_;
-    const eth::SubgraphDataset* dataset_;
-    std::vector<int> order_;
-    ag::Adam opt_;
-    std::unique_ptr<ThreadPool> pool_;
-    int epoch_ = 0;
   };
 
   /// Checks that `dataset`/`train_indices` can train this encoder

@@ -41,9 +41,11 @@ class BinaryClassifier {
 
   virtual std::string name() const = 0;
 
-  /// Checkpointing of the trained state.
+  /// Checkpointing of the trained state. Load restores a model for rows
+  /// of `num_features` entries: state that would read past such a row (a
+  /// split or stump feature, an input width) is an error.
   virtual void Save(BinaryWriter* writer) const = 0;
-  virtual Status Load(BinaryReader* reader) = 0;
+  virtual Status Load(BinaryReader* reader, int num_features) = 0;
 };
 
 }  // namespace ml

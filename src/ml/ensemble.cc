@@ -125,7 +125,8 @@ void RandomForestClassifier::Save(BinaryWriter* writer) const {
   for (const ClassificationTree& tree : trees_) tree.Save(writer);
 }
 
-Status RandomForestClassifier::Load(BinaryReader* reader) {
+Status RandomForestClassifier::Load(BinaryReader* reader,
+                                    int num_features) {
   DBG4ETH_RETURN_NOT_OK(reader->ExpectTag("random_forest"));
   uint32_t count = 0;
   DBG4ETH_RETURN_NOT_OK(reader->ReadU32(&count));
@@ -134,7 +135,7 @@ Status RandomForestClassifier::Load(BinaryReader* reader) {
   trees_.clear();
   for (uint32_t i = 0; i < count; ++i) {
     ClassificationTree tree;
-    DBG4ETH_RETURN_NOT_OK(tree.Load(reader));
+    DBG4ETH_RETURN_NOT_OK(tree.Load(reader, num_features));
     trees_.push_back(std::move(tree));
   }
   return Status::OK();
@@ -151,7 +152,7 @@ void AdaBoostClassifier::Save(BinaryWriter* writer) const {
   }
 }
 
-Status AdaBoostClassifier::Load(BinaryReader* reader) {
+Status AdaBoostClassifier::Load(BinaryReader* reader, int num_features) {
   DBG4ETH_RETURN_NOT_OK(reader->ExpectTag("adaboost"));
   uint32_t count = 0;
   DBG4ETH_RETURN_NOT_OK(reader->ReadU32(&count));
@@ -164,6 +165,11 @@ Status AdaBoostClassifier::Load(BinaryReader* reader) {
     DBG4ETH_RETURN_NOT_OK(reader->ReadDouble(&s.threshold));
     DBG4ETH_RETURN_NOT_OK(reader->ReadI32(&s.polarity));
     DBG4ETH_RETURN_NOT_OK(reader->ReadDouble(&s.alpha));
+    // A stump has no leaf marker: every feature must index the row.
+    if (s.feature < 0 || s.feature >= num_features) {
+      return Status::Internal(
+          "corrupt checkpoint: stump feature outside the row");
+    }
     stumps_.push_back(s);
   }
   return Status::OK();

@@ -30,7 +30,7 @@ class RandomForestClassifier : public BinaryClassifier {
   double PredictProba(const double* row) const override;
   std::string name() const override { return "random_forest"; }
   void Save(BinaryWriter* writer) const override;
-  Status Load(BinaryReader* reader) override;
+  Status Load(BinaryReader* reader, int num_features) override;
 
  private:
   RandomForestConfig config_;
@@ -51,7 +51,7 @@ class AdaBoostClassifier : public BinaryClassifier {
   double PredictProba(const double* row) const override;
   std::string name() const override { return "adaboost"; }
   void Save(BinaryWriter* writer) const override;
-  Status Load(BinaryReader* reader) override;
+  Status Load(BinaryReader* reader, int num_features) override;
 
  private:
   struct Stump {

@@ -82,7 +82,7 @@ void GbdtClassifier::Save(BinaryWriter* writer) const {
   for (const RegressionTree& tree : trees_) tree.Save(writer);
 }
 
-Status GbdtClassifier::Load(BinaryReader* reader) {
+Status GbdtClassifier::Load(BinaryReader* reader, int num_features) {
   DBG4ETH_RETURN_NOT_OK(reader->ExpectTag("gbdt"));
   DBG4ETH_RETURN_NOT_OK(reader->ReadString(&name_));
   DBG4ETH_RETURN_NOT_OK(reader->ReadDouble(&config_.learning_rate));
@@ -93,7 +93,7 @@ Status GbdtClassifier::Load(BinaryReader* reader) {
   trees_.clear();
   for (uint32_t i = 0; i < count; ++i) {
     RegressionTree tree;
-    DBG4ETH_RETURN_NOT_OK(tree.Load(reader));
+    DBG4ETH_RETURN_NOT_OK(tree.Load(reader, num_features));
     trees_.push_back(std::move(tree));
   }
   return Status::OK();

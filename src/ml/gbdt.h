@@ -36,7 +36,7 @@ class GbdtClassifier : public BinaryClassifier {
   int num_trees_used() const { return static_cast<int>(trees_.size()); }
 
   void Save(BinaryWriter* writer) const override;
-  Status Load(BinaryReader* reader) override;
+  Status Load(BinaryReader* reader, int num_features) override;
 
   /// Factory for the XGBoost-style variant (level-wise growth).
   static GbdtClassifier XgboostStyle(GbdtConfig config = GbdtConfig());

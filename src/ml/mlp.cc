@@ -62,7 +62,7 @@ void MlpClassifier::Save(BinaryWriter* writer) const {
   ag::WriteParameters(writer, params);
 }
 
-Status MlpClassifier::Load(BinaryReader* reader) {
+Status MlpClassifier::Load(BinaryReader* reader, int num_features) {
   DBG4ETH_RETURN_NOT_OK(reader->ExpectTag("mlp"));
   int32_t input_dim = 0;
   DBG4ETH_RETURN_NOT_OK(reader->ReadI32(&input_dim));
@@ -72,7 +72,7 @@ Status MlpClassifier::Load(BinaryReader* reader) {
   const auto in_range = [](int width) {
     return width >= 1 && width <= BinaryReader::kMaxLayerWidth;
   };
-  if (!in_range(input_dim) ||
+  if (!in_range(input_dim) || input_dim != num_features ||
       config_.hidden_dims.size() >
           static_cast<size_t>(BinaryReader::kMaxLayers) ||
       !std::all_of(config_.hidden_dims.begin(), config_.hidden_dims.end(),

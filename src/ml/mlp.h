@@ -30,7 +30,7 @@ class MlpClassifier : public BinaryClassifier {
   double PredictProba(const double* row) const override;
   std::string name() const override { return "mlp"; }
   void Save(BinaryWriter* writer) const override;
-  Status Load(BinaryReader* reader) override;
+  Status Load(BinaryReader* reader, int num_features) override;
 
  private:
   ag::Tensor ForwardLogits(const ag::Tensor& x) const;

@@ -101,11 +101,11 @@ void SaveNodes(BinaryWriter* writer, const std::vector<Node>& nodes,
 /// Nodes are read one at a time, so a corrupt count runs out of stream
 /// instead of allocating. Training places both children of an internal
 /// node after it, so a walk from the root only moves forward and ends at a
-/// leaf; a table that breaks this (a cycle, a child off the table) is
-/// corrupt.
+/// leaf; a table that breaks this (a cycle, a child off the table) or that
+/// splits on a feature past the row is corrupt.
 template <typename Node>
 Status LoadNodes(BinaryReader* reader, std::vector<Node>* nodes,
-                 double Node::*leaf) {
+                 double Node::*leaf, int num_features) {
   uint32_t count = 0;
   DBG4ETH_RETURN_NOT_OK(reader->ReadU32(&count));
   if (count == 0) return Status::Internal("corrupt checkpoint: empty tree");
@@ -123,6 +123,10 @@ Status LoadNodes(BinaryReader* reader, std::vector<Node>* nodes,
                            n.right >= end)) {
       return Status::Internal(
           "corrupt checkpoint: tree node child outside the table");
+    }
+    if (n.feature >= num_features) {
+      return Status::Internal(
+          "corrupt checkpoint: tree node splits on a feature past the row");
     }
     nodes->push_back(n);
   }
@@ -318,16 +322,16 @@ void RegressionTree::Save(BinaryWriter* writer) const {
   SaveNodes(writer, nodes_, &Node::value);
 }
 
-Status RegressionTree::Load(BinaryReader* reader) {
-  return LoadNodes(reader, &nodes_, &Node::value);
+Status RegressionTree::Load(BinaryReader* reader, int num_features) {
+  return LoadNodes(reader, &nodes_, &Node::value, num_features);
 }
 
 void ClassificationTree::Save(BinaryWriter* writer) const {
   SaveNodes(writer, nodes_, &Node::prob);
 }
 
-Status ClassificationTree::Load(BinaryReader* reader) {
-  return LoadNodes(reader, &nodes_, &Node::prob);
+Status ClassificationTree::Load(BinaryReader* reader, int num_features) {
+  return LoadNodes(reader, &nodes_, &Node::prob, num_features);
 }
 
 }  // namespace ml

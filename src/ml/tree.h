@@ -41,7 +41,7 @@ class RegressionTree {
   bool trained() const { return !nodes_.empty(); }
 
   void Save(BinaryWriter* writer) const;
-  Status Load(BinaryReader* reader);
+  Status Load(BinaryReader* reader, int num_features);
 
  private:
   struct Node {
@@ -67,7 +67,7 @@ class ClassificationTree {
   double PredictProba(const double* row) const;
 
   void Save(BinaryWriter* writer) const;
-  Status Load(BinaryReader* reader);
+  Status Load(BinaryReader* reader, int num_features);
 
  private:
   struct Node {

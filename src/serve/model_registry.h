@@ -69,7 +69,8 @@ class ModelRegistry {
   /// Invoked after a successful swap with the new model and generation —
   /// outside the registry lock, on the thread that drove the reload. The
   /// serving layer uses it to re-point its model reference and drop its
-  /// result cache (old-model scores are keyed only by address/height).
+  /// result cache (entries are keyed by account alone, so an old model's
+  /// scores would otherwise answer for the new one).
   using SwapCallback = std::function<void(
       std::shared_ptr<const core::Dbg4Eth>, uint64_t generation)>;
 

@@ -4,6 +4,9 @@
 // and recovery must walk past corrupt generations.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -101,6 +104,23 @@ TEST(CheckpointFrameTest, ImplausiblePayloadLengthIsDataLoss) {
   std::stringstream stream(framed);
   EXPECT_EQ(ReadFramedCheckpoint(&stream).status().code(),
             StatusCode::kDataLoss);
+}
+
+TEST(CheckpointFrameTest, ShortStreamCostsWhatItHoldsNotTheDeclaredLength) {
+  // A header declaring 256 MiB followed by 8 bytes: the length is not
+  // covered by the CRC, so the reader must not allocate what it declares.
+  std::string framed = Frame("8 bytes!").substr(0, 16 + 8);
+  const uint64_t declared = 256ull << 20;
+  std::memcpy(framed.data() + 8, &declared, sizeof(declared));
+  rusage before{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+  std::stringstream stream(framed);
+  EXPECT_EQ(ReadFramedCheckpoint(&stream).status().code(),
+            StatusCode::kDataLoss);
+  rusage after{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 16 * 1024)  // KiB
+      << "max RSS grew by " << after.ru_maxrss - before.ru_maxrss << " KiB";
 }
 
 TEST(CheckpointFrameTest, TruncationSweepFailsAtEveryByteOffset) {

@@ -266,6 +266,25 @@ TEST_F(ParallelTrainTest, LdgBatchSizeOneMatchesSeedBehavior) {
   ExpectParamsIdentical(serial.Parameters(), parallel.Parameters());
 }
 
+TEST_F(ParallelTrainTest, GsgBatchSizeBelowOneTrainsAsOne) {
+  // Every trainer treats a batch size below 1 as 1, so the epoch loop
+  // still advances through the instances.
+  core::GsgEncoderConfig config;
+  config.hidden_dim = 8;
+  config.epochs = 1;
+  config.seed = 17;
+  config.batch_size = 1;
+  core::GsgEncoder reference(config);
+  ASSERT_TRUE(reference.Train(*dataset_, AllIndices()).ok());
+
+  for (int batch_size : {0, -1}) {
+    config.batch_size = batch_size;
+    core::GsgEncoder encoder(config);
+    ASSERT_TRUE(encoder.Train(*dataset_, AllIndices()).ok());
+    ExpectParamsIdentical(reference.Parameters(), encoder.Parameters());
+  }
+}
+
 TEST_F(ParallelTrainTest, ParallelDatasetBuildIsByteIdentical) {
   for (int threads : {2, 3, 8}) {
     eth::DatasetConfig config = SmallDatasetConfig();

@@ -188,7 +188,7 @@ void ExpectHeadRoundTrip(Model* original, Model* restored) {
   BinaryWriter writer(&stream);
   original->Save(&writer);
   BinaryReader reader(&stream);
-  ASSERT_TRUE(restored->Load(&reader).ok());
+  ASSERT_TRUE(restored->Load(&reader, x.cols()).ok());
   for (int i = 0; i < x.rows(); i += 17) {
     EXPECT_DOUBLE_EQ(original->PredictProba(x.RowPtr(i)),
                      restored->PredictProba(x.RowPtr(i)));
@@ -425,10 +425,16 @@ TEST(ModelSerializeTest, FullDbg4EthRoundTrips) {
   }
 }
 
-/// A trained model's checkpoint payload (the bytes inside the frame). The
-/// model is small so that random mutations land on structure (sizes,
-/// counts, tags, tree links) as often as on weights.
-std::string TinyModelPayload() {
+/// A trained model's checkpoint payload (the bytes inside the frame), and
+/// one raw instance to score with it. The model is small so that random
+/// mutations land on structure (sizes, counts, tags, tree links) as often
+/// as on weights.
+struct TinyModel {
+  std::string payload;
+  eth::GraphInstance raw_instance;
+};
+
+TinyModel TrainTinyModel() {
   eth::LedgerConfig lc;
   lc.num_normal = 300;
   lc.num_exchange = 10;
@@ -443,6 +449,8 @@ std::string TinyModelPayload() {
   dc.sampling.max_nodes = 20;
   dc.num_time_slices = 3;
   auto ds = std::move(eth::BuildDataset(ledger, dc)).ValueOrDie();
+  TinyModel tiny;
+  tiny.raw_instance = ds.instances.front();  // Train standardizes ds.
 
   core::Dbg4EthConfig config;
   config.gsg.hidden_dim = 4;
@@ -460,15 +468,17 @@ std::string TinyModelPayload() {
   EXPECT_TRUE(model.Save(&framed).ok());
   auto payload = ReadFramedCheckpoint(&framed);
   EXPECT_TRUE(payload.ok());
-  return payload.ValueOrDie();
+  tiny.payload = payload.ValueOrDie();
+  return tiny;
 }
 
 /// Loads `payload` inside a fresh, valid frame: only the payload parser
 /// sees the damage.
-Status LoadPayload(const std::string& payload) {
+Result<std::unique_ptr<core::Dbg4Eth>> LoadPayload(
+    const std::string& payload) {
   std::stringstream framed;
   EXPECT_TRUE(WriteFramedCheckpoint(&framed, payload).ok());
-  return core::Dbg4Eth::Load(&framed).status();
+  return core::Dbg4Eth::Load(&framed);
 }
 
 void PutU32(std::string* bytes, size_t at, uint32_t value) {
@@ -482,24 +492,76 @@ uint32_t GetU32(const std::string& bytes, size_t at) {
   return value;
 }
 
+/// Offset just past the ag::WriteParameters block at `at`: a u32 count,
+/// then per matrix i32 rows, i32 cols, u32 n and n doubles.
+size_t SkipParameters(const std::string& bytes, size_t at) {
+  const uint32_t count = GetU32(bytes, at);
+  at += 4;
+  for (uint32_t i = 0; i < count; ++i) at += 12 + 8 * GetU32(bytes, at + 8);
+  return at;
+}
+
+/// Drops the last row of the first matrix of the parameter block at `at`.
+void DropFirstMatrixRow(std::string* bytes, size_t at) {
+  const size_t matrix = at + 4;
+  const uint32_t rows = GetU32(*bytes, matrix);
+  const uint32_t cols = GetU32(*bytes, matrix + 4);
+  const uint32_t n = GetU32(*bytes, matrix + 8);
+  PutU32(bytes, matrix, rows - 1);
+  PutU32(bytes, matrix + 8, n - cols);
+  bytes->erase(matrix + 12 + 8 * (n - cols), 8 * cols);
+}
+
+/// `n` x `width` rows whose label depends on the first column.
+void MakeHeadData(int n, int width, Matrix* x, std::vector<int>* y) {
+  Rng rng(3);
+  *x = Matrix(n, width);
+  y->resize(n);
+  for (int i = 0; i < n; ++i) {
+    for (int c = 0; c < width; ++c) x->At(i, c) = rng.Uniform();
+    (*y)[i] = x->At(i, 0) > 0.5 ? 1 : 0;
+  }
+}
+
 TEST(ModelSerializeTest, CorruptPayloadsLoadOrFailWithAStatus) {
-  const std::string payload = TinyModelPayload();
+  const TinyModel tiny = TrainTinyModel();
+  const std::string& payload = tiny.payload;
   ASSERT_TRUE(LoadPayload(payload).ok());
 
   // Fixed cases. Offsets follow the payload layout: the architecture block
-  // starts after the "dbg4eth_config" tag (u32 length + bytes), the GBDT
-  // head after the "gbdt" tag near the end.
+  // starts after the "dbg4eth_config" tag (u32 length + bytes), then come
+  // the normalizer, each branch's parameters and scaler, the calibrators,
+  // and the GBDT head after the "gbdt" tag near the end.
   const std::string config_tag =
       std::string("\x0e\0\0\0", 4) + "dbg4eth_config";
   const size_t config = payload.find(config_tag);
   ASSERT_NE(config, std::string::npos);
-  const size_t gsg_hidden_dim = config + config_tag.size() + 4;
+  const size_t gsg_feature_dim = config + config_tag.size();
+  const size_t gsg_hidden_dim = gsg_feature_dim + 4;
+  const size_t ldg_feature_dim = gsg_feature_dim + 109;
+  ASSERT_EQ(GetU32(payload, gsg_feature_dim), 15u);
   ASSERT_EQ(GetU32(payload, gsg_hidden_dim), 4u);
+  ASSERT_EQ(GetU32(payload, ldg_feature_dim), 15u);
   const size_t use_gsg = config + config_tag.size() + 141;
   const size_t head_kind = use_gsg + 3;
   ASSERT_EQ(payload[use_gsg], 1);
   ASSERT_EQ(payload[use_gsg + 1], 1);  // use_ldg
   ASSERT_EQ(GetU32(payload, head_kind), 0u);  // HeadKind::kLightGbm
+  const size_t means = head_kind + 4 + 8;  // Past the head kind and seed.
+  ASSERT_EQ(GetU32(payload, means), 15u);
+  const size_t gsg_params = means + 2 * (4 + 15 * 8);
+  ASSERT_EQ(GetU32(payload, gsg_params + 4), 17u);  // Eq. 6 alignment rows.
+  const size_t ldg_params = SkipParameters(payload, gsg_params) + 2 * 8;
+  ASSERT_EQ(GetU32(payload, ldg_params + 4), 15u);  // Input projection rows.
+
+  const std::string histogram_tag =
+      std::string("\x09\0\0\0", 4) + "histogram";
+  const size_t histogram = payload.find(histogram_tag);
+  ASSERT_NE(histogram, std::string::npos);
+  // Past the name, the method's delta-ECE and weight.
+  const size_t histogram_bins = histogram + histogram_tag.size() + 2 * 8;
+  ASSERT_EQ(GetU32(payload, histogram_bins),  // The bin count...
+            GetU32(payload, histogram_bins + 4));  // ...and the table size.
 
   const std::string gbdt_tag = std::string("\x04\0\0\0", 4) + "gbdt";
   const size_t gbdt = payload.rfind(gbdt_tag);
@@ -508,9 +570,37 @@ TEST(ModelSerializeTest, CorruptPayloadsLoadOrFailWithAStatus) {
   const size_t tree_count = name + 4 + GetU32(payload, name) + 2 * 8;
   ASSERT_EQ(GetU32(payload, tree_count), 4u);
   // Node 0 of the first tree: past the tree count and that tree's node
-  // count.
+  // count. It splits, on feature 0 or 1 of the two-probability row.
   const size_t root = tree_count + 4 + 4;
   const size_t root_left = root + 4 + 8;
+  ASSERT_LT(GetU32(payload, root), 2u);
+
+  // The payload with its head swapped for `head`, stored as `kind`.
+  const auto with_head = [&](core::HeadKind kind,
+                             const ml::BinaryClassifier& head) {
+    std::string swapped = payload.substr(0, gbdt);
+    PutU32(&swapped, head_kind, static_cast<uint32_t>(kind));
+    std::ostringstream os;
+    BinaryWriter writer(&os);
+    head.Save(&writer);
+    writer.WriteString("end");
+    return swapped + os.str();
+  };
+  Matrix x2, x3;
+  std::vector<int> y2, y3;
+  MakeHeadData(60, 2, &x2, &y2);
+  MakeHeadData(60, 3, &x3, &y3);
+  ml::AdaBoostClassifier adaboost;
+  ASSERT_TRUE(adaboost.Train(x2, y2).ok());
+  ml::MlpClassifier mlp2, mlp3;
+  ASSERT_TRUE(mlp2.Train(x2, y2).ok());
+  ASSERT_TRUE(mlp3.Train(x3, y3).ok());
+  const std::string adaboost_payload =
+      with_head(core::HeadKind::kAdaBoost, adaboost);
+  ASSERT_TRUE(LoadPayload(adaboost_payload).ok());
+  ASSERT_TRUE(LoadPayload(with_head(core::HeadKind::kMlp, mlp2)).ok());
+  // Past the "adaboost" tag and the stump count.
+  const size_t first_stump = gbdt + 4 + 8 + 4;
 
   struct Case {
     const char* what;
@@ -524,6 +614,47 @@ TEST(ModelSerializeTest, CorruptPayloadsLoadOrFailWithAStatus) {
          PutU32(p, root, 0);  // An internal node on feature 0...
          PutU32(p, root_left, 0);
          PutU32(p, root_left + 4, 0);  // ...whose children are itself.
+       }},
+      {"first root splits on feature 100000",
+       [&](std::string* p) { PutU32(p, root, 100000); }},
+      {"first root splits on feature 2 of a two-entry row",
+       [&](std::string* p) { PutU32(p, root, 2); }},
+      {"AdaBoost stump on feature -1",
+       [&](std::string* p) {
+         *p = adaboost_payload;
+         PutU32(p, first_stump, static_cast<uint32_t>(-1));
+       }},
+      {"AdaBoost stump on feature 2 of a two-entry row",
+       [&](std::string* p) {
+         *p = adaboost_payload;
+         PutU32(p, first_stump, 2);
+       }},
+      {"MLP head over three inputs",
+       [&](std::string* p) { *p = with_head(core::HeadKind::kMlp, mlp3); }},
+      {"histogram calibrator with no bins",
+       [&](std::string* p) {
+         const uint32_t bins = GetU32(*p, histogram_bins);
+         PutU32(p, histogram_bins, 0);
+         PutU32(p, histogram_bins + 4, 0);
+         p->erase(histogram_bins + 8, 8 * bins);
+       }},
+      {"normalizer over 14 features",
+       [&](std::string* p) {
+         PutU32(p, means, 14);
+         p->erase(means + 4 + 14 * 8, 8);
+         const size_t stds = means + 4 + 14 * 8;
+         PutU32(p, stds, 14);
+         p->erase(stds + 4 + 14 * 8, 8);
+       }},
+      {"GSG over 14 node features, weights to match",
+       [&](std::string* p) {
+         PutU32(p, gsg_feature_dim, 14);
+         DropFirstMatrixRow(p, gsg_params);
+       }},
+      {"LDG over 14 node features, weights to match",
+       [&](std::string* p) {
+         PutU32(p, ldg_feature_dim, 14);
+         DropFirstMatrixRow(p, ldg_params);
        }},
       {"gsg.hidden_dim 2^30",
        [&](std::string* p) { PutU32(p, gsg_hidden_dim, 1u << 30); }},
@@ -539,16 +670,17 @@ TEST(ModelSerializeTest, CorruptPayloadsLoadOrFailWithAStatus) {
   for (const Case& c : cases) {
     std::string damaged = payload;
     c.damage(&damaged);
-    const Status status = LoadPayload(damaged);
+    const Status status = LoadPayload(damaged).status();
     EXPECT_FALSE(status.ok()) << c.what;
     EXPECT_FALSE(status.message().empty()) << c.what;
   }
 
-  // Seeded random mutations: each either loads (the mutation was benign)
-  // or fails with a Status; none may crash, hang or allocate without
-  // bound.
+  // Seeded random mutations: each either fails with a Status or loads a
+  // model that normalizes and scores an instance; none may crash, hang or
+  // allocate without bound.
   std::mt19937_64 rng(0x5eed);
   int failed = 0;
+  int scored = 0;
   for (int trial = 0; trial < 3000; ++trial) {
     std::string mutated = payload;
     const size_t pos = rng() % mutated.size();
@@ -570,13 +702,19 @@ TEST(ModelSerializeTest, CorruptPayloadsLoadOrFailWithAStatus) {
         mutated.insert(pos, 1, mutated[pos]);
         break;
     }
-    const Status status = LoadPayload(mutated);
-    if (!status.ok()) {
+    auto loaded = LoadPayload(mutated);
+    if (!loaded.ok()) {
       ++failed;
-      EXPECT_FALSE(status.message().empty()) << "trial " << trial;
+      EXPECT_FALSE(loaded.status().message().empty()) << "trial " << trial;
+      continue;
     }
+    eth::GraphInstance instance = tiny.raw_instance;
+    loaded.ValueOrDie()->Normalize(&instance);
+    loaded.ValueOrDie()->PredictProba(instance);
+    ++scored;
   }
   EXPECT_GT(failed, 0);
+  EXPECT_GT(scored, 0);
 }
 
 TEST(ModelSerializeTest, GarbageStreamFailsToLoad) {

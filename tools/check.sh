@@ -6,12 +6,15 @@
 # (including the model hot-swap hammer and the net chaos fault injection,
 # and ten repeats of the async-responder and shutdown tests,
 # ctest -R "Responder|HandlerThread|PipelinedScores|ShutdownWaits|AcceptedDuringShutdown|OverloadAnswers"),
+# the training fan-out and the kill-and-resume matrix under ThreadSanitizer
+# (ctest -R "ParallelFor|ParallelBatchBackward|GradientBuffer|ParallelTrain|MakeTrainerPool",
+# ctest -L resume),
 # a failpoint-enabled kill -> resume -> hot-reload chaos smoke, the whole
 # tier-1 gate plus the chaos suite under AddressSanitizer + UBSan
 # (ctest -L "tier1|chaos", the asan test preset's filter), and a
 # serving-latency regression guard against the committed BENCH_serve.json.
 #
-#   tools/check.sh            # tier-1 + tsan obs/serve/net + asan tier-1/chaos
+#   tools/check.sh            # tier-1 + tsan obs/serve/net/train + asan tier-1/chaos
 #   tools/check.sh --fast     # tier-1 only
 #   tools/check.sh --bench    # tier-1 + bench-regression guard
 #
@@ -145,6 +148,7 @@ if [[ "${fast}" == "1" || "${bench}" == "1" ]]; then
 fi
 
 serve_suites="Serve|ServerStats|ThreadPool|ResultCache|InferenceArena|TapeFree|FastPath|ModelRegistry"
+train_suites="ParallelFor|ParallelBatchBackward|GradientBuffer|ParallelTrain|MakeTrainerPool"
 responder_tests="Responder|HandlerThread|PipelinedScores|ShutdownWaits|AcceptedDuringShutdown|OverloadAnswers"
 
 echo "=== tsan: configure + build (build-tsan/) ==="
@@ -171,6 +175,15 @@ echo "=== tsan: net suite + net chaos (ctest -L net / -R NetChaos) ==="
 echo "=== tsan: responder + shutdown tests, repeated (ctest -R ... --repeat until-fail:10) ==="
 (cd build-tsan && ctest -R "${responder_tests}" --repeat until-fail:10 \
     --no-tests=error --output-on-failure -j"$(nproc)")
+
+# The trainers fan each batch out over a worker pool: the workers build
+# tapes over the shared parameters and write thread-local gradient
+# buffers, which the calling thread reduces after the join. The resume
+# matrix runs that fan-out at 1 and 4 threads across kill-and-resume.
+echo "=== tsan: training fan-out + resume matrix (ctest -R ... / -L resume) ==="
+(cd build-tsan && ctest -R "${train_suites}" \
+    --no-tests=error --output-on-failure -j"$(nproc)")
+(cd build-tsan && ctest -L resume --no-tests=error --output-on-failure -j"$(nproc)")
 
 # The tsan preset compiles with DBG4ETH_FAILPOINTS=ON, so this stage
 # actually injects the faults; in the default build these tests skip.
