@@ -558,6 +558,11 @@ Result<TrainProgress> Dbg4Eth::ResumeTrain(eth::SubgraphDataset* dataset,
   std::vector<double> means, stds;
   DBG4ETH_RETURN_NOT_OK(reader.ReadDoubleVector(&means));
   DBG4ETH_RETURN_NOT_OK(reader.ReadDoubleVector(&stds));
+  if (means.size() != features::kNumFeatures ||
+      stds.size() != features::kNumFeatures) {
+    return Status::DataLoss(
+        "training snapshot normalizer width is not the feature width");
+  }
   normalizer_.Restore(means, stds);
   // The snapshot was taken against the standardized dataset; the caller
   // hands the raw one (re-materialized after the crash). Standardize with

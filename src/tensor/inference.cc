@@ -1,9 +1,20 @@
 #include "tensor/inference.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
 #include "common/logging.h"
+
+// Free-list buffers are poisoned under AddressSanitizer, so a read through
+// a reference or pointer that outlived its tensor's last handle reports a
+// use-after-poison instead of returning another activation's values.
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 namespace dbg4eth {
 namespace ag {
@@ -20,6 +31,7 @@ std::shared_ptr<internal::TensorNode> InferenceArena::MakeValueNode(
     nodes_.push_back(std::make_shared<internal::TensorNode>());
     ++pass_stats_.fresh_nodes;
   }
+  live_.push_back(cursor_);
   std::shared_ptr<internal::TensorNode>& node = nodes_[cursor_++];
   node->value = std::move(value);
   return node;
@@ -51,7 +63,7 @@ Matrix InferenceArena::CopyOf(const Matrix& src) {
 }
 
 void InferenceArena::BeginPass() {
-  for (size_t i = 0; i < cursor_; ++i) {
+  for (size_t i : live_) {
     std::shared_ptr<internal::TensorNode>& node = nodes_[i];
     if (node.use_count() > 1) {
       // A caller still holds a handle from the previous pass (e.g. a
@@ -61,23 +73,55 @@ void InferenceArena::BeginPass() {
       ++pass_stats_.fresh_nodes;
       continue;
     }
-    std::vector<double> buf = node->value.TakeData();
-    if (buf.capacity() > 0) {
-      free_buffers_.emplace(buf.capacity(), std::move(buf));
-    }
-    node->grad = Matrix();
-    node->requires_grad = false;
+    Recycle(node.get());
   }
+  live_.clear();
   cursor_ = 0;
   pass_stats_ = PassStats();
 }
 
+void InferenceArena::ReclaimDropped() {
+  size_t kept = 0;
+  for (size_t i : live_) {
+    std::shared_ptr<internal::TensorNode>& node = nodes_[i];
+    if (node.use_count() == 1) {
+      Recycle(node.get());
+    } else {
+      live_[kept++] = i;
+    }
+  }
+  live_.resize(kept);
+}
+
+void InferenceArena::Recycle(internal::TensorNode* node) {
+  node->grad = Matrix();
+  node->requires_grad = false;
+  std::vector<double> buf = node->value.TakeData();
+  const size_t capacity = buf.capacity();
+  if (capacity == 0) return;
+  auto it = FirstBucketOfAtLeast(capacity);
+  if (it == buckets_.end() || it->capacity != capacity) {
+    it = buckets_.insert(it, Bucket{capacity, {}});
+  }
+  ASAN_POISON_MEMORY_REGION(buf.data(), capacity * sizeof(double));
+  it->buffers.push_back(std::move(buf));
+}
+
+std::vector<InferenceArena::Bucket>::iterator
+InferenceArena::FirstBucketOfAtLeast(size_t capacity) {
+  return std::lower_bound(
+      buckets_.begin(), buckets_.end(), capacity,
+      [](const Bucket& b, size_t c) { return b.capacity < c; });
+}
+
 std::vector<double> InferenceArena::AcquireBuffer(size_t n) {
   ++pass_stats_.buffers;
-  auto it = free_buffers_.lower_bound(n);
-  if (it != free_buffers_.end()) {
-    std::vector<double> buf = std::move(it->second);
-    free_buffers_.erase(it);
+  ReclaimDropped();
+  for (auto it = FirstBucketOfAtLeast(n); it != buckets_.end(); ++it) {
+    if (it->buffers.empty()) continue;
+    std::vector<double> buf = std::move(it->buffers.back());
+    it->buffers.pop_back();
+    ASAN_UNPOISON_MEMORY_REGION(buf.data(), it->capacity * sizeof(double));
     return buf;
   }
   ++pass_stats_.fresh_buffers;

@@ -2,7 +2,6 @@
 #define DBG4ETH_TENSOR_INFERENCE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -22,16 +21,30 @@ namespace ag {
 ///  - value-only nodes come from a pooled vector of TensorNodes (no
 ///    parents, no backward_fn, requires_grad = false), reused pass after
 ///    pass without touching the allocator;
-///  - value buffers come from a capacity-keyed free list refilled by
-///    BeginPass(), which reclaims the previous pass's activations.
+///  - value buffers come from a free list bucketed by capacity (best fit:
+///    the smallest capacity >= the request). A buffer returns to it as
+///    soon as the last Tensor handle to its node drops: the arena owns
+///    every pooled node, so a use_count of 1 means no handle is left, and
+///    each buffer request first reclaims the buffers of such nodes. A pass
+///    therefore holds only its live activations, not every activation it
+///    ever made.
 ///
-/// Lifetime rules: every Tensor produced under a scope stays valid until
-/// the *next* BeginPass() on the same thread (scopes call it on entry), so
-/// a caller may read results after its scope closes but must not hold
-/// them across another fast-path call on that thread. A node whose handle
-/// is still referenced at reclaim time is abandoned to its holders (a
-/// fresh node takes its pool slot) — held tensors never dangle, they just
-/// forgo reuse. Not thread-safe; use InferenceArena::ThreadLocal().
+/// Lifetime rules:
+///  - A Tensor produced under a scope keeps its storage while a handle to
+///    it lives. A handle kept past its scope stays valid until the *next*
+///    BeginPass() on the same thread (scopes call it on entry), which
+///    abandons the node to its holders (a fresh node takes its pool slot):
+///    held tensors never dangle, they just forgo reuse.
+///  - A `const Matrix&` or pointer into a tensor's value must not outlive
+///    the handle it was read through: once the last handle drops, the next
+///    op on this thread may hand the buffer to another activation. Under
+///    AddressSanitizer free-list buffers are poisoned, so such a stale
+///    read fails loudly instead of returning another activation's values.
+///  - A tensor produced under a scope must not be dropped on another
+///    thread while this thread's pass is live: the reclaim check reads the
+///    handle count without synchronizing with other threads.
+///
+/// Not thread-safe; use InferenceArena::ThreadLocal().
 class InferenceArena {
  public:
   /// Reuse accounting for one forward pass (reset by BeginPass).
@@ -49,8 +62,9 @@ class InferenceArena {
 
   /// Pooled value-only node holding `value`. No parents, no backward.
   /// `value` must own a buffer from this arena (Zeros, Uninit, CopyOf):
-  /// BeginPass moves it into the free list, so a buffer allocated
-  /// elsewhere would grow the pool by one buffer per pass.
+  /// the buffer moves into the free list when the node's last handle
+  /// drops, so a buffer allocated elsewhere would grow the pool by one
+  /// buffer per pass.
   std::shared_ptr<internal::TensorNode> MakeValueNode(Matrix value);
 
   /// Zero-filled rows x cols buffer (for accumulate-style kernels and
@@ -62,9 +76,10 @@ class InferenceArena {
   /// Buffer initialized as a copy of `src`.
   Matrix CopyOf(const Matrix& src);
 
-  /// Reclaims the previous pass: value buffers of unreferenced pooled
-  /// nodes return to the free list, the node cursor rewinds, and pass
-  /// stats reset. Called by InferenceScope on entry.
+  /// Reclaims the previous pass: the buffers its nodes still hold return
+  /// to the free list (nodes a caller still holds are abandoned to it),
+  /// the node cursor rewinds, and pass stats reset. Called by
+  /// InferenceScope on entry.
   void BeginPass();
 
   /// Stats of the pass in flight (read after the forward, before the next
@@ -80,12 +95,28 @@ class InferenceArena {
   static InferenceArena* ThreadLocal();
 
  private:
+  /// Free buffers of one capacity, reused last in, first out.
+  struct Bucket {
+    size_t capacity;
+    std::vector<std::vector<double>> buffers;
+  };
+
+  std::vector<Bucket>::iterator FirstBucketOfAtLeast(size_t capacity);
   std::vector<double> AcquireBuffer(size_t n);
+  /// Moves the buffer of every node of this pass whose last handle has
+  /// dropped into the free list.
+  void ReclaimDropped();
+  /// Moves an unreferenced node's buffer into the free list and clears any
+  /// gradient a caller attached to it.
+  void Recycle(internal::TensorNode* node);
 
   std::vector<std::shared_ptr<internal::TensorNode>> nodes_;
   size_t cursor_ = 0;
-  /// Free value buffers keyed by capacity; lower_bound gives best fit.
-  std::multimap<size_t, std::vector<double>> free_buffers_;
+  /// Indices (below cursor_) of this pass's nodes that still hold their
+  /// value: the live set, short because intermediates die per statement.
+  std::vector<size_t> live_;
+  /// Sorted by capacity; a bucket stays (empty) once its buffers are out.
+  std::vector<Bucket> buckets_;
   PassStats pass_stats_;
   size_t owned_bytes_ = 0;
 };
@@ -96,7 +127,9 @@ class InferenceArena {
 /// Tensor constructed) computes its value only — no autograd nodes, no
 /// parent edges, no backward closures — drawing storage from the bound
 /// arena. Values are bit-identical to the tape forward. Nested scopes are
-/// no-ops (the outermost scope owns the pass).
+/// no-ops (the outermost scope owns the pass). A result's storage lives as
+/// long as a handle to it, and at most until the next scope on this
+/// thread; see InferenceArena for the lifetime and thread rules.
 ///
 /// Do NOT use around anything that needs gradients: Backward() on a
 /// tensor built under a scope sees a leaf and propagates nothing.

@@ -76,9 +76,9 @@ Tensor::Tensor(Matrix value, bool requires_grad) {
   if (!requires_grad) {
     // Constants built under an active InferenceScope draw a pooled
     // value-only node instead of hitting the allocator. The value is
-    // copied into a pool buffer: the next pass recycles the node's buffer
-    // into the free list, and adopting this caller-allocated one instead
-    // would grow the pool by one buffer every pass.
+    // copied into a pool buffer: the node's buffer goes to the free list
+    // once its last handle drops, and adopting this caller-allocated one
+    // instead would grow the pool by one buffer every pass.
     if (InferenceArena* arena = internal::ActiveInferenceArena()) {
       node_ = arena->MakeValueNode(arena->CopyOf(value));
       return;

@@ -6,6 +6,7 @@
 #include <malloc.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <vector>
 
@@ -34,6 +35,12 @@ void ExpectBitEqual(const Matrix& a, const Matrix& b) {
           << "mismatch at (" << r << ", " << c << ")";
     }
   }
+}
+
+/// Bit-for-bit equality (EXPECT_DOUBLE_EQ allows 4 ULPs).
+void ExpectSameBits(const Matrix& a, const Matrix& b) {
+  ASSERT_TRUE(a.SameShape(b));
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
 }
 
 /// Runs `forward` on the tape and again under a fresh inference arena and
@@ -296,6 +303,64 @@ TEST(InferenceArenaTest, ConstantsDoNotGrowTheHeapAcrossPasses) {
                              static_cast<double>(before);
   // One 32 KB buffer per pass would add ~16 MB.
   EXPECT_LT(grown_bytes, 1.0e6);
+}
+
+TEST(InferenceArenaTest, PassOwnsOnlyItsLiveBuffers) {
+  // A chain of element-wise ops, each result replacing the previous one:
+  // at any time only the input, the current result and the op's output
+  // are live, so the pass must recycle everything else as it goes.
+  constexpr size_t kBufferBytes = 64 * 64 * sizeof(double);
+  ag::InferenceArena arena;
+  ag::InferenceScope scope(&arena);
+  const ag::Tensor x = ag::Tensor::Constant(Matrix(64, 64, 0.5));
+  ag::Tensor t = x;
+  for (int i = 0; i < 100; ++i) {
+    t = ag::Add(t, x);
+    ASSERT_LE(arena.owned_bytes(), 3 * kBufferBytes) << "after op " << i;
+  }
+  EXPECT_EQ(t.value().At(63, 63), 50.5);
+  EXPECT_EQ(arena.pass_stats().fresh_buffers, 3u);
+}
+
+TEST(InferenceArenaTest, HeldTensorKeepsItsBitsWhileOthersRecycle) {
+  Rng rng(90);
+  ag::InferenceArena arena;
+  ag::InferenceScope scope(&arena);
+  const ag::Tensor x =
+      ag::Tensor::Constant(Matrix::Random(16, 16, &rng, -2.0, 2.0));
+  const ag::Tensor held = ag::Tanh(x);
+  const Matrix expected = held.value();
+  // Same-shape results that drop at once: each one's buffer is the first
+  // candidate for the next op, and the held one must never be among them.
+  for (int i = 0; i < 50; ++i) {
+    const ag::Tensor dropped = ag::Sigmoid(ag::ScalarAdd(x, i));
+    EXPECT_EQ(dropped.rows(), 16);
+  }
+  ExpectSameBits(held.value(), expected);
+  EXPECT_LE(arena.owned_bytes(), 4 * 16 * 16 * sizeof(double));
+}
+
+TEST(InferenceArenaTest, LdgServingShapePassStaysSmallAndBitIdentical) {
+  // The serving shape: a 41-node subgraph, T = 6 slices, hidden 24. The
+  // pass makes 265 activations, 1.3 MB if all were held at once; its live
+  // set needs about a tenth of that.
+  core::LdgEncoderConfig config;
+  config.hidden_dim = 24;
+  config.num_time_slices = 6;
+  config.seed = 33;
+  core::LdgEncoder encoder(config);
+  const auto slices = MakeSlices(41, config.node_feature_dim, 6, 71);
+  const double tape = encoder.PredictScore(slices);
+  ag::InferenceArena arena;
+  double fast = 0.0;
+  {
+    ag::InferenceScope scope(&arena);
+    fast = encoder.PredictScore(slices);
+  }
+  EXPECT_EQ(std::memcmp(&fast, &tape, sizeof(double)), 0)
+      << fast << " vs " << tape;
+  EXPECT_GT(arena.owned_bytes(), 0u);
+  EXPECT_LT(arena.owned_bytes(), 512u * 1024u);
 }
 
 TEST(InferenceArenaTest, NestedScopesShareOnePass) {

@@ -13,9 +13,11 @@
 
 #include "common/checkpoint_store.h"
 #include "common/rng.h"
+#include "common/serialize.h"
 #include "core/dbg4eth.h"
 #include "eth/dataset.h"
 #include "eth/ledger.h"
+#include "features/node_features.h"
 #include "ml/split.h"
 
 namespace dbg4eth {
@@ -349,6 +351,82 @@ TEST_F(ResumeTrainTest, ResumeRejectsConfigMismatch) {
     auto progress = model.ResumeTrain(&ds, options);
     ASSERT_FALSE(progress.ok());
     EXPECT_EQ(progress.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// A TrainState whose normalizer has the wrong width (a snapshot from a
+// build with another feature set, or a frame whose CRC was recomputed over
+// bad bytes) must fail ResumeTrain with a Status before any instance is
+// standardized, as Load does for a model checkpoint; it must not abort in
+// FeatureNormalizer::Apply.
+TEST_F(ResumeTrainTest, ResumeRejectsANormalizerOfTheWrongWidth) {
+  auto store = CheckpointStore::Open(StoreConfig());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+
+  TrainSnapshotOptions options;
+  options.store = store.ValueOrDie().get();
+  options.max_epochs_this_run = 1;
+  {
+    eth::SubgraphDataset ds = *raw_dataset_;
+    Dbg4Eth interrupted(TinyConfig(/*num_threads=*/1));
+    auto progress = interrupted.TrainWithSnapshots(&ds, *split_, options);
+    ASSERT_TRUE(progress.ok()) << progress.status().ToString();
+    EXPECT_EQ(progress.ValueOrDie(), TrainProgress::kPreempted);
+  }
+
+  // Rewrite the newest TrainState with a 14-column normalizer. The
+  // normalizer follows the "split" tag and the three split index vectors.
+  auto latest = store.ValueOrDie()->LoadLatestValid();
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  const std::string payload = latest.ValueOrDie().payload;
+  std::ostringstream tag_bytes;
+  BinaryWriter(&tag_bytes).WriteString("split");
+  const size_t split_at = payload.find(tag_bytes.str());
+  ASSERT_NE(split_at, std::string::npos);
+  ASSERT_EQ(split_at, payload.rfind(tag_bytes.str()));
+  std::istringstream body(payload.substr(split_at));
+  BinaryReader reader(&body);
+  std::string tag;
+  std::vector<int> train, val, test;
+  std::vector<double> means, stds;
+  ASSERT_TRUE(reader.ReadString(&tag).ok());
+  ASSERT_TRUE(reader.ReadIntVector(&train).ok());
+  ASSERT_TRUE(reader.ReadIntVector(&val).ok());
+  ASSERT_TRUE(reader.ReadIntVector(&test).ok());
+  const size_t normalizer_at = split_at + static_cast<size_t>(body.tellg());
+  ASSERT_TRUE(reader.ReadDoubleVector(&means).ok());
+  ASSERT_TRUE(reader.ReadDoubleVector(&stds).ok());
+  const size_t rest_at = split_at + static_cast<size_t>(body.tellg());
+  ASSERT_EQ(means.size(), static_cast<size_t>(features::kNumFeatures));
+  means.pop_back();
+  stds.pop_back();
+  std::ostringstream narrow;
+  BinaryWriter writer(&narrow);
+  writer.WriteDoubleVector(means);
+  writer.WriteDoubleVector(stds);
+  const std::string rewritten = payload.substr(0, normalizer_at) +
+                                narrow.str() + payload.substr(rest_at);
+  ASSERT_TRUE(store.ValueOrDie()
+                  ->Save([&](std::ostream* os) {
+                    os->write(rewritten.data(),
+                              static_cast<std::streamsize>(rewritten.size()));
+                    return Status::OK();
+                  })
+                  .ok());
+
+  options.max_epochs_this_run = 0;
+  eth::SubgraphDataset ds = *raw_dataset_;
+  Dbg4Eth resumed(TinyConfig(/*num_threads=*/1));
+  auto progress = resumed.ResumeTrain(&ds, options);
+  ASSERT_FALSE(progress.ok());
+  EXPECT_EQ(progress.status().code(), StatusCode::kDataLoss);
+  // Nothing was standardized: the dataset is still the raw one.
+  ASSERT_EQ(ds.instances.size(), raw_dataset_->instances.size());
+  for (size_t i = 0; i < ds.instances.size(); ++i) {
+    EXPECT_TRUE(AlmostEqual(ds.instances[i].gsg.node_features,
+                            raw_dataset_->instances[i].gsg.node_features,
+                            /*tol=*/0.0))
+        << "instance " << i << " was standardized";
   }
 }
 

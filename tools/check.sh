@@ -193,8 +193,11 @@ echo "=== failpoints: kill during snapshot/epoch -> resume -> hot-reload smoke =
 
 # Every tier-1 and chaos test again under AddressSanitizer + UBSan: the
 # checkpoint loaders and parsers read untrusted bytes, the inference arena
-# recycles activation buffers, the samplers, CSR builders and dense
-# kernels index by position, requests cross threads through the worker
+# recycles an activation buffer as soon as its tensor's last handle drops
+# (it poisons free-list buffers under __SANITIZE_ADDRESS__, so a read
+# through a reference that outlived its handle is a use-after-poison
+# report, not a silent read of another activation), the samplers, CSR
+# builders and dense kernels index by position, requests cross threads through the worker
 # pool, in-flight table and cache, and a connection's lifetime spans
 # responders that may fire after it is closed. The asan preset compiles
 # failpoints in, so the chaos tests inject their faults here too.
