@@ -1,7 +1,6 @@
 #include "common/json_util.h"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -11,7 +10,13 @@ namespace dbg4eth {
 namespace json {
 
 void AppendJsonEscaped(const std::string& s, std::string* out) {
-  for (char c : s) {
+  // Each run of bytes that needs no escape goes out in one append.
+  size_t run_start = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s, run_start, i - run_start);
+    run_start = i + 1;
     switch (c) {
       case '"':
         *out += "\\\"";
@@ -34,17 +39,15 @@ void AppendJsonEscaped(const std::string& s, std::string* out) {
       case '\f':
         *out += "\\f";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xF]};
+        out->append(escape, sizeof(escape));
+      }
     }
   }
+  out->append(s, run_start, std::string::npos);
 }
 
 std::string JsonEscape(const std::string& s) {
@@ -54,18 +57,22 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-std::string JsonNumberRoundTrip(double v) {
-  if (!std::isfinite(v)) return "null";
-  for (int precision = 15; precision <= 17; ++precision) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) return buf;
+namespace {
+
+void AppendNumberRoundTrip(double v, std::string* out) {
+  if (std::isfinite(v)) {
+    AppendShortestDouble(v, out);
+  } else {
+    *out += "null";
   }
-  // Unreachable for IEEE-754 doubles (%.17g always round-trips), but keep
-  // a deterministic fallback.
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+}
+
+}  // namespace
+
+std::string JsonNumberRoundTrip(double v) {
+  std::string out;
+  AppendNumberRoundTrip(v, &out);
+  return out;
 }
 
 void JsonWriter::BeforeValue() {
@@ -130,17 +137,17 @@ void JsonWriter::Number(double value) {
 
 void JsonWriter::NumberRoundTrip(double value) {
   BeforeValue();
-  *out_ += JsonNumberRoundTrip(value);
+  AppendNumberRoundTrip(value, out_);
 }
 
 void JsonWriter::Int(int64_t value) {
   BeforeValue();
-  *out_ += StrFormat("%lld", static_cast<long long>(value));
+  AppendDecimal(value, out_);
 }
 
 void JsonWriter::UInt(uint64_t value) {
   BeforeValue();
-  *out_ += StrFormat("%llu", static_cast<unsigned long long>(value));
+  AppendDecimal(value, out_);
 }
 
 void JsonWriter::Bool(bool value) {

@@ -28,10 +28,10 @@ void AppendJsonEscaped(const std::string& s, std::string* out);
 /// Convenience wrapper: the escaped rendering of `s` (no quotes).
 std::string JsonEscape(const std::string& s);
 
-/// Renders `v` with enough digits to parse back to the identical double
-/// (shortest of %.15g/%.16g/%.17g that round-trips through strtod);
-/// non-finite values render as JSON null, which has no number syntax for
-/// them.
+/// Renders `v` as the shortest text that parses back to the identical
+/// double (std::to_chars' round-trip digits, fixed or scientific, e.g.
+/// "0.1" or "1e-04"); non-finite values render as JSON null, which has no
+/// number syntax for them.
 std::string JsonNumberRoundTrip(double v);
 
 /// \brief Comma-and-quote bookkeeping for hand-assembled JSON.

@@ -64,6 +64,11 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
+void AppendShortestDouble(double value, std::string* out) {
+  char buf[32];  // The longest form, e.g. "-2.2250738585072014e-308", is 24.
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
 std::string FormatFixed(double value, int precision) {
   return StrFormat("%.*f", precision, value);
 }

@@ -1,13 +1,41 @@
 #include "net/http.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <string_view>
 
 #include "common/json_util.h"
 #include "common/string_util.h"
 
 namespace dbg4eth {
 namespace net {
+
+namespace {
+
+char AsciiLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (AsciiLower(a[i]) != AsciiLower(b[i])) return false;
+  }
+  return true;
+}
+
+/// `s` without leading and trailing std::isspace bytes.
+std::string_view TrimView(std::string_view s) {
+  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
+    s.remove_prefix(1);
+  }
+  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
+    s.remove_suffix(1);
+  }
+  return s;
+}
+
+}  // namespace
 
 const char* HttpStatusText(int code) {
   switch (code) {
@@ -57,9 +85,8 @@ const std::string* HttpRequest::FindHeader(
 bool HttpRequest::keep_alive() const {
   const std::string* connection = FindHeader("connection");
   if (connection != nullptr) {
-    const std::string value = ToLower(*connection);
-    if (value == "close") return false;
-    if (value == "keep-alive") return true;
+    if (EqualsIgnoreCase(*connection, "close")) return false;
+    if (EqualsIgnoreCase(*connection, "keep-alive")) return true;
   }
   return version_minor >= 1;
 }
@@ -110,14 +137,21 @@ HttpResponse HttpResponse::Error(int status, const std::string& message) {
 std::string SerializeResponse(const HttpResponse& response, bool keep_alive) {
   std::string out;
   out.reserve(response.body.size() + 256);
-  out += StrFormat("HTTP/1.1 %d %s\r\n", response.status,
-                   HttpStatusText(response.status));
-  for (const auto& header : response.headers) {
-    out += header.first + ": " + header.second + "\r\n";
-  }
-  out += StrFormat("Content-Length: %zu\r\n", response.body.size());
-  out += keep_alive ? "Connection: keep-alive\r\n" : "Connection: close\r\n";
+  out += "HTTP/1.1 ";
+  AppendDecimal(response.status, &out);
+  out += ' ';
+  out += HttpStatusText(response.status);
   out += "\r\n";
+  for (const auto& [name, value] : response.headers) {
+    out += name;
+    out += ": ";
+    out += value;
+    out += "\r\n";
+  }
+  out += "Content-Length: ";
+  AppendDecimal(response.body.size(), &out);
+  out += keep_alive ? "\r\nConnection: keep-alive\r\n\r\n"
+                    : "\r\nConnection: close\r\n\r\n";
   out += response.body;
   return out;
 }
@@ -143,13 +177,13 @@ void HttpParser::TryParse() {
     if (header_end == std::string::npos) {
       if (buffer_.size() > config_.max_header_bytes) {
         Fail(431, "request headers exceed " +
-                      StrFormat("%zu", config_.max_header_bytes) + " bytes");
+                      std::to_string(config_.max_header_bytes) + " bytes");
       }
       return;
     }
     if (header_end + 4 > config_.max_header_bytes) {
       Fail(431, "request headers exceed " +
-                    StrFormat("%zu", config_.max_header_bytes) + " bytes");
+                    std::to_string(config_.max_header_bytes) + " bytes");
       return;
     }
     ParseHeaderBlock(header_end);
@@ -159,7 +193,7 @@ void HttpParser::TryParse() {
   }
   if (state_ == State::kBody) {
     if (buffer_.size() - body_start_ < content_length_) return;
-    request_.body = buffer_.substr(body_start_, content_length_);
+    request_.body.assign(buffer_, body_start_, content_length_);
     consumed_ = body_start_ + content_length_;
     state_ = State::kComplete;
   }
@@ -169,30 +203,27 @@ void HttpParser::ParseHeaderBlock(size_t header_end) {
   request_ = HttpRequest();
   content_length_ = 0;
 
-  const size_t line_end = buffer_.find("\r\n");
-  if (line_end == std::string::npos || line_end > header_end) {
-    Fail(400, "malformed request line");
-    return;
-  }
-  const std::string request_line = buffer_.substr(0, line_end);
+  // Every line of the block, the last one included, ends in "\r\n".
+  const std::string_view block(buffer_.data(), header_end + 2);
+  const size_t line_end = block.find("\r\n");
+  const std::string_view request_line = block.substr(0, line_end);
   const size_t sp1 = request_line.find(' ');
-  const size_t sp2 =
-      sp1 == std::string::npos ? std::string::npos
-                               : request_line.find(' ', sp1 + 1);
-  if (sp1 == std::string::npos || sp2 == std::string::npos ||
-      request_line.find(' ', sp2 + 1) != std::string::npos) {
+  const size_t sp2 = sp1 == std::string_view::npos
+                         ? std::string_view::npos
+                         : request_line.find(' ', sp1 + 1);
+  if (sp1 == std::string_view::npos || sp2 == std::string_view::npos ||
+      request_line.find(' ', sp2 + 1) != std::string_view::npos) {
     Fail(400, "malformed request line");
     return;
   }
-  request_.method = request_line.substr(0, sp1);
-  request_.target = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
-  const std::string version = request_line.substr(sp2 + 1);
-  if (request_.method.empty() || request_.target.empty() ||
-      request_.target[0] != '/') {
+  const std::string_view method = request_line.substr(0, sp1);
+  const std::string_view target = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
+  const std::string_view version = request_line.substr(sp2 + 1);
+  if (method.empty() || target.empty() || target[0] != '/') {
     Fail(400, "malformed request line");
     return;
   }
-  for (char c : request_.method) {
+  for (char c : method) {
     if (!std::isalpha(static_cast<unsigned char>(c))) {
       Fail(400, "malformed method");
       return;
@@ -203,82 +234,71 @@ void HttpParser::ParseHeaderBlock(size_t header_end) {
   } else if (version == "HTTP/1.0") {
     request_.version_minor = 0;
   } else {
-    Fail(400, "unsupported HTTP version '" + version + "'");
+    Fail(400, "unsupported HTTP version '" + std::string(version) + "'");
     return;
   }
-  const size_t question = request_.target.find('?');
-  if (question == std::string::npos) {
-    request_.path = request_.target;
-  } else {
-    request_.path = request_.target.substr(0, question);
-    request_.query = request_.target.substr(question + 1);
+  request_.method.assign(method);
+  request_.target.assign(target);
+  const size_t question = target.find('?');
+  request_.path.assign(target.substr(0, question));
+  if (question != std::string_view::npos) {
+    request_.query.assign(target.substr(question + 1));
   }
 
   // Header lines.
   size_t pos = line_end + 2;
-  bool saw_content_length = false;
   while (pos < header_end) {
-    size_t eol = buffer_.find("\r\n", pos);
-    if (eol == std::string::npos || eol > header_end) eol = header_end;
-    const std::string line = buffer_.substr(pos, eol - pos);
+    const size_t eol = block.find("\r\n", pos);
+    const std::string_view line = block.substr(pos, eol - pos);
     pos = eol + 2;
     const size_t colon = line.find(':');
-    if (colon == std::string::npos || colon == 0) {
+    if (colon == std::string_view::npos || colon == 0) {
       Fail(400, "malformed header line");
       return;
     }
-    std::string name = ToLower(line.substr(0, colon));
+    const std::string_view name = line.substr(0, colon);
     // Whitespace inside a field name is request smuggling bait — reject.
-    for (char c : name) {
-      if (c == ' ' || c == '\t') {
-        Fail(400, "whitespace in header name");
-        return;
-      }
+    if (name.find_first_of(" \t") != std::string_view::npos) {
+      Fail(400, "whitespace in header name");
+      return;
     }
-    std::string value = Trim(line.substr(colon + 1));
-    request_.headers.emplace_back(std::move(name), std::move(value));
+    auto& header = request_.headers.emplace_back(
+        std::string(name), std::string(TrimView(line.substr(colon + 1))));
+    for (char& c : header.first) c = AsciiLower(c);
   }
 
   const std::string* te = request_.FindHeader("transfer-encoding");
-  if (te != nullptr && ToLower(*te) != "identity") {
+  if (te != nullptr && !EqualsIgnoreCase(*te, "identity")) {
     Fail(501, "transfer-encoding '" + *te + "' not supported");
     return;
   }
   const std::string* cl = request_.FindHeader("content-length");
-  if (cl != nullptr) {
-    if (cl->empty()) {
-      Fail(400, "empty content-length");
-      return;
-    }
-    for (char c : *cl) {
-      if (c < '0' || c > '9') {
-        Fail(400, "malformed content-length '" + *cl + "'");
-        return;
-      }
-    }
-    errno = 0;
-    const unsigned long long parsed = std::strtoull(cl->c_str(), nullptr, 10);
-    if (errno != 0 || parsed > config_.max_body_bytes) {
-      Fail(413, "declared body of " + *cl + " bytes exceeds limit of " +
-                    StrFormat("%zu", config_.max_body_bytes) + " bytes");
-      return;
-    }
-    content_length_ = static_cast<size_t>(parsed);
-    saw_content_length = true;
+  if (cl == nullptr) return;
+  if (cl->empty()) {
+    Fail(400, "empty content-length");
+    return;
   }
-  // A second Content-Length header that disagrees is smuggling bait.
-  if (saw_content_length) {
-    int count = 0;
-    for (const auto& header : request_.headers) {
-      if (header.first == "content-length") {
-        ++count;
-        if (header.second != *cl) {
-          Fail(400, "conflicting content-length headers");
-          return;
-        }
-      }
+  for (char c : *cl) {
+    if (c < '0' || c > '9') {
+      Fail(400, "malformed content-length '" + *cl + "'");
+      return;
     }
-    (void)count;
+  }
+  unsigned long long parsed = 0;
+  const std::from_chars_result result =
+      std::from_chars(cl->data(), cl->data() + cl->size(), parsed);
+  if (result.ec != std::errc() || parsed > config_.max_body_bytes) {
+    Fail(413, "declared body of " + *cl + " bytes exceeds limit of " +
+                  std::to_string(config_.max_body_bytes) + " bytes");
+    return;
+  }
+  content_length_ = static_cast<size_t>(parsed);
+  // A second Content-Length header that disagrees is smuggling bait.
+  for (const auto& header : request_.headers) {
+    if (header.first == "content-length" && header.second != *cl) {
+      Fail(400, "conflicting content-length headers");
+      return;
+    }
   }
 }
 

@@ -63,8 +63,8 @@ void WriteScoreResult(const serve::ScoreResult& result,
   writer->EndObject();
 }
 
-/// The /v1/score answer for `result`; its status code mirrors the
-/// result's status.
+}  // namespace
+
 HttpResponse ScoreResponse(const serve::ScoreResult& result) {
   std::string body;
   json::JsonWriter writer(&body);
@@ -73,6 +73,8 @@ HttpResponse ScoreResponse(const serve::ScoreResult& result) {
   return HttpResponse::Json(serve::SuggestedHttpStatus(result.status),
                             std::move(body));
 }
+
+namespace {
 
 /// The /v1/score_batch answer: every result in request order. Partial
 /// failures are reported per item; the batch itself is a 200.

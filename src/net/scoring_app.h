@@ -29,6 +29,11 @@ struct ScoringAppConfig {
   bool expose_debug_routes = true;
 };
 
+/// The /v1/score answer for `result`: one JSON object with the score and
+/// both class probabilities in round-trip form, and a status code that
+/// mirrors the result's status (serve::SuggestedHttpStatus).
+HttpResponse ScoreResponse(const serve::ScoreResult& result);
+
 /// \brief The HTTP face of InferenceService: scoring + admin endpoints.
 ///
 /// Routes registered on the server:

@@ -26,14 +26,24 @@ const char* KindName(MetricsRegistry::Kind kind) {
   return "unknown";
 }
 
-/// Shortest round-trippable rendering of a double (no trailing zeros).
-std::string Num(double v) { return StrFormat("%g", v); }
+/// A sample value: the shortest text that parses back to exactly `v`, so
+/// a gauge or a histogram `_sum` keeps every digit.
+std::string SampleValue(double v) {
+  std::string out;
+  AppendShortestDouble(v, &out);
+  return out;
+}
+
+/// A bucket bound as its `le` label text. It stays %g: a label value is
+/// part of a series' identity, so its text must not change.
+std::string LeLabel(double bound) {
+  return std::isinf(bound) ? "+Inf" : StrFormat("%g", bound);
+}
 
 /// `base{existing,le="bound"}` — merges the le label into an existing
 /// label string.
 std::string BucketLabels(const std::string& labels, double bound) {
-  const std::string le =
-      std::isinf(bound) ? "+Inf" : Num(bound);
+  const std::string le = LeLabel(bound);
   if (labels.empty()) return "{le=\"" + le + "\"}";
   std::string out = labels;
   out.insert(out.size() - 1, ",le=\"" + le + "\"");
@@ -72,7 +82,7 @@ std::vector<MetricsRegistry::FamilySnapshot> MergedFamilies(
 /// Appended to a `_bucket` line when the bucket captured an exemplar.
 std::string ExemplarSuffix(const Histogram::Exemplar& ex) {
   return " # {trace_id=\"" + EscapeLabelValue(ex.trace_id) + "\"} " +
-         Num(ex.value) + " " + StrFormat("%.3f", ex.timestamp_s);
+         SampleValue(ex.value) + " " + StrFormat("%.3f", ex.timestamp_s);
 }
 
 }  // namespace
@@ -142,8 +152,8 @@ std::string TextExposition(const RegistryList& registries,
                  "\n";
           break;
         case MetricsRegistry::Kind::kGauge:
-          out += family.name + inst.labels + " " + Num(inst.gauge_value) +
-                 "\n";
+          out += family.name + inst.labels + " " +
+                 SampleValue(inst.gauge_value) + "\n";
           break;
         case MetricsRegistry::Kind::kHistogram: {
           const Histogram::Snapshot& h = inst.histogram;
@@ -166,7 +176,8 @@ std::string TextExposition(const RegistryList& registries,
             }
             out += "\n";
           }
-          out += family.name + "_sum" + inst.labels + " " + Num(h.sum) + "\n";
+          out += family.name + "_sum" + inst.labels + " " +
+                 SampleValue(h.sum) + "\n";
           out += family.name + "_count" + inst.labels + " " +
                  StrFormat("%llu",
                            static_cast<unsigned long long>(h.count)) +
@@ -209,24 +220,24 @@ std::string JsonSnapshot(const RegistryList& registries,
           break;
         case MetricsRegistry::Kind::kGauge:
           writer.Key("value");
-          writer.Number(inst.gauge_value);
+          writer.NumberRoundTrip(inst.gauge_value);
           break;
         case MetricsRegistry::Kind::kHistogram: {
           const Histogram::Snapshot& h = inst.histogram;
           writer.Key("count");
           writer.UInt(h.count);
           writer.Key("sum");
-          writer.Number(h.sum);
+          writer.NumberRoundTrip(h.sum);
           writer.Key("min");
-          writer.Number(h.min);
+          writer.NumberRoundTrip(h.min);
           writer.Key("max");
-          writer.Number(h.max);
+          writer.NumberRoundTrip(h.max);
           writer.Key("p50");
-          writer.Number(h.Percentile(0.50));
+          writer.NumberRoundTrip(h.Percentile(0.50));
           writer.Key("p95");
-          writer.Number(h.Percentile(0.95));
+          writer.NumberRoundTrip(h.Percentile(0.95));
           writer.Key("p99");
-          writer.Number(h.Percentile(0.99));
+          writer.NumberRoundTrip(h.Percentile(0.99));
           if (!h.exemplars.empty()) {
             writer.Key("exemplars");
             writer.BeginArray();
@@ -234,13 +245,13 @@ std::string JsonSnapshot(const RegistryList& registries,
               writer.BeginObject();
               const double bound = h.upper_bounds[static_cast<size_t>(ex.bucket)];
               writer.Key("bucket_le");
-              writer.String(std::isinf(bound) ? "+Inf" : Num(bound));
+              writer.String(LeLabel(bound));
               writer.Key("trace_id");
               writer.String(ex.trace_id);
               writer.Key("value");
-              writer.Number(ex.value);
+              writer.NumberRoundTrip(ex.value);
               writer.Key("timestamp_s");
-              writer.Number(ex.timestamp_s);
+              writer.NumberRoundTrip(ex.timestamp_s);
               writer.EndObject();
             }
             writer.EndArray();

@@ -4,12 +4,21 @@
 #include <string>
 #include <vector>
 
-// Opt-in bounds checking for the hot accessors (enabled by the tsan CMake
-// preset). Kept out of release builds: At/RowPtr sit inside the matmul
-// kernels' inner loops.
+// Opt-in bounds checking for the hot accessors (enabled by the tsan and
+// asan CMake presets). Kept out of release builds: At/RowPtr sit inside the
+// matmul kernels' inner loops. Not an assert(): the presets build
+// RelWithDebInfo, whose -DNDEBUG would compile the check away.
 #ifdef DBG4ETH_DEBUG_CHECKS
-#include <cassert>
-#define DBG4ETH_DCHECK_BOUNDS(cond) assert(cond)
+#include <cstdio>
+#include <cstdlib>
+#define DBG4ETH_DCHECK_BOUNDS(cond)                                      \
+  do {                                                                   \
+    if (!(cond)) {                                                       \
+      std::fprintf(stderr, "%s:%d: bounds check failed: %s\n", __FILE__, \
+                   __LINE__, #cond);                                     \
+      std::abort();                                                      \
+    }                                                                    \
+  } while (0)
 #else
 #define DBG4ETH_DCHECK_BOUNDS(cond) ((void)0)
 #endif

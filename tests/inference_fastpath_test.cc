@@ -26,21 +26,15 @@
 namespace dbg4eth {
 namespace {
 
-void ExpectBitEqual(const Matrix& a, const Matrix& b) {
-  ASSERT_EQ(a.rows(), b.rows());
-  ASSERT_EQ(a.cols(), b.cols());
-  for (int r = 0; r < a.rows(); ++r) {
-    for (int c = 0; c < a.cols(); ++c) {
-      EXPECT_DOUBLE_EQ(a.At(r, c), b.At(r, c))
-          << "mismatch at (" << r << ", " << c << ")";
-    }
-  }
-}
-
 /// Bit-for-bit equality (EXPECT_DOUBLE_EQ allows 4 ULPs).
 void ExpectSameBits(const Matrix& a, const Matrix& b) {
   ASSERT_TRUE(a.SameShape(b));
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+}
+
+/// Bit-for-bit equality of two scores.
+void ExpectSameBits(double a, double b) {
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0) << a << " vs " << b;
 }
 
 /// Runs `forward` on the tape and again under a fresh inference arena and
@@ -54,7 +48,7 @@ void ExpectTapeFreeMatchesTape(const std::function<ag::Tensor()>& forward) {
     EXPECT_TRUE(scope.bound());
     fast = forward().value();
   }
-  ExpectBitEqual(fast, tape);
+  ExpectSameBits(fast, tape);
 }
 
 graph::Graph MakeGraph(int num_nodes, int feature_dim, uint64_t seed) {
@@ -220,7 +214,7 @@ TEST(GsgFastPathTest, TapeFreeSoloScoreIsBitIdentical) {
     ag::InferenceScope scope;
     fast = encoder.PredictScore(g);
   }
-  EXPECT_DOUBLE_EQ(fast, tape);
+  ExpectSameBits(fast, tape);
 }
 
 TEST(LdgFastPathTest, TapeFreeSoloScoreIsBitIdentical) {
@@ -232,7 +226,7 @@ TEST(LdgFastPathTest, TapeFreeSoloScoreIsBitIdentical) {
     ag::InferenceScope scope;
     fast = encoder.PredictScore(slices);
   }
-  EXPECT_DOUBLE_EQ(fast, tape);
+  ExpectSameBits(fast, tape);
 }
 
 // --------------------------------------------------------------------------

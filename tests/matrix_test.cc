@@ -16,6 +16,21 @@ TEST(MatrixTest, ConstructionAndAccess) {
   EXPECT_DOUBLE_EQ(m(1, 2), 5.0);
 }
 
+// The sanitizer presets define DBG4ETH_DEBUG_CHECKS in an NDEBUG build;
+// the bounds check must still fire there.
+TEST(MatrixDeathTest, DebugBoundsCheckCatchesAnIndexInsideTheAllocation) {
+#ifndef DBG4ETH_DEBUG_CHECKS
+  GTEST_SKIP() << "bounds checks compile in only with -DDBG4ETH_DEBUG_CHECKS";
+#else
+  // Threadsafe style re-executes the binary for the child, so it also
+  // runs under ThreadSanitizer.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Matrix m(2, 2);
+  // (0, 3) is element 3 of the 4-double allocation: ASan cannot see it.
+  EXPECT_DEATH((void)m.At(0, 3), "bounds check failed: .*c < cols_");
+#endif
+}
+
 TEST(MatrixTest, FactoryHelpers) {
   EXPECT_DOUBLE_EQ(Matrix::Ones(2, 2).Sum(), 4.0);
   Matrix id = Matrix::Identity(3);

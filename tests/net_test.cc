@@ -2,14 +2,21 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cfloat>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <future>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -76,22 +83,101 @@ TEST(JsonUtil, WriterProducesNestedDocument) {
             "{\"k\": 7}],\"raw\": [3]}");
 }
 
+/// Checks that `v` renders in text no longer than %.17g's and that the
+/// text parses back through ParseJson to the identical bits.
+void ExpectNumberRoundTrips(double v) {
+  const std::string text = json::JsonNumberRoundTrip(v);
+  char printf_text[40];
+  std::snprintf(printf_text, sizeof(printf_text), "%.17g", v);
+  EXPECT_LE(text.size(), std::strlen(printf_text)) << text;
+  auto parsed = json::ParseJson(text);
+  ASSERT_TRUE(parsed.ok()) << text;
+  const double back = parsed.ValueOrDie().number_value;
+  EXPECT_EQ(std::memcmp(&back, &v, sizeof(v)), 0)
+      << text << " parsed back as " << printf_text;
+}
+
 TEST(JsonUtil, NumberRoundTripIsBitExact) {
   const double values[] = {0.0,           1.0 / 3.0,      0.1,
                            1e-17,         6.02214076e23,  -2.5e-8,
                            0.49999999999999994};
-  for (double v : values) {
-    const std::string text = json::JsonNumberRoundTrip(v);
-    auto parsed = json::ParseJson(text);
-    ASSERT_TRUE(parsed.ok()) << text;
-    EXPECT_EQ(parsed.ValueOrDie().number_value, v) << text;
+  for (double v : values) ExpectNumberRoundTrips(v);
+
+  // The edges of the format: signed zeros, the smallest subnormal, the
+  // smallest normal, the largest finite, and the neighbours of the
+  // values whose decimal forms are shortest.
+  std::vector<double> edges = {0.0,
+                               -0.0,
+                               std::numeric_limits<double>::denorm_min(),
+                               -std::numeric_limits<double>::denorm_min(),
+                               DBL_MIN,
+                               -DBL_MIN,
+                               DBL_MAX,
+                               -DBL_MAX};
+  for (double center : {0.1, 0.5, 1.0}) {
+    for (double v : {center, std::nextafter(center, 0.0),
+                     std::nextafter(center, 2.0)}) {
+      edges.push_back(v);
+      edges.push_back(-v);
+    }
   }
+  for (double v : edges) ExpectNumberRoundTrips(v);
+  EXPECT_EQ(json::JsonNumberRoundTrip(-0.0), "-0");
+  EXPECT_EQ(json::JsonNumberRoundTrip(0.0001), "1e-04");
+
+  // A seeded sweep over random bit patterns covers every exponent.
+  std::mt19937_64 rng(20241128);
+  int checked = 0;
+  while (checked < 100000) {
+    const uint64_t bits = rng();
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    if (!std::isfinite(v)) continue;
+    ExpectNumberRoundTrips(v);
+    ++checked;
+    if (HasFailure()) break;  // One counterexample is enough to read.
+  }
+
   EXPECT_EQ(json::JsonNumberRoundTrip(
                 std::numeric_limits<double>::quiet_NaN()),
             "null");
   EXPECT_EQ(json::JsonNumberRoundTrip(
                 std::numeric_limits<double>::infinity()),
             "null");
+  EXPECT_EQ(json::JsonNumberRoundTrip(
+                -std::numeric_limits<double>::infinity()),
+            "null");
+}
+
+TEST(JsonUtil, WriterAppendsIntegersAndRoundTripNumbers) {
+  std::string out = "pre:";
+  json::JsonWriter writer(&out);
+  writer.BeginArray();
+  writer.Int(std::numeric_limits<int64_t>::min());
+  writer.Int(0);
+  writer.UInt(std::numeric_limits<uint64_t>::max());
+  writer.NumberRoundTrip(0.1);
+  writer.NumberRoundTrip(std::numeric_limits<double>::quiet_NaN());
+  writer.EndArray();
+  EXPECT_EQ(out,
+            "pre:[-9223372036854775808,0,18446744073709551615,0.1,null]");
+}
+
+TEST(JsonUtil, EscapesCleanRunsAndEveryEscapeClass) {
+  // Clean runs (ASCII and UTF-8 bytes pass through) between, before and
+  // after each escape class: quote, backslash, the five named control
+  // escapes, and \u00XX for the other control bytes.
+  const std::string raw = std::string("lead \"q\" b\\s nl\ncr\rtab\t") +
+                          "bs\bff\f" + std::string("\x00\x01", 2) +
+                          "mid\x1f" + "caf\xc3\xa9 \x7f tail";
+  std::string out = "pre:";
+  json::AppendJsonEscaped(raw, &out);
+  EXPECT_EQ(out,
+            "pre:lead \\\"q\\\" b\\\\s nl\\ncr\\rtab\\tbs\\bff\\f"
+            "\\u0000\\u0001mid\\u001fcaf\xc3\xa9 \x7f tail");
+  // Escapes at both ends, back to back, and the empty string.
+  EXPECT_EQ(json::JsonEscape("\"\\\n"), "\\\"\\\\\\n");
+  EXPECT_EQ(json::JsonEscape(""), "");
 }
 
 TEST(JsonUtil, ParsesDocumentsAndPreservesOrder) {
@@ -254,6 +340,208 @@ TEST(HttpParser, HasPartialRequestDistinguishesIdleFromSlowloris) {
   const std::string partial = "GET / HT";
   parser.Consume(partial.data(), partial.size());
   EXPECT_TRUE(parser.HasPartialRequest());  // Slowloris mid-request.
+}
+
+// --------------------------------------------------------------------------
+// HttpParser mutation fuzzer: seeded mutants of valid requests, pipelined
+// pairs among them, each fed whole, byte by byte and in random splits.
+// --------------------------------------------------------------------------
+
+/// `s` as a length-prefixed field, so a description cannot be ambiguous.
+std::string Field(const std::string& s) {
+  return std::to_string(s.size()) + ":" + s + ";";
+}
+
+/// Checks what every request the parser completes must satisfy.
+void ExpectWellFormed(const HttpRequest& r, const std::string& wire) {
+  EXPECT_FALSE(r.method.empty()) << wire;
+  ASSERT_FALSE(r.path.empty()) << wire;
+  EXPECT_EQ(r.path[0], '/') << wire;
+  EXPECT_EQ(r.target.compare(0, r.path.size(), r.path), 0) << wire;
+  EXPECT_TRUE(r.version_minor == 0 || r.version_minor == 1) << wire;
+  for (const auto& [name, value] : r.headers) {
+    EXPECT_FALSE(name.empty()) << wire;
+    for (char c : name) {
+      EXPECT_FALSE(c == ' ' || c == '\t' || (c >= 'A' && c <= 'Z')) << wire;
+    }
+    if (!value.empty()) {
+      EXPECT_FALSE(std::isspace(static_cast<unsigned char>(value.front())))
+          << wire;
+      EXPECT_FALSE(std::isspace(static_cast<unsigned char>(value.back())))
+          << wire;
+    }
+  }
+}
+
+/// Feeds `wire` to a fresh parser in chunks ending at `cuts` (ascending,
+/// the last one wire.size()), takes every request as it completes, and
+/// describes the parsed fields, the final state and any error status.
+std::string FeedAndDescribe(const std::string& wire,
+                            const std::vector<size_t>& cuts,
+                            const HttpParserConfig& config) {
+  HttpParser parser(config);
+  std::string out;
+  size_t begin = 0;
+  for (size_t end : cuts) {
+    parser.Consume(wire.data() + begin, end - begin);
+    begin = end;
+    while (parser.state() == HttpParser::State::kComplete) {
+      const HttpRequest& r = parser.request();
+      ExpectWellFormed(r, wire);
+      out += Field(r.method) + Field(r.target) + Field(r.path) +
+             Field(r.query) + std::to_string(r.version_minor) + ";";
+      for (const auto& [name, value] : r.headers) {
+        out += Field(name) + Field(value);
+      }
+      out += Field(r.body) + "\n";
+      parser.Reset();
+    }
+    if (parser.state() == HttpParser::State::kError) break;
+  }
+  out += "state " + std::to_string(static_cast<int>(parser.state()));
+  if (parser.state() == HttpParser::State::kError) {
+    out += " status " + std::to_string(parser.error_status());
+  }
+  out += parser.HasPartialRequest() ? " partial" : " idle";
+  return out;
+}
+
+/// One to four seeded edits: bit flips, random-byte insertions, short
+/// deletions, truncations, and injected CR, LF, CRLF, colon or space.
+std::string Mutate(std::string s, std::mt19937_64* rng) {
+  auto pick = [rng](size_t n) { return static_cast<size_t>((*rng)() % n); };
+  const std::string injected[] = {"\r", "\n", "\r\n", ":", " "};
+  const size_t edits = 1 + pick(4);
+  for (size_t e = 0; e < edits; ++e) {
+    const size_t pos = pick(s.size() + 1);
+    switch (pick(5)) {
+      case 0:
+        if (pos < s.size()) {
+          s[pos] = static_cast<char>(s[pos] ^ (1 << pick(8)));
+        }
+        break;
+      case 1:
+        s.insert(pos, 1, static_cast<char>(pick(256)));
+        break;
+      case 2:
+        s.erase(pos, 1 + pick(4));
+        break;
+      case 3:
+        s.resize(pos);
+        break;
+      default:
+        s.insert(pos, injected[pick(5)]);
+    }
+  }
+  return s;
+}
+
+TEST(HttpParserFuzz, MutantsParseAlikeWholeByteByByteAndSplit) {
+  const std::string valid[] = {
+      "POST /v1/score HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+      "Content-Length: 18\r\n\r\n{\"address\": 12345}",
+      "GET /metrics?name=x&flag HTTP/1.0\r\n"
+      "Accept: application/openmetrics-text\r\n"
+      "Connection: Keep-Alive\r\n\r\n",
+      "POST /v1/score_batch HTTP/1.1\r\nTransfer-Encoding: identity\r\n"
+      "X-Deadline-US: \t250 \r\nContent-Length: 4\r\n\r\nbody",
+      // Pipelined pairs.
+      "GET /a HTTP/1.1\r\n\r\n"
+      "POST /b?q=1 HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi",
+      "POST /v1/score HTTP/1.1\r\nContent-Length: 14\r\n\r\n{\"address\": 7}"
+      "POST /v1/score HTTP/1.1\r\nContent-Length: 14\r\n"
+      "Connection: close\r\n\r\n{\"address\": 8}",
+      // A header block one byte under the limit below.
+      "GET /a HTTP/1.1\r\nX-Pad: " + std::string(99, 'p') + "\r\n\r\n",
+  };
+  constexpr size_t kValid = sizeof(valid) / sizeof(valid[0]);
+  // Small limits, so mutants also reach the 413 and 431 rejections.
+  HttpParserConfig config;
+  config.max_header_bytes = 128;
+  config.max_body_bytes = 18;  // The first request's body is at the limit.
+
+  std::mt19937_64 rng(7);
+  std::map<std::string, int> final_states;
+  for (size_t i = 0; i < 20000; ++i) {
+    const std::string wire =
+        i < kValid ? valid[i] : Mutate(valid[rng() % kValid], &rng);
+    const std::string whole = FeedAndDescribe(wire, {wire.size()}, config);
+    std::vector<size_t> bytes(wire.size());
+    std::iota(bytes.begin(), bytes.end(), size_t{1});
+    EXPECT_EQ(FeedAndDescribe(wire, bytes, config), whole) << wire;
+    for (int split = 0; split < 2; ++split) {
+      std::vector<size_t> cuts;
+      for (size_t at = 0; at < wire.size();) {
+        at = std::min(wire.size(), at + 1 + rng() % 24);
+        cuts.push_back(at);
+      }
+      if (cuts.empty()) cuts.push_back(0);
+      EXPECT_EQ(FeedAndDescribe(wire, cuts, config), whole) << wire;
+    }
+    if (i < kValid) {
+      EXPECT_EQ(whole.find("state 3"), std::string::npos) << whole;
+    }
+    ++final_states[whole.substr(whole.rfind("state "))];
+    if (HasFailure()) break;  // One counterexample is enough to read.
+  }
+  // The mutants reach completion, every rejection status and mid-request
+  // stops alike, so the comparison above covers each ending.
+  for (const char* ending :
+       {"state 0 idle", "state 0 partial", "state 1 partial",
+        "state 3 status 400 idle", "state 3 status 413 idle",
+        "state 3 status 431 idle", "state 3 status 501 idle"}) {
+    EXPECT_GT(final_states[ending], 0) << ending;
+  }
+}
+
+// --------------------------------------------------------------------------
+// Wire goldens: the response head and the /v1/score body.
+// --------------------------------------------------------------------------
+
+TEST(SerializeResponse, KeepAliveAndCloseGoldens) {
+  HttpResponse ok = HttpResponse::Json(200, "{\"score\": 0.5}\n");
+  ok.SetHeader("x-trace-id", "4bf92f3577b34da6a3ce929d0e0e4736");
+  EXPECT_EQ(SerializeResponse(ok, /*keep_alive=*/true),
+            "HTTP/1.1 200 OK\r\n"
+            "Content-Type: application/json\r\n"
+            "x-trace-id: 4bf92f3577b34da6a3ce929d0e0e4736\r\n"
+            "Content-Length: 15\r\n"
+            "Connection: keep-alive\r\n"
+            "\r\n"
+            "{\"score\": 0.5}\n");
+  EXPECT_EQ(SerializeResponse(HttpResponse::Error(431, "too big"),
+                              /*keep_alive=*/false),
+            "HTTP/1.1 431 Request Header Fields Too Large\r\n"
+            "Content-Type: application/json\r\n"
+            "Content-Length: 46\r\n"
+            "Connection: close\r\n"
+            "\r\n"
+            "{\"error\": {\"code\": 431,\"message\": \"too big\"}}\n");
+  HttpResponse empty;
+  empty.status = 204;
+  EXPECT_EQ(SerializeResponse(empty, /*keep_alive=*/false),
+            "HTTP/1.1 204 No Content\r\n"
+            "Content-Length: 0\r\n"
+            "Connection: close\r\n"
+            "\r\n");
+}
+
+TEST(ScoreResponseTest, RendersAFixedResultToGoldenBytes) {
+  serve::ScoreResult result;
+  result.address = 4242;
+  result.ledger_height = 123456;
+  result.probability = 0.0001;
+  result.cache_hit = true;
+  result.model_generation = 3;
+  result.trace_id = "4bf92f3577b34da6a3ce929d0e0e4736";
+  const HttpResponse response = ScoreResponse(result);
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.body,
+            "{\"address\": 4242,\"score\": 1e-04,"
+            "\"probabilities\": [0.9999,1e-04],"
+            "\"ledger_height\": 123456,\"model_generation\": 3,"
+            "\"stale\": false,\"cache_hit\": true,\"retries\": 0,"
+            "\"trace_id\": \"4bf92f3577b34da6a3ce929d0e0e4736\"}\n");
 }
 
 // ==========================================================================

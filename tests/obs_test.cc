@@ -646,6 +646,43 @@ TEST(TextExpositionTest, OpenMetricsGolden) {
             expected);
 }
 
+TEST(TextExpositionTest, SampleValuesKeepEveryDigit) {
+  // %g kept six significant digits: 1.23457e+06 for both values below.
+  MetricsRegistry registry;
+  registry.GaugeAt("resident", "Resident")->Set(1234567.5);
+  Histogram* hist =
+      registry.HistogramAt("lat_us", "Latency", {}, SmallConfig());
+  hist->Record(1236567.75, "4bf92f3577b34da6a3ce929d0e0e4736");
+  const std::string samples =
+      "lat_us_sum 1236567.75\n"
+      "lat_us_count 1\n"
+      "# HELP resident Resident\n"
+      "# TYPE resident gauge\n"
+      "resident 1234567.5\n";
+  const std::string classic = TextExposition({&registry});
+  EXPECT_NE(classic.find("lat_us_bucket{le=\"+Inf\"} 1\n" + samples),
+            std::string::npos)
+      << classic;
+  const std::string openmetrics =
+      TextExposition({&registry}, ExpositionFormat::kOpenMetrics);
+  EXPECT_NE(openmetrics.find(
+                "lat_us_bucket{le=\"+Inf\"} 1 # {trace_id="
+                "\"4bf92f3577b34da6a3ce929d0e0e4736\"} 1236567.75 "),
+            std::string::npos)
+      << openmetrics;
+  EXPECT_NE(openmetrics.find(samples + "# EOF\n"), std::string::npos)
+      << openmetrics;
+
+  Tracer tracer;
+  const std::string json = JsonSnapshot({&registry}, &tracer);
+  for (const char* field :
+       {"\"value\": 1234567.5", "\"sum\": 1236567.75", "\"min\": 1236567.75",
+        "\"max\": 1236567.75", "\"value\": 1236567.75"}) {
+    EXPECT_NE(json.find(field), std::string::npos) << field << " in " << json;
+  }
+  EXPECT_EQ(json.find("e+06"), std::string::npos) << json;
+}
+
 TEST(TextExpositionTest, ContentTypesMatchDialects) {
   EXPECT_EQ(
       std::string(ExpositionContentType(ExpositionFormat::kPrometheusText)),
