@@ -441,8 +441,15 @@ class Parser {
       }
       if (pos_ == exp_start) return Fail("digits required in exponent");
     }
+    // Underflow to zero or a subnormal is fine; overflow to +-inf is not a
+    // value JSON can carry (JsonWriter would write it back as null).
+    const double value = std::strtod(text_.c_str() + start, nullptr);
+    if (std::isinf(value)) {
+      pos_ = start;
+      return Fail("number out of range");
+    }
     out->kind = JsonValue::Kind::kNumber;
-    out->number_value = std::strtod(text_.c_str() + start, nullptr);
+    out->number_value = value;
     return Status::OK();
   }
 

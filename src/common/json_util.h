@@ -119,7 +119,10 @@ struct JsonValue {
 /// \brief Parses one JSON document (trailing content is an error).
 ///
 /// `max_depth` bounds object/array nesting so hostile bodies cannot
-/// overflow the stack.
+/// overflow the stack: the top-level value is at depth 0, a member or
+/// element one level below its container, and a value deeper than
+/// `max_depth` is an error. A number that overflows a double is an error;
+/// one that underflows parses as zero or a subnormal.
 Result<JsonValue> ParseJson(const std::string& text, int max_depth = 64);
 
 }  // namespace json

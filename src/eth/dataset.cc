@@ -1,14 +1,11 @@
 #include "eth/dataset.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/math_util.h"
-#include "common/parallel_for.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "features/node_features.h"
 #include "obs/trace.h"
 
@@ -118,37 +115,19 @@ Result<SubgraphDataset> BuildDataset(const Ledger& ledger,
     positives.resize(config.max_positives);
   }
 
-  const int num_threads = ResolveNumThreads(config.num_threads);
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) {
-    pool = std::make_unique<ThreadPool>(num_threads - 1);
+  for (AccountId center : positives) {
+    GraphInstance inst;
+    if (!ExpandCenter(ledger, center, /*label=*/1, config, &inst)) continue;
+    inst.subgraph.center_class = config.target;
+    dataset.instances.push_back(std::move(inst));
   }
-
-  // Positive centers are a fixed list, so they materialize in parallel
-  // into per-center slots and merge in list order — exactly the serial
-  // output.
-  std::unordered_set<AccountId> used;
-  std::vector<GraphInstance> pos_insts(positives.size());
-  std::vector<char> pos_ok(positives.size(), 0);
-  ParallelFor(pool.get(), static_cast<int>(positives.size()), [&](int i) {
-    pos_ok[i] = ExpandCenter(ledger, positives[i], /*label=*/1, config,
-                             &pos_insts[i])
-                    ? 1
-                    : 0;
-  });
-  int n_positive_ok = 0;
-  for (size_t i = 0; i < positives.size(); ++i) {
-    if (!pos_ok[i]) continue;
-    pos_insts[i].subgraph.center_class = config.target;
-    dataset.instances.push_back(std::move(pos_insts[i]));
-    used.insert(positives[i]);
-    ++n_positive_ok;
-  }
+  const int n_positive_ok = dataset.num_graphs();
   if (n_positive_ok == 0) {
     return Status::Internal("no positive center produced a usable subgraph");
   }
 
   // Negative centers: other labeled classes ("hard") + active normal users.
+  // The target class and the two pools are disjoint, so no center repeats.
   const int n_negatives = static_cast<int>(
       std::max(1.0, config.negative_ratio * n_positive_ok));
   std::vector<AccountId> hard_pool;
@@ -167,87 +146,29 @@ Result<SubgraphDataset> BuildDataset(const Ledger& ledger,
   }
   rng.Shuffle(&normal_pool);
 
+  // Draw the next hard center while fewer than want_hard negatives were
+  // added, else the next normal one; when one pool runs dry, draw from the
+  // other. A center with an unusable subgraph is skipped.
   const int want_hard = static_cast<int>(
       n_negatives * Clamp(config.hard_negative_fraction, 0.0, 1.0));
   int added = 0;
   size_t hard_next = 0;
   size_t normal_next = 0;
-
-  // The serial protocol: consume the next center of the hard pool while
-  // fewer than want_hard negatives were *added*, else of the normal pool
-  // (falling back to the other pool when one runs dry). Which pool a step
-  // draws from therefore depends on how many earlier centers succeeded.
-  const auto pick = [&](int cur_added, size_t* h, size_t* n,
-                        AccountId* center) {
-    if (cur_added < want_hard && *h < hard_pool.size()) {
-      *center = hard_pool[(*h)++];
-    } else if (*n < normal_pool.size()) {
-      *center = normal_pool[(*n)++];
-    } else if (*h < hard_pool.size()) {
-      *center = hard_pool[(*h)++];
-    } else {
-      return false;  // Pools exhausted.
-    }
-    return true;
-  };
-
-  // Parallel negatives with byte-identical output: speculate a wave of
-  // picks assuming every materialization succeeds, expand the wave in
-  // parallel, then replay the serial protocol — committing speculative
-  // results while the speculated pick matches the real one and discarding
-  // the rest of the wave on the first divergence (a failed center can flip
-  // later hard-vs-normal pool choices).
-  const int wave_size = std::max(8, 4 * num_threads);
   while (added < n_negatives) {
-    std::vector<AccountId> wave;
-    wave.reserve(wave_size);
-    {
-      int sim_added = added;
-      size_t sim_hard = hard_next;
-      size_t sim_normal = normal_next;
-      while (sim_added < n_negatives &&
-             static_cast<int>(wave.size()) < wave_size) {
-        AccountId center = -1;
-        if (!pick(sim_added, &sim_hard, &sim_normal, &center)) break;
-        if (used.count(center)) continue;  // Consumed without expansion.
-        wave.push_back(center);
-        ++sim_added;  // Speculate success.
-      }
+    AccountId center = -1;
+    if (added < want_hard && hard_next < hard_pool.size()) {
+      center = hard_pool[hard_next++];
+    } else if (normal_next < normal_pool.size()) {
+      center = normal_pool[normal_next++];
+    } else if (hard_next < hard_pool.size()) {
+      center = hard_pool[hard_next++];
+    } else {
+      break;  // Both pools exhausted.
     }
-    if (wave.empty()) break;  // Pools exhausted.
-
-    std::vector<GraphInstance> wave_insts(wave.size());
-    std::vector<char> wave_ok(wave.size(), 0);
-    ParallelFor(pool.get(), static_cast<int>(wave.size()), [&](int i) {
-      wave_ok[i] = ExpandCenter(ledger, wave[i], /*label=*/0, config,
-                                &wave_insts[i])
-                       ? 1
-                       : 0;
-    });
-
-    for (size_t i = 0; i < wave.size() && added < n_negatives; ++i) {
-      AccountId center = -1;
-      size_t hard_save = hard_next;
-      size_t normal_save = normal_next;
-      bool picked = pick(added, &hard_next, &normal_next, &center);
-      while (picked && used.count(center)) {
-        hard_save = hard_next;
-        normal_save = normal_next;
-        picked = pick(added, &hard_next, &normal_next, &center);
-      }
-      if (!picked) break;
-      if (center != wave[i]) {
-        // Speculation diverged (an earlier failure changed the pool
-        // choice): un-consume this pick and rebuild the wave.
-        hard_next = hard_save;
-        normal_next = normal_save;
-        break;
-      }
-      if (!wave_ok[i]) continue;
-      dataset.instances.push_back(std::move(wave_insts[i]));
-      used.insert(center);
-      ++added;
-    }
+    GraphInstance inst;
+    if (!ExpandCenter(ledger, center, /*label=*/0, config, &inst)) continue;
+    dataset.instances.push_back(std::move(inst));
+    ++added;
   }
 
   if (added == 0) {

@@ -29,11 +29,6 @@ struct DatasetConfig {
   /// Number of LDG time slices T (paper uses 10).
   int num_time_slices = 10;
   uint64_t seed = 7;
-  /// Worker threads for subgraph materialization. Center selection stays
-  /// serial (and the output is byte-identical for every value — parallel
-  /// candidates are speculatively materialized and committed in the serial
-  /// order); 0 = one per hardware thread.
-  int num_threads = 1;
 };
 
 /// \brief One classification instance: the sampled subgraph plus its GSG
@@ -72,10 +67,15 @@ Result<GraphInstance> MaterializeInstance(const Ledger& ledger,
                                           int num_time_slices);
 
 /// Builds the dataset: positive centers are all (or max_positives) accounts
-/// of the target class; negative centers mix active normal users with other
-/// labeled classes. Every center is expanded with top-K sampling, node
-/// features are computed per Table I and log-scaled (dataset-level
-/// standardization is applied by the training harness on the train split).
+/// of the target class, in seeded shuffled order. Negative centers come
+/// from two seeded shuffled pools, the other labeled classes ("hard") and
+/// active normal users: while fewer than hard_negative_fraction of the
+/// wanted negatives have been added the next one is drawn from the hard
+/// pool, after that from the normal pool, and from the other pool when
+/// one runs dry. A center whose subgraph MaterializeInstance rejects is
+/// skipped. Every center is expanded with top-K sampling, node features
+/// are computed per Table I and log-scaled (dataset-level standardization
+/// is applied by the training harness on the train split).
 Result<SubgraphDataset> BuildDataset(const Ledger& ledger,
                                      const DatasetConfig& config);
 

@@ -326,7 +326,11 @@ bool ParseTraceparent(const std::string& value, std::string* trace_id) {
   if (value.size() < 55) return false;
   if (value[2] != '-' || value[35] != '-' || value[52] != '-') return false;
   if (!IsHexRun(value, 0, 2) && value.compare(0, 2, "00") != 0) return false;
-  if (value.compare(0, 2, "ff") == 0) return false;  // Forbidden version.
+  // Version ff is forbidden; hex digits are accepted in either case.
+  if ((value[0] == 'f' || value[0] == 'F') &&
+      (value[1] == 'f' || value[1] == 'F')) {
+    return false;
+  }
   if (!IsHexRun(value, 3, 32)) return false;   // Rejects all-zero too.
   if (!IsHexRun(value, 36, 16)) return false;  // parent-id, also non-zero.
   std::string id = value.substr(3, 32);

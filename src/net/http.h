@@ -70,7 +70,8 @@ std::string SerializeResponse(const HttpResponse& response, bool keep_alive);
 /// `00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01`): returns
 /// true and fills `trace_id` with the 32-hex trace id when the value is
 /// well-formed and the trace id is not all-zero (all-zero is explicitly
-/// invalid per the spec). Accepts any version byte except "ff".
+/// invalid per the spec). Accepts any version byte except ff (in either
+/// case).
 bool ParseTraceparent(const std::string& value, std::string* trace_id);
 
 /// Correlation id of `request`, in preference order: the `traceparent`

@@ -102,9 +102,9 @@ void AppendSpanJson(const SpanNode& node, json::JsonWriter* writer) {
   writer->Key("name");
   writer->String(node.name);
   writer->Key("start_us");
-  writer->Number(node.start_us);
+  writer->NumberRoundTrip(node.start_us);
   writer->Key("duration_us");
-  writer->Number(node.duration_us);
+  writer->NumberRoundTrip(node.duration_us);
   if (!node.trace_id.empty()) {
     writer->Key("trace_id");
     writer->String(node.trace_id);

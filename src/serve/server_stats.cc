@@ -186,15 +186,15 @@ void LatencyJson(json::JsonWriter* writer, const char* key,
   writer->Key("count");
   writer->UInt(summary.count);
   writer->Key("p50_us");
-  writer->Number(summary.p50_us);
+  writer->NumberRoundTrip(summary.p50_us);
   writer->Key("p95_us");
-  writer->Number(summary.p95_us);
+  writer->NumberRoundTrip(summary.p95_us);
   writer->Key("p99_us");
-  writer->Number(summary.p99_us);
+  writer->NumberRoundTrip(summary.p99_us);
   writer->Key("mean_us");
-  writer->Number(summary.mean_us);
+  writer->NumberRoundTrip(summary.mean_us);
   writer->Key("max_us");
-  writer->Number(summary.max_us);
+  writer->NumberRoundTrip(summary.max_us);
   writer->EndObject();
 }
 
@@ -209,7 +209,7 @@ std::string ServerStats::ToJson(const Snapshot& s) {
   writer.Key("cache_hits");
   writer.UInt(s.cache_hits);
   writer.Key("cache_hit_rate");
-  writer.Number(s.cache_hit_rate);
+  writer.NumberRoundTrip(s.cache_hit_rate);
   writer.Key("errors");
   writer.UInt(s.errors);
   writer.Key("deadline_exceeded");
@@ -223,7 +223,7 @@ std::string ServerStats::ToJson(const Snapshot& s) {
   writer.Key("batches");
   writer.UInt(s.batches);
   writer.Key("avg_batch_size");
-  writer.Number(s.avg_batch_size);
+  writer.NumberRoundTrip(s.avg_batch_size);
   writer.Key("workers");
   writer.Int(s.workers);
   LatencyJson(&writer, "cold", s.cold);

@@ -12,10 +12,5 @@ Matrix XavierUniform(int fan_in, int fan_out, Rng* rng) {
   return Matrix::Random(fan_in, fan_out, rng, -a, a);
 }
 
-Matrix HeNormal(int fan_in, int fan_out, Rng* rng) {
-  const double stddev = std::sqrt(2.0 / static_cast<double>(fan_in));
-  return Matrix::RandomNormal(fan_in, fan_out, rng, 0.0, stddev);
-}
-
 }  // namespace ag
 }  // namespace dbg4eth

@@ -12,9 +12,6 @@ namespace ag {
 /// Glorot/Xavier uniform initialization: U(-a, a), a = sqrt(6/(fan_in+fan_out)).
 Matrix XavierUniform(int fan_in, int fan_out, Rng* rng);
 
-/// He/Kaiming normal initialization: N(0, sqrt(2/fan_in)).
-Matrix HeNormal(int fan_in, int fan_out, Rng* rng);
-
 }  // namespace ag
 }  // namespace dbg4eth
 

@@ -552,18 +552,6 @@ Tensor Sigmoid(const Tensor& a) {
       [](double, double y) { return y * (1.0 - y); }, "sigmoid");
 }
 
-Tensor Exp(const Tensor& a) {
-  return ElementwiseOp(
-      a, [](double x) { return std::exp(x); },
-      [](double, double y) { return y; }, "exp");
-}
-
-Tensor Log(const Tensor& a, double eps) {
-  return ElementwiseOp(
-      a, [eps](double x) { return std::log(std::max(x, eps)); },
-      [eps](double x, double) { return 1.0 / std::max(x, eps); }, "log");
-}
-
 Tensor SoftmaxRows(const Tensor& a) {
   Matrix out = OutUninit(a.rows(), a.cols());
   SoftmaxRowsInto(a.value(), &out);
@@ -666,49 +654,6 @@ Tensor MeanAll(const Tensor& a) {
   return ScalarMul(SumAll(a), inv);
 }
 
-Tensor RowSum(const Tensor& a) {
-  Matrix out = OutUninit(a.rows(), 1);
-  for (int r = 0; r < a.rows(); ++r) {
-    double acc = 0.0;
-    for (int c = 0; c < a.cols(); ++c) acc += a.value().At(r, c);
-    out.At(r, 0) = acc;
-  }
-  if (TapeFree()) return ValueNode(std::move(out));
-  return MakeNode(
-      std::move(out), {a},
-      [](TensorNode* n) {
-        if (!ParentRequires(n, 0)) return;
-        Matrix& g = ParentGrad(n, 0);
-        for (int r = 0; r < g.rows(); ++r) {
-          const double gv = n->grad.At(r, 0);
-          for (int c = 0; c < g.cols(); ++c) g.At(r, c) += gv;
-        }
-      },
-      "row_sum");
-}
-
-Tensor ColMean(const Tensor& a) {
-  const int n_rows = a.rows();
-  Matrix out = OutUninit(1, a.cols());
-  for (int c = 0; c < a.cols(); ++c) {
-    double acc = 0.0;
-    for (int r = 0; r < n_rows; ++r) acc += a.value().At(r, c);
-    out.At(0, c) = acc / n_rows;
-  }
-  if (TapeFree()) return ValueNode(std::move(out));
-  return MakeNode(
-      std::move(out), {a},
-      [n_rows](TensorNode* n) {
-        if (!ParentRequires(n, 0)) return;
-        Matrix& g = ParentGrad(n, 0);
-        for (int c = 0; c < g.cols(); ++c) {
-          const double gv = n->grad.At(0, c) / n_rows;
-          for (int r = 0; r < g.rows(); ++r) g.At(r, c) += gv;
-        }
-      },
-      "col_mean");
-}
-
 Tensor MaxPoolRows(const Tensor& a) {
   DBG4ETH_CHECK_GT(a.rows(), 0);
   const Matrix& av = a.value();
@@ -749,10 +694,26 @@ Tensor MaxPoolRows(const Tensor& a) {
       "max_pool_rows");
 }
 
-Tensor MeanPoolRows(const Tensor& a) { return ColMean(a); }
-
-Tensor SumPoolRows(const Tensor& a) {
-  return ScalarMul(ColMean(a), static_cast<double>(a.rows()));
+Tensor MeanPoolRows(const Tensor& a) {
+  const int n_rows = a.rows();
+  Matrix out = OutUninit(1, a.cols());
+  for (int c = 0; c < a.cols(); ++c) {
+    double acc = 0.0;
+    for (int r = 0; r < n_rows; ++r) acc += a.value().At(r, c);
+    out.At(0, c) = acc / n_rows;
+  }
+  if (TapeFree()) return ValueNode(std::move(out));
+  return MakeNode(
+      std::move(out), {a},
+      [n_rows](TensorNode* n) {
+        if (!ParentRequires(n, 0)) return;
+        Matrix& g = ParentGrad(n, 0);
+        for (int c = 0; c < g.cols(); ++c) {
+          const double gv = n->grad.At(0, c) / n_rows;
+          for (int r = 0; r < g.rows(); ++r) g.At(r, c) += gv;
+        }
+      },
+      "mean_pool_rows");
 }
 
 Tensor L2NormalizeRows(const Tensor& a, double eps) {
@@ -844,39 +805,6 @@ Tensor SoftmaxCrossEntropy(const Tensor& logits,
         }
       },
       "softmax_cross_entropy");
-}
-
-Tensor BceWithLogits(const Tensor& logits, const std::vector<int>& labels) {
-  DBG4ETH_CHECK_EQ(logits.cols(), 1);
-  DBG4ETH_CHECK_EQ(static_cast<size_t>(logits.rows()), labels.size());
-  const int n = logits.rows();
-  double loss = 0.0;
-  for (int r = 0; r < n; ++r) {
-    const double x = logits.value().At(r, 0);
-    const double y = static_cast<double>(labels[r]);
-    // log(1 + exp(-|x|)) + max(x,0) - x*y, numerically stable.
-    loss += std::log1p(std::exp(-std::fabs(x))) + std::max(x, 0.0) - x * y;
-  }
-  Matrix out(1, 1);
-  out.At(0, 0) = loss / n;
-  return MakeNode(
-      std::move(out), {logits},
-      [labels, n](TensorNode* node) {
-        if (!ParentRequires(node, 0)) return;
-        Matrix& g = ParentGrad(node, 0);
-        const Matrix& x = ParentValue(node, 0);
-        const double gv = node->grad.At(0, 0) / n;
-        for (int r = 0; r < x.rows(); ++r) {
-          const double p = dbg4eth::Sigmoid(x.At(r, 0));
-          g.At(r, 0) += gv * (p - labels[r]);
-        }
-      },
-      "bce_with_logits");
-}
-
-Tensor MseLoss(const Tensor& a, const Tensor& b) {
-  Tensor diff = Sub(a, b);
-  return MeanAll(Mul(diff, diff));
 }
 
 Matrix SoftmaxRowsValue(const Matrix& logits) {

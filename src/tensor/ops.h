@@ -77,9 +77,6 @@ Tensor LeakyRelu(const Tensor& a, double negative_slope = 0.2);
 Tensor Elu(const Tensor& a, double alpha = 1.0);
 Tensor Tanh(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
-Tensor Exp(const Tensor& a);
-/// Natural log of entries clamped to >= eps for stability.
-Tensor Log(const Tensor& a, double eps = 1e-12);
 
 /// Row-wise softmax.
 Tensor SoftmaxRows(const Tensor& a);
@@ -96,16 +93,10 @@ Tensor SoftmaxColVector(const Tensor& a);
 /// Reductions.
 Tensor SumAll(const Tensor& a);
 Tensor MeanAll(const Tensor& a);
-/// N x C -> N x 1 row sums.
-Tensor RowSum(const Tensor& a);
-/// N x C -> 1 x C column means.
-Tensor ColMean(const Tensor& a);
 /// N x C -> 1 x C column-wise max (gradient routed to the argmax entries).
 Tensor MaxPoolRows(const Tensor& a);
-/// N x C -> 1 x C column means (alias of ColMean, named for pooling use).
+/// N x C -> 1 x C column means.
 Tensor MeanPoolRows(const Tensor& a);
-/// N x C -> 1 x C column sums.
-Tensor SumPoolRows(const Tensor& a);
 
 /// L2-normalizes every row (zero rows stay zero).
 Tensor L2NormalizeRows(const Tensor& a, double eps = 1e-12);
@@ -117,12 +108,6 @@ Tensor Dropout(const Tensor& a, double p, Rng* rng, bool training);
 /// Mean softmax cross-entropy of logits (N x C) against integer labels.
 Tensor SoftmaxCrossEntropy(const Tensor& logits,
                            const std::vector<int>& labels);
-
-/// Mean binary cross-entropy of logits (N x 1) against {0,1} labels.
-Tensor BceWithLogits(const Tensor& logits, const std::vector<int>& labels);
-
-/// Mean squared error between a and b (same shape).
-Tensor MseLoss(const Tensor& a, const Tensor& b);
 
 /// Softmax probabilities of the tape-free forward pass (no gradient).
 Matrix SoftmaxRowsValue(const Matrix& logits);

@@ -10,18 +10,29 @@
 namespace dbg4eth {
 namespace ag {
 
-Optimizer::Optimizer(std::vector<Tensor> params) : params_(std::move(params)) {
+Adam::Adam(std::vector<Tensor> params, double lr, double beta1, double beta2,
+           double eps, double weight_decay)
+    : params_(std::move(params)),
+      lr_(lr),
+      beta1_(beta1),
+      beta2_(beta2),
+      eps_(eps),
+      weight_decay_(weight_decay) {
+  m_.reserve(params_.size());
+  v_.reserve(params_.size());
   for (const Tensor& p : params_) {
     DBG4ETH_CHECK(p.defined());
     DBG4ETH_CHECK(p.requires_grad());
+    m_.emplace_back(p.value().rows(), p.value().cols());
+    v_.emplace_back(p.value().rows(), p.value().cols());
   }
 }
 
-void Optimizer::ZeroGrad() {
+void Adam::ZeroGrad() {
   for (Tensor& p : params_) p.ZeroGrad();
 }
 
-void Optimizer::ClipGradNorm(double max_norm) {
+void Adam::ClipGradNorm(double max_norm) {
   double total = 0.0;
   for (Tensor& p : params_) {
     if (!p.has_grad()) continue;
@@ -34,47 +45,6 @@ void Optimizer::ClipGradNorm(double max_norm) {
   for (Tensor& p : params_) {
     if (!p.has_grad()) continue;
     p.node()->grad.ScaleInPlace(scale);
-  }
-}
-
-void Optimizer::SaveState(BinaryWriter* writer) const {
-  writer->WriteString("opt_stateless");
-}
-
-Status Optimizer::LoadState(BinaryReader* reader) {
-  return reader->ExpectTag("opt_stateless");
-}
-
-Sgd::Sgd(std::vector<Tensor> params, double lr, double weight_decay)
-    : Optimizer(std::move(params)), lr_(lr), weight_decay_(weight_decay) {}
-
-void Sgd::Step() {
-  for (Tensor& p : params_) {
-    if (!p.has_grad()) continue;
-    Matrix& value = p.mutable_value();
-    const Matrix& grad = p.grad();
-    for (int r = 0; r < value.rows(); ++r) {
-      for (int c = 0; c < value.cols(); ++c) {
-        const double g = grad.At(r, c) + weight_decay_ * value.At(r, c);
-        value.At(r, c) -= lr_ * g;
-      }
-    }
-  }
-}
-
-Adam::Adam(std::vector<Tensor> params, double lr, double beta1, double beta2,
-           double eps, double weight_decay)
-    : Optimizer(std::move(params)),
-      lr_(lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps),
-      weight_decay_(weight_decay) {
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (const Tensor& p : params_) {
-    m_.emplace_back(p.value().rows(), p.value().cols());
-    v_.emplace_back(p.value().rows(), p.value().cols());
   }
 }
 

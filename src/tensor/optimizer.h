@@ -9,17 +9,18 @@
 namespace dbg4eth {
 namespace ag {
 
-/// \brief Base class for first-order optimizers over a fixed parameter list.
-class Optimizer {
+/// \brief Adam (Kingma & Ba, 2015) with bias correction over a fixed
+/// parameter list.
+class Adam {
  public:
-  explicit Optimizer(std::vector<Tensor> params);
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Tensor> params, double lr, double beta1 = 0.9,
+       double beta2 = 0.999, double eps = 1e-8, double weight_decay = 0.0);
 
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
 
   /// Applies one update using the parameters' accumulated gradients.
-  virtual void Step() = 0;
+  void Step();
 
   /// Clears all parameter gradients.
   void ZeroGrad();
@@ -27,56 +28,24 @@ class Optimizer {
   /// Rescales gradients so their global L2 norm is at most max_norm.
   void ClipGradNorm(double max_norm);
 
-  /// Serializes the optimizer's internal state (moments, step counter) for
-  /// training-resume checkpoints. Parameter *values* are not included —
-  /// checkpoint them separately (ag::WriteParameters). Stateless
-  /// optimizers write a tag only.
-  virtual void SaveState(BinaryWriter* writer) const;
+  /// Serializes the first/second moments and the bias-correction step
+  /// counter for training-resume checkpoints. Parameter *values* are not
+  /// included — checkpoint them separately (ag::WriteParameters).
+  void SaveState(BinaryWriter* writer) const;
 
   /// Restores state written by SaveState. The optimizer must be built over
   /// an equally shaped parameter list; count or shape mismatches return a
   /// clear error and leave the in-memory state untouched.
-  virtual Status LoadState(BinaryReader* reader);
+  Status LoadState(BinaryReader* reader);
 
   const std::vector<Tensor>& params() const { return params_; }
-
- protected:
-  std::vector<Tensor> params_;
-};
-
-/// \brief Plain SGD with optional weight decay.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, double lr, double weight_decay = 0.0);
-
-  void Step() override;
-
-  void set_lr(double lr) { lr_ = lr; }
-  double lr() const { return lr_; }
-
- private:
-  double lr_;
-  double weight_decay_;
-};
-
-/// \brief Adam (Kingma & Ba, 2015) with bias correction.
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Tensor> params, double lr, double beta1 = 0.9,
-       double beta2 = 0.999, double eps = 1e-8, double weight_decay = 0.0);
-
-  void Step() override;
-
-  /// First/second moments and the bias-correction step counter.
-  void SaveState(BinaryWriter* writer) const override;
-  Status LoadState(BinaryReader* reader) override;
-
   int64_t step_count() const { return t_; }
 
   void set_lr(double lr) { lr_ = lr; }
   double lr() const { return lr_; }
 
  private:
+  std::vector<Tensor> params_;
   double lr_;
   double beta1_;
   double beta2_;

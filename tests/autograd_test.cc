@@ -151,20 +151,11 @@ TEST(GradCheckTest, Activations) {
                   +[](const Tensor& t) { return LeakyRelu(t, 0.2); },
                   +[](const Tensor& t) { return Elu(t, 1.0); },
                   +[](const Tensor& t) { return Tanh(t); },
-                  +[](const Tensor& t) { return Sigmoid(t); },
-                  +[](const Tensor& t) { return Exp(t); }}) {
+                  +[](const Tensor& t) { return Sigmoid(t); }}) {
     auto loss = [&] { return SumAll(fn(a)); };
     auto res = CheckGradients(loss, {a}, 1e-6, 1e-3);
     EXPECT_TRUE(res.passed) << res.max_rel_error;
   }
-}
-
-TEST(GradCheckTest, LogClamped) {
-  Rng rng(11);
-  Tensor a = Tensor::Parameter(Matrix::Random(2, 2, &rng, 0.5, 2.0));
-  auto loss = [&] { return SumAll(Log(a)); };
-  auto res = CheckGradients(loss, {a});
-  EXPECT_TRUE(res.passed) << res.max_rel_error;
 }
 
 TEST(GradCheckTest, SoftmaxRows) {
@@ -209,10 +200,7 @@ TEST(GradCheckTest, SoftmaxColVector) {
 TEST(GradCheckTest, Reductions) {
   Rng rng(15);
   Tensor a = RandomParam(4, 3, &rng);
-  for (auto fn : {+[](const Tensor& t) { return RowSum(t); },
-                  +[](const Tensor& t) { return ColMean(t); },
-                  +[](const Tensor& t) { return MeanPoolRows(t); },
-                  +[](const Tensor& t) { return SumPoolRows(t); },
+  for (auto fn : {+[](const Tensor& t) { return MeanPoolRows(t); },
                   +[](const Tensor& t) { return MaxPoolRows(t); }}) {
     auto loss = [&] { return SumAll(Tanh(fn(a))); };
     auto res = CheckGradients(loss, {a});
@@ -257,24 +245,6 @@ TEST(GradCheckTest, SoftmaxCrossEntropy) {
   EXPECT_TRUE(res.passed) << res.max_rel_error;
 }
 
-TEST(GradCheckTest, BceWithLogits) {
-  Rng rng(20);
-  Tensor logits = RandomParam(5, 1, &rng);
-  std::vector<int> labels = {0, 1, 1, 0, 1};
-  auto loss = [&] { return BceWithLogits(logits, labels); };
-  auto res = CheckGradients(loss, {logits});
-  EXPECT_TRUE(res.passed) << res.max_rel_error;
-}
-
-TEST(GradCheckTest, MseLoss) {
-  Rng rng(21);
-  Tensor a = RandomParam(2, 3, &rng);
-  Tensor b = Tensor::Constant(Matrix::Random(2, 3, &rng));
-  auto loss = [&] { return MseLoss(a, b); };
-  auto res = CheckGradients(loss, {a});
-  EXPECT_TRUE(res.passed) << res.max_rel_error;
-}
-
 TEST(OpsTest, DropoutTrainingAndEval) {
   Rng rng(22);
   Tensor a = Tensor::Parameter(Matrix::Ones(10, 10));
@@ -301,20 +271,6 @@ TEST(OpsTest, SoftmaxCrossEntropyMatchesManual) {
 
 // --- Optimizers ---
 
-TEST(OptimizerTest, SgdConvergesOnQuadratic) {
-  // minimize (x - 3)^2
-  Tensor x = Tensor::Parameter(Matrix::FromFlat(1, 1, {0.0}));
-  Sgd opt({x}, 0.1);
-  for (int i = 0; i < 200; ++i) {
-    opt.ZeroGrad();
-    Tensor diff = ScalarAdd(x, -3.0);
-    Tensor loss = SumAll(Mul(diff, diff));
-    loss.Backward();
-    opt.Step();
-  }
-  EXPECT_NEAR(x.value().At(0, 0), 3.0, 1e-4);
-}
-
 TEST(OptimizerTest, AdamConvergesOnQuadratic) {
   Tensor x = Tensor::Parameter(Matrix::FromFlat(1, 2, {5.0, -5.0}));
   Adam opt({x}, 0.1);
@@ -329,7 +285,7 @@ TEST(OptimizerTest, AdamConvergesOnQuadratic) {
 
 TEST(OptimizerTest, ClipGradNorm) {
   Tensor x = Tensor::Parameter(Matrix::FromFlat(1, 2, {3.0, 4.0}));
-  Sgd opt({x}, 1.0);
+  Adam opt({x}, 1.0);
   opt.ZeroGrad();
   SumAll(Mul(x, x)).Backward();  // grad = (6, 8), norm 10
   opt.ClipGradNorm(1.0);
@@ -338,12 +294,13 @@ TEST(OptimizerTest, ClipGradNorm) {
 
 TEST(OptimizerTest, WeightDecayShrinks) {
   Tensor x = Tensor::Parameter(Matrix::FromFlat(1, 1, {1.0}));
-  Sgd opt({x}, 0.1, /*weight_decay=*/0.5);
+  Adam opt({x}, 0.1, 0.9, 0.999, 1e-8, /*weight_decay=*/0.5);
   opt.ZeroGrad();
-  // Zero loss gradient: only decay acts.
+  // Zero loss gradient: only decay acts. Adam's bias-corrected first step
+  // moves a lone gradient by lr (up to eps), whatever its size.
   SumAll(ScalarMul(x, 0.0)).Backward();
   opt.Step();
-  EXPECT_NEAR(x.value().At(0, 0), 1.0 - 0.1 * 0.5, 1e-12);
+  EXPECT_NEAR(x.value().At(0, 0), 1.0 - 0.1, 1e-7);
 }
 
 TEST(InitTest, XavierBounds) {
@@ -352,21 +309,6 @@ TEST(InitTest, XavierBounds) {
   const double bound = std::sqrt(6.0 / 200.0);
   EXPECT_LE(w.MaxAbs(), bound);
   EXPECT_GT(w.MaxAbs(), bound * 0.5);
-}
-
-TEST(InitTest, HeNormalStddev) {
-  Rng rng(31);
-  Matrix w = HeNormal(200, 200, &rng);
-  double sum = 0, sq = 0;
-  for (int r = 0; r < w.rows(); ++r) {
-    for (int c = 0; c < w.cols(); ++c) {
-      sum += w.At(r, c);
-      sq += w.At(r, c) * w.At(r, c);
-    }
-  }
-  const double n = 200.0 * 200.0;
-  const double var = sq / n - (sum / n) * (sum / n);
-  EXPECT_NEAR(std::sqrt(var), std::sqrt(2.0 / 200.0), 0.01);
 }
 
 }  // namespace

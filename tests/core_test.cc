@@ -4,6 +4,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "core/baselines.h"
 #include "core/dbg4eth.h"
@@ -256,6 +257,47 @@ TEST(ExperimentTest, DefaultConfigsSane) {
   EXPECT_TRUE(model.use_ldg);
   EXPECT_EQ(ExperimentWorkload::MainClasses().size(), 4u);
   EXPECT_EQ(ExperimentWorkload::NovelClasses().size(), 2u);
+}
+
+TEST(CrossValidateTest, FoldsAverageAndValidate) {
+  eth::LedgerConfig lc;
+  lc.num_normal = 600;
+  lc.num_exchange = 16;
+  lc.duration_days = 90.0;
+  lc.seed = 66;
+  eth::LedgerSimulator ledger(lc);
+  ASSERT_TRUE(ledger.Generate().ok());
+  eth::DatasetConfig dc;
+  dc.target = eth::AccountClass::kExchange;
+  dc.max_positives = 14;
+  dc.sampling.top_k = 5;
+  dc.sampling.max_nodes = 40;
+  dc.num_time_slices = 4;
+  auto ds = std::move(eth::BuildDataset(ledger, dc)).ValueOrDie();
+
+  Dbg4EthConfig config;
+  config.gsg.hidden_dim = 12;
+  config.gsg.epochs = 3;
+  config.ldg.hidden_dim = 12;
+  config.ldg.epochs = 2;
+  config.ldg.first_level_clusters = 4;
+  config.gbdt.num_trees = 10;
+
+  auto cv = CrossValidate(config, ds, /*num_folds=*/3, /*seed=*/9);
+  ASSERT_TRUE(cv.ok()) << cv.status().ToString();
+  const CrossValidationResult& result = cv.ValueOrDie();
+  ASSERT_EQ(result.folds.size(), 3u);
+  // Every instance appears in exactly one fold's test set.
+  size_t total_test = 0;
+  for (const auto& fold : result.folds) total_test += fold.test_labels.size();
+  EXPECT_EQ(total_test, static_cast<size_t>(ds.num_graphs()));
+  EXPECT_GE(result.mean.f1, 0.0);
+  EXPECT_LE(result.mean.f1, 1.0);
+  EXPECT_GE(result.f1_stddev, 0.0);
+
+  // Error paths.
+  EXPECT_FALSE(CrossValidate(config, ds, 1, 9).ok());
+  EXPECT_FALSE(CrossValidate(config, ds, 50, 9).ok());
 }
 
 }  // namespace

@@ -216,6 +216,24 @@ TEST(JsonUtil, RejectsMalformedDocuments) {
   EXPECT_TRUE(json::ParseJson(deep, /*max_depth=*/128).ok());
 }
 
+TEST(JsonUtil, RejectsNumbersThatOverflowAndKeepsUnderflow) {
+  for (const char* text : {"1e400", "-1e400", "{\"address\": 1e999}",
+                           "[1e308, 2e308]"}) {
+    const auto parsed = json::ParseJson(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("number out of range"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+  EXPECT_EQ(json::ParseJson("1e308").ValueOrDie().number_value, 1e308);
+  EXPECT_EQ(json::ParseJson("5e-324").ValueOrDie().number_value,
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(json::ParseJson("-5e-324").ValueOrDie().number_value,
+            -std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(json::ParseJson("1e-400").ValueOrDie().number_value, 0.0);
+}
+
 TEST(JsonUtil, AsInt64AcceptsExactIntegersOnly) {
   auto value = [](const std::string& text) {
     return json::ParseJson(text).ValueOrDie().AsInt64();
@@ -407,10 +425,12 @@ std::string FeedAndDescribe(const std::string& wire,
 }
 
 /// One to four seeded edits: bit flips, random-byte insertions, short
-/// deletions, truncations, and injected CR, LF, CRLF, colon or space.
-std::string Mutate(std::string s, std::mt19937_64* rng) {
+/// deletions, truncations, and injected tokens (by default CR, LF, CRLF,
+/// colon or space: the HTTP grammar's delimiters).
+std::string Mutate(std::string s, std::mt19937_64* rng,
+                   const std::vector<std::string>& injected = {
+                       "\r", "\n", "\r\n", ":", " "}) {
   auto pick = [rng](size_t n) { return static_cast<size_t>((*rng)() % n); };
-  const std::string injected[] = {"\r", "\n", "\r\n", ":", " "};
   const size_t edits = 1 + pick(4);
   for (size_t e = 0; e < edits; ++e) {
     const size_t pos = pick(s.size() + 1);
@@ -430,7 +450,7 @@ std::string Mutate(std::string s, std::mt19937_64* rng) {
         s.resize(pos);
         break;
       default:
-        s.insert(pos, injected[pick(5)]);
+        s.insert(pos, injected[pick(injected.size())]);
     }
   }
   return s;
@@ -491,6 +511,147 @@ TEST(HttpParserFuzz, MutantsParseAlikeWholeByteByByteAndSplit) {
         "state 3 status 400 idle", "state 3 status 413 idle",
         "state 3 status 431 idle", "state 3 status 501 idle"}) {
     EXPECT_GT(final_states[ending], 0) << ending;
+  }
+}
+
+/// Writes a parsed tree back out through JsonWriter, numbers in their
+/// round-trip form.
+void WriteJsonValue(const json::JsonValue& value, json::JsonWriter* writer) {
+  switch (value.kind) {
+    case json::JsonValue::Kind::kNull:
+      writer->Null();
+      return;
+    case json::JsonValue::Kind::kBool:
+      writer->Bool(value.bool_value);
+      return;
+    case json::JsonValue::Kind::kNumber:
+      writer->NumberRoundTrip(value.number_value);
+      return;
+    case json::JsonValue::Kind::kString:
+      writer->String(value.string_value);
+      return;
+    case json::JsonValue::Kind::kArray:
+      writer->BeginArray();
+      for (const json::JsonValue& item : value.items) {
+        WriteJsonValue(item, writer);
+      }
+      writer->EndArray();
+      return;
+    case json::JsonValue::Kind::kObject:
+      writer->BeginObject();
+      for (const auto& [key, member] : value.members) {
+        writer->Key(key);
+        WriteJsonValue(member, writer);
+      }
+      writer->EndObject();
+      return;
+  }
+}
+
+/// Equal kinds, bools, strings, member keys and order, and numbers bit
+/// for bit (so 0 and -0 differ).
+bool SameJsonTree(const json::JsonValue& a, const json::JsonValue& b) {
+  if (a.kind != b.kind) return false;
+  switch (a.kind) {
+    case json::JsonValue::Kind::kNull:
+      return true;
+    case json::JsonValue::Kind::kBool:
+      return a.bool_value == b.bool_value;
+    case json::JsonValue::Kind::kNumber:
+      return std::memcmp(&a.number_value, &b.number_value,
+                         sizeof(double)) == 0;
+    case json::JsonValue::Kind::kString:
+      return a.string_value == b.string_value;
+    case json::JsonValue::Kind::kArray:
+      if (a.items.size() != b.items.size()) return false;
+      for (size_t i = 0; i < a.items.size(); ++i) {
+        if (!SameJsonTree(a.items[i], b.items[i])) return false;
+      }
+      return true;
+    case json::JsonValue::Kind::kObject:
+      if (a.members.size() != b.members.size()) return false;
+      for (size_t i = 0; i < a.members.size(); ++i) {
+        if (a.members[i].first != b.members[i].first ||
+            !SameJsonTree(a.members[i].second, b.members[i].second)) {
+          return false;
+        }
+      }
+      return true;
+  }
+  return false;
+}
+
+/// `depth` containers of one kind around `leaf`, so the leaf sits at
+/// depth `depth` (the top-level value is at depth 0).
+std::string NestJson(int depth, bool objects, const std::string& leaf) {
+  std::string out;
+  for (int i = 0; i < depth; ++i) out += objects ? "{\"k\": " : "[";
+  out += leaf;
+  for (int i = 0; i < depth; ++i) out += objects ? "}" : "]";
+  return out;
+}
+
+TEST(JsonParserFuzz, MutantsFailWithAStatusOrRoundTripThroughTheWriter) {
+  const std::string valid[] = {
+      "{\"address\": 12345}",
+      "{\"addresses\": [1, 2, 3], \"deadline_us\": 250000}",
+      " [0, -0, 1.5e-3, -2.5E+8, 5e-324, 1e308, 0.1, 12345678901234567890] ",
+      "{\"s\": \"a\\\"b\\\\c\\/\\n\\r\\t\\b\\f\\u0041\\u00e9\\u20ac\\u0000\", "
+      "\"t\": true, \"f\": false, \"n\": null}",
+      "{\"a\": {\"b\": [[], {}, [{\"c\": []}]]}, \"a\": 2}",
+      "\"caf\xc3\xa9\"",
+      "[[[[[[1]]]]]]",
+  };
+  constexpr size_t kValid = sizeof(valid) / sizeof(valid[0]);
+  const std::vector<std::string> tokens = {
+      "{", "}", "[", "]", ",", ":", "\"", "\\", "\\u", "e", "-", ".",
+      "0", "9", "1e400", "5e-324", "1e-400", "true", "null", " "};
+  // A shallow bound, so mutants also reach the depth rejection.
+  constexpr int kMaxDepth = 6;
+
+  std::mt19937_64 rng(29);
+  int accepted = 0;
+  int rejected = 0;
+  for (size_t i = 0; i < 20000; ++i) {
+    const std::string text =
+        i < kValid ? valid[i] : Mutate(valid[rng() % kValid], &rng, tokens);
+    const auto parsed = json::ParseJson(text, kMaxDepth);
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+      EXPECT_FALSE(parsed.status().message().empty()) << text;
+      EXPECT_GE(i, kValid) << text;
+      ++rejected;
+      if (HasFailure()) break;  // One counterexample is enough to read.
+      continue;
+    }
+    ++accepted;
+    std::string written;
+    json::JsonWriter writer(&written);
+    WriteJsonValue(parsed.ValueOrDie(), &writer);
+    const auto reparsed = json::ParseJson(written, kMaxDepth);
+    ASSERT_TRUE(reparsed.ok()) << text << " -> " << written;
+    EXPECT_TRUE(SameJsonTree(parsed.ValueOrDie(), reparsed.ValueOrDie()))
+        << text << " -> " << written;
+    if (HasFailure()) break;
+  }
+  EXPECT_GT(accepted, 1000);
+  EXPECT_GT(rejected, 1000);
+
+  // The depth bound, exact at every bound and for both container kinds:
+  // the deepest value may sit at max_depth, not one level below it.
+  for (int max_depth : {0, 1, 2, 5, kMaxDepth, 64}) {
+    for (bool objects : {false, true}) {
+      for (const std::string leaf : {"1", "[]", "{}"}) {
+        const std::string at_bound = NestJson(max_depth, objects, leaf);
+        EXPECT_TRUE(json::ParseJson(at_bound, max_depth).ok()) << at_bound;
+        const std::string deeper = NestJson(max_depth + 1, objects, leaf);
+        const auto too_deep = json::ParseJson(deeper, max_depth);
+        ASSERT_FALSE(too_deep.ok()) << deeper;
+        EXPECT_NE(too_deep.status().message().find("nesting too deep"),
+                  std::string::npos)
+            << too_deep.status().ToString();
+      }
+    }
   }
 }
 
@@ -1562,9 +1723,14 @@ TEST(ParseTraceparent, RejectsMalformedHeaders) {
   // All-zero parent id likewise.
   EXPECT_FALSE(ParseTraceparent(
       "00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", &id));
-  // Version ff is forbidden.
-  EXPECT_FALSE(ParseTraceparent(
-      "ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", &id));
+  // Version ff is forbidden, in either case.
+  for (const char* version : {"ff", "FF", "fF", "Ff"}) {
+    EXPECT_FALSE(ParseTraceparent(
+        std::string(version) +
+            "-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+        &id))
+        << version;
+  }
   // Too short / wrong delimiters / non-hex digits.
   EXPECT_FALSE(ParseTraceparent("00-abc-def-01", &id));
   EXPECT_FALSE(ParseTraceparent(
@@ -1572,6 +1738,54 @@ TEST(ParseTraceparent, RejectsMalformedHeaders) {
   EXPECT_FALSE(ParseTraceparent(
       "00-4bf92f3577b34da6a3ce929d0e0e473z-00f067aa0ba902b7-01", &id));
   EXPECT_FALSE(ParseTraceparent("", &id));
+}
+
+TEST(TraceparentFuzz, AcceptedIdsAreNonZeroLowercaseHexAndNeverVersionFf) {
+  const std::string valid[] = {
+      "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+      "00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01",
+      "01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra",
+      "fe-00000000000000000000000000000001-0000000000000001-00",
+      // Rejected seeds, one edit away from accepted headers.
+      "ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+      "fg-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+      "00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+  };
+  constexpr size_t kValid = sizeof(valid) / sizeof(valid[0]);
+  const std::vector<std::string> tokens = {"-", "0", "f", "F", "ff", "g",
+                                           " ", "\r\n"};
+  const auto is_lower_hex = [](char c) {
+    return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+  };
+  std::mt19937_64 rng(31);
+  int accepted = 0;
+  int rejected = 0;
+  for (size_t i = 0; i < 20000; ++i) {
+    const std::string value =
+        i < kValid ? valid[i] : Mutate(valid[rng() % kValid], &rng, tokens);
+    std::string id = "unset";
+    if (!ParseTraceparent(value, &id)) {
+      EXPECT_EQ(id, "unset") << value;
+      ++rejected;
+      if (HasFailure()) break;
+      continue;
+    }
+    ++accepted;
+    ASSERT_GE(value.size(), 55u) << value;
+    EXPECT_FALSE(std::tolower(static_cast<unsigned char>(value[0])) == 'f' &&
+                 std::tolower(static_cast<unsigned char>(value[1])) == 'f')
+        << value;
+    ASSERT_EQ(id.size(), 32u) << value;
+    EXPECT_TRUE(std::all_of(id.begin(), id.end(), is_lower_hex)) << id;
+    EXPECT_NE(id, std::string(32, '0')) << value;
+    for (size_t c = 0; c < id.size(); ++c) {
+      EXPECT_EQ(id[c], std::tolower(static_cast<unsigned char>(value[3 + c])))
+          << value;
+    }
+    if (HasFailure()) break;  // One counterexample is enough to read.
+  }
+  EXPECT_GT(accepted, 250);
+  EXPECT_GT(rejected, 1000);
 }
 
 TEST(ExtractTraceIdTest, PrefersTraceparentFallsBackToRequestId) {

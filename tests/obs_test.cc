@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json_util.h"
 #include "common/status.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -480,6 +482,27 @@ TEST(JsonSnapshotTest, ContainsMetricsAndSpans) {
   EXPECT_NE(json.find("\"count\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"score_cold\""), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"materialize\""), std::string::npos);
+}
+
+TEST(SpanJsonTest, TimingsKeepEveryDigit) {
+  SpanNode node;
+  node.name = "score_cold";
+  node.start_us = 1754600000123456.5;
+  node.duration_us = 1234567.8;
+  std::string out;
+  json::JsonWriter writer(&out);
+  AppendSpanJson(node, &writer);
+  EXPECT_NE(out.find("\"duration_us\": 1234567.8"), std::string::npos) << out;
+  auto parsed = json::ParseJson(out);
+  ASSERT_TRUE(parsed.ok()) << out;
+  const json::JsonValue& root = parsed.ValueOrDie();
+  ASSERT_NE(root.Find("start_us"), nullptr);
+  ASSERT_NE(root.Find("duration_us"), nullptr);
+  const double start = root.Find("start_us")->number_value;
+  const double duration = root.Find("duration_us")->number_value;
+  EXPECT_EQ(std::memcmp(&start, &node.start_us, sizeof(double)), 0) << out;
+  EXPECT_EQ(std::memcmp(&duration, &node.duration_us, sizeof(double)), 0)
+      << out;
 }
 
 // --------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Tests for the parallel training substrate: the shared ThreadPool /
 // ParallelFor helpers, thread-local GradientBuffer backward, determinism
 // of the intra-batch data-parallel trainers (num_threads=N must reproduce
-// num_threads=1 bit-for-bit), and the parallel dataset builder.
+// num_threads=1 bit-for-bit).
 #include <atomic>
 #include <memory>
 #include <vector>
@@ -282,38 +282,6 @@ TEST_F(ParallelTrainTest, GsgBatchSizeBelowOneTrainsAsOne) {
     core::GsgEncoder encoder(config);
     ASSERT_TRUE(encoder.Train(*dataset_, AllIndices()).ok());
     ExpectParamsIdentical(reference.Parameters(), encoder.Parameters());
-  }
-}
-
-TEST_F(ParallelTrainTest, ParallelDatasetBuildIsByteIdentical) {
-  for (int threads : {2, 3, 8}) {
-    eth::DatasetConfig config = SmallDatasetConfig();
-    config.num_threads = threads;
-    auto built = eth::BuildDataset(*ledger_, config);
-    ASSERT_TRUE(built.ok()) << built.status().ToString();
-    const eth::SubgraphDataset parallel = std::move(built).ValueOrDie();
-
-    // dataset_ was standardized in place; rebuild the serial reference.
-    eth::DatasetConfig serial_config = SmallDatasetConfig();
-    auto serial_built = eth::BuildDataset(*ledger_, serial_config);
-    ASSERT_TRUE(serial_built.ok());
-    const eth::SubgraphDataset serial = std::move(serial_built).ValueOrDie();
-
-    ASSERT_EQ(parallel.num_graphs(), serial.num_graphs()) << threads;
-    for (int i = 0; i < serial.num_graphs(); ++i) {
-      const eth::GraphInstance& a = serial.instances[i];
-      const eth::GraphInstance& b = parallel.instances[i];
-      EXPECT_EQ(a.label, b.label);
-      ASSERT_EQ(a.subgraph.nodes, b.subgraph.nodes) << "instance " << i;
-      ASSERT_EQ(a.subgraph.txs.size(), b.subgraph.txs.size());
-      ASSERT_EQ(a.gsg.node_features.rows(), b.gsg.node_features.rows());
-      for (int r = 0; r < a.gsg.node_features.rows(); ++r) {
-        for (int c = 0; c < a.gsg.node_features.cols(); ++c) {
-          EXPECT_DOUBLE_EQ(a.gsg.node_features.At(r, c),
-                           b.gsg.node_features.At(r, c));
-        }
-      }
-    }
   }
 }
 

@@ -394,5 +394,162 @@ TEST_F(DatasetTest, DeterministicUnderSeed) {
   }
 }
 
+/// The center account of every instance, in dataset order.
+std::vector<eth::AccountId> Centers(const eth::SubgraphDataset& ds) {
+  std::vector<eth::AccountId> out;
+  for (const eth::GraphInstance& inst : ds.instances) {
+    out.push_back(inst.subgraph.nodes[inst.subgraph.center_index]);
+  }
+  return out;
+}
+
+/// BuildDataset's two negative pools for `target`, in account order: the
+/// other labeled classes ("hard"), and normal users other than the
+/// coinbase with at least five transactions.
+std::pair<std::vector<eth::AccountId>, std::vector<eth::AccountId>>
+NegativePools(const eth::Ledger& ledger, eth::AccountClass target) {
+  std::vector<eth::AccountId> hard;
+  std::vector<eth::AccountId> normal;
+  for (const eth::Account& acc : ledger.accounts()) {
+    if (acc.cls != eth::AccountClass::kNormal && acc.cls != target) {
+      hard.push_back(acc.id);
+    } else if (acc.cls == eth::AccountClass::kNormal &&
+               acc.id != ledger.coinbase_id() &&
+               ledger.TransactionsOf(acc.id).size() >= 5) {
+      normal.push_back(acc.id);
+    }
+  }
+  return {hard, normal};
+}
+
+/// The centers of `pool` whose instance MaterializeInstance builds under
+/// `config`'s sampling; `*rejected` counts the others.
+std::unordered_set<eth::AccountId> UsableCenters(
+    const eth::Ledger& ledger, const std::vector<eth::AccountId>& pool,
+    const eth::DatasetConfig& config, int* rejected) {
+  std::unordered_set<eth::AccountId> usable;
+  for (eth::AccountId id : pool) {
+    if (eth::MaterializeInstance(ledger, id, config.sampling,
+                                 config.num_time_slices)
+            .ok()) {
+      usable.insert(id);
+    } else {
+      ++*rejected;
+    }
+  }
+  return usable;
+}
+
+/// Builds `config`'s dataset and checks what holds for every configuration:
+/// the positives come first and are accounts of the target class; the
+/// negatives follow, and no center appears twice (so no positive is also a
+/// negative). Returns the negatives' centers in dataset order.
+std::vector<eth::AccountId> BuildAndSplitNegatives(
+    const eth::Ledger& ledger, const eth::DatasetConfig& config,
+    int* num_positives) {
+  auto built = eth::BuildDataset(ledger, config);
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  if (!built.ok()) return {};
+  const eth::SubgraphDataset ds = std::move(built).ValueOrDie();
+  const std::vector<eth::AccountId> centers = Centers(ds);
+  *num_positives = ds.num_positives();
+  std::vector<eth::AccountId> negatives;
+  for (int i = 0; i < ds.num_graphs(); ++i) {
+    const eth::GraphInstance& inst = ds.instances[i];
+    EXPECT_EQ(inst.label, i < *num_positives ? 1 : 0) << "instance " << i;
+    if (inst.label == 1) {
+      EXPECT_EQ(ledger.accounts()[centers[i]].cls, config.target);
+    } else {
+      negatives.push_back(centers[i]);
+    }
+  }
+  EXPECT_EQ(std::unordered_set<eth::AccountId>(centers.begin(), centers.end())
+                .size(),
+            centers.size());
+  return negatives;
+}
+
+TEST_F(DatasetTest, NegativesFollowTheDrawProtocol) {
+  const auto is_normal = [&](eth::AccountId id) {
+    return ledger_->accounts()[id].cls == eth::AccountClass::kNormal;
+  };
+  int num_positives = 0;
+
+  // Hard fraction 0.45: the first want_hard negatives come from the other
+  // labeled classes, the rest are normal users.
+  eth::DatasetConfig mixed;
+  mixed.target = eth::AccountClass::kPhishHack;
+  mixed.num_time_slices = 3;
+  mixed.sampling.top_k = 5;
+  std::vector<eth::AccountId> negatives =
+      BuildAndSplitNegatives(*ledger_, mixed, &num_positives);
+  ASSERT_EQ(static_cast<int>(negatives.size()), num_positives);
+  const int want_hard = static_cast<int>(num_positives * 0.45);
+  ASSERT_GT(want_hard, 0);
+  for (int i = 0; i < static_cast<int>(negatives.size()); ++i) {
+    EXPECT_EQ(is_normal(negatives[i]), i >= want_hard) << "negative " << i;
+  }
+
+  // Hard fraction 1 with more negatives wanted than the hard pool holds:
+  // every usable hard center comes first, then the draw falls back to
+  // normal users for the rest.
+  eth::DatasetConfig hard_only = mixed;
+  hard_only.target = eth::AccountClass::kExchange;
+  hard_only.hard_negative_fraction = 1.0;
+  hard_only.negative_ratio = 6.0;
+  negatives = BuildAndSplitNegatives(*ledger_, hard_only, &num_positives);
+  int rejected = 0;
+  const std::unordered_set<eth::AccountId> usable_hard = UsableCenters(
+      *ledger_, NegativePools(*ledger_, hard_only.target).first, hard_only,
+      &rejected);
+  ASSERT_GT(static_cast<size_t>(6 * num_positives), usable_hard.size());
+  ASSERT_EQ(static_cast<int>(negatives.size()), 6 * num_positives);
+  for (size_t i = 0; i < negatives.size(); ++i) {
+    EXPECT_EQ(is_normal(negatives[i]), i >= usable_hard.size())
+        << "negative " << i;
+  }
+  EXPECT_EQ(std::unordered_set<eth::AccountId>(
+                negatives.begin(), negatives.begin() + usable_hard.size()),
+            usable_hard);
+
+  // A ratio that wants more negatives than both pools hold: the draw takes
+  // every usable center of both pools once, and none that
+  // MaterializeInstance rejects. Top_k 1 leaves many centers (3 of the 10
+  // positives among them) with fewer than three nodes, so the ratio is 250.
+  eth::DatasetConfig exhaust = mixed;
+  exhaust.negative_ratio = 250.0;
+  exhaust.sampling.top_k = 1;
+  negatives = BuildAndSplitNegatives(*ledger_, exhaust, &num_positives);
+  const auto pools = NegativePools(*ledger_, exhaust.target);
+  rejected = 0;
+  std::unordered_set<eth::AccountId> usable =
+      UsableCenters(*ledger_, pools.first, exhaust, &rejected);
+  usable.merge(UsableCenters(*ledger_, pools.second, exhaust, &rejected));
+  EXPECT_GT(rejected, 0);
+  ASSERT_GT(250 * num_positives, static_cast<int>(usable.size()));
+  EXPECT_EQ(std::unordered_set<eth::AccountId>(negatives.begin(),
+                                               negatives.end()),
+            usable);
+  EXPECT_EQ(negatives.size(), usable.size());
+}
+
+TEST_F(DatasetTest, CenterOrderIsPinned) {
+  // Top_k 1 makes MaterializeInstance reject 7 of the 10 positives and
+  // most hard centers, so the order below also pins which centers the
+  // draw skips.
+  eth::DatasetConfig config;
+  config.target = eth::AccountClass::kPhishHack;
+  config.num_time_slices = 3;
+  config.sampling.top_k = 1;
+  config.negative_ratio = 4.0;
+  auto built = eth::BuildDataset(*ledger_, config);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  // 3 positives; 5 hard negatives (int(12 * 0.45)); 7 normal negatives.
+  const std::vector<eth::AccountId> pinned = {
+      626, 629, 627, 644, 617, 606, 619, 608,
+      420, 465, 105, 332, 321, 301, 293};
+  EXPECT_EQ(Centers(built.ValueOrDie()), pinned);
+}
+
 }  // namespace
 }  // namespace dbg4eth

@@ -311,26 +311,6 @@ TEST(OptimizerStateTest, AdamRejectsShapeMismatchAndStaysUsable) {
   EXPECT_EQ(loaded.step_count(), 1);
 }
 
-TEST(OptimizerStateTest, StatelessSgdRoundTripsAndRejectsAdamState) {
-  Rng rng(14);
-  std::vector<ag::Tensor> params = {
-      ag::Tensor::Parameter(Matrix::Random(2, 2, &rng))};
-  ag::Sgd sgd(params, 0.1);
-  std::stringstream stream;
-  BinaryWriter writer(&stream);
-  sgd.SaveState(&writer);
-  BinaryReader reader(&stream);
-  EXPECT_TRUE(sgd.LoadState(&reader).ok());
-
-  // An Adam state is not a stateless-optimizer state.
-  std::stringstream adam_stream;
-  BinaryWriter adam_writer(&adam_stream);
-  ag::Adam adam(params, 0.1);
-  adam.SaveState(&adam_writer);
-  BinaryReader adam_reader(&adam_stream);
-  EXPECT_FALSE(sgd.LoadState(&adam_reader).ok());
-}
-
 TEST(ModelSerializeTest, FullDbg4EthRoundTrips) {
   eth::LedgerConfig lc;
   lc.num_normal = 500;

@@ -3,13 +3,16 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <future>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/json_util.h"
 #include "common/thread_pool.h"
 #include "serve/result_cache.h"
 #include "serve/server_stats.h"
@@ -233,6 +236,30 @@ std::map<std::string, uint64_t> InstrumentCounts(
     }
   }
   return counts;
+}
+
+TEST(ServerStatsTest, JsonKeepsEveryDigitOfLatencies) {
+  ServerStats::Snapshot snapshot;
+  snapshot.cold.count = 2;
+  snapshot.cold.p50_us = 1234567.5;
+  snapshot.cold.max_us = 98765432.25;
+  snapshot.cache_hit_rate = 1.0 / 3.0;
+  const std::string out = ServerStats::ToJson(snapshot);
+  EXPECT_NE(out.find("\"p50_us\": 1234567.5"), std::string::npos) << out;
+  auto parsed = json::ParseJson(out);
+  ASSERT_TRUE(parsed.ok()) << out;
+  const json::JsonValue* cold = parsed.ValueOrDie().Find("cold");
+  ASSERT_NE(cold, nullptr);
+  for (const auto& [key, want] :
+       {std::pair<const char*, double>{"p50_us", snapshot.cold.p50_us},
+        {"max_us", snapshot.cold.max_us}}) {
+    ASSERT_NE(cold->Find(key), nullptr) << key;
+    const double got = cold->Find(key)->number_value;
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0) << key << out;
+  }
+  const double rate = parsed.ValueOrDie().Find("cache_hit_rate")->number_value;
+  EXPECT_EQ(std::memcmp(&rate, &snapshot.cache_hit_rate, sizeof(double)), 0)
+      << out;
 }
 
 TEST(ServerStatsTest, CountersAndSnapshot) {

@@ -13,10 +13,13 @@
 # tier-1 gate plus the chaos suite under AddressSanitizer + UBSan
 # (ctest -L "tier1|chaos", the asan test preset's filter), and a
 # serving-latency regression guard against the committed BENCH_serve.json.
+# Every mode but --fast also builds the perfbench/ benchmark binary and its
+# unit tests against this tree's library (build-perfbench/) and runs the
+# tests, so a library change that breaks the benchmark fails here.
 #
-#   tools/check.sh            # tier-1 + tsan obs/serve/net/train + asan tier-1/chaos
+#   tools/check.sh            # tier-1 + perfbench + tsan obs/serve/net/train + asan tier-1/chaos
 #   tools/check.sh --fast     # tier-1 only
-#   tools/check.sh --bench    # tier-1 + bench-regression guard
+#   tools/check.sh --bench    # tier-1 + perfbench + bench-regression guard
 #
 # Run from anywhere; paths resolve relative to the repo root.
 set -euo pipefail
@@ -97,6 +100,13 @@ if [[ "${fast}" != "1" ]]; then
     exit 1
   fi
   echo "  http smoke passed (server drained and exited 0)"
+fi
+
+if [[ "${fast}" != "1" ]]; then
+  echo "=== perfbench: configure + build the benchmark and its tests (build-perfbench/) ==="
+  cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  cmake --build build-perfbench -j"$(nproc)" --target perfbench perfbench_tests
+  (cd build-perfbench && ctest --no-tests=error --output-on-failure -j"$(nproc)")
 fi
 
 if [[ "${bench}" == "1" ]]; then
