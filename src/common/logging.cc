@@ -1,6 +1,5 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -8,8 +7,6 @@
 namespace dbg4eth {
 
 namespace {
-
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::kInfo)};
 
 /// Serializes line emission so messages from concurrent worker threads
 /// (serving pool, bench client threads) never shear mid-line. The full
@@ -27,8 +24,6 @@ void EmitLine(std::string line) {
 
 const char* LevelName(LogLevel level) {
   switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
     case LogLevel::kInfo:
       return "INFO";
     case LogLevel::kWarning:
@@ -41,26 +36,13 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(static_cast<int>(level));
-}
-
-LogLevel GetLogLevel() { return static_cast<LogLevel>(g_log_level.load()); }
-
 namespace internal {
 
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : enabled_(static_cast<int>(level) >= g_log_level.load()), level_(level) {
-  if (enabled_) {
-    stream_ << "[" << LevelName(level_) << " " << file << ":" << line << "] ";
-  }
+LogMessage::LogMessage(LogLevel level, const char* file, int line) {
+  stream_ << "[" << LevelName(level) << " " << file << ":" << line << "] ";
 }
 
-LogMessage::~LogMessage() {
-  if (enabled_) {
-    EmitLine(stream_.str());
-  }
-}
+LogMessage::~LogMessage() { EmitLine(stream_.str()); }
 
 FatalLogMessage::FatalLogMessage(const char* file, int line,
                                  const char* condition) {

@@ -6,11 +6,7 @@
 
 namespace dbg4eth {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Sets the global minimum level; messages below it are dropped.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
+enum class LogLevel { kInfo, kWarning, kError };
 
 namespace internal {
 
@@ -25,13 +21,11 @@ class LogMessage {
 
   template <typename T>
   LogMessage& operator<<(const T& v) {
-    if (enabled_) stream_ << v;
+    stream_ << v;
     return *this;
   }
 
  private:
-  bool enabled_;
-  LogLevel level_;
   std::ostringstream stream_;
 };
 

@@ -41,11 +41,6 @@ double PearsonCorrelation(const std::vector<double>& a,
   return cov / std::sqrt(va * vb);
 }
 
-double MinOf(const std::vector<double>& v) {
-  DBG4ETH_CHECK(!v.empty());
-  return *std::min_element(v.begin(), v.end());
-}
-
 double MaxOf(const std::vector<double>& v) {
   DBG4ETH_CHECK(!v.empty());
   return *std::max_element(v.begin(), v.end());

@@ -31,8 +31,7 @@ double StdDev(const std::vector<double>& v);
 double PearsonCorrelation(const std::vector<double>& a,
                           const std::vector<double>& b);
 
-/// Min/max of a non-empty vector.
-double MinOf(const std::vector<double>& v);
+/// Maximum of a non-empty vector.
 double MaxOf(const std::vector<double>& v);
 
 /// Percentile in [0,100] via linear interpolation on a copy.

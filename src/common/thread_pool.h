@@ -15,9 +15,8 @@ namespace dbg4eth {
 ///
 /// The one worker pool of the library: serve::InferenceService runs each
 /// cold scoring request as a task on its own pool, the HTTP server runs
-/// route handlers on one, the trainers fan instances of a batch out over
-/// one (see ParallelFor in common/parallel_for.h), and dataset assembly
-/// materializes subgraph instances on one.
+/// route handlers on one, and the trainers fan instances of a batch out
+/// over one (see ParallelFor in common/parallel_for.h).
 ///
 /// `TrySubmit` never blocks: it fails fast when the queue is at capacity
 /// or the pool is shut down, so the producer decides what a refusal means.

@@ -213,6 +213,17 @@ Result<TrainProgress> Dbg4Eth::RunTrainLoop(eth::SubgraphDataset* dataset,
     if (config_.use_gsg) gsg_scores.push_back(gsg_->PredictScore(inst.gsg));
     if (config_.use_ldg) ldg_scores.push_back(ldg_->PredictScore(inst.ldg));
   }
+  // A diverged encoder, or one resumed from a TrainState holding
+  // non-finite weights, scores NaN or inf. The calibrators and the head
+  // bin their inputs into table indices, so stop with a Status first.
+  for (const std::vector<double>* scores : {&gsg_scores, &ldg_scores}) {
+    if (!std::all_of(scores->begin(), scores->end(),
+                     [](double s) { return std::isfinite(s); })) {
+      return Status::Internal(
+          "branch encoder scores a validation instance non-finite; "
+          "training diverged");
+    }
+  }
   auto fit_scaler = [](const std::vector<double>& scores) {
     BranchScaler scaler;
     scaler.mean = Mean(scores);

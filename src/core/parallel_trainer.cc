@@ -148,10 +148,16 @@ Status EpochLoop::LoadState(BinaryReader* reader) {
   }
   std::vector<int> order;
   DBG4ETH_RETURN_NOT_OK(reader->ReadIntVector(&order));
-  if (order.size() != order_.size()) {
-    return Status::InvalidArgument(
-        StrFormat("%s training snapshot covers a different index count",
-                  name_.c_str()));
+  // The objective indexes the dataset with every entry unchecked, so the
+  // restored order must be a shuffle of this session's own index list.
+  std::vector<int> restored = order, indices = order_;
+  std::sort(restored.begin(), restored.end());
+  std::sort(indices.begin(), indices.end());
+  if (restored != indices) {
+    return Status::InvalidArgument(StrFormat(
+        "%s training snapshot order is not a permutation of the session's "
+        "instance indices",
+        name_.c_str()));
   }
   Rng staged(0);
   DBG4ETH_RETURN_NOT_OK(ReadRngState(reader, &staged));

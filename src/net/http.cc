@@ -304,15 +304,16 @@ void HttpParser::ParseHeaderBlock(size_t header_end) {
 
 namespace {
 
-bool IsLowerHex(char c) {
-  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+bool IsHex(char c) {
+  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') ||
+         (c >= 'A' && c <= 'F');
 }
 
 bool IsHexRun(const std::string& s, size_t pos, size_t n) {
   bool all_zero = true;
   for (size_t i = pos; i < pos + n; ++i) {
     const char c = s[i];
-    if (!IsLowerHex(c) && !(c >= 'A' && c <= 'F')) return false;
+    if (!IsHex(c)) return false;
     if (c != '0') all_zero = false;
   }
   return !all_zero;
@@ -321,11 +322,12 @@ bool IsHexRun(const std::string& s, size_t pos, size_t n) {
 }  // namespace
 
 bool ParseTraceparent(const std::string& value, std::string* trace_id) {
-  // version(2) - trace-id(32) - parent-id(16) - flags(2); later versions
-  // may append fields after the flags, so >= 55 with dashed layout.
+  // version(2) - trace-id(32) - parent-id(16) - flags(2): 55 bytes. A
+  // later version may append fields, each led by '-'; version 00 may not.
   if (value.size() < 55) return false;
   if (value[2] != '-' || value[35] != '-' || value[52] != '-') return false;
-  if (!IsHexRun(value, 0, 2) && value.compare(0, 2, "00") != 0) return false;
+  const bool version_00 = value.compare(0, 2, "00") == 0;
+  if (!IsHexRun(value, 0, 2) && !version_00) return false;
   // Version ff is forbidden; hex digits are accepted in either case.
   if ((value[0] == 'f' || value[0] == 'F') &&
       (value[1] == 'f' || value[1] == 'F')) {
@@ -333,6 +335,8 @@ bool ParseTraceparent(const std::string& value, std::string* trace_id) {
   }
   if (!IsHexRun(value, 3, 32)) return false;   // Rejects all-zero too.
   if (!IsHexRun(value, 36, 16)) return false;  // parent-id, also non-zero.
+  if (!IsHex(value[53]) || !IsHex(value[54])) return false;  // flags, 00 ok.
+  if (value.size() > 55 && (version_00 || value[55] != '-')) return false;
   std::string id = value.substr(3, 32);
   for (char& c : id) {
     if (c >= 'A' && c <= 'F') c = static_cast<char>(c - 'A' + 'a');

@@ -140,7 +140,7 @@ ScoringApp::ScoringApp(serve::InferenceService* service, HttpServer* server,
                  [this](const HttpRequest& r) { return HandleStatusz(r); });
   // The debug surface is operator tooling, not client API — and
   // /debug/profile lets any caller pin a handler thread for up to
-  // max_profile_seconds. Gated so a deployment bound beyond loopback can
+  // kMaxProfileSeconds. Gated so a deployment bound beyond loopback can
   // turn it off; unregistered routes fall through to the server's 404.
   if (config_.expose_debug_routes) {
     server_->Route("GET", "/debug/traces", [this](const HttpRequest& r) {
@@ -170,7 +170,7 @@ bool ScoringApp::ParseDeadline(const HttpRequest& request,
     return false;
   }
   // Zero asks for no deadline.
-  *deadline_us = std::min<int64_t>(parsed, config_.max_deadline_us);
+  *deadline_us = std::min<int64_t>(parsed, kMaxDeadlineUs);
   return true;
 }
 
@@ -368,7 +368,7 @@ HttpResponse ScoringApp::HandleDebugProfile(const HttpRequest& request) {
           400, "seconds must be a positive number, got '" + param + "'");
     }
   }
-  seconds = std::min(seconds, config_.max_profile_seconds);
+  seconds = std::min(seconds, kMaxProfileSeconds);
 
   // The capture blocks this handler thread for `seconds` — acceptable
   // because the handler pool has more threads and scoring keeps flowing.

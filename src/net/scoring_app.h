@@ -12,15 +12,8 @@ namespace net {
 
 /// \brief Knobs of the HTTP scoring API.
 struct ScoringAppConfig {
-  /// Largest accepted `x-deadline-us` value; larger asks are clamped so a
-  /// client cannot keep a request queued for an hour.
-  int64_t max_deadline_us = 60'000'000;
   /// Address-count bound of one /v1/score_batch body.
   size_t max_batch_addresses = 256;
-  /// Largest accepted `/debug/profile?seconds=` value; larger asks are
-  /// clamped (the capture blocks one handler thread for its duration and
-  /// interrupts the whole process at the sampling frequency).
-  double max_profile_seconds = 10.0;
   /// Registers the `/debug/*` routes (traces, profile, vars). They are
   /// unauthenticated operator tooling: anything that can reach the port
   /// can read traces and trigger profile captures, so disable this when
@@ -77,7 +70,7 @@ HttpResponse ScoreResponse(const serve::ScoreResult& result);
 /// admin and debug routes may block and run on the handler pool.
 ///
 /// Deadline propagation: an `x-deadline-us` request header (microsecond
-/// budget, clamped to `max_deadline_us`) rides into
+/// budget, clamped to `kMaxDeadlineUs`) rides into
 /// InferenceService::ScoreAsync when the loop dispatches the request, so
 /// an expired request resolves kDeadlineExceeded without a forward pass
 /// and maps to 504 on the wire. All ScoreResult error statuses map
@@ -110,8 +103,16 @@ class ScoringApp {
   HttpResponse HandleDebugProfile(const HttpRequest& request);
   HttpResponse HandleDebugVars(const HttpRequest& request);
 
+  /// Largest accepted `x-deadline-us` value, 60 s; larger asks are
+  /// clamped so a client cannot keep a request queued for an hour.
+  static constexpr int64_t kMaxDeadlineUs = 60'000'000;
+  /// Largest accepted `/debug/profile?seconds=` value; larger asks are
+  /// clamped (the capture blocks one handler thread for its duration and
+  /// interrupts the whole process at the sampling frequency).
+  static constexpr double kMaxProfileSeconds = 10.0;
+
   /// Parses the `x-deadline-us` header into a budget clamped to
-  /// `max_deadline_us`; 0 (no deadline) when absent or zero. Negative or
+  /// `kMaxDeadlineUs`; 0 (no deadline) when absent or zero. Negative or
   /// non-numeric values are reported via `error` (400).
   bool ParseDeadline(const HttpRequest& request, int64_t* deadline_us,
                      HttpResponse* error) const;

@@ -78,7 +78,7 @@ void Profiler::HandleSignal() {
   inflight_.fetch_add(1, std::memory_order_acq_rel);
   if (armed_.load(std::memory_order_acquire)) {
     const uint64_t idx = claimed_.fetch_add(1, std::memory_order_relaxed);
-    if (idx < config_.max_samples) {
+    if (idx < kMaxSamples) {
       RawSample& sample = samples_[idx];
       // backtrace() is not formally async-signal-safe because its first
       // call lazily loads libgcc; Start() forces that load before arming,
@@ -92,11 +92,7 @@ void Profiler::HandleSignal() {
   inflight_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-Profiler::Profiler(const ProfilerConfig& config) : config_(config) {
-  if (config_.sample_hz < 1) config_.sample_hz = 1;
-  if (config_.max_samples < 16) config_.max_samples = 16;
-  samples_ = std::make_unique<RawSample[]>(config_.max_samples);
-}
+Profiler::Profiler() : samples_(std::make_unique<RawSample[]>(kMaxSamples)) {}
 
 Profiler::~Profiler() { Stop(); }
 
@@ -163,7 +159,7 @@ Status Profiler::Start() {
 
   armed_.store(true, std::memory_order_release);
 
-  const long interval_ns = 1'000'000'000L / config_.sample_hz;
+  const long interval_ns = 1'000'000'000L / kSampleHz;
   struct itimerspec spec = {};
   spec.it_interval.tv_sec = interval_ns / 1'000'000'000L;
   spec.it_interval.tv_nsec = interval_ns % 1'000'000'000L;
@@ -198,7 +194,7 @@ void Profiler::Stop() {
 
 std::string Profiler::CollectFolded() const {
   const uint64_t n = std::min<uint64_t>(
-      completed_.load(std::memory_order_acquire), config_.max_samples);
+      completed_.load(std::memory_order_acquire), kMaxSamples);
   std::unordered_map<void*, std::string> symbol_cache;
   std::map<std::string, uint64_t> folded;
   for (uint64_t i = 0; i < n; ++i) {

@@ -12,20 +12,10 @@
 namespace dbg4eth {
 namespace obs {
 
-struct ProfilerConfig {
-  /// Sampling frequency. Deliberately prime (97 instead of 100) so the
-  /// sampler cannot phase-lock with millisecond-periodic work and keep
-  /// hitting the same instant of a loop iteration.
-  int sample_hz = 97;
-  /// Preallocated sample capacity; signals arriving after the buffer is
-  /// full are counted but dropped. 64k samples at 97 Hz is ~11 minutes.
-  size_t max_samples = 65536;
-};
-
 /// \brief Sampling wall-clock profiler with a folded-stack text output.
 ///
 /// While running, a POSIX interval timer (CLOCK_MONOTONIC) delivers
-/// SIGPROF at `sample_hz`; the handler captures the interrupted thread's
+/// SIGPROF at `kSampleHz`; the handler captures the interrupted thread's
 /// call stack with `backtrace()` into a slot of a preallocated buffer
 /// claimed by one atomic fetch_add — no locks, no allocation, nothing
 /// async-signal-unsafe on the capture path. `CollectFolded()` symbolizes
@@ -45,7 +35,7 @@ struct ProfilerConfig {
 /// instrumentation anyway.
 class Profiler {
  public:
-  explicit Profiler(const ProfilerConfig& config = {});
+  Profiler();
   ~Profiler();
 
   Profiler(const Profiler&) = delete;
@@ -85,13 +75,19 @@ class Profiler {
   friend void ProfilerSignalHandler(int);
   void HandleSignal();
 
+  /// Sampling frequency. Deliberately prime (97 instead of 100) so the
+  /// sampler cannot phase-lock with millisecond-periodic work and keep
+  /// hitting the same instant of a loop iteration.
+  static constexpr int kSampleHz = 97;
+  /// Preallocated sample capacity; signals arriving after the buffer is
+  /// full are counted but dropped. 64k samples at 97 Hz is ~11 minutes.
+  static constexpr size_t kMaxSamples = 65536;
   static constexpr int kMaxDepth = 64;
   struct RawSample {
     int depth = 0;
     void* pcs[kMaxDepth];
   };
 
-  ProfilerConfig config_;
   std::unique_ptr<RawSample[]> samples_;
   std::atomic<uint64_t> claimed_{0};    ///< Slots handed to handlers.
   std::atomic<uint64_t> completed_{0};  ///< Slots fully written.

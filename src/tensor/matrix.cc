@@ -40,13 +40,6 @@ Matrix Matrix::Random(int rows, int cols, Rng* rng, double lo, double hi) {
   return m;
 }
 
-Matrix Matrix::RandomNormal(int rows, int cols, Rng* rng, double mean,
-                            double stddev) {
-  Matrix m(rows, cols);
-  for (double& v : m.data_) v = rng->Normal(mean, stddev);
-  return m;
-}
-
 Matrix& Matrix::AddInPlace(const Matrix& other) {
   DBG4ETH_CHECK(SameShape(other));
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];

@@ -53,9 +53,6 @@ class Matrix {
   /// I.i.d. uniform entries in [lo, hi).
   static Matrix Random(int rows, int cols, Rng* rng, double lo = -1.0,
                        double hi = 1.0);
-  /// I.i.d. normal entries.
-  static Matrix RandomNormal(int rows, int cols, Rng* rng, double mean = 0.0,
-                             double stddev = 1.0);
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }

@@ -41,7 +41,6 @@ class Adam {
   const std::vector<Tensor>& params() const { return params_; }
   int64_t step_count() const { return t_; }
 
-  void set_lr(double lr) { lr_ = lr; }
   double lr() const { return lr_; }
 
  private:

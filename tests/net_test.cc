@@ -1713,6 +1713,10 @@ TEST(ParseTraceparent, AcceptsValidHeaderAndNormalizesCase) {
       "01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra",
       &id));
   EXPECT_EQ(id, "4bf92f3577b34da6a3ce929d0e0e4736");
+  // Flags 00 (not sampled) are valid.
+  ASSERT_TRUE(ParseTraceparent(
+      "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00", &id));
+  EXPECT_EQ(id, "4bf92f3577b34da6a3ce929d0e0e4736");
 }
 
 TEST(ParseTraceparent, RejectsMalformedHeaders) {
@@ -1738,6 +1742,17 @@ TEST(ParseTraceparent, RejectsMalformedHeaders) {
   EXPECT_FALSE(ParseTraceparent(
       "00-4bf92f3577b34da6a3ce929d0e0e473z-00f067aa0ba902b7-01", &id));
   EXPECT_FALSE(ParseTraceparent("", &id));
+  // Flags must be two hex digits; version 00 is exactly 55 bytes, and a
+  // later version may append only '-'-led fields.
+  for (const char* tail : {"zz", "01trailing", "0\r\n"}) {
+    EXPECT_FALSE(ParseTraceparent(
+        std::string("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-") +
+            tail,
+        &id))
+        << tail;
+  }
+  EXPECT_FALSE(ParseTraceparent(
+      "01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x", &id));
 }
 
 TEST(TraceparentFuzz, AcceptedIdsAreNonZeroLowercaseHexAndNeverVersionFf) {
@@ -1772,6 +1787,16 @@ TEST(TraceparentFuzz, AcceptedIdsAreNonZeroLowercaseHexAndNeverVersionFf) {
     }
     ++accepted;
     ASSERT_GE(value.size(), 55u) << value;
+    // Two hex flag digits; nothing after them at version 00, and only a
+    // '-'-led field at a later version.
+    EXPECT_TRUE(std::isxdigit(static_cast<unsigned char>(value[53])) &&
+                std::isxdigit(static_cast<unsigned char>(value[54])))
+        << value;
+    if (value.compare(0, 2, "00") == 0) {
+      EXPECT_EQ(value.size(), 55u) << value;
+    } else {
+      EXPECT_TRUE(value.size() == 55 || value[55] == '-') << value;
+    }
     EXPECT_FALSE(std::tolower(static_cast<unsigned char>(value[0])) == 'f' &&
                  std::tolower(static_cast<unsigned char>(value[1])) == 'f')
         << value;

@@ -4,9 +4,11 @@
 // trainers, and even when the newest snapshot on disk is corrupt.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -118,6 +120,37 @@ class ResumeTrainTest : public ::testing::Test {
     Status st = model.Train(&ds, *split_);
     EXPECT_TRUE(st.ok()) << st.ToString();
     return SaveBytes(model);
+  }
+
+  /// Payload of the newest snapshot a run of `config` preempted after
+  /// `kill_after` epochs commits, in a fresh store.
+  std::string SnapshotPayload(int kill_after,
+                              const Dbg4EthConfig& config = TinyConfig(1)) {
+    fs::remove_all(dir_);
+    auto store = CheckpointStore::Open(StoreConfig());
+    EXPECT_TRUE(store.ok()) << store.status().ToString();
+    TrainSnapshotOptions options;
+    options.store = store.ValueOrDie().get();
+    options.max_epochs_this_run = kill_after;
+    eth::SubgraphDataset ds = *raw_dataset_;
+    Dbg4Eth interrupted(config);
+    auto progress = interrupted.TrainWithSnapshots(&ds, *split_, options);
+    EXPECT_TRUE(progress.ok()) << progress.status().ToString();
+    auto latest = store.ValueOrDie()->LoadLatestValid();
+    EXPECT_TRUE(latest.ok()) << latest.status().ToString();
+    return latest.ok() ? latest.ValueOrDie().payload : "";
+  }
+
+  /// Commits `payload` through the store in a valid frame, so only the
+  /// TrainState parser sees what is in it.
+  static void Commit(CheckpointStore* store, const std::string& payload) {
+    ASSERT_TRUE(store
+                    ->Save([&](std::ostream* os) {
+                      os->write(payload.data(),
+                                static_cast<std::streamsize>(payload.size()));
+                      return Status::OK();
+                    })
+                    .ok());
   }
 
   static eth::LedgerSimulator* ledger_;
@@ -446,6 +479,111 @@ TEST_F(ResumeTrainTest, ResumeRequiresAStoreWithASnapshot) {
   auto progress = model.ResumeTrain(&ds, options);
   ASSERT_FALSE(progress.ok());
   EXPECT_EQ(progress.status().code(), StatusCode::kNotFound);
+}
+
+// The GSG objective indexes the dataset with every entry of the restored
+// shuffle order, so a TrainState whose order is not a permutation of the
+// session's indices (an entry past the dataset, or one listed twice) must
+// fail ResumeTrain with a Status instead of reading out of bounds.
+TEST_F(ResumeTrainTest, ResumeRejectsAnOrderThatIsNotAPermutation) {
+  const std::string payload = SnapshotPayload(/*kill_after=*/1);
+  std::ostringstream tag_bytes;
+  BinaryWriter(&tag_bytes).WriteString("gsg_train_session");
+  const size_t tag_at = payload.find(tag_bytes.str());
+  ASSERT_NE(tag_at, std::string::npos);
+  // Past the tag and the u32 epoch: the u32 entry count, then the entries.
+  const size_t count_at = tag_at + tag_bytes.str().size() + 4;
+  uint32_t count = 0;
+  std::memcpy(&count, payload.data() + count_at, sizeof(count));
+  ASSERT_EQ(count, split_->train.size() + split_->val.size());
+  const size_t first_at = count_at + 4;
+  int32_t second = 0;
+  std::memcpy(&second, payload.data() + first_at + 4, sizeof(second));
+
+  for (const int32_t first : {int32_t{1000000}, second}) {
+    std::string damaged = payload;
+    std::memcpy(damaged.data() + first_at, &first, sizeof(first));
+    auto store = CheckpointStore::Open(StoreConfig());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    Commit(store.ValueOrDie().get(), damaged);
+
+    TrainSnapshotOptions options;
+    options.store = store.ValueOrDie().get();
+    eth::SubgraphDataset ds = *raw_dataset_;
+    Dbg4Eth resumed(TinyConfig(/*num_threads=*/1));
+    auto progress = resumed.ResumeTrain(&ds, options);
+    ASSERT_FALSE(progress.ok()) << "first entry " << first;
+    EXPECT_EQ(progress.status().code(), StatusCode::kInvalidArgument)
+        << progress.status().ToString();
+  }
+}
+
+// Seeded mutants of two real TrainStates, one taken mid-GSG and one at the
+// last epoch, each committed in a valid frame: ResumeTrain either fails
+// with a Status or completes a model that saves, loads back and scores
+// every instance. None may crash, hang or allocate without bound.
+TEST_F(ResumeTrainTest, TrainStateMutantsResumeOrFailWithAStatus) {
+  // One LDG epoch and a snapshot after GSG epoch 2 of 3 keep a completed
+  // resume to two encoder epochs, so 300 mutants run in under 3 s.
+  Dbg4EthConfig config = TinyConfig(/*num_threads=*/1);
+  config.ldg.epochs = 1;
+  const std::string payloads[] = {SnapshotPayload(/*kill_after=*/2, config),
+                                  SnapshotPayload(/*kill_after=*/4, config)};
+  fs::remove_all(dir_);
+  CheckpointStoreConfig store_config = StoreConfig();
+  store_config.retain = 1;
+  auto store = CheckpointStore::Open(store_config);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  TrainSnapshotOptions options;
+  options.store = store.ValueOrDie().get();
+  options.snapshot_every_epochs = 1000;  // The resumed runs write nothing.
+
+  std::mt19937_64 rng(0x7e57);
+  int failed = 0;
+  int completed = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string mutated = payloads[trial % 2];
+    const size_t pos = rng() % mutated.size();
+    switch (rng() % 4) {
+      case 0:  // Replace with an arbitrary byte.
+        mutated[pos] = static_cast<char>(rng() & 0xff);
+        break;
+      case 1:  // Overwrite a word with an extreme count.
+        if (pos + 4 <= mutated.size()) {
+          constexpr uint32_t kExtremes[] = {0, 1, 0x7fffffffu, 0x80000000u,
+                                            0xffffffffu};
+          std::memcpy(mutated.data() + pos, &kExtremes[rng() % 5], 4);
+        }
+        break;
+      case 2:  // Drop a byte.
+        mutated.erase(pos, 1);
+        break;
+      default:  // Duplicate a byte.
+        mutated.insert(pos, 1, mutated[pos]);
+        break;
+    }
+    Commit(store.ValueOrDie().get(), mutated);
+    eth::SubgraphDataset ds = *raw_dataset_;
+    Dbg4Eth resumed(config);
+    auto progress = resumed.ResumeTrain(&ds, options);
+    if (!progress.ok()) {
+      ++failed;
+      EXPECT_FALSE(progress.status().message().empty()) << "trial " << trial;
+      continue;
+    }
+    ASSERT_EQ(progress.ValueOrDie(), TrainProgress::kComplete) << trial;
+    ++completed;
+    std::stringstream saved;
+    ASSERT_TRUE(resumed.Save(&saved).ok()) << "trial " << trial;
+    auto loaded = Dbg4Eth::Load(&saved);
+    ASSERT_TRUE(loaded.ok()) << "trial " << trial << ": "
+                             << loaded.status().ToString();
+    for (const eth::GraphInstance& instance : ds.instances) {
+      loaded.ValueOrDie()->PredictProba(instance);
+    }
+  }
+  EXPECT_GT(failed, 0);
+  EXPECT_GT(completed, 0);
 }
 
 // A model completed through the preempt-at-last-epoch path must serve:

@@ -11,15 +11,21 @@
 # ctest -L resume),
 # a failpoint-enabled kill -> resume -> hot-reload chaos smoke, the whole
 # tier-1 gate plus the chaos suite under AddressSanitizer + UBSan
-# (ctest -L "tier1|chaos", the asan test preset's filter), and a
-# serving-latency regression guard against the committed BENCH_serve.json.
-# Every mode but --fast also builds the perfbench/ benchmark binary and its
-# unit tests against this tree's library (build-perfbench/) and runs the
-# tests, so a library change that breaks the benchmark fails here.
+# (ctest -L "tier1|chaos", the asan test preset's filter).
+# Every mode first checks tools/ab.py's statistics and gate on synthetic
+# runs (tools/ab_test.py, under a second). Every mode but --fast also
+# builds the perfbench/ benchmark binary and its unit tests against this
+# tree's library (build-perfbench/) and runs the tests, so a library change
+# that breaks the benchmark fails here. --bench then runs tools/ab.py BASE
+# (default HEAD): 10 alternating pairs of perfbench runs of BASE and the
+# working tree per workload, failing on a "worse" verdict or on a
+# cpu_us_per_request, latency_p50_ms or peak_rss_mb regression by the
+# mirrored gain rule (see tools/ab.py). That takes about 25 minutes on 4
+# hardware threads, the two perfbench builds included.
 #
-#   tools/check.sh            # tier-1 + perfbench + tsan obs/serve/net/train + asan tier-1/chaos
-#   tools/check.sh --fast     # tier-1 only
-#   tools/check.sh --bench    # tier-1 + perfbench + bench-regression guard
+#   tools/check.sh                 # tier-1 + perfbench + tsan obs/serve/net/train + asan tier-1/chaos
+#   tools/check.sh --fast          # tier-1 only
+#   tools/check.sh --bench [BASE]  # tier-1 + perfbench + paired benchmark gate against BASE
 #
 # Run from anywhere; paths resolve relative to the repo root.
 set -euo pipefail
@@ -33,7 +39,11 @@ if [[ "${1:-}" == "--fast" ]]; then
   fast=1
 elif [[ "${1:-}" == "--bench" ]]; then
   bench=1
+  bench_base="${2:-HEAD}"
 fi
+
+echo "=== tools/ab.py statistics and gate (tools/ab_test.py) ==="
+python3 tools/ab_test.py
 
 echo "=== tier-1: configure + build + ctest (build/) ==="
 cmake -B build -S . >/dev/null
@@ -110,46 +120,8 @@ if [[ "${fast}" != "1" ]]; then
 fi
 
 if [[ "${bench}" == "1" ]]; then
-  echo "=== bench-regression guard: cold p50/p95 vs committed BENCH_serve.json ==="
-  cmake --build build -j"$(nproc)" --target bench_serve_throughput >/dev/null
-  fresh_a="$(mktemp /tmp/bench_serve.XXXXXX.json)"
-  fresh_b="$(mktemp /tmp/bench_serve.XXXXXX.json)"
-  trap 'rm -f "${fresh_a}" "${fresh_b}"' EXIT
-  ./build/bench/bench_serve_throughput "${fresh_a}" >/dev/null
-  # A second sample guards against flakes: latency quantiles of a
-  # queue-dominated run jitter well past 20% on a busy machine, so a
-  # regression must reproduce in both runs to fail the check.
-  ./build/bench/bench_serve_throughput "${fresh_b}" >/dev/null
-  python3 - "BENCH_serve.json" "${fresh_a}" "${fresh_b}" <<'PY'
-import json, sys
-
-committed = json.load(open(sys.argv[1]))
-samples = [json.load(open(path)) for path in sys.argv[2:]]
-
-def cold_latency(doc, workers):
-    for point in doc["cold"]:
-        if point["workers"] == workers:
-            return point["latency"]
-    raise SystemExit(f"no cold point at workers={workers}")
-
-failed = False
-for workers in (1, 8):
-    base = cold_latency(committed, workers)
-    for quantile in ("p50_us", "p95_us"):
-        best = min(cold_latency(s, workers)[quantile] for s in samples)
-        ratio = best / base[quantile] if base[quantile] > 0 else 1.0
-        marker = "OK  "
-        if ratio > 1.20:  # >20% slower than the committed baseline.
-            marker = "FAIL"
-            failed = True
-        print(f"  {marker} cold {quantile} workers={workers}: "
-              f"best-of-{len(samples)} {best:.0f}us vs baseline "
-              f"{base[quantile]:.0f}us ({ratio:.2f}x)")
-if failed:
-    raise SystemExit("bench regression: cold latency >20% above the "
-                     "committed BENCH_serve.json baseline in every sample")
-print("  bench-regression guard passed")
-PY
+  echo "=== paired benchmark gate: tools/ab.py ${bench_base} on every workload ==="
+  python3 tools/ab.py "${bench_base}"
 fi
 
 if [[ "${fast}" == "1" || "${bench}" == "1" ]]; then
