@@ -18,6 +18,8 @@ Status AdaptiveCalibrator::Fit(const std::vector<double>& scores,
   if (!config_.use_parametric && !config_.use_nonparametric) {
     return Status::InvalidArgument("no calibrator family enabled");
   }
+  // Before the baseline ECE, whose binning indexes by score.
+  DBG4ETH_RETURN_NOT_OK(ValidateInputs(scores, labels));
   calibrators_.clear();
   infos_.clear();
   for (auto& cal : MakeAllCalibrators()) {

@@ -43,6 +43,12 @@ class Calibrator {
   virtual Status Load(BinaryReader* reader) = 0;
 };
 
+/// The input check every calibrator's Fit runs first: `scores` and
+/// `labels` are the same non-zero length, and every score is a finite
+/// confidence in [0, 1] (NaN and ±inf are rejected).
+Status ValidateInputs(const std::vector<double>& scores,
+                      const std::vector<int>& labels);
+
 /// The six calibration methods of Section IV-C in paper order:
 /// temperature scaling, beta, logistic (parametric); histogram binning,
 /// isotonic regression, BBQ (non-parametric).

@@ -17,6 +17,9 @@ std::vector<ReliabilityBin> ReliabilityDiagram(
   std::vector<double> correct(num_bins, 0.0);
   std::vector<double> count(num_bins, 0.0);
   for (size_t i = 0; i < probs.size(); ++i) {
+    // A NaN or out-of-range probability would index outside the bins.
+    DBG4ETH_CHECK(probs[i] >= 0.0 && probs[i] <= 1.0)
+        << "probability " << probs[i] << " is not in [0, 1]";
     const int pred = probs[i] > 0.5 ? 1 : 0;
     const double confidence = pred == 1 ? probs[i] : 1.0 - probs[i];
     int bin = static_cast<int>(confidence * num_bins);

@@ -10,21 +10,6 @@
 namespace dbg4eth {
 namespace calib {
 
-namespace {
-
-Status ValidateInputs(const std::vector<double>& scores,
-                      const std::vector<int>& labels) {
-  if (scores.size() != labels.size()) {
-    return Status::InvalidArgument("scores/labels size mismatch");
-  }
-  if (scores.empty()) {
-    return Status::InvalidArgument("empty calibration set");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status HistogramBinning::Fit(const std::vector<double>& scores,
                              const std::vector<int>& labels) {
   DBG4ETH_RETURN_NOT_OK(ValidateInputs(scores, labels));

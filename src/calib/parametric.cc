@@ -25,6 +25,8 @@ double Nll(const std::vector<double>& probs, const std::vector<int>& labels) {
   return loss / probs.size();
 }
 
+}  // namespace
+
 Status ValidateInputs(const std::vector<double>& scores,
                       const std::vector<int>& labels) {
   if (scores.size() != labels.size()) {
@@ -34,14 +36,13 @@ Status ValidateInputs(const std::vector<double>& scores,
     return Status::InvalidArgument("empty calibration set");
   }
   for (double s : scores) {
+    // NaN fails both comparisons; ±inf fails one.
     if (!(s >= 0.0 && s <= 1.0)) {
       return Status::InvalidArgument("scores must lie in [0, 1]");
     }
   }
   return Status::OK();
 }
-
-}  // namespace
 
 Status TemperatureScaling::Fit(const std::vector<double>& scores,
                                const std::vector<int>& labels) {

@@ -141,12 +141,11 @@ EvaluationReport TrainGraphModel(
     const eth::GraphInstance& inst = dataset.instances[index];
     return ag::SoftmaxCrossEntropy(forward(inst), {inst.label});
   };
+  // One instance per optimizer step, on the calling thread.
   EpochLoop loop(params, train_idx, rng,
                  {.epochs = config.epochs,
                   .learning_rate = config.learning_rate,
-                  .batch_size = config.batch_size,
-                  .grad_clip = 5.0,
-                  .num_threads = config.num_threads},
+                  .grad_clip = 5.0},
                  std::move(objective), "baseline");
   DBG4ETH_CHECK(loop.Run().ok());
   EvaluationReport report;

@@ -56,14 +56,6 @@ struct BaselineConfig {
   int walks_per_node = 6;
   int walk_length = 20;
   uint64_t seed = 11;
-
-  /// Instances per optimizer step of the autograd graph baselines. The
-  /// default of 1 reproduces the original per-instance SGD exactly; larger
-  /// batches average per-instance gradients.
-  int batch_size = 1;
-  /// Worker threads for intra-batch data parallelism; effective only with
-  /// batch_size > 1. 0 = one per hardware thread.
-  int num_threads = 1;
 };
 
 /// Trains the baseline on train+val and evaluates on the test split of a

@@ -5,6 +5,7 @@
 
 #include "augment/contrastive.h"
 #include "common/logging.h"
+#include "tensor/inference.h"
 #include "tensor/ops.h"
 
 namespace dbg4eth {
@@ -83,6 +84,9 @@ ag::Tensor GsgEncoder::Logits(const ag::Tensor& embedding) const {
 }
 
 double GsgEncoder::PredictScore(const graph::Graph& g) const {
+  // A score is never differentiated, so the forward runs tape-free (a
+  // no-op under a caller's scope, e.g. Dbg4Eth::PredictProba's).
+  ag::InferenceScope scope;
   // The eval path never draws randomness (Dropout is a no-op when
   // !training); passing nullptr keeps inference free of the mutable
   // training RNG so concurrent PredictScore calls are race-free.

@@ -76,6 +76,7 @@ class GsgEncoder {
   ag::Tensor Logits(const ag::Tensor& embedding) const;
 
   /// Branch prediction score for a graph: logit(positive) - logit(negative).
+  /// Runs tape-free under an ag::InferenceScope.
   double PredictScore(const graph::Graph& g) const;
 
   /// \brief Epoch-granular resumable training session: the shared

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "tensor/inference.h"
 #include "tensor/ops.h"
 
 namespace dbg4eth {
@@ -77,6 +78,8 @@ ag::Tensor LdgEncoder::Logits(const ag::Tensor& embedding) const {
 
 double LdgEncoder::PredictScore(
     const std::vector<graph::Graph>& slices) const {
+  // Tape-free, as GsgEncoder::PredictScore.
+  ag::InferenceScope scope;
   const Matrix logits = Logits(EmbedSlices(slices)).value();
   return logits.At(0, 1) - logits.At(0, 0);
 }

@@ -63,7 +63,8 @@ class LdgEncoder {
   /// Classification logits of a slice-sequence embedding.
   ag::Tensor Logits(const ag::Tensor& embedding) const;
 
-  /// Branch prediction score: logit(positive) - logit(negative).
+  /// Branch prediction score: logit(positive) - logit(negative). Runs
+  /// tape-free under an ag::InferenceScope.
   double PredictScore(const std::vector<graph::Graph>& slices) const;
 
   /// \brief Epoch-granular resumable training session: the shared

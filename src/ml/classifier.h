@@ -11,6 +11,20 @@
 namespace dbg4eth {
 namespace ml {
 
+/// The input check every head's Train runs first: one label per feature
+/// row, at least one row, and every feature finite (tree split searches
+/// bin by value, so a NaN would index outside their histograms).
+inline Status ValidateTrainingData(const Matrix& x, const std::vector<int>& y) {
+  if (static_cast<size_t>(x.rows()) != y.size()) {
+    return Status::InvalidArgument("feature/label size mismatch");
+  }
+  if (x.rows() == 0) return Status::InvalidArgument("empty training set");
+  if (!x.AllFinite()) {
+    return Status::InvalidArgument("training features must be finite");
+  }
+  return Status::OK();
+}
+
 /// \brief Common interface of the classifier heads compared in the paper's
 /// Fig. 7 (LightGBM, MLP, random forest, AdaBoost, XGBoost).
 class BinaryClassifier {

@@ -15,9 +15,7 @@ RandomForestClassifier::RandomForestClassifier(
 
 Status RandomForestClassifier::Train(const Matrix& x,
                                      const std::vector<int>& y) {
-  if (static_cast<size_t>(x.rows()) != y.size() || x.rows() == 0) {
-    return Status::InvalidArgument("bad training data");
-  }
+  DBG4ETH_RETURN_NOT_OK(ValidateTrainingData(x, y));
   trees_.clear();
   Rng rng(config_.seed);
   const int n = x.rows();
@@ -50,9 +48,7 @@ AdaBoostClassifier::AdaBoostClassifier(const AdaBoostConfig& config)
     : config_(config) {}
 
 Status AdaBoostClassifier::Train(const Matrix& x, const std::vector<int>& y) {
-  if (static_cast<size_t>(x.rows()) != y.size() || x.rows() == 0) {
-    return Status::InvalidArgument("bad training data");
-  }
+  DBG4ETH_RETURN_NOT_OK(ValidateTrainingData(x, y));
   stumps_.clear();
   const int n = x.rows();
   const int d = x.cols();

@@ -18,10 +18,7 @@ GbdtClassifier GbdtClassifier::XgboostStyle(GbdtConfig config) {
 }
 
 Status GbdtClassifier::Train(const Matrix& x, const std::vector<int>& y) {
-  if (static_cast<size_t>(x.rows()) != y.size()) {
-    return Status::InvalidArgument("feature/label size mismatch");
-  }
-  if (x.rows() == 0) return Status::InvalidArgument("empty training set");
+  DBG4ETH_RETURN_NOT_OK(ValidateTrainingData(x, y));
   trees_.clear();
 
   // Prior log-odds.

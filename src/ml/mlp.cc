@@ -22,9 +22,7 @@ ag::Tensor MlpClassifier::ForwardLogits(const ag::Tensor& x) const {
 }
 
 Status MlpClassifier::Train(const Matrix& x, const std::vector<int>& y) {
-  if (static_cast<size_t>(x.rows()) != y.size() || x.rows() == 0) {
-    return Status::InvalidArgument("bad training data");
-  }
+  DBG4ETH_RETURN_NOT_OK(ValidateTrainingData(x, y));
   input_dim_ = x.cols();
   Rng rng(config_.seed);
   layers_.clear();

@@ -355,13 +355,10 @@ void HttpServer::AcceptLoop() {
         accept_errors_total_->Inc();
         break;
       }
-      if (failpoint::kCompiledIn) {
-        const Status injected = failpoint::Evaluate("net.accept");
-        if (!injected.ok()) {
-          accept_errors_total_->Inc();
-          ::close(fd);
-          continue;
-        }
+      if (!failpoint::Evaluate("net.accept").ok()) {
+        accept_errors_total_->Inc();
+        ::close(fd);
+        continue;
       }
       if (open_connections_.load(std::memory_order_relaxed) >=
           config_.max_connections) {
@@ -537,13 +534,10 @@ void HttpServer::OnReadable(Loop* loop, Conn* conn) {
     }
     return;
   }
-  if (failpoint::kCompiledIn) {
-    const Status injected = failpoint::Evaluate("net.conn_read");
-    if (!injected.ok()) {
-      client_aborts_total_->Inc();
-      CloseConn(loop, conn);
-      return;
-    }
+  if (!failpoint::Evaluate("net.conn_read").ok()) {
+    client_aborts_total_->Inc();
+    CloseConn(loop, conn);
+    return;
   }
   char buf[kReadChunk];
   const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
@@ -738,13 +732,10 @@ void HttpServer::StageResponse(Loop* loop, Conn* conn,
 }
 
 bool HttpServer::TryWrite(Loop* loop, Conn* conn) {
-  if (failpoint::kCompiledIn) {
-    const Status injected = failpoint::Evaluate("net.conn_write");
-    if (!injected.ok()) {
-      client_aborts_total_->Inc();
-      CloseConn(loop, conn);
-      return false;
-    }
+  if (!failpoint::Evaluate("net.conn_write").ok()) {
+    client_aborts_total_->Inc();
+    CloseConn(loop, conn);
+    return false;
   }
   while (conn->write_offset < conn->write_buffer.size()) {
     const ssize_t n = ::send(

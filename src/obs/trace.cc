@@ -113,10 +113,7 @@ ScopedTraceContext::~ScopedTraceContext() { t_trace_id = std::move(previous_); }
 
 const std::string& ScopedTraceContext::CurrentTraceId() { return t_trace_id; }
 
-Tracer::Tracer(const TracerConfig& config)
-    : config_(config),
-      sample_every_n_(config.sample_every_n),
-      retain_latency_us_(config.retain_latency_us) {}
+Tracer::Tracer(const TracerConfig& config) : config_(config) {}
 
 Tracer* Tracer::Global() {
   static Tracer* tracer = new Tracer();
@@ -162,13 +159,12 @@ std::optional<SpanNode> Tracer::FindTrace(const std::string& trace_id) const {
 
 void Tracer::RecordRoot(SpanNode&& root) {
   const uint64_t nth = roots_finished_.fetch_add(1, std::memory_order_relaxed);
-  if (!enabled_.load(std::memory_order_relaxed)) return;
   if (root.trace_id.empty()) root.trace_id = ScopedTraceContext::CurrentTraceId();
   if (!root.error && TreeHasError(root)) root.error = true;
   // Tail-based retention: the decision uses the *finished* root, so an
   // error or a latency outlier is kept even if head sampling would have
   // dropped it, and ordinary traffic can never evict it from `retained_`.
-  const double threshold = retain_latency_us_.load(std::memory_order_relaxed);
+  const double threshold = config_.retain_latency_us;
   const bool retain =
       root.error || (threshold > 0.0 && root.duration_us >= threshold);
   std::lock_guard<std::mutex> lock(mu_);
@@ -177,7 +173,7 @@ void Tracer::RecordRoot(SpanNode&& root) {
     retained_.push_back(std::move(root));
     return;
   }
-  const uint64_t every = sample_every_n_.load(std::memory_order_relaxed);
+  const uint64_t every = config_.sample_every_n;
   if (every == 0 || nth % every != 0) return;
   while (ring_.size() >= config_.buffer_capacity) ring_.pop_front();
   ring_.push_back(std::move(root));

@@ -106,26 +106,6 @@ class Tracer {
   /// The process-wide tracer all library spans record into.
   static Tracer* Global();
 
-  /// Disabled tracers drop roots at finish time (spans still run, so
-  /// nesting stays consistent across an enable flip).
-  void SetEnabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  void SetSampleEveryN(uint64_t n) {
-    sample_every_n_.store(n, std::memory_order_relaxed);
-  }
-
-  /// Adjusts the tail-retention latency threshold at runtime (<= 0
-  /// disables latency-based retention; errors are still retained).
-  void SetRetainLatencyUs(double threshold_us) {
-    retain_latency_us_.store(threshold_us, std::memory_order_relaxed);
-  }
-  double retain_latency_us() const {
-    return retain_latency_us_.load(std::memory_order_relaxed);
-  }
-
   /// Drops retained trees and resets the sampling phase (so the next
   /// finished root is kept again).
   void Clear();
@@ -153,9 +133,6 @@ class Tracer {
 
  private:
   TracerConfig config_;
-  std::atomic<bool> enabled_{true};
-  std::atomic<uint64_t> sample_every_n_;
-  std::atomic<double> retain_latency_us_;
   std::atomic<uint64_t> roots_finished_{0};
   mutable std::mutex mu_;
   std::deque<SpanNode> ring_;      ///< Head-sampled ordinary roots.

@@ -73,6 +73,27 @@ TEST_P(CalibratorParamTest, RejectsBadInput) {
   EXPECT_FALSE(cal.Fit({0.5, 0.6}, {1}).ok());
 }
 
+/// Six scores in [0, 1] with `bad` in the middle, and their labels.
+void MakeScoresWith(double bad, std::vector<double>* scores,
+                    std::vector<int>* labels) {
+  *scores = {0.1, 0.3, bad, 0.6, 0.8, 0.9};
+  *labels = {0, 0, 1, 1, 0, 1};
+}
+
+const double kNonFinite[] = {std::nan(""), HUGE_VAL, -HUGE_VAL};
+
+TEST_P(CalibratorParamTest, RejectsNonFiniteScores) {
+  for (double bad : kNonFinite) {
+    auto calibrators = MakeAllCalibrators();
+    Calibrator& cal = *calibrators[GetParam()];
+    std::vector<double> scores;
+    std::vector<int> labels;
+    MakeScoresWith(bad, &scores, &labels);
+    EXPECT_EQ(cal.Fit(scores, labels).code(), StatusCode::kInvalidArgument)
+        << cal.name() << " accepted " << bad;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSixMethods, CalibratorParamTest,
                          ::testing::Range(0, 6));
 
@@ -222,6 +243,22 @@ TEST(AdaptiveCalibratorTest, NonAdaptiveUniformWithinFamily) {
       EXPECT_NEAR(m.weight, ref, 1e-12);
     }
   }
+}
+
+TEST(AdaptiveCalibratorTest, RejectsNonFiniteScoresBeforeTheBaselineEce) {
+  for (double bad : kNonFinite) {
+    std::vector<double> scores;
+    std::vector<int> labels;
+    MakeScoresWith(bad, &scores, &labels);
+    AdaptiveCalibrator ada;
+    EXPECT_EQ(ada.Fit(scores, labels).code(), StatusCode::kInvalidArgument)
+        << bad;
+  }
+}
+
+TEST(EceDeathTest, NanProbabilityAbortsInsteadOfIndexingOutsideTheBins) {
+  EXPECT_DEATH(ExpectedCalibrationError({0.2, std::nan(""), 0.9}, {0, 1, 1}),
+               "not in \\[0, 1\\]");
 }
 
 TEST(AdaptiveCalibratorTest, OutputsInUnitInterval) {

@@ -1,7 +1,6 @@
 // Registry semantics of the fault-injection failpoints. These tests drive
-// failpoint::Evaluate directly, so they run in every build flavor — the
-// registry is always compiled; only the DBG4ETH_FAIL_POINT macro sites are
-// gated behind DBG4ETH_FAILPOINTS_ENABLED.
+// failpoint::Evaluate directly; the chaos suites drive the
+// DBG4ETH_FAIL_POINT sites that call it.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -205,28 +205,51 @@ core::LdgEncoderConfig SmallLdgConfig() {
   return config;
 }
 
+/// The score PredictScore computes, run on the autograd tape (no scope is
+/// bound): the bit-identity reference for the tape-free PredictScore.
+double TapeScore(const core::GsgEncoder& encoder, const graph::Graph& g) {
+  EXPECT_EQ(ag::internal::ActiveInferenceArena(), nullptr);
+  const Matrix logits =
+      encoder.Logits(encoder.EmbedGraph(g, /*training=*/false, nullptr))
+          .value();
+  return logits.At(0, 1) - logits.At(0, 0);
+}
+
+double TapeScore(const core::LdgEncoder& encoder,
+                 const std::vector<graph::Graph>& slices) {
+  EXPECT_EQ(ag::internal::ActiveInferenceArena(), nullptr);
+  const Matrix logits = encoder.Logits(encoder.EmbedSlices(slices)).value();
+  return logits.At(0, 1) - logits.At(0, 0);
+}
+
 TEST(GsgFastPathTest, TapeFreeSoloScoreIsBitIdentical) {
   core::GsgEncoder encoder(SmallGsgConfig());
   graph::Graph g = MakeGraph(6, 6, 41);
-  const double tape = encoder.PredictScore(g);
-  double fast = 0.0;
-  {
-    ag::InferenceScope scope;
-    fast = encoder.PredictScore(g);
-  }
+  const double tape = TapeScore(encoder, g);
+  const double fast = encoder.PredictScore(g);
   ExpectSameBits(fast, tape);
 }
 
 TEST(LdgFastPathTest, TapeFreeSoloScoreIsBitIdentical) {
   core::LdgEncoder encoder(SmallLdgConfig());
   const auto slices = MakeSlices(5, 6, 3, 61);
-  const double tape = encoder.PredictScore(slices);
-  double fast = 0.0;
-  {
-    ag::InferenceScope scope;
-    fast = encoder.PredictScore(slices);
-  }
+  const double tape = TapeScore(encoder, slices);
+  const double fast = encoder.PredictScore(slices);
   ExpectSameBits(fast, tape);
+}
+
+TEST(EncoderFastPathTest, PredictScoreRunsTapeFreeWithoutACallerScope) {
+  // No caller scope: a warm second score builds no autograd nodes.
+  core::GsgEncoder encoder(SmallGsgConfig());
+  const graph::Graph g = MakeGraph(6, 6, 42);
+  core::LdgEncoder ldg(SmallLdgConfig());
+  const auto slices = MakeSlices(5, 6, 3, 62);
+  encoder.PredictScore(g);
+  ldg.PredictScore(slices);
+  const uint64_t nodes_before = ag::internal::NodeAllocationCount();
+  encoder.PredictScore(g);
+  ldg.PredictScore(slices);
+  EXPECT_EQ(ag::internal::NodeAllocationCount(), nodes_before);
 }
 
 // --------------------------------------------------------------------------
@@ -344,7 +367,7 @@ TEST(InferenceArenaTest, LdgServingShapePassStaysSmallAndBitIdentical) {
   config.seed = 33;
   core::LdgEncoder encoder(config);
   const auto slices = MakeSlices(41, config.node_feature_dim, 6, 71);
-  const double tape = encoder.PredictScore(slices);
+  const double tape = TapeScore(encoder, slices);
   ag::InferenceArena arena;
   double fast = 0.0;
   {

@@ -188,6 +188,19 @@ TEST_P(ClassifierParamTest, RejectsEmptyTrainingSet) {
   EXPECT_FALSE(model->Train(empty, {}).ok());
 }
 
+TEST_P(ClassifierParamTest, RejectsNonFiniteFeatures) {
+  Matrix x;
+  std::vector<int> y;
+  MakeXorData(40, 19, &x, &y);
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    Matrix poisoned = x;
+    poisoned.At(7, 1) = bad;
+    auto model = MakeClassifier();
+    EXPECT_EQ(model->Train(poisoned, y).code(), StatusCode::kInvalidArgument)
+        << model->name() << " accepted " << bad;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllClassifiers, ClassifierParamTest,
                          ::testing::Range(0, 5));
 

@@ -1,8 +1,7 @@
 // Chaos tests of the HTTP layer: hostile clients (disconnect mid-response)
 // plus fault injection at the net.accept / net.conn_read / net.conn_write
-// failpoint sites. The hostile-client tests run in every build; the
-// failpoint tests skip themselves unless -DDBG4ETH_FAILPOINTS=ON (the
-// tsan/asan presets), like the serving chaos suite in this binary.
+// failpoint sites, which every build compiles in. Like the serving chaos
+// suite in this binary, these run in the tier-1 gate.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -23,14 +22,6 @@
 namespace dbg4eth {
 namespace net {
 namespace {
-
-#define SKIP_WITHOUT_FAILPOINTS()                                         \
-  do {                                                                    \
-    if (!failpoint::kCompiledIn) {                                        \
-      GTEST_SKIP() << "build has no failpoint sites (DBG4ETH_FAILPOINTS " \
-                      "is OFF)";                                          \
-    }                                                                     \
-  } while (false)
 
 class NetChaosTest : public ::testing::Test {
  protected:
@@ -124,7 +115,6 @@ TEST_F(NetChaosTest, GarbageBytesNeverKillTheServer) {
 // --------------------------------------------------------------------------
 
 TEST_F(NetChaosTest, AcceptFailureStormDropsSomeConnectionsNotAll) {
-  SKIP_WITHOUT_FAILPOINTS();
   ASSERT_TRUE(
       failpoint::Enable("net.accept", failpoint::EveryNth(2)).ok());
 
@@ -148,7 +138,6 @@ TEST_F(NetChaosTest, AcceptFailureStormDropsSomeConnectionsNotAll) {
 }
 
 TEST_F(NetChaosTest, ConnReadFaultTearsDownConnectionServerSurvives) {
-  SKIP_WITHOUT_FAILPOINTS();
   ASSERT_TRUE(
       failpoint::Enable("net.conn_read", failpoint::Always()).ok());
   for (int i = 0; i < 3; ++i) {
@@ -161,7 +150,6 @@ TEST_F(NetChaosTest, ConnReadFaultTearsDownConnectionServerSurvives) {
 }
 
 TEST_F(NetChaosTest, ConnWriteFaultCutsResponseMidFlightServerSurvives) {
-  SKIP_WITHOUT_FAILPOINTS();
   ASSERT_TRUE(
       failpoint::Enable("net.conn_write", failpoint::Always()).ok());
   // The request parses and the handler runs; the response write is cut.
@@ -174,7 +162,6 @@ TEST_F(NetChaosTest, ConnWriteFaultCutsResponseMidFlightServerSurvives) {
 }
 
 TEST_F(NetChaosTest, IntermittentWriteFaultsUnderConcurrentLoad) {
-  SKIP_WITHOUT_FAILPOINTS();
   ASSERT_TRUE(failpoint::Enable("net.conn_write",
                                 failpoint::WithProbability(0.3, 99))
                   .ok());
@@ -195,7 +182,6 @@ TEST_F(NetChaosTest, IntermittentWriteFaultsUnderConcurrentLoad) {
 }
 
 TEST_F(NetChaosTest, ConnectionAcceptedDuringShutdownIsClosed) {
-  SKIP_WITHOUT_FAILPOINTS();
   // The acceptor holds the accepted socket for 300 ms before handing it to
   // a loop; Shutdown lands in that window, when the loops have nothing to
   // drain and exit.

@@ -266,8 +266,8 @@ TEST(TraceSpanTest, ExplicitEndIsIdempotent) {
 TEST(TracerTest, SamplingKeepsFirstAndEveryNth) {
   TracerConfig config;
   config.buffer_capacity = 64;
+  config.sample_every_n = 3;
   Tracer tracer(config);
-  tracer.SetSampleEveryN(3);
   for (int i = 0; i < 7; ++i) {
     SpanNode node;
     node.name = "r" + std::to_string(i);
@@ -296,24 +296,10 @@ TEST(TracerTest, RingEvictsOldestBeyondCapacity) {
   EXPECT_EQ(kept.back().name, "r9");
 }
 
-TEST(TracerTest, DisabledTracerDropsRootsButCounts) {
-  Tracer tracer;
-  tracer.SetEnabled(false);
-  SpanNode node;
-  node.name = "dropped";
-  tracer.RecordRoot(std::move(node));
-  EXPECT_EQ(tracer.roots_finished(), 1u);
-  EXPECT_TRUE(tracer.Snapshot().empty());
-  tracer.SetEnabled(true);
-  SpanNode kept;
-  kept.name = "kept";
-  tracer.RecordRoot(std::move(kept));
-  EXPECT_TRUE(tracer.LatestRoot("kept").has_value());
-}
-
 TEST(TracerTest, ClearResetsRetainedTreesAndSamplingPhase) {
-  Tracer tracer;
-  tracer.SetSampleEveryN(5);
+  TracerConfig config;
+  config.sample_every_n = 5;
+  Tracer tracer(config);
   SpanNode first;
   first.name = "first";
   tracer.RecordRoot(std::move(first));
@@ -770,8 +756,9 @@ TEST(ScopedTraceContextTest, StampsRootAndRestoresPreviousContext) {
 }
 
 TEST(TracerTest, ErrorRootBypassesSamplingIntoRetainedRing) {
-  Tracer tracer;
-  tracer.SetSampleEveryN(1000);  // Ordinary roots are all dropped...
+  TracerConfig config;
+  config.sample_every_n = 1000;  // Ordinary roots are all dropped...
+  Tracer tracer(config);
   SpanNode dropped;
   dropped.name = "ok1";
   tracer.RecordRoot(std::move(dropped));  // Root 0: the one sampled root.
@@ -790,8 +777,9 @@ TEST(TracerTest, ErrorRootBypassesSamplingIntoRetainedRing) {
 }
 
 TEST(TracerTest, ChildErrorBubblesToRootAndForcesRetention) {
-  Tracer tracer;
-  tracer.SetSampleEveryN(0);  // Keep nothing by sampling.
+  TracerConfig config;
+  config.sample_every_n = 0;  // Keep nothing by sampling.
+  Tracer tracer(config);
   {
     TraceSpan root("req", &tracer);
     TraceSpan child("stage");
@@ -805,10 +793,10 @@ TEST(TracerTest, ChildErrorBubblesToRootAndForcesRetention) {
 }
 
 TEST(TracerTest, SlowRootIsTailRetainedDespiteSampling) {
-  Tracer tracer;
-  tracer.SetSampleEveryN(0);
-  tracer.SetRetainLatencyUs(500.0);
-  EXPECT_DOUBLE_EQ(tracer.retain_latency_us(), 500.0);
+  TracerConfig config;
+  config.sample_every_n = 0;
+  config.retain_latency_us = 500.0;
+  Tracer tracer(config);
   SpanNode fast;
   fast.name = "fast";
   fast.duration_us = 100.0;
@@ -845,8 +833,8 @@ TEST(TracerTest, RetainedRingIsNotEvictedByOrdinaryTraffic) {
 TEST(TracerTest, RetainedRingEvictsOldestAmongRetained) {
   TracerConfig config;
   config.retained_capacity = 2;
+  config.sample_every_n = 0;
   Tracer tracer(config);
-  tracer.SetSampleEveryN(0);
   for (int i = 0; i < 4; ++i) {
     SpanNode node;
     node.name = "err" + std::to_string(i);

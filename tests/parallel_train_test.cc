@@ -9,7 +9,6 @@
 #include "common/parallel_for.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/baselines.h"
 #include "core/gsg_encoder.h"
 #include "core/ldg_encoder.h"
 #include "core/parallel_trainer.h"
@@ -283,30 +282,6 @@ TEST_F(ParallelTrainTest, GsgBatchSizeBelowOneTrainsAsOne) {
     ASSERT_TRUE(encoder.Train(*dataset_, AllIndices()).ok());
     ExpectParamsIdentical(reference.Parameters(), encoder.Parameters());
   }
-}
-
-TEST_F(ParallelTrainTest, BaselineGcnThreadCountDoesNotChangeResult) {
-  core::BaselineConfig config;
-  config.hidden_dim = 10;
-  config.epochs = 2;
-  config.seed = 21;
-  config.batch_size = 3;
-
-  eth::SubgraphDataset copy_serial = *dataset_;
-  config.num_threads = 1;
-  auto serial =
-      core::RunBaseline(core::BaselineKind::kGcn, &copy_serial, config);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-
-  eth::SubgraphDataset copy_parallel = *dataset_;
-  config.num_threads = 4;
-  auto parallel =
-      core::RunBaseline(core::BaselineKind::kGcn, &copy_parallel, config);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-
-  EXPECT_DOUBLE_EQ(serial.ValueOrDie().metrics.f1,
-                   parallel.ValueOrDie().metrics.f1);
-  EXPECT_DOUBLE_EQ(serial.ValueOrDie().auc, parallel.ValueOrDie().auc);
 }
 
 }  // namespace

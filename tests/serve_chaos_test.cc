@@ -1,8 +1,8 @@
 // Fault-injection ("chaos") tests: drive the serving layer's retry,
 // degraded-mode and shutdown paths by injecting failures at the
-// DBG4ETH_FAIL_POINT sites. These tests are built into their own ctest
-// target (label "chaos") and skip themselves in builds configured without
-// -DDBG4ETH_FAILPOINTS=ON — the tsan/asan presets turn it on.
+// DBG4ETH_FAIL_POINT sites, which every build compiles in. These tests are
+// built into their own ctest target (label "tier1_chaos": part of the
+// tier-1 gate, and selected by `ctest -L chaos`).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -29,21 +29,11 @@ namespace dbg4eth {
 namespace serve {
 namespace {
 
-#define SKIP_WITHOUT_FAILPOINTS()                                         \
-  do {                                                                    \
-    if (!failpoint::kCompiledIn) {                                        \
-      GTEST_SKIP() << "build has no failpoint sites (DBG4ETH_FAILPOINTS " \
-                      "is OFF)";                                          \
-    }                                                                     \
-  } while (false)
-
 /// Same shared workload as serve_integration_test: one ledger, one small
-/// trained model. Skipped entirely (including training) when the build
-/// has no failpoint sites.
+/// trained model.
 class ServeChaosTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    if (!failpoint::kCompiledIn) return;
     eth::LedgerConfig lc;
     lc.num_normal = 600;
     lc.num_exchange = 14;
@@ -135,7 +125,6 @@ core::Dbg4Eth* ServeChaosTest::model_ = nullptr;
 std::string* ServeChaosTest::checkpoint_ = nullptr;
 
 TEST_F(ServeChaosTest, RetryRecoversFromTransientColdFailure) {
-  SKIP_WITHOUT_FAILPOINTS();
   auto service = MakeService(ServiceConfig(/*workers=*/1), ledger_);
   const auto exchanges =
       ledger_->AccountsOfClass(eth::AccountClass::kExchange);
@@ -163,7 +152,6 @@ TEST_F(ServeChaosTest, RetryRecoversFromTransientColdFailure) {
 }
 
 TEST_F(ServeChaosTest, ExhaustedRetriesFallBackToStaleEntry) {
-  SKIP_WITHOUT_FAILPOINTS();
   eth::AppendableLedger growable(*ledger_);
   InferenceServiceConfig config = ServiceConfig(/*workers=*/1);
   config.max_cold_retries = 1;
@@ -200,7 +188,6 @@ TEST_F(ServeChaosTest, ExhaustedRetriesFallBackToStaleEntry) {
 }
 
 TEST_F(ServeChaosTest, ExhaustedRetriesWithoutStaleCorpusIsAnError) {
-  SKIP_WITHOUT_FAILPOINTS();
   InferenceServiceConfig config = ServiceConfig(/*workers=*/1);
   config.max_cold_retries = 2;
   auto service = MakeService(config, ledger_);
@@ -218,7 +205,6 @@ TEST_F(ServeChaosTest, ExhaustedRetriesWithoutStaleCorpusIsAnError) {
 }
 
 TEST_F(ServeChaosTest, CheckpointReadAndWriteFailpointsInject) {
-  SKIP_WITHOUT_FAILPOINTS();
   ASSERT_TRUE(
       failpoint::Enable("ckpt.write",
                         failpoint::Always(StatusCode::kUnavailable))
@@ -241,7 +227,6 @@ TEST_F(ServeChaosTest, CheckpointReadAndWriteFailpointsInject) {
 }
 
 TEST_F(ServeChaosTest, IngestFailpointsInject) {
-  SKIP_WITHOUT_FAILPOINTS();
   ASSERT_TRUE(failpoint::Enable("eth.from_csv",
                                 failpoint::Always(StatusCode::kUnavailable))
                   .ok());
@@ -263,7 +248,6 @@ TEST_F(ServeChaosTest, IngestFailpointsInject) {
 }
 
 TEST_F(ServeChaosTest, SlowWorkersDoNotLoseRequests) {
-  SKIP_WITHOUT_FAILPOINTS();
   ASSERT_TRUE(
       failpoint::Enable("pool.task", failpoint::SleepFor(1'000)).ok());
   auto service = MakeService(ServiceConfig(/*workers=*/2), ledger_);
@@ -286,7 +270,6 @@ TEST_F(ServeChaosTest, SlowWorkersDoNotLoseRequests) {
 // the producers. Every future must resolve, and the client-side outcome
 // tally must reconcile exactly with the server's counters.
 TEST_F(ServeChaosTest, ConcurrentChaosWithRacingShutdownReconciles) {
-  SKIP_WITHOUT_FAILPOINTS();
   InferenceServiceConfig config = ServiceConfig(/*workers=*/4);
   config.queue_capacity = 32;
   config.max_cold_retries = 1;
@@ -361,13 +344,12 @@ TEST_F(ServeChaosTest, ConcurrentChaosWithRacingShutdownReconciles) {
 // Kill -> resume -> hot-reload chaos: crashes injected at the snapshot
 // write (`ckpt.write`), at the epoch boundary (`train.epoch_end`), and at
 // the reload validation gate (`reload.validate`). The tools/check.sh tsan
-// stage runs this suite with failpoints compiled in.
+// stage runs this suite too.
 // --------------------------------------------------------------------------
 
 class ResumeReloadChaosTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    if (!failpoint::kCompiledIn) return;
     eth::LedgerConfig lc;
     lc.num_normal = 400;
     lc.num_exchange = 12;
@@ -407,7 +389,6 @@ class ResumeReloadChaosTest : public ::testing::Test {
   }
 
   void SetUp() override {
-    SKIP_WITHOUT_FAILPOINTS();
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
     dir_ = std::filesystem::path(::testing::TempDir()) /
            (std::string("dbg4eth_chaos_") + info->name());

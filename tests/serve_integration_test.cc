@@ -289,7 +289,6 @@ TEST_F(ServeIntegrationTest, RepeatQueriesHitTheCache) {
 
 TEST_F(ServeIntegrationTest, ColdScoreProducesStageSpans) {
   obs::Tracer* tracer = obs::Tracer::Global();
-  tracer->SetSampleEveryN(1);
   tracer->Clear();
 
   std::stringstream checkpoint(*checkpoint_);
@@ -660,7 +659,6 @@ TEST_F(ServeIntegrationTest, LateOlderPassDoesNotReplaceANewerScore) {
 
 TEST_F(ServeIntegrationTest, OverlappingDuplicatesShareOneForwardPass) {
   obs::Tracer* tracer = obs::Tracer::Global();
-  tracer->SetSampleEveryN(1);
   tracer->Clear();
 
   const auto exchanges =

@@ -38,6 +38,15 @@ object: both revisions with each side's first perfbench trial line, the
 gate, and per workload and metric every run, the medians, the quartiles, the
 pairs won and lost, and the verdict.
 
+Around each run the script samples the host-wide `cpu` line of /proc/stat
+and getrusage(RUSAGE_CHILDREN). The run's other_cpu_s is the host's busy CPU
+seconds over the run (user + nice + system + irq + softirq + steal jiffies
+over SC_CLK_TCK) less the CPU seconds of the run's own process tree: what
+other work on the host took meanwhile. Each workload's record carries both
+sides' lists, and the report prints each side's median and maximum. It has
+no verdict and does not enter the gate; a verdict reached while one side's
+other_cpu_s ran high is suspect.
+
 --trace passes --trace 1 to perfbench. Its result line carries only the
 per-layer metrics, which have no bounds, so the report is a diagnosis:
 medians, quartiles and pairs won, with no verdict, and the gate passes.
@@ -45,6 +54,7 @@ medians, quartiles and pairs won, with no verdict, and the gate passes.
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -80,15 +90,44 @@ def export(commit: str, root: str) -> None:
         sys.exit(f"ab.py: git archive {commit} failed")
 
 
+def host_busy_s(stat: str, ticks_per_s: int) -> float:
+    """Busy CPU seconds of the host since boot, from /proc/stat's text:
+    user + nice + system + irq + softirq + steal jiffies of its `cpu` line.
+    (Guest time is already inside user and nice.)"""
+    for line in stat.splitlines():
+        fields = line.split()
+        if fields and fields[0] == "cpu":
+            user, nice, system, _, _, irq, softirq, steal = map(int, fields[1:9])
+            return (user + nice + system + irq + softirq + steal) / ticks_per_s
+    raise ValueError("/proc/stat has no cpu line")
+
+
+def cpu_sample() -> tuple:
+    """(host busy CPU s, CPU s of this process's waited-for children)."""
+    with open("/proc/stat") as f:
+        busy = host_busy_s(f.read(), os.sysconf("SC_CLK_TCK"))
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return busy, children.ru_utime + children.ru_stime
+
+
+def other_cpu_s(before: tuple, after: tuple) -> float:
+    """Host CPU seconds between two cpu_sample()s that the children waited
+    for in between did not use."""
+    return (after[0] - before[0]) - (after[1] - before[1])
+
+
 def run(root: str, workload: str, seed: int, seconds: float,
         trace: bool) -> tuple:
-    """(trial line, metrics) of one perfbench run in the export at `root`."""
+    """(trial line, metrics, other_cpu_s) of one perfbench run in the
+    export at `root`."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds),
                "--trace", "1" if trace else "0"]
     env = dict(os.environ, CARGO_TARGET_DIR=".bench_build")
+    before = cpu_sample()
     proc = subprocess.run(command, cwd=root, env=env, capture_output=True,
                           text=True)
+    other = other_cpu_s(before, cpu_sample())
     lines = proc.stdout.strip().splitlines()
     trial = next((json.loads(line[len("trial"):]) for line in lines
                   if line.startswith("trial ")), None)
@@ -102,7 +141,8 @@ def run(root: str, workload: str, seed: int, seconds: float,
               f"{proc.returncode}): {lines[-1] if lines else 'no output'}",
               file=sys.stderr)
         sys.exit(2)
-    return trial, {name: m["value"] for name, m in result["metrics"].items()}
+    return (trial, {name: m["value"] for name, m in result["metrics"].items()},
+            other)
 
 
 def quartiles(runs: list) -> list:
@@ -177,18 +217,24 @@ def main() -> int:
         export(head_commit, roots["head"])
         for workload in args.workloads or names:
             runs = {"base": [], "head": []}
+            other = {"base": [], "head": []}
             for seed in range(1, PAIRS + 1):
                 for side in ("base", "head") if seed % 2 else ("head", "base"):
-                    trial, values = run(roots[side], workload, seed,
-                                        bench["run_seconds"], args.trace)
+                    trial, values, other_s = run(roots[side], workload, seed,
+                                                 bench["run_seconds"],
+                                                 args.trace)
                     record[side].setdefault("trial", trial)
                     runs[side].append(values)
+                    other[side].append(round(other_s, 2))
                     print(f"ab.py: {workload} seed {seed} {side} done",
                           file=sys.stderr)
             print(f"{workload}: {PAIRS} pairs of {bench['run_seconds']} s; "
                   "base median [quartiles] -> head median [quartiles], "
                   "pairs won, verdict")
-            table = record["workloads"][workload] = {}
+            table = record["workloads"][workload] = {"other_cpu_s": other}
+            print("  other CPU on the host, s (median, max): " + " -> ".join(
+                f"{statistics.median(other[side]):.2f}, {max(other[side]):.2f}"
+                for side in ("base", "head")))
             for name in (n for n in metrics if n in runs["base"][0]):
                 summary = table[name] = compare(
                     [r[name] for r in runs["base"]],

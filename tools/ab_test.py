@@ -80,5 +80,28 @@ class GateTest(unittest.TestCase):
         self.assertLessEqual(fired, 20)
 
 
+class HostLoadTest(unittest.TestCase):
+    STAT = ("cpu  100 20 30 5000 7 4 6 10 3 1\n"
+            "cpu0 50 10 15 2500 3 2 3 5 1 0\n"
+            "intr 12345\n")
+
+    def test_busy_seconds_sum_the_busy_fields_of_the_cpu_line(self):
+        # user + nice + system + irq + softirq + steal: idle, iowait and
+        # the guest fields (already inside user and nice) stay out.
+        self.assertEqual(ab.host_busy_s(self.STAT, 100), 1.7)
+        self.assertEqual(ab.host_busy_s(self.STAT, 10), 17.0)
+
+    def test_no_cpu_line_is_an_error(self):
+        with self.assertRaises(ValueError):
+            ab.host_busy_s("cpu0 1 2 3 4 5 6 7 8 9 10\n", 100)
+
+    def test_other_cpu_excludes_the_runs_own_process_tree(self):
+        before = (ab.host_busy_s(self.STAT, 100), 2.0)
+        after = (ab.host_busy_s("cpu  900 20 230 9000 7 4 6 10 3 1\n", 100),
+                 9.5)
+        # 10 s busy on the host, 7.5 s of it the run's own.
+        self.assertAlmostEqual(ab.other_cpu_s(before, after), 2.5)
+
+
 if __name__ == "__main__":
     unittest.main()

@@ -1,17 +1,17 @@
 #!/usr/bin/env bash
 # Full verification flow: the tier-1 gate (which includes the tier1_resume
-# kill-and-resume determinism matrix and the tier1_net HTTP loopback
-# suite), an end-to-end HTTP smoke (demo server + curl + graceful SIGTERM),
-# the observability, serving and network suites under ThreadSanitizer
-# (including the model hot-swap hammer and the net chaos fault injection,
-# and ten repeats of the async-responder and shutdown tests,
+# kill-and-resume determinism matrix, the tier1_net HTTP loopback suite and
+# the tier1_chaos fault-injection suite), ten repeats of the chaos suite
+# (ctest -L chaos --repeat until-fail:10), an end-to-end HTTP smoke (demo
+# server + curl + graceful SIGTERM), the observability, serving and network
+# suites under ThreadSanitizer (including the model hot-swap hammer and ten
+# repeats of the async-responder and shutdown tests,
 # ctest -R "Responder|HandlerThread|PipelinedScores|ShutdownWaits|AcceptedDuringShutdown|OverloadAnswers"),
 # the training fan-out and the kill-and-resume matrix under ThreadSanitizer
 # (ctest -R "ParallelFor|ParallelBatchBackward|GradientBuffer|ParallelTrain|MakeTrainerPool",
-# ctest -L resume),
-# a failpoint-enabled kill -> resume -> hot-reload chaos smoke, the whole
-# tier-1 gate plus the chaos suite under AddressSanitizer + UBSan
-# (ctest -L "tier1|chaos", the asan test preset's filter).
+# ctest -L resume), the chaos suite under ThreadSanitizer (ctest -L chaos),
+# and the whole tier-1 gate under AddressSanitizer + UBSan (ctest -L tier1,
+# the asan test preset's filter).
 # Every mode first checks tools/ab.py's statistics and gate on synthetic
 # runs (tools/ab_test.py, under a second). Every mode but --fast also
 # builds the perfbench/ benchmark binary and its unit tests against this
@@ -23,8 +23,8 @@
 # mirrored gain rule (see tools/ab.py). That takes about 25 minutes on 4
 # hardware threads, the two perfbench builds included.
 #
-#   tools/check.sh                 # tier-1 + perfbench + tsan obs/serve/net/train + asan tier-1/chaos
-#   tools/check.sh --fast          # tier-1 only
+#   tools/check.sh                 # tier-1 + perfbench + tsan obs/serve/net/train/chaos + asan tier-1
+#   tools/check.sh --fast          # tier-1 + chaos repeats only
 #   tools/check.sh --bench [BASE]  # tier-1 + perfbench + paired benchmark gate against BASE
 #
 # Run from anywhere; paths resolve relative to the repo root.
@@ -49,6 +49,12 @@ echo "=== tier-1: configure + build + ctest (build/) ==="
 cmake -B build -S . >/dev/null
 cmake --build build -j"$(nproc)"
 (cd build && ctest -L tier1 --no-tests=error --output-on-failure -j"$(nproc)")
+
+# The fault-injection tests race injected faults against worker threads,
+# so a flaky one fails here, before it reaches the gate.
+echo "=== chaos suite, repeated (ctest -L chaos --repeat until-fail:10) ==="
+(cd build && ctest -L chaos --repeat until-fail:10 \
+    --no-tests=error --output-on-failure -j"$(nproc)")
 
 if [[ "${fast}" != "1" ]]; then
   echo "=== http smoke: demo server up -> curl healthz/metrics/score -> graceful SIGTERM ==="
@@ -140,20 +146,18 @@ cmake --build --preset tsan -j"$(nproc)"
 echo "=== tsan: obs suite (ctest -L obs) ==="
 (cd build-tsan && ctest -L obs --no-tests=error --output-on-failure -j"$(nproc)")
 
-echo "=== tsan: serve + chaos + inference fast-path suites ==="
-(cd build-tsan && ctest -R "${serve_suites}" \
+echo "=== tsan: serve + inference fast-path suites ==="
+(cd build-tsan && ctest -R "${serve_suites}" -LE chaos \
     --no-tests=error --output-on-failure -j"$(nproc)")
 
 # The network suite carries the event loops' cross-thread handoffs
 # (acceptor -> loop inbox; score routes answered inline on the loop or by
 # the service's worker -> loop inbox; blocking routes on the handler pool
-# -> loop inbox) and Shutdown's wait for outstanding responders, and the
-# net chaos tests inject accept/read/write faults under that concurrency
-# — all must be clean under tsan. The responder and shutdown tests run
-# ten times over, since one clean pass of a race proves little.
-echo "=== tsan: net suite + net chaos (ctest -L net / -R NetChaos) ==="
+# -> loop inbox) and Shutdown's wait for outstanding responders — all must
+# be clean under tsan. The responder and shutdown tests run ten times
+# over, since one clean pass of a race proves little.
+echo "=== tsan: net suite (ctest -L net) ==="
 (cd build-tsan && ctest -L net --no-tests=error --output-on-failure -j"$(nproc)")
-(cd build-tsan && ctest -R "NetChaos" --no-tests=error --output-on-failure -j"$(nproc)")
 echo "=== tsan: responder + shutdown tests, repeated (ctest -R ... --repeat until-fail:10) ==="
 (cd build-tsan && ctest -R "${responder_tests}" --repeat until-fail:10 \
     --no-tests=error --output-on-failure -j"$(nproc)")
@@ -167,11 +171,11 @@ echo "=== tsan: training fan-out + resume matrix (ctest -R ... / -L resume) ==="
     --no-tests=error --output-on-failure -j"$(nproc)")
 (cd build-tsan && ctest -L resume --no-tests=error --output-on-failure -j"$(nproc)")
 
-# The tsan preset compiles with DBG4ETH_FAILPOINTS=ON, so this stage
-# actually injects the faults; in the default build these tests skip.
-echo "=== failpoints: kill during snapshot/epoch -> resume -> hot-reload smoke ==="
-(cd build-tsan && ctest -R "ResumeReloadChaos" \
-    --no-tests=error --output-on-failure -j"$(nproc)")
+# The chaos suite injects faults under concurrency: retries and stale
+# answers on the service's workers, accept/read/write faults on the event
+# loops, and kill -> resume -> hot-reload across snapshot writes.
+echo "=== tsan: chaos suite (ctest -L chaos) ==="
+(cd build-tsan && ctest -L chaos --no-tests=error --output-on-failure -j"$(nproc)")
 
 # Every tier-1 and chaos test again under AddressSanitizer + UBSan: the
 # checkpoint loaders and parsers read untrusted bytes, the inference arena
@@ -181,15 +185,15 @@ echo "=== failpoints: kill during snapshot/epoch -> resume -> hot-reload smoke =
 # report, not a silent read of another activation), the samplers, CSR
 # builders and dense kernels index by position, requests cross threads through the worker
 # pool, in-flight table and cache, and a connection's lifetime spans
-# responders that may fire after it is closed. The asan preset compiles
-# failpoints in, so the chaos tests inject their faults here too.
+# responders that may fire after it is closed. The chaos tests are part of
+# tier-1, so their injected faults run here too.
 # halt_on_error turns a UBSan report into a test failure, not a log line.
 echo "=== asan+ubsan: configure + build (build-asan/) ==="
 cmake --preset asan >/dev/null
 cmake --build --preset asan -j"$(nproc)"
 
-echo "=== asan+ubsan: tier-1 + chaos (ctest -L \"tier1|chaos\") ==="
+echo "=== asan+ubsan: tier-1 (ctest -L tier1) ==="
 (cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-    ctest -L "tier1|chaos" --no-tests=error --output-on-failure -j"$(nproc)")
+    ctest -L tier1 --no-tests=error --output-on-failure -j"$(nproc)")
 
 echo "=== all checks passed ==="
