@@ -116,7 +116,7 @@ int main() {
   }
 
   std::printf("\n--- ServerStats ---\n%s\n",
-              serve::ServerStats::Format(service.StatsSnapshot()).c_str());
+              serve::ServerStats::ToJson(service.StatsSnapshot()).c_str());
   service.Shutdown();
 
   // Everything recorded — the service's request, latency and cache-event

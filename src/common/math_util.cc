@@ -65,10 +65,4 @@ double LogSumExp(const std::vector<double>& v) {
   return m + std::log(sum);
 }
 
-void SoftmaxInPlace(std::vector<double>* v) {
-  if (v->empty()) return;
-  const double lse = LogSumExp(*v);
-  for (double& x : *v) x = std::exp(x - lse);
-}
-
 }  // namespace dbg4eth

@@ -40,9 +40,6 @@ double Percentile(std::vector<double> v, double pct);
 /// Stable log-sum-exp.
 double LogSumExp(const std::vector<double>& v);
 
-/// In-place softmax.
-void SoftmaxInPlace(std::vector<double>* v);
-
 }  // namespace dbg4eth
 
 #endif  // DBG4ETH_COMMON_MATH_UTIL_H_

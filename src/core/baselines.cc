@@ -18,6 +18,7 @@
 #include "ml/metrics.h"
 #include "ml/mlp.h"
 #include "ml/split.h"
+#include "tensor/inference.h"
 #include "tensor/ops.h"
 
 namespace dbg4eth {
@@ -150,6 +151,8 @@ EvaluationReport TrainGraphModel(
   DBG4ETH_CHECK(loop.Run().ok());
   EvaluationReport report;
   for (int idx : test_idx) {
+    // Scoring needs no gradients: one tape-free pass per test graph.
+    ag::InferenceScope scope;
     const eth::GraphInstance& inst = dataset.instances[idx];
     const Matrix logits = forward(inst).value();
     const Matrix probs = ag::SoftmaxRowsValue(logits);

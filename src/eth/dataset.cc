@@ -64,10 +64,9 @@ Result<GraphInstance> MaterializeInstance(
     inst.ldg = graph::BuildLocalDynamicGraphs(sub, num_time_slices);
   }
   obs::TraceSpan features_span("node_features");
-  const Matrix feats =
+  inst.gsg.node_features =
       features::LogScaleFeatures(features::ComputeNodeFeatures(sub));
-  inst.gsg.node_features = feats;
-  for (graph::Graph& slice : inst.ldg) slice.node_features = feats;
+  inst.ldg.front().node_features = inst.gsg.node_features;
   features_span.End();
   inst.subgraph = std::move(sub);
   return inst;
@@ -197,11 +196,9 @@ void StandardizeDataset(SubgraphDataset* dataset,
 
 void StandardizeInstance(const features::FeatureNormalizer& normalizer,
                          GraphInstance* instance) {
-  const Matrix standardized =
-      normalizer.Apply(instance->gsg.node_features);
-  instance->gsg.node_features = standardized;
-  for (graph::Graph& slice : instance->ldg) {
-    slice.node_features = standardized;
+  instance->gsg.node_features = normalizer.Apply(instance->gsg.node_features);
+  if (!instance->ldg.empty()) {
+    instance->ldg.front().node_features = instance->gsg.node_features;
   }
 }
 

@@ -33,6 +33,9 @@ struct DatasetConfig {
 
 /// \brief One classification instance: the sampled subgraph plus its GSG
 /// and LDG materializations with log-scaled node features attached.
+/// The node features (N x 15) are stored in `gsg` (the GSG encoder's
+/// input) and in `ldg.front()` (the LDG encoder's h_0, TEGDetector's
+/// input) only; later slices carry topology alone.
 struct GraphInstance {
   TxSubgraph subgraph;
   graph::Graph gsg;
@@ -81,7 +84,8 @@ Result<SubgraphDataset> BuildDataset(const Ledger& ledger,
 
 /// Standardizes node features of all instances in place using statistics of
 /// the instances listed in `fit_indices` (typically the training split).
-/// Both the GSG and every LDG slice share the standardized matrix. When
+/// The GSG and the first LDG slice get the standardized matrix; later
+/// slices carry no features (see GraphInstance). When
 /// `fitted` is non-null the fitted normalizer is returned so callers can
 /// standardize instances materialized outside the dataset the same way.
 void StandardizeDataset(SubgraphDataset* dataset,
@@ -89,7 +93,7 @@ void StandardizeDataset(SubgraphDataset* dataset,
                         features::FeatureNormalizer* fitted = nullptr);
 
 /// Applies a fitted normalizer to one instance's node features in place
-/// (GSG and all LDG slices).
+/// (the GSG's, copied to the first LDG slice; see GraphInstance).
 void StandardizeInstance(const features::FeatureNormalizer& normalizer,
                          GraphInstance* instance);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/rng.h"
+#include "tensor/inference.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
 #include "tensor/serialize.h"
@@ -95,6 +96,9 @@ Status MlpClassifier::Load(BinaryReader* reader, int num_features) {
 }
 
 double MlpClassifier::PredictProba(const double* row) const {
+  // Prediction needs no gradients, so the forward runs tape-free (a no-op
+  // under a caller's scope, e.g. Dbg4Eth::PredictProba's).
+  ag::InferenceScope scope;
   Matrix m(1, input_dim_);
   for (int c = 0; c < input_dim_; ++c) m.At(0, c) = row[c];
   const Matrix logits = ForwardLogits(ag::Tensor::Constant(m)).value();

@@ -321,7 +321,9 @@ HttpResponse ScoringApp::HandleDebugTraces(const HttpRequest& request) {
     if (!min_duration.empty()) {
       char* end = nullptr;
       const double threshold = std::strtod(min_duration.c_str(), &end);
-      if (end == min_duration.c_str() || *end != '\0' || threshold < 0) {
+      // Written so NaN, which fails every comparison, is rejected too.
+      if (end == min_duration.c_str() || *end != '\0' ||
+          !(threshold >= 0)) {
         return HttpResponse::Error(
             400, "min_duration_us must be a non-negative number, got '" +
                      min_duration + "'");
@@ -363,7 +365,8 @@ HttpResponse ScoringApp::HandleDebugProfile(const HttpRequest& request) {
   if (!param.empty()) {
     char* end = nullptr;
     seconds = std::strtod(param.c_str(), &end);
-    if (end == param.c_str() || *end != '\0' || seconds <= 0) {
+    // Written so NaN, which fails every comparison, is rejected too.
+    if (end == param.c_str() || *end != '\0' || !(seconds > 0)) {
       return HttpResponse::Error(
           400, "seconds must be a positive number, got '" + param + "'");
     }

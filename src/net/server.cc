@@ -685,8 +685,7 @@ void HttpServer::Deliver(Responder::State* state, HttpResponse response) {
   outstanding_responders_.fetch_sub(1, std::memory_order_release);
 }
 
-void HttpServer::RecordRequestMetrics(Loop* loop, const Conn& conn,
-                                      int code) {
+void HttpServer::CountResponse(Loop* loop, const Conn& conn, int code) {
   requests_served_.fetch_add(1, std::memory_order_relaxed);
   obs::Counter*& requests = loop->request_counters[{conn.route, code}];
   if (requests == nullptr) {
@@ -715,7 +714,7 @@ void HttpServer::StageResponse(Loop* loop, Conn* conn,
   if (!conn->trace_id.empty()) {
     response.SetHeader("x-trace-id", conn->trace_id);
   }
-  RecordRequestMetrics(loop, *conn, response.status);
+  CountResponse(loop, *conn, response.status);
   if (config_.access_log) {
     DBG4ETH_LOG(Info) << FormatAccessLogLine(
         conn->method,

@@ -269,7 +269,7 @@ class HttpServer {
   /// Sets the epoll interest set of `conn` to `events` | RDHUP; no
   /// syscall when it is already that.
   void UpdateInterest(Loop* loop, Conn* conn, uint32_t events);
-  void RecordRequestMetrics(Loop* loop, const Conn& conn, int code);
+  void CountResponse(Loop* loop, const Conn& conn, int code);
 
   bool draining() const {
     return draining_.load(std::memory_order_acquire);

@@ -41,6 +41,22 @@ obs::Gauge* QueueDepthGauge() {
   return gauge;
 }
 
+/// An outcome that carries only its failure; Resolve stamps the rest.
+ScoreResult Failure(Status status) {
+  ScoreResult result;
+  result.status = std::move(status);
+  return result;
+}
+
+/// A cache hit: the cached score and the generation that produced it.
+ScoreResult Hit(const ResultCache::Entry& cached) {
+  ScoreResult result;
+  result.probability = cached.probability;
+  result.cache_hit = true;
+  result.model_generation = cached.generation;
+  return result;
+}
+
 /// Oversubscribing CPU-bound forward passes only adds context switching;
 /// cap the worker count at the hardware concurrency (0 = use all of it).
 int ClampWorkers(int requested) {
@@ -124,7 +140,8 @@ void InferenceService::ScoreAsync(eth::AccountId address, int64_t deadline_us,
   if (shutdown_.load()) {
     // A shut-down service rejects uniformly — even addresses that would
     // hit the cache — so clients observe one consistent terminal state.
-    ResolveError(request, Status::FailedPrecondition("service is shut down"));
+    Resolve(request,
+            Failure(Status::FailedPrecondition("service is shut down")));
     return;
   }
 
@@ -135,7 +152,7 @@ void InferenceService::ScoreAsync(eth::AccountId address, int64_t deadline_us,
   const bool hit = cached && cached->height == request.ledger_height;
   stats_.RecordCacheAccess(hit);
   if (hit) {
-    ResolveHit(request, *cached);
+    Resolve(request, Hit(*cached));
     return;
   }
 
@@ -148,20 +165,14 @@ void InferenceService::ScoreAsync(eth::AccountId address, int64_t deadline_us,
   }
   const ScoreRequest& refused = *admitted;
   if (shutdown_.load()) {
-    ResolveError(refused, Status::FailedPrecondition("service is shut down"));
+    Resolve(refused,
+            Failure(Status::FailedPrecondition("service is shut down")));
     return;
   }
   // Overloaded: a stale answer beats an outright rejection.
   if (TryServeStale(refused, cached)) return;
-  stats_.RecordShed();
-  ScoreResult result;
-  result.address = address;
-  result.ledger_height = refused.ledger_height;
-  result.trace_id = refused.trace_id;
-  result.status =
-      Status::ResourceExhausted("request queue is saturated; load shed");
-  result.latency_us = ElapsedUs(refused.enqueue_time);
-  refused.done(std::move(result));
+  Resolve(refused, Failure(Status::ResourceExhausted(
+                       "request queue is saturated; load shed")));
 }
 
 std::future<ScoreResult> InferenceService::ScoreAsync(eth::AccountId address,
@@ -187,8 +198,8 @@ void InferenceService::ProcessRequest(ScoreRequest request) {
   // Pick-up deadline check: a request that expired while queued is
   // resolved without paying for the forward pass.
   if (request.expired(std::chrono::steady_clock::now())) {
-    ResolveError(request,
-                 Status::DeadlineExceeded("deadline expired while queued"));
+    Resolve(request, Failure(Status::DeadlineExceeded(
+                         "deadline expired while queued")));
     return;
   }
 
@@ -219,7 +230,7 @@ void InferenceService::ProcessRequest(ScoreRequest request) {
     }
   }
   if (hit) {
-    ResolveHit(request, *cached);
+    Resolve(request, Hit(*cached));
     return;
   }
 
@@ -243,7 +254,7 @@ void InferenceService::ProcessRequest(ScoreRequest request) {
     }
     inflight_.erase(pass);
   }
-  stats_.RecordBatch(group.size());
+  stats_.RecordColdPass(group.size());
   if (!proba.ok()) {
     ResolveColdFailure(group, proba.status());
     return;
@@ -273,22 +284,16 @@ void InferenceService::FinishColdGroup(const std::vector<ScoreRequest>& group,
     // Duplicates may have expired while the group's representative was
     // being scored.
     if (!first && request.expired(std::chrono::steady_clock::now())) {
-      ResolveError(request,
-                   Status::DeadlineExceeded("deadline expired while queued"));
+      Resolve(request, Failure(Status::DeadlineExceeded(
+                           "deadline expired while queued")));
       continue;
     }
     ScoreResult result;
-    result.address = request.address;
-    result.ledger_height = request.ledger_height;
     result.probability = probability;
     result.cache_hit = !first;  // Duplicates share the group's one pass.
     result.retries = first ? retries : 0;
     result.model_generation = model_generation;
-    result.latency_us = ElapsedUs(request.enqueue_time);
-    result.trace_id = request.trace_id;
-    stats_.RecordRequest(result.latency_us, result.cache_hit,
-                         request.trace_id);
-    request.done(std::move(result));
+    Resolve(request, std::move(result));
     first = false;
   }
 }
@@ -302,7 +307,7 @@ void InferenceService::ResolveColdFailure(
       status.IsTransient() ? cache_.Get(group.front().address) : std::nullopt;
   for (const ScoreRequest& request : group) {
     if (TryServeStale(request, cached)) continue;
-    ResolveError(request, status);
+    Resolve(request, Failure(status));
   }
 }
 
@@ -345,46 +350,21 @@ bool InferenceService::TryServeStale(
   // RefreshLedgerHeight) answers nothing.
   if (!cached || cached->height >= request.ledger_height) return false;
   ScoreResult result;
-  result.address = request.address;
   result.ledger_height = cached->height;  // Height the score is valid at.
   result.probability = cached->probability;
   result.stale = true;
   result.model_generation = cached->generation;
-  result.latency_us = ElapsedUs(request.enqueue_time);
-  result.trace_id = request.trace_id;
-  stats_.RecordStaleServed(result.latency_us, request.trace_id);
-  request.done(std::move(result));
+  Resolve(request, std::move(result));
   return true;
 }
 
-void InferenceService::ResolveError(const ScoreRequest& request,
-                                    Status status) {
-  ScoreResult result;
+void InferenceService::Resolve(const ScoreRequest& request,
+                               ScoreResult result) {
   result.address = request.address;
-  result.ledger_height = request.ledger_height;
+  if (!result.stale) result.ledger_height = request.ledger_height;
   result.trace_id = request.trace_id;
   result.latency_us = ElapsedUs(request.enqueue_time);
-  if (status.code() == StatusCode::kDeadlineExceeded) {
-    stats_.RecordDeadlineExceeded();
-  } else {
-    stats_.RecordError();
-  }
-  result.status = std::move(status);
-  request.done(std::move(result));
-}
-
-void InferenceService::ResolveHit(const ScoreRequest& request,
-                                  const ResultCache::Entry& cached) {
-  ScoreResult result;
-  result.address = request.address;
-  result.ledger_height = request.ledger_height;
-  result.probability = cached.probability;
-  result.cache_hit = true;
-  result.model_generation = cached.generation;
-  result.latency_us = ElapsedUs(request.enqueue_time);
-  result.trace_id = request.trace_id;
-  stats_.RecordRequest(result.latency_us, /*cache_hit=*/true,
-                       request.trace_id);
+  stats_.Record(result);
   request.done(std::move(result));
 }
 

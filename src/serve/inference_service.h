@@ -210,17 +210,15 @@ class InferenceService {
   /// resolves stale (degraded mode, transient failures) or with `status`.
   void ResolveColdFailure(const std::vector<ScoreRequest>& group,
                           const Status& status);
-  /// Resolves `request` as a cache hit with the cached score and the
-  /// generation that produced it.
-  void ResolveHit(const ScoreRequest& request,
-                  const ResultCache::Entry& cached);
   /// Resolves `request` from `cached` when that entry was scored at an
   /// older ledger height (degraded mode); true when it was resolved.
   bool TryServeStale(const ScoreRequest& request,
                      const std::optional<ResultCache::Entry>& cached);
-  /// Resolves `request` with a failure status and records it: as a
-  /// deadline expiry for kDeadlineExceeded, as an error otherwise.
-  void ResolveError(const ScoreRequest& request, Status status);
+  /// The one exit of every request: stamps `result` with the request's
+  /// address, trace id, latency and (unless the answer is stale, which
+  /// reports the height its score is valid at) ledger height, books it
+  /// once in stats_, then runs `request.done`.
+  void Resolve(const ScoreRequest& request, ScoreResult result);
 
   InferenceServiceConfig config_;
   /// Serving model (RCU write side): guarded by model_mu_; readers take a

@@ -1,7 +1,5 @@
 #include "serve/server_stats.h"
 
-#include <cstdio>
-
 #include "common/json_util.h"
 
 namespace dbg4eth {
@@ -10,7 +8,7 @@ namespace serve {
 namespace {
 
 /// Requests-per-pass buckets (growth 2, min 1): 1 is its own bucket.
-obs::HistogramConfig BatchSizeBuckets() {
+obs::HistogramConfig RequestsPerPassBuckets() {
   obs::HistogramConfig config;
   config.min_value = 1.0;
   config.growth = 2.0;
@@ -49,11 +47,11 @@ ServerStats::ServerStats() {
       "Requests resolved kDeadlineExceeded without a forward pass");
   shed_ = registry_.CounterAt(
       "serve_shed_total",
-      "Requests shed with kResourceExhausted at admission control");
+      "Requests resolved kResourceExhausted (429): shed under overload");
   retries_ = registry_.CounterAt(
       "serve_retries_total", "Cold-path retry attempts beyond the first");
-  batches_ = registry_.CounterAt("serve_batches_total",
-                                 "Cold forward passes run by the workers");
+  cold_passes_ = registry_.CounterAt("serve_cold_passes_total",
+                                     "Cold forward passes run by the workers");
   const char* kCacheHelp = "Result-cache lookups and evictions by outcome";
   cache_lookup_hit_ = registry_.CounterAt("serve_cache_events_total",
                                           kCacheHelp, {{"outcome", "hit"}});
@@ -69,41 +67,44 @@ ServerStats::ServerStats() {
                                        {{"path", "hit"}});
   latency_stale_ = registry_.HistogramAt("serve_latency_us", kLatencyHelp,
                                          {{"path", "stale"}});
-  batch_size_ = registry_.HistogramAt(
-      "serve_batch_size",
+  requests_per_pass_ = registry_.HistogramAt(
+      "serve_requests_per_pass",
       "Requests resolved per cold forward pass (the request it ran for plus "
       "the duplicates that shared it)",
-      {}, BatchSizeBuckets());
+      {}, RequestsPerPassBuckets());
 }
 
-void ServerStats::RecordRequest(double latency_us, bool cache_hit,
-                                const std::string& trace_id) {
-  if (cache_hit) {
+void ServerStats::Record(const ScoreResult& result) {
+  if (!result.ok()) {
+    switch (result.status.code()) {
+      case StatusCode::kDeadlineExceeded:
+        deadline_exceeded_->Inc();
+        return;
+      case StatusCode::kResourceExhausted:
+        shed_->Inc();
+        return;
+      default:
+        errors_->Inc();
+        return;
+    }
+  }
+  if (result.stale) {
+    requests_stale_->Inc();
+    latency_stale_->Record(result.latency_us, result.trace_id);
+  } else if (result.cache_hit) {
     requests_hit_->Inc();
-    latency_hit_->Record(latency_us, trace_id);
+    latency_hit_->Record(result.latency_us, result.trace_id);
   } else {
     requests_cold_->Inc();
-    latency_cold_->Record(latency_us, trace_id);
+    latency_cold_->Record(result.latency_us, result.trace_id);
   }
 }
 
-void ServerStats::RecordError() { errors_->Inc(); }
-
-void ServerStats::RecordDeadlineExceeded() { deadline_exceeded_->Inc(); }
-
-void ServerStats::RecordShed() { shed_->Inc(); }
-
 void ServerStats::RecordRetry() { retries_->Inc(); }
 
-void ServerStats::RecordStaleServed(double latency_us,
-                                    const std::string& trace_id) {
-  requests_stale_->Inc();
-  latency_stale_->Record(latency_us, trace_id);
-}
-
-void ServerStats::RecordBatch(size_t batch_size) {
-  batches_->Inc();
-  batch_size_->Record(static_cast<double>(batch_size));
+void ServerStats::RecordColdPass(size_t requests) {
+  cold_passes_->Inc();
+  requests_per_pass_->Record(static_cast<double>(requests));
 }
 
 void ServerStats::RecordCacheAccess(bool hit) {
@@ -122,8 +123,8 @@ ServerStats::Snapshot ServerStats::TakeSnapshot() const {
   snapshot.deadline_exceeded = deadline_exceeded_->Value();
   snapshot.shed = shed_->Value();
   snapshot.retried = retries_->Value();
-  snapshot.batches = batches_->Value();
-  snapshot.avg_batch_size = batch_size_->TakeSnapshot().Mean();
+  snapshot.batches = cold_passes_->Value();
+  snapshot.avg_batch_size = requests_per_pass_->TakeSnapshot().Mean();
   snapshot.cache_hit_rate =
       snapshot.requests == 0 ? 0.0
                              : static_cast<double>(snapshot.cache_hits) /
@@ -132,49 +133,6 @@ ServerStats::Snapshot ServerStats::TakeSnapshot() const {
   snapshot.hit = Summarize(*latency_hit_);
   snapshot.stale = Summarize(*latency_stale_);
   return snapshot;
-}
-
-std::string ServerStats::Format(const Snapshot& s) {
-  char buf[512];
-  std::string out;
-  std::snprintf(buf, sizeof(buf),
-                "requests=%llu hits=%llu (%.1f%%) errors=%llu "
-                "batches=%llu avg_batch=%.2f workers=%d\n",
-                static_cast<unsigned long long>(s.requests),
-                static_cast<unsigned long long>(s.cache_hits),
-                100.0 * s.cache_hit_rate,
-                static_cast<unsigned long long>(s.errors),
-                static_cast<unsigned long long>(s.batches), s.avg_batch_size,
-                s.workers);
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "cold latency (us): n=%llu p50=%.1f p95=%.1f p99=%.1f "
-                "mean=%.1f max=%.1f\n",
-                static_cast<unsigned long long>(s.cold.count), s.cold.p50_us,
-                s.cold.p95_us, s.cold.p99_us, s.cold.mean_us, s.cold.max_us);
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "deadline_exceeded=%llu shed=%llu retried=%llu "
-                "stale_served=%llu\n",
-                static_cast<unsigned long long>(s.deadline_exceeded),
-                static_cast<unsigned long long>(s.shed),
-                static_cast<unsigned long long>(s.retried),
-                static_cast<unsigned long long>(s.stale_served));
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "hit  latency (us): n=%llu p50=%.1f p95=%.1f p99=%.1f "
-                "mean=%.1f max=%.1f\n",
-                static_cast<unsigned long long>(s.hit.count), s.hit.p50_us,
-                s.hit.p95_us, s.hit.p99_us, s.hit.mean_us, s.hit.max_us);
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "stale latency (us): n=%llu p50=%.1f p95=%.1f p99=%.1f "
-                "mean=%.1f max=%.1f",
-                static_cast<unsigned long long>(s.stale.count), s.stale.p50_us,
-                s.stale.p95_us, s.stale.p99_us, s.stale.mean_us,
-                s.stale.max_us);
-  out += buf;
-  return out;
 }
 
 namespace {
@@ -220,9 +178,9 @@ std::string ServerStats::ToJson(const Snapshot& s) {
   writer.UInt(s.retried);
   writer.Key("stale_served");
   writer.UInt(s.stale_served);
-  writer.Key("batches");
+  writer.Key("cold_passes");
   writer.UInt(s.batches);
-  writer.Key("avg_batch_size");
+  writer.Key("requests_per_pass");
   writer.NumberRoundTrip(s.avg_batch_size);
   writer.Key("workers");
   writer.Int(s.workers);

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "obs/metrics.h"
+#include "serve/types.h"
 
 namespace dbg4eth {
 namespace serve {
@@ -15,7 +16,7 @@ namespace serve {
 ///
 /// Every event is booked exactly once, into an instrument of the `serve_*`
 /// families in this object's own obs::MetricsRegistry; TakeSnapshot (and
-/// so Format and ToJson) reads those instruments back. A registry per
+/// so ToJson) reads those instruments back. A registry per
 /// service keeps each service's numbers exact however many services a
 /// process runs; exporters render it next to the global registry (see
 /// InferenceService::metrics).
@@ -40,16 +41,18 @@ class ServerStats {
     uint64_t errors = 0;
     /// Requests resolved kDeadlineExceeded without a forward pass.
     uint64_t deadline_exceeded = 0;
-    /// Requests shed with kResourceExhausted at admission.
+    /// Requests resolved kResourceExhausted, the 429 of a shed request.
     uint64_t shed = 0;
     /// Cold-path retry attempts after transient failures.
     uint64_t retried = 0;
     /// Requests answered from a stale cache entry in degraded mode.
     uint64_t stale_served = 0;
-    /// Cold forward passes run (the `serve_batches_total` family).
+    /// Cold forward passes run (the `serve_cold_passes_total` family).
+    /// perfbench reads this field and the next one under these names.
     uint64_t batches = 0;
-    /// Requests resolved per cold forward pass: 1 plus the duplicates that
-    /// attached to the pass while it ran.
+    /// Requests resolved per cold forward pass (the mean of
+    /// `serve_requests_per_pass`): 1 plus the duplicates that attached to
+    /// the pass while it ran.
     double avg_batch_size = 0.0;
     double cache_hit_rate = 0.0;
     /// Worker threads actually running, after the service clamped the
@@ -65,25 +68,20 @@ class ServerStats {
   ServerStats(const ServerStats&) = delete;
   ServerStats& operator=(const ServerStats&) = delete;
 
-  /// Records one finished request: its end-to-end latency goes into the
-  /// cold or cache-hit histogram. A non-empty `trace_id` attaches an
-  /// exemplar to the `serve_latency_us` bucket the latency landed in,
-  /// linking the exposition back to the retained trace.
-  void RecordRequest(double latency_us, bool cache_hit,
-                     const std::string& trace_id = std::string());
-  void RecordError();
+  /// Books one resolved request by the outcome its client sees. An OK
+  /// result counts as a request of its path (stale; hit, which includes a
+  /// duplicate that shared a pass; else cold), and its end-to-end latency
+  /// goes into that path's `serve_latency_us` histogram; a non-empty
+  /// `trace_id` attaches an exemplar to the bucket the latency landed in,
+  /// linking the exposition back to the retained trace. A failed result
+  /// counts by its status: kDeadlineExceeded as a deadline expiry,
+  /// kResourceExhausted (the 429) as a shed, anything else as an error.
+  void Record(const ScoreResult& result);
   /// Records one cold forward pass and the requests it resolved.
-  void RecordBatch(size_t batch_size);
-  /// Records one request resolved kDeadlineExceeded (not an error).
-  void RecordDeadlineExceeded();
-  /// Records one request shed with kResourceExhausted (not an error).
-  void RecordShed();
-  /// Records one cold-path retry attempt.
+  void RecordColdPass(size_t requests);
+  /// Records one cold-path retry attempt. Attempts of passes that end in
+  /// a failure count too, so no ScoreResult carries them all.
   void RecordRetry();
-  /// Records one request served stale in degraded mode (counts as a
-  /// resolved request; its latency goes into the stale histogram).
-  void RecordStaleServed(double latency_us,
-                         const std::string& trace_id = std::string());
   /// Records one result-cache lookup at admission, hit or miss.
   void RecordCacheAccess(bool hit);
   /// Records one cache entry evicted by capacity pressure.
@@ -95,9 +93,6 @@ class ServerStats {
 
   /// The registry every event is booked in.
   const obs::MetricsRegistry& registry() const { return registry_; }
-
-  /// Multi-line human-readable rendering of a snapshot.
-  static std::string Format(const Snapshot& snapshot);
 
   /// One-JSON-object rendering of a snapshot (the `/statusz` admin
   /// endpoint embeds it; see src/net/scoring_app.cc).
@@ -113,14 +108,14 @@ class ServerStats {
   obs::Counter* deadline_exceeded_;
   obs::Counter* shed_;
   obs::Counter* retries_;
-  obs::Counter* batches_;
+  obs::Counter* cold_passes_;
   obs::Counter* cache_lookup_hit_;
   obs::Counter* cache_lookup_miss_;
   obs::Counter* cache_eviction_;
   obs::Histogram* latency_cold_;
   obs::Histogram* latency_hit_;
   obs::Histogram* latency_stale_;
-  obs::Histogram* batch_size_;
+  obs::Histogram* requests_per_pass_;
 };
 
 }  // namespace serve

@@ -24,7 +24,7 @@ thread_local InferenceArena* t_active_arena = nullptr;
 
 }  // namespace
 
-std::shared_ptr<internal::TensorNode> InferenceArena::MakeValueNode(
+std::shared_ptr<internal::TensorNode> InferenceArena::PooledNode(
     Matrix value) {
   ++pass_stats_.nodes;
   if (cursor_ == nodes_.size()) {

@@ -65,7 +65,7 @@ class InferenceArena {
   /// the buffer moves into the free list when the node's last handle
   /// drops, so a buffer allocated elsewhere would grow the pool by one
   /// buffer per pass.
-  std::shared_ptr<internal::TensorNode> MakeValueNode(Matrix value);
+  std::shared_ptr<internal::TensorNode> PooledNode(Matrix value);
 
   /// Zero-filled rows x cols buffer (for accumulate-style kernels and
   /// masked writers that rely on zero initialization).

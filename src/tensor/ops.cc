@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <initializer_list>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -16,17 +19,20 @@ namespace {
 
 using internal::TensorNode;
 
-/// Creates a non-leaf node with the given value and parents; requires_grad
-/// is inherited from the parents.
-Tensor MakeNode(Matrix value, std::vector<Tensor> parents,
-                std::function<void(TensorNode*)> backward_fn,
+/// The one place an op's value becomes a node. Under an InferenceScope it
+/// becomes a pooled value-only node that adopts the buffer an Out* helper
+/// drew from the arena: no parents, no backward. Otherwise it becomes a
+/// tape node whose requires_grad is inherited from the parents, and which
+/// keeps `backward` only when that is set. The callable is a template
+/// parameter and the parents are references, so the value path builds no
+/// std::function, no parent vector and no Tensor copy.
+template <typename Backward,
+          typename Parents =
+              std::initializer_list<std::reference_wrapper<const Tensor>>>
+Tensor MakeNode(Matrix value, const Parents& parents, Backward&& backward,
                 const char* op_name) {
   if (InferenceArena* arena = internal::ActiveInferenceArena()) {
-    // Safety net for ops without an explicit fast-path exit (losses,
-    // future additions): under an InferenceScope no tape is ever built.
-    // The value was computed outside the pool, so it is copied into a pool
-    // buffer rather than adopted (see Tensor's constructor).
-    return Tensor::FromNode(arena->MakeValueNode(arena->CopyOf(value)));
+    return Tensor::FromNode(arena->PooledNode(std::move(value)));
   }
   auto node = std::make_shared<TensorNode>();
   node->value = std::move(value);
@@ -39,7 +45,7 @@ Tensor MakeNode(Matrix value, std::vector<Tensor> parents,
     node->parents.push_back(p.node());
   }
   node->requires_grad = needs_grad;
-  if (needs_grad) node->backward_fn = std::move(backward_fn);
+  if (needs_grad) node->backward_fn = std::forward<Backward>(backward);
   return Tensor::FromNode(std::move(node));
 }
 
@@ -57,16 +63,12 @@ bool ParentRequires(TensorNode* node, int i) {
   return node->parents[i]->requires_grad;
 }
 
-/// True while an InferenceScope is active on this thread: ops compute the
-/// value into arena storage and return early via ValueNode, skipping
-/// parent bookkeeping and backward-closure construction entirely.
-bool TapeFree() { return internal::ActiveInferenceArena() != nullptr; }
-
 /// Output buffers for the op forwards. On the tape path these match the
 /// ops' historical allocations exactly; under an InferenceScope they draw
 /// recycled activation storage from the thread's arena. Zeros is for
 /// accumulate-style and masked-write kernels, Uninit for kernels that
-/// overwrite every entry, CopyOf for copy-then-modify kernels.
+/// overwrite every entry, CopyOf for copy-then-modify kernels. Every op
+/// takes its output from one of them, so MakeNode can adopt it as is.
 Matrix OutZeros(int rows, int cols) {
   if (InferenceArena* arena = internal::ActiveInferenceArena()) {
     return arena->Zeros(rows, cols);
@@ -86,13 +88,6 @@ Matrix OutCopy(const Matrix& src) {
     return arena->CopyOf(src);
   }
   return src;
-}
-
-/// Finishes an op on the fast path: the computed value becomes a pooled
-/// value-only node (no parents, no backward).
-Tensor ValueNode(Matrix out) {
-  return Tensor::FromNode(
-      internal::ActiveInferenceArena()->MakeValueNode(std::move(out)));
 }
 
 /// Row-wise softmax of `logits` written into the pre-shaped *out (every
@@ -119,7 +114,6 @@ void SoftmaxRowsInto(const Matrix& logits, Matrix* out) {
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   Matrix out = OutZeros(a.rows(), b.cols());
   MatMulAccumulate(a.value(), b.value(), &out);
-  if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {a, b},
       [](TensorNode* n) {
@@ -140,10 +134,9 @@ Tensor SpMM(std::shared_ptr<const SparseMatrix> a, const Tensor& x) {
   DBG4ETH_CHECK(a != nullptr);
   Matrix out = OutZeros(a->rows(), x.cols());
   SpMMAccumulate(*a, x.value(), &out);
-  if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {x},
-      [a](TensorNode* n) {
+      [a = std::move(a)](TensorNode* n) {
         if (ParentRequires(n, 0)) {
           ParentGrad(n, 0).AddInPlace(dbg4eth::SpMMTransA(*a, n->grad));
         }
@@ -155,10 +148,9 @@ Tensor SpMMTransA(std::shared_ptr<const SparseMatrix> a, const Tensor& x) {
   DBG4ETH_CHECK(a != nullptr);
   Matrix out = OutZeros(a->cols(), x.cols());
   SpMMTransAAccumulate(*a, x.value(), &out);
-  if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {x},
-      [a](TensorNode* n) {
+      [a = std::move(a)](TensorNode* n) {
         if (ParentRequires(n, 0)) {
           SpMMAccumulate(*a, n->grad, &ParentGrad(n, 0));
         }
@@ -171,10 +163,9 @@ Tensor MaskedSpMatMul(std::shared_ptr<const SparseMatrix> support,
   DBG4ETH_CHECK(support != nullptr);
   Matrix out = OutZeros(alpha.rows(), b.cols());
   MaskedMatMulAccumulate(*support, alpha.value(), b.value(), &out);
-  if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {alpha, b},
-      [support](TensorNode* n) {
+      [support = std::move(support)](TensorNode* n) {
         if (ParentRequires(n, 0)) {
           MaskedOuterAccumulate(*support, n->grad, ParentValue(n, 1),
                                 &ParentGrad(n, 0));
@@ -190,7 +181,6 @@ Tensor MaskedSpMatMul(std::shared_ptr<const SparseMatrix> support,
 Tensor Add(const Tensor& a, const Tensor& b) {
   Matrix out = OutCopy(a.value());
   out.AddInPlace(b.value());
-  if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {a, b},
       [](TensorNode* n) {
@@ -203,7 +193,6 @@ Tensor Add(const Tensor& a, const Tensor& b) {
 Tensor Sub(const Tensor& a, const Tensor& b) {
   Matrix out = OutCopy(a.value());
   out.SubInPlace(b.value());
-  if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {a, b},
       [](TensorNode* n) {
@@ -216,7 +205,6 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
 Tensor Mul(const Tensor& a, const Tensor& b) {
   Matrix out = OutCopy(a.value());
   out.MulInPlace(b.value());
-  if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {a, b},
       [](TensorNode* n) {
@@ -233,7 +221,6 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 Tensor ScalarMul(const Tensor& a, double s) {
   Matrix out = OutCopy(a.value());
   out.ScaleInPlace(s);
-  if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {a},
       [s](TensorNode* n) {
@@ -249,7 +236,6 @@ Tensor ScalarAdd(const Tensor& a, double s) {
   for (int r = 0; r < out.rows(); ++r) {
     for (int c = 0; c < out.cols(); ++c) out.At(r, c) += s;
   }
-  if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {a},
       [](TensorNode* n) {
@@ -267,7 +253,6 @@ Tensor AddRowBroadcast(const Tensor& a, const Tensor& bias) {
     double* row = out.RowPtr(r);
     for (int c = 0; c < out.cols(); ++c) row[c] += b[c];
   }
-  if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {a, bias},
       [](TensorNode* n) {
@@ -289,7 +274,6 @@ Tensor BroadcastRow(const Tensor& row, int n_rows) {
   for (int r = 0; r < n_rows; ++r) {
     for (int c = 0; c < row.cols(); ++c) out.At(r, c) = row.value().At(0, c);
   }
-  if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {row},
       [](TensorNode* n) {
@@ -315,7 +299,6 @@ Tensor PairwiseSum(const Tensor& u, const Tensor& v) {
     const double ui = u.value().At(i, 0);
     for (int j = 0; j < m; ++j) out.At(i, j) = ui + v.value().At(j, 0);
   }
-  if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {u, v},
       [](TensorNode* n_) {
@@ -352,7 +335,6 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b) {
     std::memcpy(orow + ac, bv.RowPtr(r),
                 static_cast<size_t>(bv.cols()) * sizeof(double));
   }
-  if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {a, b},
       [ac](TensorNode* n) {
@@ -385,7 +367,6 @@ Tensor ConcatRows(const Tensor& a, const Tensor& b) {
   if (!bv.empty()) {
     std::memcpy(out.RowPtr(ar), bv.RowPtr(0), bv.size() * sizeof(double));
   }
-  if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {a, b},
       [ar](TensorNode* n) {
@@ -423,25 +404,21 @@ Tensor ConcatRowsList(const std::vector<Tensor>& parts) {
     }
     off += v.rows();
   }
-  if (TapeFree()) return ValueNode(std::move(out));
-  std::vector<int> offsets(parts.size());
-  int base = 0;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    offsets[i] = base;
-    base += parts[i].rows();
-  }
   return MakeNode(
       std::move(out), parts,
-      [offsets](TensorNode* n) {
-        for (size_t i = 0; i < n->parents.size(); ++i) {
-          if (!ParentRequires(n, static_cast<int>(i))) continue;
-          Matrix& g = ParentGrad(n, static_cast<int>(i));
-          const int base = offsets[i];
-          for (int r = 0; r < g.rows(); ++r) {
-            for (int c = 0; c < g.cols(); ++c) {
-              g.At(r, c) += n->grad.At(base + r, c);
+      [](TensorNode* n) {
+        // Each part starts below the rows of the parts before it.
+        int base = 0;
+        for (int i = 0; i < static_cast<int>(n->parents.size()); ++i) {
+          if (ParentRequires(n, i)) {
+            Matrix& g = ParentGrad(n, i);
+            for (int r = 0; r < g.rows(); ++r) {
+              for (int c = 0; c < g.cols(); ++c) {
+                g.At(r, c) += n->grad.At(base + r, c);
+              }
             }
           }
+          base += ParentValue(n, i).rows();
         }
       },
       "concat_rows_list");
@@ -454,7 +431,6 @@ Tensor SliceRows(const Tensor& a, int begin, int end) {
   if (!out.empty()) {
     std::memcpy(out.RowPtr(0), av.RowPtr(begin), out.size() * sizeof(double));
   }
-  if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {a},
       [begin](TensorNode* n) {
@@ -476,7 +452,6 @@ Tensor Transpose(const Tensor& a) {
   for (int r = 0; r < av.rows(); ++r) {
     for (int c = 0; c < av.cols(); ++c) out.At(c, r) = av.At(r, c);
   }
-  if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {a},
       [](TensorNode* n) {
@@ -498,7 +473,6 @@ Tensor ElementwiseOp(const Tensor& a, Fwd fwd, Bwd bwd, const char* name) {
     double* row = out.RowPtr(r);
     for (int c = 0; c < out.cols(); ++c) row[c] = fwd(row[c]);
   }
-  if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {a},
       [bwd](TensorNode* n) {
@@ -555,7 +529,6 @@ Tensor Sigmoid(const Tensor& a) {
 Tensor SoftmaxRows(const Tensor& a) {
   Matrix out = OutUninit(a.rows(), a.cols());
   SoftmaxRowsInto(a.value(), &out);
-  if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {a},
       [](TensorNode* n) {
@@ -597,10 +570,9 @@ Tensor MaskedSoftmaxRows(const Tensor& a,
       orow[cols[e]] = std::exp(arow[cols[e]] - max_v) / denom;
     }
   }
-  if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {a},
-      [support](TensorNode* n) {
+      [support = std::move(support)](TensorNode* n) {
         if (!ParentRequires(n, 0)) return;
         // Softmax Jacobian over the support: off-support outputs are
         // constant zero, so they neither give nor receive gradient.
@@ -635,7 +607,6 @@ Tensor SoftmaxColVector(const Tensor& a) {
 Tensor SumAll(const Tensor& a) {
   Matrix out = OutUninit(1, 1);
   out.At(0, 0) = a.value().Sum();
-  if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {a},
       [](TensorNode* n) {
@@ -658,37 +629,27 @@ Tensor MaxPoolRows(const Tensor& a) {
   DBG4ETH_CHECK_GT(a.rows(), 0);
   const Matrix& av = a.value();
   Matrix out = OutUninit(1, av.cols());
-  if (TapeFree()) {
-    // Value-only: no argmax bookkeeping (that exists for the backward).
-    for (int c = 0; c < av.cols(); ++c) {
-      double best = av.At(0, c);
-      for (int r = 1; r < av.rows(); ++r) {
-        if (av.At(r, c) > best) best = av.At(r, c);
-      }
-      out.At(0, c) = best;
-    }
-    return ValueNode(std::move(out));
-  }
-  std::vector<int> argmax(av.cols(), 0);
   for (int c = 0; c < av.cols(); ++c) {
     double best = av.At(0, c);
-    int best_r = 0;
     for (int r = 1; r < av.rows(); ++r) {
-      if (av.At(r, c) > best) {
-        best = av.At(r, c);
-        best_r = r;
-      }
+      if (av.At(r, c) > best) best = av.At(r, c);
     }
     out.At(0, c) = best;
-    argmax[c] = best_r;
   }
   return MakeNode(
       std::move(out), {a},
-      [argmax](TensorNode* n) {
+      [](TensorNode* n) {
         if (!ParentRequires(n, 0)) return;
+        // The forward's scan again: the first row holding each maximum
+        // takes the gradient.
+        const Matrix& x = ParentValue(n, 0);
         Matrix& g = ParentGrad(n, 0);
         for (int c = 0; c < g.cols(); ++c) {
-          g.At(argmax[c], c) += n->grad.At(0, c);
+          int best_r = 0;
+          for (int r = 1; r < x.rows(); ++r) {
+            if (x.At(r, c) > x.At(best_r, c)) best_r = r;
+          }
+          g.At(best_r, c) += n->grad.At(0, c);
         }
       },
       "max_pool_rows");
@@ -702,7 +663,6 @@ Tensor MeanPoolRows(const Tensor& a) {
     for (int r = 0; r < n_rows; ++r) acc += a.value().At(r, c);
     out.At(0, c) = acc / n_rows;
   }
-  if (TapeFree()) return ValueNode(std::move(out));
   return MakeNode(
       std::move(out), {a},
       [n_rows](TensorNode* n) {
@@ -718,41 +678,32 @@ Tensor MeanPoolRows(const Tensor& a) {
 
 Tensor L2NormalizeRows(const Tensor& a, double eps) {
   Matrix out = OutCopy(a.value());
-  if (TapeFree()) {
-    // Value-only: per-row norm kept in a scalar instead of the vector the
-    // backward needs.
-    for (int r = 0; r < a.rows(); ++r) {
-      double acc = 0.0;
-      for (int c = 0; c < a.cols(); ++c) {
-        acc += out.At(r, c) * out.At(r, c);
-      }
-      const double norm = std::sqrt(acc) + eps;
-      for (int c = 0; c < a.cols(); ++c) out.At(r, c) /= norm;
-    }
-    return ValueNode(std::move(out));
-  }
-  std::vector<double> norms(a.rows());
   for (int r = 0; r < a.rows(); ++r) {
     double acc = 0.0;
     for (int c = 0; c < a.cols(); ++c) {
       acc += out.At(r, c) * out.At(r, c);
     }
-    norms[r] = std::sqrt(acc) + eps;
-    for (int c = 0; c < a.cols(); ++c) out.At(r, c) /= norms[r];
+    const double norm = std::sqrt(acc) + eps;
+    for (int c = 0; c < a.cols(); ++c) out.At(r, c) /= norm;
   }
   return MakeNode(
       std::move(out), {a},
-      [norms](TensorNode* n) {
+      [eps](TensorNode* n) {
         if (!ParentRequires(n, 0)) return;
+        const Matrix& x = ParentValue(n, 0);
         Matrix& g = ParentGrad(n, 0);
         const Matrix& y = n->value;
         for (int r = 0; r < y.rows(); ++r) {
+          // The forward's row norm, summed in the same order.
+          double acc = 0.0;
+          for (int c = 0; c < x.cols(); ++c) acc += x.At(r, c) * x.At(r, c);
+          const double norm = std::sqrt(acc) + eps;
           double dot = 0.0;
           for (int c = 0; c < y.cols(); ++c) {
             dot += n->grad.At(r, c) * y.At(r, c);
           }
           for (int c = 0; c < y.cols(); ++c) {
-            g.At(r, c) += (n->grad.At(r, c) - dot * y.At(r, c)) / norms[r];
+            g.At(r, c) += (n->grad.At(r, c) - dot * y.At(r, c)) / norm;
           }
         }
       },
@@ -769,10 +720,11 @@ Tensor Dropout(const Tensor& a, double p, Rng* rng, bool training) {
       mask.At(r, c) = rng->Bernoulli(p) ? 0.0 : scale;
     }
   }
-  Matrix out = dbg4eth::Mul(a.value(), mask);
+  Matrix out = OutCopy(a.value());
+  out.MulInPlace(mask);
   return MakeNode(
       std::move(out), {a},
-      [mask](TensorNode* n) {
+      [mask = std::move(mask)](TensorNode* n) {
         if (!ParentRequires(n, 0)) return;
         ParentGrad(n, 0).AddInPlace(dbg4eth::Mul(n->grad, mask));
       },
@@ -782,18 +734,18 @@ Tensor Dropout(const Tensor& a, double p, Rng* rng, bool training) {
 Tensor SoftmaxCrossEntropy(const Tensor& logits,
                            const std::vector<int>& labels) {
   DBG4ETH_CHECK_EQ(static_cast<size_t>(logits.rows()), labels.size());
-  const Matrix probs = SoftmaxRowsValue(logits.value());
+  Matrix probs = SoftmaxRowsValue(logits.value());
   const int n = logits.rows();
   double loss = 0.0;
   for (int r = 0; r < n; ++r) {
     DBG4ETH_CHECK(labels[r] >= 0 && labels[r] < logits.cols());
     loss -= std::log(std::max(probs.At(r, labels[r]), 1e-12));
   }
-  Matrix out(1, 1);
+  Matrix out = OutUninit(1, 1);
   out.At(0, 0) = loss / n;
   return MakeNode(
       std::move(out), {logits},
-      [probs, labels, n](TensorNode* node) {
+      [probs = std::move(probs), labels, n](TensorNode* node) {
         if (!ParentRequires(node, 0)) return;
         Matrix& g = ParentGrad(node, 0);
         const double gv = node->grad.At(0, 0) / n;

@@ -80,7 +80,7 @@ Tensor::Tensor(Matrix value, bool requires_grad) {
     // once its last handle drops, and adopting this caller-allocated one
     // instead would grow the pool by one buffer every pass.
     if (InferenceArena* arena = internal::ActiveInferenceArena()) {
-      node_ = arena->MakeValueNode(arena->CopyOf(value));
+      node_ = arena->PooledNode(arena->CopyOf(value));
       return;
     }
   }

@@ -287,14 +287,6 @@ TEST(MathUtilTest, LogSumExpStable) {
   EXPECT_NEAR(LogSumExp(v), 1000.0 + std::log(2.0), 1e-9);
 }
 
-TEST(MathUtilTest, SoftmaxSumsToOne) {
-  std::vector<double> v = {1.0, 2.0, 3.0};
-  SoftmaxInPlace(&v);
-  EXPECT_NEAR(v[0] + v[1] + v[2], 1.0, 1e-12);
-  EXPECT_GT(v[2], v[1]);
-  EXPECT_GT(v[1], v[0]);
-}
-
 TEST(StringUtilTest, SplitJoin) {
   auto parts = Split("a,b,,c", ',');
   ASSERT_EQ(parts.size(), 4u);

@@ -20,6 +20,7 @@
 #include "gnn/linear.h"
 #include "gnn/transformer.h"
 #include "graph/graph.h"
+#include "ml/mlp.h"
 #include "tensor/inference.h"
 #include "tensor/ops.h"
 
@@ -249,6 +250,26 @@ TEST(EncoderFastPathTest, PredictScoreRunsTapeFreeWithoutACallerScope) {
   const uint64_t nodes_before = ag::internal::NodeAllocationCount();
   encoder.PredictScore(g);
   ldg.PredictScore(slices);
+  EXPECT_EQ(ag::internal::NodeAllocationCount(), nodes_before);
+}
+
+TEST(EncoderFastPathTest, MlpPredictProbaRunsTapeFreeWithoutACallerScope) {
+  // The "w/o LightGBM" head and the embedding baselines' classifier.
+  Rng rng(7);
+  Matrix x(40, 3);
+  std::vector<int> y;
+  for (int r = 0; r < x.rows(); ++r) {
+    for (int c = 0; c < x.cols(); ++c) x.At(r, c) = rng.Normal();
+    y.push_back(x.At(r, 0) > 0 ? 1 : 0);
+  }
+  ml::MlpConfig config;
+  config.hidden_dims = {8};
+  config.epochs = 5;
+  ml::MlpClassifier head(config);
+  ASSERT_TRUE(head.Train(x, y).ok());
+  const double first = head.PredictProba(x.RowPtr(0));
+  const uint64_t nodes_before = ag::internal::NodeAllocationCount();
+  EXPECT_EQ(head.PredictProba(x.RowPtr(0)), first);
   EXPECT_EQ(ag::internal::NodeAllocationCount(), nodes_before);
 }
 

@@ -1614,8 +1614,8 @@ TEST_F(NetScoringTest, MetricsEndpointExposesNetFamilies) {
   for (const char* family :
        {"serve_requests_total", "serve_errors_total",
         "serve_deadline_exceeded_total", "serve_shed_total",
-        "serve_retries_total", "serve_batches_total", "serve_latency_us",
-        "serve_batch_size", "serve_cache_events_total"}) {
+        "serve_retries_total", "serve_cold_passes_total", "serve_latency_us",
+        "serve_requests_per_pass", "serve_cache_events_total"}) {
     const std::string type_line = std::string("\n# TYPE ") + family + " ";
     size_t declared = 0;
     for (size_t pos = metrics.body.find(type_line); pos != std::string::npos;
@@ -2262,9 +2262,12 @@ TEST_F(NetScoringTest, DebugTracesFiltersAndRejectsBadParams) {
   ASSERT_TRUE(unknown.ok());
   EXPECT_EQ(unknown.ValueOrDie().status, 404);
 
-  auto bad = client.Get("/debug/traces?min_duration_us=banana");
-  ASSERT_TRUE(bad.ok());
-  EXPECT_EQ(bad.ValueOrDie().status, 400);
+  for (const char* value : {"banana", "nan"}) {
+    auto bad = client.Get(std::string("/debug/traces?min_duration_us=") +
+                          value);
+    ASSERT_TRUE(bad.ok());
+    EXPECT_EQ(bad.ValueOrDie().status, 400) << value;
+  }
 }
 
 TEST_F(NetScoringTest, DebugVarsAndProfileEndpoints) {
@@ -2276,9 +2279,12 @@ TEST_F(NetScoringTest, DebugVarsAndProfileEndpoints) {
   ASSERT_TRUE(parsed.ok()) << vars.ValueOrDie().body;
   EXPECT_NE(parsed.ValueOrDie().Find("metrics"), nullptr);
 
-  auto bad_seconds = client.Get("/debug/profile?seconds=banana");
-  ASSERT_TRUE(bad_seconds.ok());
-  EXPECT_EQ(bad_seconds.ValueOrDie().status, 400);
+  for (const char* value : {"banana", "nan"}) {
+    auto bad_seconds =
+        client.Get(std::string("/debug/profile?seconds=") + value);
+    ASSERT_TRUE(bad_seconds.ok());
+    EXPECT_EQ(bad_seconds.ValueOrDie().status, 400) << value;
+  }
 
   // Keep one core busy so the wall-clock sampler has stacks to fold.
   std::atomic<bool> stop{false};

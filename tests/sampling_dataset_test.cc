@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -378,6 +379,35 @@ TEST_F(DatasetTest, StandardizeUsesFitSplit) {
     EXPECT_TRUE(AlmostEqual(inst.gsg.node_features,
                             inst.ldg.front().node_features));
   }
+}
+
+TEST_F(DatasetTest, FeaturesLiveInTheGsgAndTheFirstSliceOnly) {
+  eth::DatasetConfig config;
+  config.target = eth::AccountClass::kExchange;
+  config.max_positives = 5;
+  config.num_time_slices = 4;
+  config.sampling.top_k = 5;
+  auto ds = eth::BuildDataset(*ledger_, config).ValueOrDie();
+  ASSERT_GE(ds.num_graphs(), 2);
+  auto expect_layout = [&ds](const char* stage) {
+    for (const auto& inst : ds.instances) {
+      const Matrix& gsg = inst.gsg.node_features;
+      const Matrix& first = inst.ldg.front().node_features;
+      ASSERT_FALSE(gsg.empty()) << stage;
+      ASSERT_EQ(first.rows(), gsg.rows()) << stage;
+      ASSERT_EQ(first.cols(), gsg.cols()) << stage;
+      EXPECT_EQ(std::memcmp(first.RowPtr(0), gsg.RowPtr(0),
+                            gsg.size() * sizeof(double)),
+                0)
+          << stage;
+      for (size_t t = 1; t < inst.ldg.size(); ++t) {
+        EXPECT_TRUE(inst.ldg[t].node_features.empty()) << stage << " " << t;
+      }
+    }
+  };
+  expect_layout("materialized");
+  eth::StandardizeDataset(&ds, {0, 1});
+  expect_layout("standardized");
 }
 
 TEST_F(DatasetTest, DeterministicUnderSeed) {

@@ -204,6 +204,30 @@ TEST_F(ServeChaosTest, ExhaustedRetriesWithoutStaleCorpusIsAnError) {
   EXPECT_EQ(stats.requests, 0u);
 }
 
+TEST_F(ServeChaosTest, ResourceExhaustedPastTheRetriesCountsAsShed) {
+  InferenceServiceConfig config = ServiceConfig(/*workers=*/1);
+  config.max_cold_retries = 1;
+  auto service = MakeService(config, ledger_);
+  const auto exchanges =
+      ledger_->AccountsOfClass(eth::AccountClass::kExchange);
+
+  // A transient kResourceExhausted from the cold path, past the retries and
+  // with no stale entry, reaches the client as the 429 of a shed request,
+  // so it is booked as one.
+  ASSERT_TRUE(
+      failpoint::Enable("serve.score_cold",
+                        failpoint::Always(StatusCode::kResourceExhausted))
+          .ok());
+  const ScoreResult result = service->Score(exchanges[0]);
+  EXPECT_EQ(result.status.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(SuggestedHttpStatus(result.status), 429);
+  const ServerStats::Snapshot stats = service->StatsSnapshot();
+  EXPECT_EQ(stats.shed, 1u);
+  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_EQ(stats.retried, 1u);
+  EXPECT_EQ(stats.requests, 0u);
+}
+
 TEST_F(ServeChaosTest, CheckpointReadAndWriteFailpointsInject) {
   ASSERT_TRUE(
       failpoint::Enable("ckpt.write",

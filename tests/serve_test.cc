@@ -262,14 +262,29 @@ TEST(ServerStatsTest, JsonKeepsEveryDigitOfLatencies) {
       << out;
 }
 
+/// An answered request as InferenceService::Resolve books it.
+ScoreResult Answered(double latency_us, bool cache_hit, bool stale = false) {
+  ScoreResult result;
+  result.cache_hit = cache_hit;
+  result.stale = stale;
+  result.latency_us = latency_us;
+  return result;
+}
+
+ScoreResult Failed(Status status) {
+  ScoreResult result;
+  result.status = std::move(status);
+  return result;
+}
+
 TEST(ServerStatsTest, CountersAndSnapshot) {
   ServerStats stats;
-  stats.RecordRequest(1000.0, /*cache_hit=*/false);
-  stats.RecordRequest(1200.0, /*cache_hit=*/false);
-  stats.RecordRequest(10.0, /*cache_hit=*/true);
-  stats.RecordError();
-  stats.RecordBatch(2);
-  stats.RecordBatch(4);
+  stats.Record(Answered(1000.0, /*cache_hit=*/false));
+  stats.Record(Answered(1200.0, /*cache_hit=*/false));
+  stats.Record(Answered(10.0, /*cache_hit=*/true));
+  stats.Record(Failed(Status::NotFound("unknown address")));
+  stats.RecordColdPass(2);
+  stats.RecordColdPass(4);
 
   const ServerStats::Snapshot snapshot = stats.TakeSnapshot();
   EXPECT_EQ(snapshot.requests, 3u);
@@ -282,32 +297,30 @@ TEST(ServerStatsTest, CountersAndSnapshot) {
   EXPECT_EQ(snapshot.hit.count, 1u);
   EXPECT_DOUBLE_EQ(snapshot.hit.max_us, 10.0);
   EXPECT_GE(snapshot.cold.p50_us, 1000.0);
-  // Renders without crashing and mentions the headline counters.
-  const std::string text = ServerStats::Format(snapshot);
-  EXPECT_NE(text.find("requests=3"), std::string::npos);
-  EXPECT_NE(text.find("cold latency"), std::string::npos);
 
   // The remaining event kinds; then every event is found booked exactly
-  // once, in the stats' own registry, and nowhere else in it.
-  stats.RecordStaleServed(50.0);
-  stats.RecordDeadlineExceeded();
-  stats.RecordShed();
+  // once, in the stats' own registry, and nowhere else in it. A failure
+  // books by the status its client sees: 504 as a deadline expiry, 429
+  // as a shed, whatever raised it.
+  stats.Record(Answered(50.0, /*cache_hit=*/false, /*stale=*/true));
+  stats.Record(Failed(Status::DeadlineExceeded("deadline expired")));
+  stats.Record(Failed(Status::ResourceExhausted("load shed")));
   stats.RecordRetry();
   stats.RecordCacheAccess(/*hit=*/true);
   stats.RecordCacheAccess(/*hit=*/false);
   stats.RecordCacheAccess(/*hit=*/false);
   stats.RecordCacheEviction();
   const std::map<std::string, uint64_t> expected = {
-      {"serve_batch_size", 2},
-      {"serve_batches_total", 2},
       {"serve_cache_events_total{outcome=\"eviction\"}", 1},
       {"serve_cache_events_total{outcome=\"hit\"}", 1},
       {"serve_cache_events_total{outcome=\"miss\"}", 2},
+      {"serve_cold_passes_total", 2},
       {"serve_deadline_exceeded_total", 1},
       {"serve_errors_total", 1},
       {"serve_latency_us{path=\"cold\"}", 2},
       {"serve_latency_us{path=\"hit\"}", 1},
       {"serve_latency_us{path=\"stale\"}", 1},
+      {"serve_requests_per_pass", 2},
       {"serve_requests_total{path=\"cold\"}", 2},
       {"serve_requests_total{path=\"hit\"}", 1},
       {"serve_requests_total{path=\"stale\"}", 1},
@@ -330,7 +343,7 @@ TEST(ServerStatsTest, ConcurrentRecordingIsSafe) {
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&stats] {
       for (int i = 0; i < 1000; ++i) {
-        stats.RecordRequest(100.0 + i, i % 4 == 0);
+        stats.Record(Answered(100.0 + i, /*cache_hit=*/i % 4 == 0));
       }
     });
   }

@@ -3,13 +3,10 @@
 # kill-and-resume determinism matrix, the tier1_net HTTP loopback suite and
 # the tier1_chaos fault-injection suite), ten repeats of the chaos suite
 # (ctest -L chaos --repeat until-fail:10), an end-to-end HTTP smoke (demo
-# server + curl + graceful SIGTERM), the observability, serving and network
-# suites under ThreadSanitizer (including the model hot-swap hammer and ten
-# repeats of the async-responder and shutdown tests,
-# ctest -R "Responder|HandlerThread|PipelinedScores|ShutdownWaits|AcceptedDuringShutdown|OverloadAnswers"),
-# the training fan-out and the kill-and-resume matrix under ThreadSanitizer
-# (ctest -R "ParallelFor|ParallelBatchBackward|GradientBuffer|ParallelTrain|MakeTrainerPool",
-# ctest -L resume), the chaos suite under ThreadSanitizer (ctest -L chaos),
+# server + curl + graceful SIGTERM), the whole tier-1 gate under
+# ThreadSanitizer (ctest -L tier1, the tsan test preset's filter) followed
+# by ten repeats of the async-responder and shutdown tests
+# (ctest -R "Responder|HandlerThread|PipelinedScores|ShutdownWaits|AcceptedDuringShutdown|OverloadAnswers"),
 # and the whole tier-1 gate under AddressSanitizer + UBSan (ctest -L tier1,
 # the asan test preset's filter).
 # Every mode first checks tools/ab.py's statistics and gate on synthetic
@@ -23,7 +20,7 @@
 # mirrored gain rule (see tools/ab.py). That takes about 25 minutes on 4
 # hardware threads, the two perfbench builds included.
 #
-#   tools/check.sh                 # tier-1 + perfbench + tsan obs/serve/net/train/chaos + asan tier-1
+#   tools/check.sh                 # tier-1 + perfbench + tsan tier-1 + asan tier-1
 #   tools/check.sh --fast          # tier-1 + chaos repeats only
 #   tools/check.sh --bench [BASE]  # tier-1 + perfbench + paired benchmark gate against BASE
 #
@@ -135,47 +132,28 @@ if [[ "${fast}" == "1" || "${bench}" == "1" ]]; then
   exit 0
 fi
 
-serve_suites="Serve|ServerStats|ThreadPool|ResultCache|InferenceArena|TapeFree|FastPath|ModelRegistry"
-train_suites="ParallelFor|ParallelBatchBackward|GradientBuffer|ParallelTrain|MakeTrainerPool"
 responder_tests="Responder|HandlerThread|PipelinedScores|ShutdownWaits|AcceptedDuringShutdown|OverloadAnswers"
 
 echo "=== tsan: configure + build (build-tsan/) ==="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j"$(nproc)"
 
-echo "=== tsan: obs suite (ctest -L obs) ==="
-(cd build-tsan && ctest -L obs --no-tests=error --output-on-failure -j"$(nproc)")
-
-echo "=== tsan: serve + inference fast-path suites ==="
-(cd build-tsan && ctest -R "${serve_suites}" -LE chaos \
-    --no-tests=error --output-on-failure -j"$(nproc)")
-
-# The network suite carries the event loops' cross-thread handoffs
-# (acceptor -> loop inbox; score routes answered inline on the loop or by
-# the service's worker -> loop inbox; blocking routes on the handler pool
-# -> loop inbox) and Shutdown's wait for outstanding responders — all must
-# be clean under tsan. The responder and shutdown tests run ten times
-# over, since one clean pass of a race proves little.
-echo "=== tsan: net suite (ctest -L net) ==="
-(cd build-tsan && ctest -L net --no-tests=error --output-on-failure -j"$(nproc)")
+# Every tier-1 test under ThreadSanitizer: the obs hammers, the service's
+# workers, in-flight table and cache, the event loops' cross-thread
+# handoffs (acceptor -> loop inbox; score routes answered inline on the
+# loop or by the service's worker -> loop inbox; blocking routes on the
+# handler pool -> loop inbox) and Shutdown's wait for outstanding
+# responders, the trainers' fan-out over shared parameters into
+# thread-local gradient buffers, the kill-and-resume matrix, and the chaos
+# suite's faults injected under concurrency. The profiler refuses to start
+# under TSan, so the two ProfilerTest cases skip here. The responder and
+# shutdown tests then run ten times over, since one clean pass of a race
+# proves little.
+echo "=== tsan: tier-1 (ctest -L tier1) ==="
+(cd build-tsan && ctest -L tier1 --no-tests=error --output-on-failure -j"$(nproc)")
 echo "=== tsan: responder + shutdown tests, repeated (ctest -R ... --repeat until-fail:10) ==="
 (cd build-tsan && ctest -R "${responder_tests}" --repeat until-fail:10 \
     --no-tests=error --output-on-failure -j"$(nproc)")
-
-# The trainers fan each batch out over a worker pool: the workers build
-# tapes over the shared parameters and write thread-local gradient
-# buffers, which the calling thread reduces after the join. The resume
-# matrix runs that fan-out at 1 and 4 threads across kill-and-resume.
-echo "=== tsan: training fan-out + resume matrix (ctest -R ... / -L resume) ==="
-(cd build-tsan && ctest -R "${train_suites}" \
-    --no-tests=error --output-on-failure -j"$(nproc)")
-(cd build-tsan && ctest -L resume --no-tests=error --output-on-failure -j"$(nproc)")
-
-# The chaos suite injects faults under concurrency: retries and stale
-# answers on the service's workers, accept/read/write faults on the event
-# loops, and kill -> resume -> hot-reload across snapshot writes.
-echo "=== tsan: chaos suite (ctest -L chaos) ==="
-(cd build-tsan && ctest -L chaos --no-tests=error --output-on-failure -j"$(nproc)")
 
 # Every tier-1 and chaos test again under AddressSanitizer + UBSan: the
 # checkpoint loaders and parsers read untrusted bytes, the inference arena
